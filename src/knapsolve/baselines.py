@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .core import INT32_VALUE_CAP, INT64_VALUE_CAP, normalize
+from .core import cell_dtype, normalize
 
 DEFAULT_CELL_BUDGET = 600_000_000_000
 
@@ -38,13 +38,7 @@ def solve_bellman(raw_items, capacity, cell_budget=DEFAULT_CELL_BUDGET, stats=No
         stats.note_table(t + 1)
     # cells are nonnegative and bounded by the profit total, so the narrowest
     # sufficient dtype is safe; narrower cells mean fewer bytes per pass
-    total_profit = sum(it.profit for it in inst.items)
-    if total_profit > INT64_VALUE_CAP:
-        dtype = object
-    elif total_profit <= INT32_VALUE_CAP:
-        dtype = np.int32
-    else:
-        dtype = np.int64
+    dtype = cell_dtype(sum(it.profit for it in inst.items))
     dp = np.zeros(t + 1, dtype=dtype)
     tmp = np.empty(t + 1, dtype=dtype)
     for w, p in inst.items:

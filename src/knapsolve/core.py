@@ -8,12 +8,14 @@ profits are pairwise distinct.  The perturbation is invertible on totals, so
 optimal profits of the original instance can be recovered exactly.
 
 This module also provides the greedy prefix split (the solution all exchange
-arguments are phrased against), per-weight-class rank orders, and the signed
-difference-indexed DP table shared by the solver stages.
+arguments are phrased against), per-weight-class rank orders, the signed
+difference-indexed DP table the reference batch update works on, and the
+cell-width rule every solver's tables follow.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -40,6 +42,19 @@ INT32_VALUE_CAP = 1 << 27
 
 def is_bottom(value) -> bool:
     return value == BOTTOM
+
+
+def cell_dtype(total_profit: int):
+    """Narrowest table cell type for values of magnitude up to ``total_profit``.
+
+    int32 and int64 keep proportional headroom for drifted bottom sentinels;
+    past int64 range cells are Python ints in an object array.
+    """
+    if total_profit > INT64_VALUE_CAP:
+        return object
+    if total_profit <= INT32_VALUE_CAP:
+        return np.int32
+    return np.int64
 
 
 class Item(NamedTuple):
@@ -69,22 +84,40 @@ class Instance:
         return len(self.items)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a plain int; bools, floats and other non-integers are refused."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def normalize(raw_items: Iterable[tuple[int, int]], capacity: int) -> Instance:
     """Validate and normalize raw (weight, profit) pairs.
 
     Items heavier than the capacity are dropped (they appear in no feasible
     solution).  If the kept items all fit together, the instance is flagged
-    trivial with its answer precomputed.  Weights and profits must be >= 1 and
-    the capacity >= 0.
+    trivial with its answer precomputed.  Weights, profits and the capacity
+    must be integers (Python or numpy; not bool); weights and profits must
+    be >= 1 and the capacity >= 0.
     """
+    capacity = _integer(capacity, "capacity")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
     kept = []
     for w, p in raw_items:
+        if type(w) is not int:
+            w = _integer(w, "item weight")
+        if type(p) is not int:
+            p = _integer(p, "item profit")
         if w < 1 or p < 1:
             raise ValueError("item weights and profits must be >= 1")
         if w <= capacity:
-            kept.append(Item(int(w), int(p)))
+            kept.append(Item(w, p))
     total_w = sum(it.weight for it in kept)
     total_p = sum(it.profit for it in kept)
     w_max = max((it.weight for it in kept), default=0)
@@ -236,15 +269,11 @@ class DpTable:
     solution is known.  Values live in an int64 numpy array with a large
     negative sentinel for bottom; instances whose profits could overflow
     int64 use an object array holding plain ints and float("-inf").
-
-    When ``witness`` tracking is enabled each finite entry carries the pair
-    of item-index tuples (added, removed) realizing it, for validation at
-    small scale.
     """
 
-    __slots__ = ("half_size", "values", "witness")
+    __slots__ = ("half_size", "values")
 
-    def __init__(self, half_size: int, dtype=np.int64, witness: bool = False):
+    def __init__(self, half_size: int, dtype=np.int64):
         if half_size < 0:
             raise ValueError("half_size must be >= 0")
         self.half_size = half_size
@@ -252,7 +281,6 @@ class DpTable:
             self.values = np.full(2 * half_size + 1, NEG_SENTINEL, dtype=np.int64)
         else:
             self.values = np.full(2 * half_size + 1, BOTTOM, dtype=object)
-        self.witness: list | None = [None] * (2 * half_size + 1) if witness else None
 
     @property
     def is_object(self) -> bool:
@@ -270,19 +298,12 @@ class DpTable:
         v = int(v)
         return BOTTOM if v < NEG_THRESHOLD else v
 
-    def set(self, z: int, value, witness=None) -> None:
+    def set(self, z: int, value) -> None:
         slot = self._slot(z)
         if is_bottom(value):
             self.values[slot] = BOTTOM if self.is_object else NEG_SENTINEL
         else:
             self.values[slot] = value
-        if self.witness is not None:
-            self.witness[slot] = witness
-
-    def get_witness(self, z: int):
-        if self.witness is None:
-            return None
-        return self.witness[self._slot(z)]
 
     def indices(self):
         return range(-self.half_size, self.half_size + 1)
@@ -296,16 +317,10 @@ class DpTable:
 
 def dp_resize(table: DpTable, new_half_size: int) -> DpTable:
     """Grow (pad with bottom) or shrink (drop out-of-range entries) a table."""
-    out = DpTable(
-        new_half_size,
-        dtype=object if table.is_object else np.int64,
-        witness=table.witness is not None,
-    )
+    out = DpTable(new_half_size, dtype=object if table.is_object else np.int64)
     lo = -min(table.half_size, new_half_size)
     hi = min(table.half_size, new_half_size)
     src = slice(lo + table.half_size, hi + table.half_size + 1)
     dst = slice(lo + new_half_size, hi + new_half_size + 1)
     out.values[dst] = table.values[src]
-    if table.witness is not None:
-        out.witness[dst.start : dst.stop] = table.witness[src.start : src.stop]
     return out

@@ -199,7 +199,6 @@ def batch_update_weight_class(
     prefix_profits: list,
     new_half_size: int,
     direction: int,
-    class_items: list[int] | None = None,
 ):
     """Fold one weight class into a difference-indexed DP table.
 
@@ -210,9 +209,6 @@ def batch_update_weight_class(
     shift (removing items moves it down).  Returns a new table of the given
     half size.  Decomposes by residue class mod weight and runs one concave
     convolution per residue.
-
-    ``class_items`` supplies the item indices in prefix order for witness
-    tracking; required when the input table carries witnesses.
     """
     from .core import DpTable, dp_resize
 
@@ -222,14 +218,8 @@ def batch_update_weight_class(
         raise ValueError("prefix profits must start at 0")
     if len(prefix_profits) == 1:
         return dp_resize(table, new_half_size)
-    if table.witness is not None and class_items is None:
-        raise ValueError("witness tracking requires class_items")
 
-    out = DpTable(
-        new_half_size,
-        dtype=object if table.is_object else np.int64,
-        witness=table.witness is not None,
-    )
+    out = DpTable(new_half_size, dtype=object if table.is_object else np.int64)
     L_in = table.half_size
     for residue in range(weight):
         zs = [z for z in range(-L_in, L_in + 1) if z % weight == residue]
@@ -238,28 +228,13 @@ def batch_update_weight_class(
         if direction == +1:
             a = [table.get(z) for z in zs]
             base = zs[0]
-            sign = +1
         else:
             a = [table.get(z) for z in reversed(zs)]
             base = zs[-1]
-            sign = -1
-        c, arg = concave_maxplus_conv(a, prefix_profits, with_argmax=True)
-        for k, v in enumerate(c):
+        for k, v in enumerate(concave_maxplus_conv(a, prefix_profits)):
             if is_bottom(v):
                 continue
-            z_new = base + sign * k * weight
-            if not -new_half_size <= z_new <= new_half_size:
-                continue
-            wit = None
-            if out.witness is not None:
-                j = arg[k]
-                z_src = base + sign * j * weight
-                x = k - j
-                src_wit = table.get_witness(z_src) or ((), ())
-                picked = tuple(class_items[:x])
-                if direction == +1:
-                    wit = (src_wit[0] + picked, src_wit[1])
-                else:
-                    wit = (src_wit[0], src_wit[1] + picked)
-            out.set(z_new, v, witness=wit)
+            z_new = base + direction * k * weight
+            if -new_half_size <= z_new <= new_half_size:
+                out.set(z_new, v)
     return out

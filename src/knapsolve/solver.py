@@ -14,14 +14,17 @@ around the greedy prefix:
 Stage one has two interchangeable engines.  The ``hinted`` engine follows
 the hint-propagation design: each phase extends the table through the
 hint-set solver and prunes hint sets against the next phase's budget; it is
-the instrumented reference and can carry witness item sets.  The ``dense``
-engine folds the same phase groups with vectorized shift-max passes over
-the full scheduled table; it considers a superset of the candidates the
-hinted engine keeps, so it reaches the same optimal entries, and it is far
-faster under an interpreter.  The dense engine also folds the original
+the instrumented reference.  The ``dense`` engine folds the same phase
+groups with vectorized shift-max passes over the full scheduled table; it
+considers a superset of the candidates the hinted engine keeps, so it
+reaches the same optimal entries, and it is far faster under an
+interpreter.  The dense engine also folds the original
 profits rather than the perturbed ones (perturbation still decides every
 ordering), which keeps table cells narrow and makes the best window entry
 the final answer directly.
+
+Both engines hand stage two a ``_DenseFold``; stage two, and the flat
+proximity solver, fold weight classes and read the answer through it alone.
 """
 
 from __future__ import annotations
@@ -34,15 +37,12 @@ from . import hinted
 from .baselines import BudgetExceededError, solve_bellman
 from .core import (
     BOTTOM,
-    INT32_VALUE_CAP,
-    INT64_VALUE_CAP,
     NEG_SENTINEL,
     NEG_THRESHOLD,
-    DpTable,
     GreedySplit,
     Instance,
     break_ties,
-    dp_resize,
+    cell_dtype,
     greedy_split,
     is_bottom,
     normalize,
@@ -56,7 +56,6 @@ from .partition import (
     rank_partition,
     weight_partition,
 )
-from .smawk import batch_update_weight_class
 
 DEFAULT_CONSTANT = 2.0
 DEFAULT_BETA = 12
@@ -77,7 +76,6 @@ class Stats:
     fallback: bool = False
     extend: ExtendStats = field(default_factory=ExtendStats)
     best_index: int | None = None
-    best_witness: tuple | None = None
 
     def note_table(self, cells: int) -> None:
         if cells > self.peak_table_cells:
@@ -92,16 +90,13 @@ class SolverConfig:
     sizes, hint budgets).  ``engine`` picks the stage-one implementation:
     "auto" resolves to the vectorized dense engine, which wins at every
     practical scale under CPython; "hinted" forces the hint-propagating
-    engine.  ``witness`` threads witness item sets through the tables for
-    validation and implies the hinted engine.  ``verify`` cross-checks the
-    final answer against the capacity DP and raises ``VerificationError``
-    on mismatch.
+    engine.  ``verify`` cross-checks the final answer against the capacity
+    DP and raises ``VerificationError`` on mismatch.
     """
 
     constant: float = DEFAULT_CONSTANT
     beta: int = DEFAULT_BETA
     engine: str = "auto"
-    witness: bool = False
     verify: bool = False
     force_fallback: bool = False
     verify_cell_budget: int = 400_000_000
@@ -109,8 +104,6 @@ class SolverConfig:
     def resolved_engine(self) -> str:
         if self.engine not in ("auto", "dense", "hinted"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.witness:
-            return "hinted"
         return "dense" if self.engine == "auto" else self.engine
 
 
@@ -186,32 +179,6 @@ class _DenseFold:
         self.lo = half
         self.hi = half + 1
         self.drift = 0
-
-    @classmethod
-    def from_table(cls, table: DpTable) -> "_DenseFold":
-        """Adopt a table's backing array in place and locate its live span."""
-        eng = cls.__new__(cls)
-        arr = table.values
-        eng.arr = arr
-        eng.tmp = np.empty(min(arr.size, _TILE), dtype=arr.dtype)
-        eng.half = table.half_size
-        eng.is_object = table.is_object
-        eng.drift = 0
-        if eng.is_object:
-            eng.sentinel = eng.threshold = BOTTOM
-            eng.drift_limit = 0
-            finite = np.flatnonzero(arr != BOTTOM)
-        else:
-            eng.sentinel, eng.threshold, eng.drift_limit = _int_limits(arr.dtype)
-            # incoming arrays may carry drifted sentinels; floor them once
-            np.copyto(arr, eng.sentinel, where=arr < eng.threshold)
-            finite = np.flatnonzero(arr > eng.threshold)
-        if len(finite):
-            eng.lo = int(finite[0])
-            eng.hi = int(finite[-1]) + 1
-        else:
-            eng.lo = eng.hi = eng.half
-        return eng
 
     def resize(self, new_half: int) -> None:
         if new_half == self.half:
@@ -358,7 +325,7 @@ def first_stage_hinted(
     config: SolverConfig,
     inner_weights,
     stats: Stats | None = None,
-) -> DpTable:
+) -> _DenseFold:
     """Fold the dyadic phases through the hint-set extension solver.
 
     Each table entry carries one hint set per side naming the weight classes
@@ -366,7 +333,8 @@ def first_stage_hinted(
     when the entry consumed the whole phase group and the class continues
     into the next phase (optimal exchanges use rank prefixes, so a partial
     or skipped group ends the class for that entry).  Entries whose new
-    hint set exceeds the next budget are deleted.
+    hint set exceeds the next budget are deleted.  The finished table is
+    returned as a fold engine over the perturbed profits, for stage two.
     """
     profits = [it.profit for it in primed.items]
     universe = tuple(sorted(inner_weights))
@@ -383,9 +351,6 @@ def first_stage_hinted(
     neg_hints[half] = store.add(
         w for w in universe if _group(rank_part, -1, 1, w)
     )
-    track_wit = config.witness
-    wit: list = [None] * size
-    wit[half] = ((), ())
 
     ext_stats = stats.extend if stats is not None else None
     for phase in range(1, schedule.phase_count + 1):
@@ -396,7 +361,6 @@ def first_stage_hinted(
                 q = [BOTTOM] * pad + q + [BOTTOM] * pad
                 pos_hints = [None] * pad + pos_hints + [None] * pad
                 neg_hints = [None] * pad + neg_hints + [None] * pad
-                wit = [None] * pad + wit + [None] * pad
                 half = new_half
                 size = 2 * half + 1
 
@@ -426,7 +390,6 @@ def first_stage_hinted(
             new_q: list = [BOTTOM] * size
             new_pos: list = [None] * size
             new_neg: list = [None] * size
-            new_wit: list = [None] * size
             for k in range(size):
                 if is_bottom(r[k]):
                     continue
@@ -447,30 +410,39 @@ def first_stage_hinted(
                     new_pos[k], new_neg[k] = handle, passthrough
                 else:
                     new_pos[k], new_neg[k] = passthrough, handle
-                if track_wit:
-                    base_wit = wit[zk]
-                    picked: list[int] = []
-                    for w in sorted(xs[k]):
-                        picked.extend(_group(rank_part, direction, phase, w)[: xs[k][w]])
-                    if direction > 0:
-                        new_wit[k] = (base_wit[0] + tuple(picked), base_wit[1])
-                    else:
-                        new_wit[k] = (base_wit[0], base_wit[1] + tuple(picked))
-            q, pos_hints, neg_hints, wit = new_q, new_pos, new_neg, new_wit
+            q, pos_hints, neg_hints = new_q, new_pos, new_neg
             if stats is not None:
                 stats.note_table(size)
         if stats is not None:
             stats.phases_run += 1
 
-    table = DpTable(half, dtype=object, witness=track_wit)
-    for k in range(size):
-        if not is_bottom(q[k]):
-            table.set(k - half, q[k], witness=wit[k] if track_wit else None)
-    return table
+    eng = _DenseFold(half, cell_dtype(sum(profits)))
+    finite = [k for k in range(size) if not is_bottom(q[k])]
+    eng.arr[half] = eng.sentinel
+    eng.arr[finite] = [q[k] for k in finite]
+    eng.lo, eng.hi = (finite[0], finite[-1] + 1) if finite else (half, half)
+    return eng
+
+
+def _fold_classes(eng: _DenseFold, weights, split: GreedySplit, profits) -> None:
+    """Fold both sides of each weight class, in ascending weight order."""
+    for w in sorted(weights):
+        for direction, side in ((+1, split.add_candidates), (-1, split.remove_candidates)):
+            eng.update(w, _prefix_profits(profits, side.get(w, ()), direction), direction)
+
+
+def _best_entry(eng: _DenseFold, slack: int, stats: Stats | None):
+    """Best table entry at index <= slack; it always exists for a finished fold."""
+    best, best_z = eng.window_best(slack)
+    if is_bottom(best):
+        raise VerificationError("no feasible table entry survived the fold")
+    if stats is not None:
+        stats.best_index = best_z
+    return best
 
 
 def second_stage(
-    table,
+    eng: _DenseFold,
     primed: Instance,
     split: GreedySplit,
     schedule: PhaseSchedule,
@@ -485,84 +457,47 @@ def second_stage(
     Layer j is folded at half-size L'_{j-1}, after which the table shrinks
     to L'_j: outer layers interact with optimal exchanges only near the
     break point, so the index range can drop as coarser weights join.
-    ``table`` is either the hinted stage's DpTable or the dense stage's
-    live fold engine; ``profits`` must be the same per-item values stage
-    one folded, and ``base_profit`` the greedy solution's total under them.
-    Returns base_profit plus the best table entry within the leftover
-    capacity.
+    ``eng`` is the fold stage one returned (either engine); ``profits`` must
+    be the same per-item values stage one folded, and ``base_profit`` the
+    greedy solution's total under them.  ``config`` is accepted for call
+    compatibility and not read.  Returns base_profit plus the best table
+    entry within the leftover capacity.
     """
-    if isinstance(table, _DenseFold):
-        cur, eng = None, table
-        eng.resize(schedule.stage_two_size(1))
+    eng.resize(schedule.stage_two_size(1))
+    if stats is not None:
+        stats.note_table(2 * eng.half + 1)
+    for layer in range(2, len(layers) + 1):
+        _fold_classes(eng, layers[layer - 1], split, profits)
+        eng.resize(schedule.stage_two_size(layer))
         if stats is not None:
             stats.note_table(2 * eng.half + 1)
-    else:
-        cur = dp_resize(table, schedule.stage_two_size(1))
-        if stats is not None:
-            stats.note_table(2 * cur.half_size + 1)
-        use_ops = config.witness or table.witness is not None
-        eng = None if use_ops else _DenseFold.from_table(cur)
-    for layer in range(2, len(layers) + 1):
-        new_half = schedule.stage_two_size(layer)
-        for w in sorted(layers[layer - 1]):
-            for direction, cands in (
-                (+1, split.add_candidates.get(w, [])),
-                (-1, split.remove_candidates.get(w, [])),
-            ):
-                if not cands:
-                    continue
-                prefix = _prefix_profits(profits, cands, direction)
-                if eng is None:
-                    cur = batch_update_weight_class(
-                        cur, w, prefix, cur.half_size, direction, class_items=cands
-                    )
-                else:
-                    eng.update(w, prefix, direction)
-        if eng is None:
-            cur = dp_resize(cur, new_half)
-        else:
-            eng.resize(new_half)
-        if stats is not None:
-            stats.note_table(2 * new_half + 1)
 
     slack = primed.capacity - split.greedy_weight
-    assert 0 <= slack < primed.w_max <= (cur.half_size if eng is None else eng.half)
-    if eng is None:
-        best, best_z = _best_in_window(cur, slack)
-    else:
-        best, best_z = eng.window_best(slack)
-    if is_bottom(best):
-        raise VerificationError("no feasible table entry survived the fold")
-    if stats is not None:
-        stats.best_index = best_z
-        stats.best_witness = cur.get_witness(best_z) if eng is None else None
-    return base_profit + best
+    assert 0 <= slack < primed.w_max <= eng.half
+    return base_profit + _best_entry(eng, slack, stats)
 
 
-def _best_in_window(table: DpTable, slack: int):
-    """Best finite value over indices z <= slack, first index on ties."""
-    half = table.half_size
-    arr = table.values
-    if arr.dtype != object:
-        window = arr[: half + slack + 1]
-        pos = int(window.argmax())
-        m = int(window[pos])
-        return (BOTTOM, None) if m < NEG_THRESHOLD else (m, pos - half)
-    best = BOTTOM
-    best_z = None
-    for zval in range(-half, slack + 1):
-        v = table.get(zval)
-        if not is_bottom(v) and (is_bottom(best) or v > best):
-            best = v
-            best_z = zval
-    return best, best_z
+def _original_profits(inst: Instance, split: GreedySplit):
+    """Unperturbed profits, the greedy set's total of them, and their cell type.
+
+    A fold needs only concave class prefixes, and within a weight class the
+    rank order sorts by profit on both sides, so the original profits are
+    concave along it too.  Folding them keeps cells narrow (int32 for most
+    instances, half the memory traffic) and makes the best window entry the
+    answer with no recovery step.  The perturbed profits still decide the
+    greedy split, layers, and rank orders.
+    """
+    profits = [it.profit for it in inst.items]
+    base = sum(p for i, p in enumerate(profits) if split.in_greedy[i])
+    return profits, base, cell_dtype(sum(profits))
 
 
 def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: Stats | None = None) -> int:
     """Optimal total profit, parameterized by the largest item weight.
 
     Falls back to the capacity DP when the largest weight exceeds n^2 (the
-    table there is smaller than any exchange structure would be).  With
+    table there is smaller than any exchange structure would be); that DP
+    refuses with ``BudgetExceededError`` past its default cell budget.  With
     ``config.verify`` the answer is recomputed by the capacity DP and must
     agree.
     """
@@ -577,9 +512,7 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
             stats.engine = "bellman-fallback"
             stats.fallback = True
             stats.note_table(inst.capacity + 1)
-        answer = solve_bellman(
-            [(it.weight, it.profit) for it in inst.items], inst.capacity, cell_budget=None
-        )
+        answer = solve_bellman([(it.weight, it.profit) for it in inst.items], inst.capacity)
     else:
         answer = _solve_structured(inst, config, stats)
     if config.verify:
@@ -601,30 +534,16 @@ def _solve_structured(inst: Instance, config: SolverConfig, stats: Stats | None)
     if stats is not None:
         stats.engine = engine
     if engine == "hinted":
-        table = first_stage_hinted(
+        eng = first_stage_hinted(
             primed, rank_part, schedule, config, wpart.innermost, stats
         )
         profits = [it.profit for it in primed.items]
         total = second_stage(
-            table, primed, split, schedule, wpart.layers, config,
+            eng, primed, split, schedule, wpart.layers, config,
             profits, split.greedy_profit, stats,
         )
         return recover_profit(total, primed.tie_break_m, primed.w_max)
-    # The dense fold needs only concave class prefixes, and within a weight
-    # class the rank order sorts by profit on both sides, so the original
-    # profits are concave along it too.  Folding them directly keeps cells
-    # narrow (int32 for most instances, half the memory traffic) and makes
-    # the best window entry the answer with no recovery step.  The perturbed
-    # profits still decide the greedy split, layers, and rank orders.
-    profits = [it.profit for it in inst.items]
-    total_profit = sum(profits)
-    if total_profit > INT64_VALUE_CAP:
-        dtype = object
-    elif total_profit <= INT32_VALUE_CAP:
-        dtype = np.int32
-    else:
-        dtype = np.int64
-    base = sum(p for i, p in enumerate(profits) if split.in_greedy[i])
+    profits, base, dtype = _original_profits(inst, split)
     eng = first_stage_dense(profits, rank_part, schedule, stats, dtype)
     return second_stage(
         eng, primed, split, schedule, wpart.layers, config, profits, base, stats
@@ -638,98 +557,26 @@ def solve_proximity_smawk(
 
     Uses a fixed difference table of half-size 2 * w_max^2 (optimal
     exchanges never move the index further) and folds every weight class
-    once per side, without layering or phases.  Simpler object to audit
-    than the full pipeline, quadratically bigger table.
+    once per side, without layering or phases, as one flat stage-two layer
+    over the original profits.  Simpler object to audit than the full
+    pipeline, quadratically bigger table.  ``config`` is accepted for call
+    compatibility and not read.
     """
-    config = config or SolverConfig()
     inst = normalize(raw_items, capacity)
     if inst.all_fit:
         return inst.total_profit
-    primed = break_ties(inst)
-    split = greedy_split(primed)
-    half = 2 * primed.w_max * primed.w_max
+    half = 2 * inst.w_max * inst.w_max
     cells = 2 * half + 1
     if cells > PROXIMITY_CELL_BUDGET:
         raise BudgetExceededError(
             f"proximity table needs {cells} cells, over {PROXIMITY_CELL_BUDGET}"
         )
+    split = greedy_split(break_ties(inst))
     if stats is not None:
         stats.engine = "proximity"
         stats.note_table(cells)
-    use_object = sum(it.profit for it in primed.items) > INT64_VALUE_CAP
-    profits = [it.profit for it in primed.items]
-    if config.witness:
-        cur = DpTable(half, dtype=object, witness=True)
-        cur.set(0, 0, witness=((), ()))
-        eng = None
-        for w in sorted(set(split.add_candidates) | set(split.remove_candidates)):
-            for direction, cands in (
-                (+1, split.add_candidates.get(w, [])),
-                (-1, split.remove_candidates.get(w, [])),
-            ):
-                if not cands:
-                    continue
-                prefix = _prefix_profits(profits, cands, direction)
-                cur = batch_update_weight_class(
-                    cur, w, prefix, half, direction, class_items=cands
-                )
-    else:
-        cur = None
-        eng = _DenseFold(half, object if use_object else np.int64)
-        for w in sorted(set(split.add_candidates) | set(split.remove_candidates)):
-            for direction, cands in (
-                (+1, split.add_candidates.get(w, [])),
-                (-1, split.remove_candidates.get(w, [])),
-            ):
-                if not cands:
-                    continue
-                prefix = _prefix_profits(profits, cands, direction)
-                eng.update(w, prefix, direction)
-
-    slack = primed.capacity - split.greedy_weight
-    if eng is None:
-        best, best_z = _best_in_window(cur, slack)
-    else:
-        best, best_z = eng.window_best(slack)
-    if is_bottom(best):
-        raise VerificationError("no feasible table entry in proximity fold")
-    if stats is not None:
-        stats.best_index = best_z
-        stats.best_witness = cur.get_witness(best_z) if eng is None else None
-    total = split.greedy_profit + best
-    return recover_profit(total, primed.tie_break_m, primed.w_max)
-
-
-def check_table_witnesses(table: DpTable, primed: Instance, split: GreedySplit) -> list[str]:
-    """Validate every finite entry's witness pair; [] means pass.
-
-    Checks membership sides (added items outside the greedy set, removed
-    items inside), distinctness, weight conservation against the index, and
-    profit accounting against the stored value.
-    """
-    errors = []
-    if table.witness is None:
-        return ["table carries no witnesses"]
-    items = primed.items
-    for z, value in table.finite_items():
-        w = table.get_witness(z)
-        if w is None:
-            errors.append(f"index {z}: finite entry without witness")
-            continue
-        added, removed = w
-        if len(set(added)) != len(added) or len(set(removed)) != len(removed):
-            errors.append(f"index {z}: repeated items in witness")
-            continue
-        if any(split.in_greedy[i] for i in added):
-            errors.append(f"index {z}: added item already in the greedy set")
-            continue
-        if any(not split.in_greedy[i] for i in removed):
-            errors.append(f"index {z}: removed item not in the greedy set")
-            continue
-        dw = sum(items[i].weight for i in added) - sum(items[i].weight for i in removed)
-        dp = sum(items[i].profit for i in added) - sum(items[i].profit for i in removed)
-        if dw != z:
-            errors.append(f"index {z}: witness weight delta {dw}")
-        elif dp != value:
-            errors.append(f"index {z}: witness profit delta {dp} != {value}")
-    return errors
+    profits, base, dtype = _original_profits(inst, split)
+    eng = _DenseFold(half, dtype)
+    weights = split.add_candidates.keys() | split.remove_candidates.keys()
+    _fold_classes(eng, weights, split, profits)
+    return base + _best_entry(eng, inst.capacity - split.greedy_weight, stats)

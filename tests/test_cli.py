@@ -97,6 +97,14 @@ def test_budget_error_exit_code(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+def test_capacity_dp_fallback_refuses_before_allocating(tmp_path, capsys):
+    # w_max > n^2 takes the capacity DP, whose table here would be 2e13 cells
+    big = 10**13
+    path = write(tmp_path, "huge.txt", f"2 {big}\n{big} 5\n{big} 9\n")
+    assert main(["solve", path]) == 3
+    assert "refused:" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic_and_round_trips(tmp_path, capsys):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"

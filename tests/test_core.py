@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from knapsolve import (
@@ -14,7 +15,9 @@ from knapsolve import (
     is_bottom,
     normalize,
     recover_profit,
+    solve_fast,
 )
+from knapsolve.core import INT32_VALUE_CAP, INT64_VALUE_CAP, cell_dtype
 
 
 def test_normalize_drops_oversized_items():
@@ -43,6 +46,40 @@ def test_normalize_rejects_bad_input():
         normalize([(2, 0)], 5)
     with pytest.raises(ValueError):
         normalize([(2, 3)], -1)
+
+
+def test_normalize_refuses_non_integers():
+    # int(2.9) would silently make the weight 2 and the answer 6, not 5
+    with pytest.raises(ValueError):
+        solve_fast([(2.9, 5), (3, 4), (1, 1)], 3)
+    for items, capacity in (
+        ([(2.0, 3)], 5),
+        ([(2, 3.5)], 5),
+        ([(True, 3)], 5),
+        ([(2, np.True_)], 5),
+        ([(2, np.float64(3))], 5),
+        ([("2", 3)], 5),
+        ([(2, 3)], 5.0),
+        ([(2, 3)], False),
+    ):
+        with pytest.raises(ValueError):
+            normalize(items, capacity)
+
+
+def test_normalize_accepts_numpy_integers():
+    items = [(np.int64(2), np.int32(3)), (np.uint8(3), np.int64(4)), (5, 5)]
+    inst = normalize(items, np.int64(6))
+    assert inst.items == ((2, 3), (3, 4), (5, 5))
+    assert all(type(v) is int for it in inst.items for v in it)
+    assert type(inst.capacity) is int
+    assert solve_fast(items, np.int64(6)) == solve_fast([(2, 3), (3, 4), (5, 5)], 6) == 7
+
+
+def test_cell_dtype_thresholds():
+    assert cell_dtype(INT32_VALUE_CAP) == np.int32
+    assert cell_dtype(INT32_VALUE_CAP + 1) == np.int64
+    assert cell_dtype(INT64_VALUE_CAP) == np.int64
+    assert cell_dtype(INT64_VALUE_CAP + 1) is object
 
 
 def test_break_ties_frozen_example():

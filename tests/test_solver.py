@@ -1,23 +1,21 @@
-"""End-to-end solver agreement, engines, fallbacks, stats, witnesses."""
+"""End-to-end solver agreement, engines, fallbacks, stats, and the fold engine."""
 
 import random
 
+import numpy as np
 import pytest
 
 from knapsolve import (
+    BOTTOM,
     BudgetExceededError,
     SolverConfig,
     Stats,
-    VerificationError,
-    break_ties,
-    greedy_split,
-    normalize,
-    recover_profit,
     solve_bellman,
     solve_exhaustive,
     solve_fast,
     solve_proximity_smawk,
 )
+from knapsolve.solver import _TILE, _DenseFold
 
 
 def random_items(rng, n_max=14, w_max=10, p_max=30, equal_weights=False):
@@ -125,51 +123,6 @@ def test_engine_name_is_validated():
         solve_fast([(2, 3), (3, 4), (4, 5)], 5, SolverConfig(engine="bogus"))
 
 
-def test_witness_mode_produces_checkable_exchanges():
-    rng = random.Random(321324)
-    checked = 0
-    for _ in range(60):
-        items = random_items(rng, n_max=10, w_max=6, p_max=20)
-        capacity = rng.randint(1, max(1, sum(w for w, _ in items) - 1))
-        inst = normalize(items, capacity)
-        if inst.all_fit:
-            continue
-        stats = Stats()
-        got = solve_proximity_smawk(items, capacity, SolverConfig(witness=True), stats)
-        want = solve_exhaustive(items, capacity)
-        assert got == want
-        primed = break_ties(inst)
-        split = greedy_split(primed)
-        added, removed = stats.best_witness
-        assert not any(split.in_greedy[i] for i in added)
-        assert all(split.in_greedy[i] for i in removed)
-        dw = sum(primed.items[i].weight for i in added) - sum(
-            primed.items[i].weight for i in removed
-        )
-        assert dw == stats.best_index
-        assert split.greedy_weight + dw <= primed.capacity
-        dp = sum(primed.items[i].profit for i in added) - sum(
-            primed.items[i].profit for i in removed
-        )
-        total = split.greedy_profit + dp
-        assert recover_profit(total, primed.tie_break_m, primed.w_max) == want
-        checked += 1
-    assert checked >= 20
-
-
-def test_witness_config_agrees_with_plain_run():
-    rng = random.Random(321325)
-    for _ in range(30):
-        items = random_items(rng, n_max=12, w_max=8)
-        capacity = rng.randint(0, sum(w for w, _ in items))
-        plain = solve_fast(items, capacity)
-        stats = Stats()
-        traced = solve_fast(items, capacity, SolverConfig(witness=True), stats)
-        assert traced == plain
-        if not stats.fallback and stats.engine not in ("trivial",):
-            assert stats.engine == "hinted"
-
-
 def test_proximity_table_budget():
     with pytest.raises(BudgetExceededError):
         solve_proximity_smawk([(15000, 5), (15000, 9)], 15000)
@@ -228,3 +181,127 @@ def test_repeat_runs_are_deterministic():
         got = solve_fast(items, 11, stats=stats)
         runs.append((got, stats.peak_table_cells, stats.phases_run, stats.engine))
     assert runs[0] == runs[1]
+
+
+# --- the fold engine against direct enumeration -------------------------
+
+CELL_TYPES = [(np.int32, 1), (np.int64, 1 << 36), (object, 1 << 70)]
+
+
+def concave_prefix(rng, cap, scale):
+    incs = sorted((rng.randint(-40, 40) * scale for _ in range(cap)), reverse=True)
+    out = [0]
+    for d in incs:
+        out.append(out[-1] + d)
+    return out
+
+
+def finite_cells(eng):
+    """{z: value} over the engine's finite cells, checked to lie in its live span."""
+    if eng.is_object:
+        slots = [k for k, v in enumerate(eng.arr) if v != BOTTOM]
+    else:
+        slots = np.flatnonzero(eng.arr > eng.threshold).tolist()
+    assert all(eng.lo <= k < eng.hi for k in slots)
+    return {k - eng.half: int(eng.arr[k]) for k in slots}
+
+
+def fold_reference(cells, half, weight, prefix, direction):
+    """q'[z] = max over x of q[z - direction*x*weight] + prefix[x], z in [-half, half]."""
+    out = {}
+    for z, v in cells.items():
+        for x, gain in enumerate(prefix):
+            t = z + direction * x * weight
+            if -half <= t <= half and (t not in out or v + gain > out[t]):
+                out[t] = v + gain
+    return out
+
+
+def window_reference(cells, slack):
+    best = (BOTTOM, None)
+    for z in sorted(cells):
+        if z <= slack and (best[1] is None or cells[z] > best[0]):
+            best = (cells[z], z)
+    return best
+
+
+def check_window(eng, cells, rng):
+    for slack in {-eng.half, eng.half, rng.randint(-eng.half, eng.half)}:
+        assert eng.window_best(slack) == window_reference(cells, slack)
+
+
+def test_dense_fold_update_matches_enumeration():
+    rng = random.Random(808)
+    for dtype, scale in CELL_TYPES:
+        for _ in range(40):
+            half = rng.randint(1, 40)
+            eng = _DenseFold(half, dtype)
+            want = {0: 0}
+            for _ in range(rng.randint(1, 8)):
+                weight = rng.randint(1, half + 3)
+                prefix = concave_prefix(rng, rng.randint(0, 4), scale)
+                direction = rng.choice((+1, -1))
+                eng.update(weight, prefix, direction)
+                want = fold_reference(want, half, weight, prefix, direction)
+                assert finite_cells(eng) == want
+            check_window(eng, want, rng)
+
+
+def test_dense_fold_resize_both_ways():
+    rng = random.Random(809)
+    for dtype, scale in CELL_TYPES:
+        for _ in range(30):
+            half = rng.randint(1, 30)
+            eng = _DenseFold(half, dtype)
+            want = {0: 0}
+            for _ in range(6):
+                new_half = rng.randint(1, 2 * half + 5)
+                eng.resize(new_half)
+                half = new_half
+                want = {z: v for z, v in want.items() if -half <= z <= half}
+                assert eng.half == half and eng.arr.size == 2 * half + 1
+                assert finite_cells(eng) == want
+                weight = rng.randint(1, half)
+                prefix = concave_prefix(rng, rng.randint(1, 4), scale)
+                direction = rng.choice((+1, -1))
+                eng.update(weight, prefix, direction)
+                want = fold_reference(want, half, weight, prefix, direction)
+                assert finite_cells(eng) == want
+            check_window(eng, want, rng)
+
+
+def test_dense_fold_live_span_crossing_a_tile():
+    # a table filled across more than one scratch tile, so each pass runs
+    # several tiles and their order decides whether a cell is shifted twice
+    rng = random.Random(810)
+    half = _TILE // 2 + 5000
+    for dtype, scale in CELL_TYPES:
+        eng = _DenseFold(half, dtype)
+        eng.arr[half] = eng.sentinel
+        want = {}
+        for k in range(2 * half + 1):
+            if rng.random() < 0.3:
+                want[k - half] = eng.arr[k] = rng.randint(-1000, 1000) * scale
+        eng.lo, eng.hi = 0, 2 * half + 1
+        for weight, direction in ((7, +1), (5, -1), (_TILE + 3, +1)):
+            prefix = concave_prefix(rng, 2, scale)
+            eng.update(weight, prefix, direction)
+            want = fold_reference(want, half, weight, prefix, direction)
+        assert finite_cells(eng) == want
+        check_window(eng, want, rng)
+
+
+def test_int32_fold_refloors_drifted_sentinels():
+    # 600 add-side folds of 2^20 each run the drift credit past its 2^27
+    # limit several times; odd indices stay bottom under even weights and
+    # must still read as bottom after every re-floor
+    half, weight, gain = 9, 2, 1 << 20
+    eng = _DenseFold(half, np.int32)
+    want = {0: 0}
+    for _ in range(600):
+        for direction, prefix in ((+1, [0, gain]), (-1, [0, -gain])):
+            eng.update(weight, prefix, direction)
+            want = fold_reference(want, half, weight, prefix, direction)
+        assert eng.drift < 1 << 27
+    assert finite_cells(eng) == want
+    assert eng.window_best(half) == window_reference(want, half)
