@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .core import cell_dtype, normalize
+from .core import _integer, cell_dtype, normalize
 
 DEFAULT_CELL_BUDGET = 600_000_000_000
 
@@ -62,9 +62,13 @@ def solve_exhaustive(raw_items, capacity, with_subset=False):
 
     With ``with_subset`` the return value is (profit, frozenset of indices
     into raw_items); ties resolve deterministically toward the subset found
-    first in enumeration order.
+    first in enumeration order.  Inputs follow ``normalize``'s rules:
+    integers only (not bool), weights and profits >= 1, capacity >= 0.
     """
-    items = [(w, p) for w, p in raw_items]
+    capacity = _integer(capacity, "capacity")
+    if capacity < 0:
+        raise ValueError("capacity must be nonnegative")
+    items = [(_integer(w, "item weight"), _integer(p, "item profit")) for w, p in raw_items]
     n = len(items)
     if n > 40:
         raise BudgetExceededError("exhaustive solver accepts at most 40 items")

@@ -102,7 +102,8 @@ def cmd_solve(args) -> int:
     if args.stats:
         print(
             f"# engine={stats.engine or args.solver} "
-            f"peak_table_cells={stats.peak_table_cells}",
+            f"peak_table_cells={stats.peak_table_cells} "
+            f"cells_pruned={stats.cells_pruned}",
             file=sys.stderr,
         )
     return 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -204,13 +203,13 @@ def greedy_split(inst: Instance) -> GreedySplit:
     if inst.all_fit:
         raise ValueError("greedy split undefined for trivial instances")
     items = inst.items
-    order = sorted(
-        range(len(items)),
-        key=lambda i: Fraction(items[i].profit, items[i].weight),
-        reverse=True,
-    )
-    effs = [Fraction(items[i].profit, items[i].weight) for i in order]
-    if any(effs[j] == effs[j + 1] for j in range(len(effs) - 1)):
+    # exact integer efficiency keys: two distinct ratios p/w differ by at
+    # least 1 / w_max^2, so floor(p * w_max^2 / w) keeps their order, and
+    # equal ratios get equal keys
+    scale = inst.w_max * inst.w_max
+    keys = [it.profit * scale // it.weight for it in items]
+    order = sorted(range(len(items)), key=keys.__getitem__, reverse=True)
+    if any(keys[order[j]] == keys[order[j + 1]] for j in range(len(order) - 1)):
         raise ValueError("efficiencies are not pairwise distinct")
 
     in_greedy = [False] * len(items)

@@ -25,6 +25,23 @@ the final answer directly.
 
 Both engines hand stage two a ``_DenseFold``; stage two, and the flat
 proximity solver, fold weight classes and read the answer through it alone.
+
+The dense stage one also prunes (Pisinger's minknap reduction, with two
+rates).  Let LB be the best entry at z <= slack, slack being the capacity
+the greedy set leaves; it is a feasible exchange, so the optimum is at
+least LB.  Every item still to fold is either added at efficiency at most
+ea, the best over add-side candidates, or removed at efficiency at least
+er, the worst over remove-side candidates.  So when ea <= er no completion
+lifts cell z above q[z] + ea * (slack - z) for z <= slack, or above
+q[z] + er * (slack - z) for z > slack.  Every eight class updates, cells
+whose bound falls short of LB become bottom and the live span shrinks to
+the survivors; pass cost follows that span.  When ea > er the bound is
+unsafe and pruning is skipped.  That happens because ``break_ties`` does
+not keep the original efficiency order: on the (weight, profit) items
+[(5, 7), (5, 8), (2, 3)] with capacity 6 the greedy set is {(2, 3)}
+(efficiency 1.5) while (5, 8) (efficiency 1.6) lies outside it, so a bound
+at the break item's rate alone does not hold either.  The hinted engine
+and the proximity solver fold unpruned and stay independent references.
 """
 
 from __future__ import annotations
@@ -76,6 +93,8 @@ class Stats:
     fallback: bool = False
     extend: ExtendStats = field(default_factory=ExtendStats)
     best_index: int | None = None
+    # live-span slots the dense stage one's bound dropped, over all prunes
+    cells_pruned: int = 0
 
     def note_table(self, cells: int) -> None:
         if cells > self.peak_table_cells:
@@ -115,21 +134,17 @@ def _prefix_profits(profits, members, sign: int) -> list[int]:
     return out
 
 
-# headroom before a drifted bottom sentinel could be mistaken for finite
-_DRIFT_LIMIT = 1 << 60
-
 # int32 twin of the int64 sentinel scheme, used when the instance's profit
 # total fits INT32_VALUE_CAP; halving the cell width halves memory traffic,
 # which is what bounds the fold at large table sizes
 _NEG_SENTINEL32 = -(1 << 30)
 _NEG_THRESHOLD32 = -(1 << 29)
-_DRIFT_LIMIT32 = 1 << 27
 
 
 def _int_limits(dtype):
     if np.dtype(dtype) == np.int32:
-        return _NEG_SENTINEL32, _NEG_THRESHOLD32, _DRIFT_LIMIT32
-    return NEG_SENTINEL, NEG_THRESHOLD, _DRIFT_LIMIT
+        return _NEG_SENTINEL32, _NEG_THRESHOLD32
+    return NEG_SENTINEL, NEG_THRESHOLD
 
 # scratch tile (cells); 1 MiB keeps the shift buffer cache resident so a
 # pass streams three arrays through memory instead of five
@@ -148,10 +163,10 @@ class _DenseFold:
     scratch block, ordered against the shift direction so a destination
     tile never feeds a source tile within the same pass.
 
-    Bottom sentinels inside the span drift upward by at most one class
-    profit sum per positive fold and never drift down (in-place maximum
-    only raises cells); a credit counter re-floors the span long before a
-    sentinel could climb anywhere near the finite range.
+    Bottom sentinels inside the span drift upward by the positive
+    increments folded onto them and never drift down (in-place maximum only
+    raises cells).  That climb is at most the add-side profit total, which
+    ``cell_dtype`` keeps at or under the cap, far below the bottom threshold.
 
     ``dtype`` may be int64 (default), int32 (for instances whose profit
     total fits INT32_VALUE_CAP, with proportionally scaled sentinels), or
@@ -159,8 +174,7 @@ class _DenseFold:
     """
 
     __slots__ = (
-        "arr", "tmp", "half", "lo", "hi", "drift", "is_object",
-        "sentinel", "threshold", "drift_limit",
+        "arr", "tmp", "half", "lo", "hi", "is_object", "sentinel", "threshold",
     )
 
     def __init__(self, half: int, dtype=np.int64):
@@ -168,17 +182,15 @@ class _DenseFold:
         self.is_object = dtype == object
         if self.is_object:
             self.sentinel = self.threshold = BOTTOM
-            self.drift_limit = 0
             self.arr = np.full(size, BOTTOM, dtype=object)
         else:
-            self.sentinel, self.threshold, self.drift_limit = _int_limits(dtype)
+            self.sentinel, self.threshold = _int_limits(dtype)
             self.arr = np.full(size, self.sentinel, dtype=dtype)
         self.arr[half] = 0
         self.tmp = np.empty(min(size, _TILE), dtype=self.arr.dtype)
         self.half = half
         self.lo = half
         self.hi = half + 1
-        self.drift = 0
 
     def resize(self, new_half: int) -> None:
         if new_half == self.half:
@@ -256,12 +268,51 @@ class _DenseFold:
                         out=arr[t0 + off : t0 + off + blk],
                     )
             self.lo = max(0, a - cap * weight)
-        if not self.is_object and prefix[-1] > 0:
-            self.drift += prefix[-1]
-            if self.drift >= self.drift_limit:
-                win = arr[self.lo : self.hi]
-                np.copyto(win, self.sentinel, where=win < self.threshold)
-                self.drift = 0
+
+    def prune(self, bound: _Bound) -> int:
+        """Drop every cell no completion can lift to the best entry at z <= slack.
+
+        That entry, LB, is a feasible exchange, so the optimum is at least LB
+        and a cell whose bound falls short of it can be dropped.  Cells
+        failing ``bound`` become bottom and the live span shrinks to the
+        survivors; the cell holding LB always survives.  Works tile by tile
+        through the bound's int64 scratch.  Returns the slots the span lost.
+        """
+        arr, half = self.arr, self.half
+        split = half + bound.slack + 1  # slots below split have z <= slack
+        a, b = self.lo, self.hi
+        if a >= min(b, split):
+            return 0
+        lb = int(arr[a : min(b, split)].max())
+        if lb < self.threshold:
+            return 0
+        tile = bound.wide.size
+        first = last = None
+        for start, stop, (w, p), ramp in (
+            (a, min(b, split), bound.add, bound.add_ramp),
+            (max(a, split), b, bound.remove, bound.remove_ramp),
+        ):
+            # bottom cells are lifted to floor, low enough to fail the bound
+            # anywhere in the table: |slack - z| <= 2 * half
+            floor = np.int64(lb - p * (2 * half + 1) // w - 2)
+            for off in range(start, stop, tile):
+                end = min(off + tile, stop)
+                seg = arr[off:end]
+                t = bound.wide[: end - off]
+                np.maximum(seg, floor, out=t)
+                t *= w
+                t += ramp[: end - off]  # with the scalar: p * (slack - z)
+                dead = np.less(
+                    t, w * lb - p * (split - 1 - off), out=bound.dead[: end - off]
+                )
+                np.copyto(seg, self.sentinel, where=dead)
+                k = int(dead.argmin())
+                if not dead[k]:
+                    if first is None:
+                        first = off + k
+                    last = end - int(dead[::-1].argmin())
+        self.lo, self.hi = first, last
+        return (b - a) - (last - first)
 
     def window_best(self, slack: int):
         """Best finite value over indices z <= slack, lowest index on ties."""
@@ -281,6 +332,71 @@ class _DenseFold:
         return m, pos - self.half
 
 
+# class updates the dense stage one folds between two prunes
+_PRUNE_EVERY = 8
+
+# tile of the prune step's int64 scratch (cells), 512 KiB per buffer; at
+# _TILE the buffers added about 3 MB to peak RSS and were no faster
+_PRUNE_TILE = _TILE // 2
+
+
+class _Bound:
+    """How far a completion can lift a cell, for ``_DenseFold.prune``.
+
+    Every item still to be folded is a class candidate.  A completion adds
+    items of efficiency at most pa/wa and removes items of efficiency at
+    least pr/wr; with pa/wa <= pr/wr its best gain from cell z is
+    (pa/wa)(slack - z) for z <= slack and (pr/wr)(slack - z) above, so cell
+    z can still reach LB only if
+
+        wa*q[z] + pa*(slack - z) >= wa*LB   (z <= slack)
+        wr*q[z] + pr*(slack - z) >= wr*LB   (z > slack).
+
+    ``add`` is (wa, pa) and ``remove`` is (wr, pr).  The ramps hold -p*k
+    per side, so a tile's term is a scalar plus a ramp; ``wide`` and
+    ``dead`` are the per-tile int64 and mask scratch, sized for tables of
+    half-size up to ``half``.
+    """
+
+    __slots__ = ("slack", "add", "remove", "add_ramp", "remove_ramp", "wide", "dead")
+
+    def __init__(self, slack: int, add: tuple[int, int], remove: tuple[int, int], half: int):
+        k = np.arange(min(_PRUNE_TILE, 2 * half + 1), dtype=np.int64)
+        self.slack, self.add, self.remove = slack, add, remove
+        self.add_ramp = -add[1] * k
+        self.remove_ramp = -remove[1] * k
+        self.wide = np.empty(k.size, dtype=np.int64)
+        self.dead = np.empty(k.size, dtype=bool)
+
+
+def _prune_bound(profits, rank_part: RankPartition, schedule: PhaseSchedule, dtype):
+    """The bound stage one prunes with, or None where pruning is skipped.
+
+    The rates come from the class frontiers under the profits being folded,
+    compared by cross-multiplication.  Skipped for object cells, when an
+    add candidate is more efficient than a remove candidate (``break_ties``
+    may order them so, and the bound then does not hold), and when the
+    compare could overflow int64.
+    """
+    if dtype == object:
+        return None
+    wa, pa = 1, 0
+    for w, i in rank_part.add_frontier.items():
+        if profits[i] * wa > pa * w:
+            wa, pa = w, profits[i]
+    wr = pr = None
+    for w, i in rank_part.remove_frontier.items():
+        if wr is None or profits[i] * wr < pr * w:
+            wr, pr = w, profits[i]
+    if pa * wr > pr * wa:
+        return None
+    # every term of the compare stays under (3 w + 8 (half + 1)) * total
+    half = max(schedule.table_half_sizes)
+    if (3 * schedule.w_max + 8 * (half + 1)) * sum(profits) >= 1 << 62:
+        return None
+    return _Bound(rank_part.slack, (wa, pa), (wr, pr), half)
+
+
 def first_stage_dense(
     profits,
     rank_part: RankPartition,
@@ -292,8 +408,12 @@ def first_stage_dense(
 
     ``profits`` maps item index to the profit value being folded; returns
     the live engine so stage two can keep folding without a table copy.
+    Every ``_PRUNE_EVERY`` class updates the fold drops the cells that
+    cannot reach the best feasible entry (see ``_Bound``).
     """
     eng = _DenseFold(schedule.table_half_sizes[0], dtype)
+    bound = _prune_bound(profits, rank_part, schedule, dtype)
+    updates = 0
     last_phase = 0
     for j in range(1, schedule.phase_count + 1):
         if rank_part.phase_items(+1, j) or rank_part.phase_items(-1, j):
@@ -309,6 +429,11 @@ def first_stage_dense(
             for w in sorted(groups):
                 prefix = _prefix_profits(profits, groups[w], direction)
                 eng.update(w, prefix, direction)
+                updates += 1
+                if bound is not None and updates % _PRUNE_EVERY == 0:
+                    pruned = eng.prune(bound)
+                    if stats is not None:
+                        stats.cells_pruned += pruned
     return eng
 
 

@@ -77,6 +77,7 @@ def test_solve_stats_go_to_stderr(tmp_path, capsys):
     assert captured.out.strip() == "70"
     assert "engine=" in captured.err
     assert "peak_table_cells=" in captured.err
+    assert "cells_pruned=0" in captured.err
 
 
 def test_solve_verify_flag(tmp_path, capsys):

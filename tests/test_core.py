@@ -164,10 +164,32 @@ def test_greedy_split_weight_window():
             assert profits == sorted(profits)
 
 
+def test_greedy_split_order_matches_exact_ratios():
+    # the integer keys must order items as exact ratios do, perturbed or not
+    rng = random.Random(4243)
+    for trial in range(200):
+        w_max = rng.choice((1, 2, 7, 64, 1000))
+        items = [
+            (rng.randint(1, w_max), rng.randint(1, 10 ** rng.randint(1, 19)))
+            for _ in range(rng.randint(2, 40))
+        ]
+        inst = normalize(items, sum(w for w, _ in items) - 1)
+        primed = break_ties(inst)
+        want = sorted(
+            range(primed.n),
+            key=lambda i: Fraction(primed.items[i].profit, primed.items[i].weight),
+            reverse=True,
+        )
+        assert greedy_split(primed).order == want
+
+
 def test_greedy_split_requires_distinct_efficiencies():
     inst = normalize([(2, 4), (3, 6), (4, 1)], 5)  # 4/2 == 6/3
     with pytest.raises(ValueError):
         greedy_split(inst)
+    # ratios 1/999 and 1/1000 differ by about 1e-6 and must stay distinct
+    split = greedy_split(normalize([(999, 1), (1000, 1), (1, 1)], 1000))
+    assert split.order == [2, 0, 1]
 
 
 def test_bottom_arithmetic():

@@ -1,6 +1,7 @@
 """End-to-end solver agreement, engines, fallbacks, stats, and the fold engine."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +11,20 @@ from knapsolve import (
     BudgetExceededError,
     SolverConfig,
     Stats,
+    break_ties,
+    generate_instance,
+    greedy_split,
+    normalize,
+    phase_schedule,
+    rank_partition,
     solve_bellman,
     solve_exhaustive,
     solve_fast,
     solve_proximity_smawk,
+    weight_partition,
 )
-from knapsolve.solver import _TILE, _DenseFold
+from knapsolve.core import INT32_VALUE_CAP, INT64_VALUE_CAP, cell_dtype
+from knapsolve.solver import _TILE, _Bound, _DenseFold, _prune_bound
 
 
 def random_items(rng, n_max=14, w_max=10, p_max=30, equal_weights=False):
@@ -53,6 +62,24 @@ def test_exhaustive_subset_reconstruction():
         profit, subset = solve_exhaustive(items, capacity, with_subset=True)
         assert sum(items[i][0] for i in subset) <= capacity
         assert sum(items[i][1] for i in subset) == profit
+
+
+def test_exhaustive_applies_normalize_input_rules():
+    # the same input rules as normalize, so every solver refuses alike
+    for items, capacity in (
+        ([(2.9, 5), (3, 4), (1, 1)], 3),
+        ([(True, 5), (2, 4)], 2),
+        ([(2, 5.0), (2, 4)], 2),
+        ([(2, 5), (2, 4)], 2.5),
+        ([(2, 5), (2, 4)], -1),
+        ([(0, 5), (2, 4)], 2),
+    ):
+        for solver in (solve_exhaustive, solve_bellman, solve_fast, solve_proximity_smawk):
+            with pytest.raises(ValueError):
+                solver(items, capacity)
+    # numpy integers are integers; subset indices still point into raw_items
+    items = [(np.int64(2), np.int32(30)), (9, 1), (3, 40), (np.uint8(5), 50)]
+    assert solve_exhaustive(items, np.int64(6), with_subset=True) == (70, frozenset({0, 2}))
 
 
 def test_exhaustive_refuses_wide_instances():
@@ -291,17 +318,205 @@ def test_dense_fold_live_span_crossing_a_tile():
         check_window(eng, want, rng)
 
 
-def test_int32_fold_refloors_drifted_sentinels():
-    # 600 add-side folds of 2^20 each run the drift credit past its 2^27
-    # limit several times; odd indices stay bottom under even weights and
-    # must still read as bottom after every re-floor
+def test_int32_fold_at_profit_cap_keeps_bottom_cells():
+    # add-side profit of exactly INT32_VALUE_CAP is the most a sentinel can
+    # climb under int32 cells; odd indices stay bottom under even weights
+    # and must still read as bottom
     half, weight, gain = 9, 2, 1 << 20
     eng = _DenseFold(half, np.int32)
     want = {0: 0}
-    for _ in range(600):
+    for _ in range(INT32_VALUE_CAP // gain):
         for direction, prefix in ((+1, [0, gain]), (-1, [0, -gain])):
             eng.update(weight, prefix, direction)
             want = fold_reference(want, half, weight, prefix, direction)
-        assert eng.drift < 1 << 27
     assert finite_cells(eng) == want
+    assert all(z % 2 == 0 for z in want)
     assert eng.window_best(half) == window_reference(want, half)
+
+
+# --- bound-based pruning of the dense stage one -------------------------
+
+
+def prune_reference(cells, slack, add, remove):
+    """Cells whose two-rate completion bound reaches the best entry at z <= slack."""
+    feasible = [v for z, v in cells.items() if z <= slack]
+    if not feasible:
+        return dict(cells)
+    lb = max(feasible)
+    rate = {True: Fraction(add[1], add[0]), False: Fraction(remove[1], remove[0])}
+    return {
+        z: v for z, v in cells.items() if v + rate[z <= slack] * (slack - z) >= lb
+    }
+
+
+def random_bound(rng, half, scale):
+    """Slack and two rates with pa/wa <= pr/wr, as ``_DenseFold.prune`` needs."""
+    wa, wr = rng.randint(1, 9), rng.randint(1, 9)
+    pa = rng.randint(1, 40) * scale
+    pr = -(-pa * wr // wa) + rng.randint(0, 20) * scale
+    return rng.randint(0, half - 1), (wa, pa), (wr, pr)
+
+
+def check_prune(eng, want, rng, slack, add, remove):
+    span = eng.hi - eng.lo
+    dropped = eng.prune(_Bound(slack, add, remove, eng.half))
+    want = prune_reference(want, slack, add, remove)
+    got = finite_cells(eng)
+    assert got == want
+    assert eng.hi - eng.lo + dropped == span
+    assert eng.lo == min(got) + eng.half and eng.hi == max(got) + eng.half + 1
+    check_window(eng, want, rng)
+    return want
+
+
+def test_dense_fold_prune_matches_bound():
+    rng = random.Random(811)
+    for dtype, scale in CELL_TYPES[:2]:
+        for _ in range(60):
+            half = rng.randint(2, 40)
+            eng = _DenseFold(half, dtype)
+            want = {0: 0}
+            for _ in range(rng.randint(1, 8)):
+                weight = rng.randint(1, half)
+                prefix = concave_prefix(rng, rng.randint(0, 4), scale)
+                direction = rng.choice((+1, -1))
+                eng.update(weight, prefix, direction)
+                want = fold_reference(want, half, weight, prefix, direction)
+            want = check_prune(eng, want, rng, *random_bound(rng, half, scale))
+            # the pruned table folds on like any other
+            eng.update(1, [0, scale], +1)
+            assert finite_cells(eng) == fold_reference(want, half, 1, [0, scale], +1)
+
+
+def test_dense_fold_prune_across_tiles():
+    # values along a line between the two rates, so the bound cuts both
+    # ends of a span several scratch tiles wide
+    rng = random.Random(812)
+    half = _TILE + 5000
+    for dtype, scale in CELL_TYPES[:2]:
+        slack, add, remove = random_bound(rng, half, scale)
+        slope = (Fraction(*add[::-1]) + Fraction(*remove[::-1])) / 2
+        eng = _DenseFold(half, dtype)
+        eng.arr[half] = eng.sentinel
+        want = {}
+        for k in range(0, 2 * half + 1, 3):
+            z = k - half
+            want[z] = eng.arr[k] = int(slope * z) + rng.randint(-50, 50) * scale
+        eng.lo, eng.hi = 0, 2 * half + 1
+        want = check_prune(eng, want, rng, slack, add, remove)
+        assert 0 < eng.lo and eng.hi < 2 * half + 1
+
+
+def stage_one_inputs(items, capacity):
+    """What ``first_stage_dense`` receives for an instance, plus the split."""
+    inst = normalize(items, capacity)
+    primed = break_ties(inst)
+    split = greedy_split(primed)
+    wpart = weight_partition(primed, split)
+    schedule = phase_schedule(primed.w_max, 2.0, len(wpart.innermost))
+    rank_part = rank_partition(primed, split, wpart.innermost)
+    profits = [it.profit for it in inst.items]
+    return profits, rank_part, schedule, split
+
+
+def check_pruned(items, capacity, want=None):
+    """solve_fast against an oracle; returns the cells it pruned."""
+    if want is None:
+        if len(items) <= 24:
+            want = solve_exhaustive(items, capacity)
+        else:
+            want = solve_bellman(items, capacity)
+    stats = Stats()
+    assert solve_fast(items, capacity, stats=stats) == want
+    return stats.cells_pruned
+
+
+def test_inverted_efficiencies_skip_pruning():
+    items = [(5, 7), (5, 8), (2, 3)]
+    profits, rank_part, schedule, split = stage_one_inputs(items, 6)
+    assert [items[i] for i in range(3) if split.in_greedy[i]] == [(2, 3)]
+    assert _prune_bound(profits, rank_part, schedule, np.int32) is None
+    assert check_pruned(items, 6) == 0
+    # near-equal efficiencies with n < 2 w_max let the perturbation put a
+    # less efficient item inside the greedy set; some of these skip pruning
+    rng = random.Random(812)
+    skipped = 0
+    for _ in range(150):
+        weights = [rng.randint(20, 60) for _ in range(rng.randint(10, 16))]
+        items = [(w, w + rng.randint(0, 2)) for w in weights]
+        capacity = rng.randint(1, sum(w for w, _ in items) - 1)
+        inst = normalize(items, capacity)
+        if inst.all_fit:
+            continue
+        profits, rank_part, schedule, _ = stage_one_inputs(items, capacity)
+        skipped += _prune_bound(profits, rank_part, schedule, np.int32) is None
+        check_pruned(items, capacity)
+    assert skipped > 0
+
+
+def test_pruning_on_equal_efficiencies():
+    # every cell then lies on the bound, q[z] = rate * z, so pruning runs and
+    # must keep all of them: the bound's ties are kept
+    rng = random.Random(813)
+    for trial in range(40):
+        rate = rng.randint(1, 4)
+        items = [(w, rate * w) for w in (rng.randint(1, 30) for _ in range(80))]
+        capacity = rng.randint(1, sum(w for w, _ in items) - 1)
+        profits, rank_part, schedule, _ = stage_one_inputs(items, capacity)
+        assert _prune_bound(profits, rank_part, schedule, np.int32) is not None
+        assert check_pruned(items, capacity) == 0
+
+
+def test_pruning_at_capacity_edges():
+    rng = random.Random(814)
+    for trial in range(40):
+        items = [(rng.randint(1, 25), rng.randint(1, 50)) for _ in range(90)]
+        total = sum(w for w, _ in items)
+        # capacity one short of everything
+        check_pruned(items, total - 1)
+        # slack 0: the capacity is a prefix of the efficiency order, which
+        # does not depend on the capacity once every item fits
+        order = stage_one_inputs(items, total - 1)[3].order
+        k = rng.randint(len(items) // 4, len(items) - 1)
+        capacity = sum(items[i][0] for i in order[:k])
+        split = stage_one_inputs(items, capacity)[3]
+        assert split.greedy_weight == capacity
+        check_pruned(items, capacity)
+
+
+def test_pruning_with_unit_weights():
+    rng = random.Random(815)
+    for trial in range(20):
+        items = [(1, rng.randint(1, 40)) for _ in range(rng.randint(2, 60))]
+        check_pruned(items, rng.randint(0, len(items) - 1))
+
+
+def test_pruning_across_cell_widths():
+    rng = random.Random(816)
+    n = 80
+    for total, dtype in (
+        (INT32_VALUE_CAP - 1, np.int32),
+        (INT32_VALUE_CAP, np.int32),
+        (INT32_VALUE_CAP + 1, np.int64),
+        (1 << 40, np.int64),
+        (INT64_VALUE_CAP, np.int64),
+        (INT64_VALUE_CAP + 1, object),
+    ):
+        for _ in range(3):
+            weights = [rng.randint(1, 20) for _ in range(n)]
+            profits = [total // n + rng.randint(-n, 0) for _ in range(n - 1)]
+            items = list(zip(weights, profits + [total - sum(profits)]))
+            assert sum(p for _, p in items) == total
+            capacity = sum(weights) // 2
+            assert cell_dtype(total) == dtype
+            prof, rank_part, schedule, _ = stage_one_inputs(items, capacity)
+            bound = _prune_bound(prof, rank_part, schedule, dtype)
+            # int64 products near the cap would overflow, so those skip
+            assert (bound is None) == (total > 1 << 40)
+            check_pruned(items, capacity, solve_bellman(items, capacity))
+
+
+def test_pruning_removes_cells_at_scale():
+    items, capacity = generate_instance(1024, 256, 32, 0.5, 7, "uniform")
+    # proximity folds the same classes unpruned
+    assert check_pruned(items, capacity, solve_proximity_smawk(items, capacity)) > 0
