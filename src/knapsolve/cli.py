@@ -82,7 +82,7 @@ def _run_named_solver(name: str, items, capacity: int, config: SolverConfig, sta
     if name == "bellman":
         return solve_bellman(items, capacity, stats=stats)
     if name == "proximity":
-        return solve_proximity_smawk(items, capacity, config=config, stats=stats)
+        return solve_proximity_smawk(items, capacity, stats=stats)
     if name == "exhaustive":
         return solve_exhaustive(items, capacity)
     raise ValueError(f"unknown solver {name!r}")

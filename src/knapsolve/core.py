@@ -2,10 +2,12 @@
 
 An instance is a list of items (weight, profit) and a capacity.  The solvers
 in this package work on a normalized view of the instance: items that cannot
-fit are dropped, trivially-feasible instances are answered directly, and the
-remaining hard instances are perturbed so that all item efficiencies and
-profits are pairwise distinct.  The perturbation is invertible on totals, so
-optimal profits of the original instance can be recovered exactly.
+fit are dropped and trivially-feasible instances are answered directly.  The
+hint-propagating engine further perturbs hard instances so that all item
+efficiencies and profits are pairwise distinct; the perturbation is
+invertible on totals, so optimal profits of the original instance can be
+recovered exactly.  Every other path orders the original items by exact
+efficiency, ties by index.
 
 This module also provides the greedy prefix split (the solution all exchange
 arguments are phrased against), per-weight-class rank orders, the signed
@@ -66,8 +68,9 @@ class Instance:
     """A normalized 0-1 knapsack instance.
 
     ``all_fit`` marks instances whose kept items all fit simultaneously; for
-    those ``total_profit`` is already the optimal answer.  ``tie_break_modulus``
-    is set (to M * w_max) once profits have been perturbed by ``break_ties``.
+    those ``total_profit`` is already the optimal answer.  ``tie_break_m`` is
+    the modulus M that ``break_ties`` perturbed the profits with, and 0 on an
+    unperturbed instance.
     """
 
     items: tuple[Item, ...]
@@ -75,7 +78,6 @@ class Instance:
     w_max: int
     all_fit: bool
     total_profit: int
-    tie_broken: bool = False
     tie_break_m: int = 0
 
     @property
@@ -157,7 +159,6 @@ def break_ties(inst: Instance) -> Instance:
         w_max=ww,
         all_fit=False,
         total_profit=0,
-        tie_broken=True,
         tie_break_m=m,
     )
 
@@ -173,13 +174,14 @@ def recover_profit(primed_total, tie_break_m: int, w_max: int):
 class GreedySplit:
     """Greedy prefix of the efficiency order, with per-weight-class ranks.
 
-    ``order`` lists item indices by strictly decreasing efficiency.  The
-    greedy solution G is the maximal prefix of that order fitting in the
-    capacity; ``break_index`` is its length.  Within each weight class, items
-    outside G are ranked 1, 2, ... by decreasing profit (best first to add)
-    and items inside G are ranked 1, 2, ... by increasing profit (cheapest
-    first to remove).  Only the 2 * w_max best ranks per class and side are
-    materialized: no optimal exchange uses deeper ranks.
+    ``order`` lists item indices by decreasing efficiency, ties by ascending
+    index.  The greedy solution G is the maximal prefix of that order
+    fitting in the capacity; ``break_index`` is its length.  Within each
+    weight class, items outside G are ranked 1, 2, ... by decreasing profit
+    (best first to add) and items inside G are ranked 1, 2, ... by
+    increasing profit (cheapest first to remove), ties by ascending index.
+    Only the 2 * w_max best ranks per class and side are materialized: no
+    optimal exchange uses deeper ranks.
     """
 
     order: list[int]
@@ -196,9 +198,12 @@ class GreedySplit:
 def greedy_split(inst: Instance) -> GreedySplit:
     """Compute the greedy prefix solution and rank tables.
 
-    Requires pairwise-distinct efficiencies (run ``break_ties`` first for
-    instances that may have ties) and a nontrivial instance, so the break
-    index lands strictly inside the item order.
+    Requires a nontrivial instance, so the break index lands strictly inside
+    the item order.  Ties are broken by index: the stable sorts put equal
+    efficiencies, and equal profits within a weight class, in ascending
+    index order.  Any greedy order with ties broken consistently supports
+    the exchange argument, so no perturbation is needed; a ``break_ties``
+    instance has no ties to break.
     """
     if inst.all_fit:
         raise ValueError("greedy split undefined for trivial instances")
@@ -209,8 +214,6 @@ def greedy_split(inst: Instance) -> GreedySplit:
     scale = inst.w_max * inst.w_max
     keys = [it.profit * scale // it.weight for it in items]
     order = sorted(range(len(items)), key=keys.__getitem__, reverse=True)
-    if any(keys[order[j]] == keys[order[j + 1]] for j in range(len(order) - 1)):
-        raise ValueError("efficiencies are not pairwise distinct")
 
     in_greedy = [False] * len(items)
     weight_used = 0

@@ -4,7 +4,8 @@
 polynomial in the largest item weight, by searching exchange solutions
 around the greedy prefix:
 
-1. normalize and perturb profits so all efficiencies are distinct,
+1. normalize, and sort items by efficiency, ties by index, to find the
+   greedy prefix and its break point,
 2. split weights into layers around the greedy break point,
 3. stage one: fold the innermost layer into a difference-indexed DP table,
    phase by dyadic rank phase, growing the table per the phase schedule,
@@ -18,10 +19,12 @@ the instrumented reference.  The ``dense`` engine folds the same phase
 groups with vectorized shift-max passes over the full scheduled table; it
 considers a superset of the candidates the hinted engine keeps, so it
 reaches the same optimal entries, and it is far faster under an
-interpreter.  The dense engine also folds the original
-profits rather than the perturbed ones (perturbation still decides every
-ordering), which keeps table cells narrow and makes the best window entry
-the final answer directly.
+interpreter.  Only the hinted engine perturbs profits (``break_ties``) and
+orders, partitions and folds the perturbed instance, recovering the
+original total at the end.  The dense engine orders the original items by
+exact efficiency, ties by index, and folds the original profits, which
+keeps table cells narrow and makes the greedy profit plus the best window
+entry the answer directly.
 
 Both engines hand stage two a ``_DenseFold``; stage two, and the flat
 proximity solver, fold weight classes and read the answer through it alone.
@@ -35,13 +38,15 @@ er, the worst over remove-side candidates.  So when ea <= er no completion
 lifts cell z above q[z] + ea * (slack - z) for z <= slack, or above
 q[z] + er * (slack - z) for z > slack.  Every eight class updates, cells
 whose bound falls short of LB become bottom and the live span shrinks to
-the survivors; pass cost follows that span.  When ea > er the bound is
-unsafe and pruning is skipped.  That happens because ``break_ties`` does
-not keep the original efficiency order: on the (weight, profit) items
-[(5, 7), (5, 8), (2, 3)] with capacity 6 the greedy set is {(2, 3)}
-(efficiency 1.5) while (5, 8) (efficiency 1.6) lies outside it, so a bound
-at the break item's rate alone does not hold either.  The hinted engine
-and the proximity solver fold unpruned and stay independent references.
+the survivors; pass cost follows that span.  On the efficiency order
+``solve_fast`` builds, every greedy item is at least as efficient as every
+item outside, so ea <= er always.  A caller that builds the partitions on
+a perturbed order can see ea > er, because ``break_ties`` does not keep
+the original efficiency order: on the (weight, profit) items
+[(5, 7), (5, 8), (2, 3)] with capacity 6 its greedy set is {(2, 3)}
+(efficiency 1.5) while (5, 8) (efficiency 1.6) lies outside it.  The bound
+is then unsafe and pruning is skipped.  The hinted engine and the
+proximity solver fold unpruned and stay independent references.
 """
 
 from __future__ import annotations
@@ -117,7 +122,6 @@ class SolverConfig:
     beta: int = DEFAULT_BETA
     engine: str = "auto"
     verify: bool = False
-    force_fallback: bool = False
     verify_cell_budget: int = 400_000_000
 
     def resolved_engine(self) -> str:
@@ -374,9 +378,10 @@ def _prune_bound(profits, rank_part: RankPartition, schedule: PhaseSchedule, dty
 
     The rates come from the class frontiers under the profits being folded,
     compared by cross-multiplication.  Skipped for object cells, when an
-    add candidate is more efficient than a remove candidate (``break_ties``
-    may order them so, and the bound then does not hold), and when the
-    compare could overflow int64.
+    add candidate is more efficient than a remove candidate, and when the
+    compare could overflow int64.  ``solve_fast``'s efficiency order never
+    has such a pair; partitions built on a ``break_ties`` order, as direct
+    callers may build them, can, and the bound then does not hold.
     """
     if dtype == object:
         return None
@@ -582,11 +587,12 @@ def second_stage(
     Layer j is folded at half-size L'_{j-1}, after which the table shrinks
     to L'_j: outer layers interact with optimal exchanges only near the
     break point, so the index range can drop as coarser weights join.
-    ``eng`` is the fold stage one returned (either engine); ``profits`` must
-    be the same per-item values stage one folded, and ``base_profit`` the
-    greedy solution's total under them.  ``config`` is accepted for call
-    compatibility and not read.  Returns base_profit plus the best table
-    entry within the leftover capacity.
+    ``eng`` is the fold stage one returned (either engine); ``primed`` is
+    the instance ``split`` was built on; ``profits`` must be the same
+    per-item values stage one folded, and ``base_profit`` the greedy
+    solution's total under them.  ``config`` is not read; it stays in the
+    signature because callers pass the arguments positionally.  Returns
+    base_profit plus the best table entry within the leftover capacity.
     """
     eng.resize(schedule.stage_two_size(1))
     if stats is not None:
@@ -600,21 +606,6 @@ def second_stage(
     slack = primed.capacity - split.greedy_weight
     assert 0 <= slack < primed.w_max <= eng.half
     return base_profit + _best_entry(eng, slack, stats)
-
-
-def _original_profits(inst: Instance, split: GreedySplit):
-    """Unperturbed profits, the greedy set's total of them, and their cell type.
-
-    A fold needs only concave class prefixes, and within a weight class the
-    rank order sorts by profit on both sides, so the original profits are
-    concave along it too.  Folding them keeps cells narrow (int32 for most
-    instances, half the memory traffic) and makes the best window entry the
-    answer with no recovery step.  The perturbed profits still decide the
-    greedy split, layers, and rank orders.
-    """
-    profits = [it.profit for it in inst.items]
-    base = sum(p for i, p in enumerate(profits) if split.in_greedy[i])
-    return profits, base, cell_dtype(sum(profits))
 
 
 def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: Stats | None = None) -> int:
@@ -632,7 +623,7 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
         if stats is not None:
             stats.engine = "trivial"
         return inst.total_profit
-    if config.force_fallback or inst.w_max > inst.n * inst.n:
+    if inst.w_max > inst.n * inst.n:
         if stats is not None:
             stats.engine = "bellman-fallback"
             stats.fallback = True
@@ -650,42 +641,35 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
 
 
 def _solve_structured(inst: Instance, config: SolverConfig, stats: Stats | None) -> int:
-    primed = break_ties(inst)
-    split = greedy_split(primed)
-    wpart = weight_partition(primed, split, config.constant)
-    schedule = phase_schedule(primed.w_max, config.constant, len(wpart.innermost))
-    rank_part = rank_partition(primed, split, wpart.innermost)
     engine = config.resolved_engine()
+    perturbed = engine == "hinted"
+    work = break_ties(inst) if perturbed else inst
+    split = greedy_split(work)
+    wpart = weight_partition(work, split, config.constant)
+    schedule = phase_schedule(work.w_max, config.constant, len(wpart.innermost))
+    rank_part = rank_partition(work, split, wpart.innermost)
     if stats is not None:
         stats.engine = engine
-    if engine == "hinted":
-        eng = first_stage_hinted(
-            primed, rank_part, schedule, config, wpart.innermost, stats
-        )
-        profits = [it.profit for it in primed.items]
-        total = second_stage(
-            eng, primed, split, schedule, wpart.layers, config,
-            profits, split.greedy_profit, stats,
-        )
-        return recover_profit(total, primed.tie_break_m, primed.w_max)
-    profits, base, dtype = _original_profits(inst, split)
-    eng = first_stage_dense(profits, rank_part, schedule, stats, dtype)
-    return second_stage(
-        eng, primed, split, schedule, wpart.layers, config, profits, base, stats
+    profits = [it.profit for it in work.items]
+    if perturbed:
+        eng = first_stage_hinted(work, rank_part, schedule, config, wpart.innermost, stats)
+    else:
+        eng = first_stage_dense(profits, rank_part, schedule, stats, cell_dtype(sum(profits)))
+    total = second_stage(
+        eng, work, split, schedule, wpart.layers, config,
+        profits, split.greedy_profit, stats,
     )
+    return recover_profit(total, work.tie_break_m, work.w_max) if perturbed else total
 
 
-def solve_proximity_smawk(
-    raw_items, capacity, config: SolverConfig | None = None, stats: Stats | None = None
-) -> int:
+def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> int:
     """Reference solver: greedy proximity plus one batched fold per class.
 
     Uses a fixed difference table of half-size 2 * w_max^2 (optimal
     exchanges never move the index further) and folds every weight class
     once per side, without layering or phases, as one flat stage-two layer
     over the original profits.  Simpler object to audit than the full
-    pipeline, quadratically bigger table.  ``config`` is accepted for call
-    compatibility and not read.
+    pipeline, quadratically bigger table.
     """
     inst = normalize(raw_items, capacity)
     if inst.all_fit:
@@ -696,12 +680,12 @@ def solve_proximity_smawk(
         raise BudgetExceededError(
             f"proximity table needs {cells} cells, over {PROXIMITY_CELL_BUDGET}"
         )
-    split = greedy_split(break_ties(inst))
+    split = greedy_split(inst)
     if stats is not None:
         stats.engine = "proximity"
         stats.note_table(cells)
-    profits, base, dtype = _original_profits(inst, split)
-    eng = _DenseFold(half, dtype)
+    profits = [it.profit for it in inst.items]
+    eng = _DenseFold(half, cell_dtype(sum(profits)))
     weights = split.add_candidates.keys() | split.remove_candidates.keys()
     _fold_classes(eng, weights, split, profits)
-    return base + _best_entry(eng, inst.capacity - split.greedy_weight, stats)
+    return split.greedy_profit + _best_entry(eng, inst.capacity - split.greedy_weight, stats)

@@ -164,8 +164,17 @@ def test_greedy_split_weight_window():
             assert profits == sorted(profits)
 
 
+def ratio_order(inst):
+    """Item indices by exact efficiency, descending, ties by ascending index."""
+    return sorted(
+        range(inst.n),
+        key=lambda i: (-Fraction(inst.items[i].profit, inst.items[i].weight), i),
+    )
+
+
 def test_greedy_split_order_matches_exact_ratios():
-    # the integer keys must order items as exact ratios do, perturbed or not
+    # the integer keys must order items as exact ratios do, perturbed or not,
+    # with ties (only unperturbed instances have them) going to the lower index
     rng = random.Random(4243)
     for trial in range(200):
         w_max = rng.choice((1, 2, 7, 64, 1000))
@@ -173,20 +182,30 @@ def test_greedy_split_order_matches_exact_ratios():
             (rng.randint(1, w_max), rng.randint(1, 10 ** rng.randint(1, 19)))
             for _ in range(rng.randint(2, 40))
         ]
+        if trial % 2:
+            # tied: scaled copies of a few base ratios, plus duplicates
+            bases = items[: rng.randint(1, 3)]
+            items = [
+                (w * k, p * k)
+                for w, p in (rng.choice(bases) for _ in range(len(items)))
+                for k in [rng.randint(1, max(1, w_max // w))]
+            ]
         inst = normalize(items, sum(w for w, _ in items) - 1)
+        assert greedy_split(inst).order == ratio_order(inst)
         primed = break_ties(inst)
-        want = sorted(
-            range(primed.n),
-            key=lambda i: Fraction(primed.items[i].profit, primed.items[i].weight),
-            reverse=True,
-        )
-        assert greedy_split(primed).order == want
+        assert greedy_split(primed).order == ratio_order(primed)
 
 
-def test_greedy_split_requires_distinct_efficiencies():
+def test_greedy_split_breaks_ties_by_index():
     inst = normalize([(2, 4), (3, 6), (4, 1)], 5)  # 4/2 == 6/3
-    with pytest.raises(ValueError):
-        greedy_split(inst)
+    split = greedy_split(inst)
+    assert split.order == ratio_order(inst) == [0, 1, 2]
+    assert split.in_greedy == [True, True, False]
+    # duplicates inside one weight class rank by index on both sides
+    split = greedy_split(normalize([(3, 5), (1, 9), (3, 5), (3, 5), (3, 5)], 7))
+    assert split.order == [1, 0, 2, 3, 4]
+    assert split.remove_candidates[3] == [0, 2]
+    assert split.add_candidates[3] == [3, 4]
     # ratios 1/999 and 1/1000 differ by about 1e-6 and must stay distinct
     split = greedy_split(normalize([(999, 1), (1000, 1), (1, 1)], 1000))
     assert split.order == [2, 0, 1]

@@ -24,7 +24,14 @@ from knapsolve import (
     weight_partition,
 )
 from knapsolve.core import INT32_VALUE_CAP, INT64_VALUE_CAP, cell_dtype
-from knapsolve.solver import _TILE, _Bound, _DenseFold, _prune_bound
+from knapsolve.solver import (
+    _TILE,
+    _Bound,
+    _DenseFold,
+    _prune_bound,
+    first_stage_dense,
+    second_stage,
+)
 
 
 def random_items(rng, n_max=14, w_max=10, p_max=30, equal_weights=False):
@@ -102,15 +109,17 @@ def test_wide_weights_fall_back_to_capacity_dp():
 
 
 def test_forced_fallback_matches():
+    # instances whose largest weight exceeds n^2 take the capacity DP
     rng = random.Random(99)
     for _ in range(40):
-        items = random_items(rng)
-        capacity = rng.randint(0, sum(w for w, _ in items))
-        a = solve_fast(items, capacity)
+        n = rng.randint(2, 6)
+        items = [(rng.randint(1, 3 * n * n), rng.randint(1, 30)) for _ in range(n)]
+        items[0] = (n * n + rng.randint(1, n * n), items[0][1])
+        total = sum(w for w, _ in items)
+        capacity = rng.randint(max(w for w, _ in items), total - 1)
         stats = Stats()
-        b = solve_fast(items, capacity, SolverConfig(force_fallback=True), stats)
-        assert a == b
-        assert stats.fallback or stats.engine == "trivial"
+        assert solve_fast(items, capacity, stats=stats) == solve_exhaustive(items, capacity)
+        assert stats.fallback and stats.engine == "bellman-fallback"
 
 
 def test_all_solvers_agree_on_random_instances():
@@ -123,6 +132,55 @@ def test_all_solvers_agree_on_random_instances():
         assert solve_fast(items, capacity) == want
         assert solve_fast(items, capacity, SolverConfig(engine="hinted")) == want
         assert solve_proximity_smawk(items, capacity) == want
+
+
+def tie_heavy_items(rng, shape):
+    """A small instance whose greedy order has many efficiency ties."""
+    n = rng.randint(2, 14)
+    if shape == "equal-efficiency":
+        rate = rng.randint(1, 5)
+        return [(w, rate * w) for w in (rng.randint(1, 10) for _ in range(n))]
+    if shape == "few-ratios":
+        bases = [(rng.randint(1, 4), rng.randint(1, 9)) for _ in range(2)]
+        return [
+            (w * k, p * k)
+            for w, p in (rng.choice(bases) for _ in range(n))
+            for k in [rng.randint(1, 3)]
+        ]
+    if shape == "duplicates":
+        bases = [(rng.randint(1, 10), rng.randint(1, 30)) for _ in range(rng.randint(1, 3))]
+        return [rng.choice(bases) for _ in range(n)]
+    return [(1, rng.randint(1, 4)) for _ in range(n)]  # w_max = 1
+
+
+TIE_SOLVERS = (
+    ("dense", solve_fast),
+    ("hinted", lambda items, t: solve_fast(items, t, SolverConfig(engine="hinted"))),
+    ("proximity", solve_proximity_smawk),
+)
+
+
+def test_tie_heavy_differential_sweep():
+    rng = random.Random(4401)
+    checked = 0
+    for trial in range(200):
+        shape = ("equal-efficiency", "few-ratios", "duplicates", "unit-weights")[trial % 4]
+        items = tie_heavy_items(rng, shape)
+        total = sum(w for w, _ in items)
+        for capacity in (0, total - 1, rng.randint(0, total)):
+            want = solve_exhaustive(items, capacity)
+            for name, solver in TIE_SOLVERS:
+                assert solver(items, capacity) == want, (name, shape, items, capacity)
+            checked += 1
+    # at n = 4w hard-equal-weights puts most items in a few equal-weight classes
+    for w_max, seed in ((8, 1), (8, 2), (16, 3), (32, 4), (64, 5), (128, 6)):
+        items, capacity = generate_instance(4 * w_max, w_max, 32, 0.5, seed, "hard-equal-weights")
+        want = solve_bellman(items, capacity)
+        for name, solver in TIE_SOLVERS:
+            if name != "hinted" or w_max <= 16:
+                assert solver(items, capacity) == want, (name, w_max, seed)
+        checked += 1
+    assert checked == 606
 
 
 def test_answer_is_constant_independent():
@@ -407,14 +465,20 @@ def test_dense_fold_prune_across_tiles():
         assert 0 < eng.lo and eng.hi < 2 * half + 1
 
 
-def stage_one_inputs(items, capacity):
-    """What ``first_stage_dense`` receives for an instance, plus the split."""
+def stage_one_inputs(items, capacity, perturbed=False):
+    """What ``first_stage_dense`` receives for an instance, plus the split.
+
+    By default these are ``solve_fast``'s inputs: partitions on the original
+    efficiency order.  With ``perturbed`` the partitions follow the
+    ``break_ties`` order instead, as a direct caller may build them; the
+    original profits are folded either way.
+    """
     inst = normalize(items, capacity)
-    primed = break_ties(inst)
-    split = greedy_split(primed)
-    wpart = weight_partition(primed, split)
-    schedule = phase_schedule(primed.w_max, 2.0, len(wpart.innermost))
-    rank_part = rank_partition(primed, split, wpart.innermost)
+    work = break_ties(inst) if perturbed else inst
+    split = greedy_split(work)
+    wpart = weight_partition(work, split)
+    schedule = phase_schedule(work.w_max, 2.0, len(wpart.innermost))
+    rank_part = rank_partition(work, split, wpart.innermost)
     profits = [it.profit for it in inst.items]
     return profits, rank_part, schedule, split
 
@@ -431,14 +495,32 @@ def check_pruned(items, capacity, want=None):
     return stats.cells_pruned
 
 
+def perturbed_answer(items, capacity):
+    """The dense pipeline run on partitions built from the ``break_ties`` order."""
+    inst = normalize(items, capacity)
+    profits, rank_part, schedule, split = stage_one_inputs(items, capacity, perturbed=True)
+    eng = first_stage_dense(profits, rank_part, schedule, None, cell_dtype(sum(profits)))
+    layers = weight_partition(break_ties(inst), split).layers
+    base = sum(p for i, p in enumerate(profits) if split.in_greedy[i])
+    return second_stage(eng, inst, split, schedule, layers, SolverConfig(), profits, base)
+
+
 def test_inverted_efficiencies_skip_pruning():
     items = [(5, 7), (5, 8), (2, 3)]
-    profits, rank_part, schedule, split = stage_one_inputs(items, 6)
+    # the perturbed order puts (2, 3) (efficiency 1.5) inside the greedy set
+    # and (5, 8) (efficiency 1.6) outside, so the bound does not hold there
+    profits, rank_part, schedule, split = stage_one_inputs(items, 6, perturbed=True)
     assert [items[i] for i in range(3) if split.in_greedy[i]] == [(2, 3)]
     assert _prune_bound(profits, rank_part, schedule, np.int32) is None
-    assert check_pruned(items, 6) == 0
+    assert perturbed_answer(items, 6) == 8
+    # solve_fast orders by the original efficiencies and can prune
+    profits, rank_part, schedule, split = stage_one_inputs(items, 6)
+    assert [items[i] for i in range(3) if split.in_greedy[i]] == [(5, 8)]
+    assert _prune_bound(profits, rank_part, schedule, np.int32) is not None
+    check_pruned(items, 6)
     # near-equal efficiencies with n < 2 w_max let the perturbation put a
-    # less efficient item inside the greedy set; some of these skip pruning
+    # less efficient item inside the greedy set; some of these skip pruning,
+    # while solve_fast's own order never needs to
     rng = random.Random(812)
     skipped = 0
     for _ in range(150):
@@ -448,9 +530,13 @@ def test_inverted_efficiencies_skip_pruning():
         inst = normalize(items, capacity)
         if inst.all_fit:
             continue
-        profits, rank_part, schedule, _ = stage_one_inputs(items, capacity)
+        profits, rank_part, schedule, _ = stage_one_inputs(items, capacity, perturbed=True)
         skipped += _prune_bound(profits, rank_part, schedule, np.int32) is None
-        check_pruned(items, capacity)
+        want = solve_exhaustive(items, capacity)
+        check_pruned(items, capacity, want)
+        assert perturbed_answer(items, capacity) == want
+        profits, rank_part, schedule, _ = stage_one_inputs(items, capacity)
+        assert _prune_bound(profits, rank_part, schedule, np.int32) is not None
     assert skipped > 0
 
 
