@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .core import _integer, cell_dtype, normalize
+from .core import Instance, _integer, cell_dtype, normalize
 
 DEFAULT_CELL_BUDGET = 600_000_000_000
 
@@ -25,7 +25,11 @@ class BudgetExceededError(RuntimeError):
 
 def solve_bellman(raw_items, capacity, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
     """Maximum profit by the textbook capacity DP, one numpy pass per item."""
-    inst = normalize(raw_items, capacity)
+    return _capacity_dp(normalize(raw_items, capacity), cell_budget, stats)
+
+
+def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
+    """``solve_bellman`` on an instance ``normalize`` already built."""
     if inst.all_fit:
         return inst.total_profit
     t = inst.capacity
@@ -38,10 +42,10 @@ def solve_bellman(raw_items, capacity, cell_budget=DEFAULT_CELL_BUDGET, stats=No
         stats.note_table(t + 1)
     # cells are nonnegative and bounded by the profit total, so the narrowest
     # sufficient dtype is safe; narrower cells mean fewer bytes per pass
-    dtype = cell_dtype(sum(it.profit for it in inst.items))
+    dtype = cell_dtype(int(inst.profits.sum()))
     dp = np.zeros(t + 1, dtype=dtype)
     tmp = np.empty(t + 1, dtype=dtype)
-    for w, p in inst.items:
+    for w, p in zip(inst.weights.tolist(), inst.profits.tolist()):
         # temp copy keeps this a 0-1 update: sources predate the writes
         head = t + 1 - w
         np.add(dp[:head], p, out=tmp[:head])

@@ -3,11 +3,14 @@
 An instance is a list of items (weight, profit) and a capacity.  The solvers
 in this package work on a normalized view of the instance: items that cannot
 fit are dropped and trivially-feasible instances are answered directly.  The
-hint-propagating engine further perturbs hard instances so that all item
-efficiencies and profits are pairwise distinct; the perturbation is
-invertible on totals, so optimal profits of the original instance can be
-recovered exactly.  Every other path orders the original items by exact
-efficiency, ties by index.
+normalized instance holds weights and profits as two 1-D numpy arrays, int64
+while their totals fit ``INT64_VALUE_CAP`` and Python ints in object arrays
+past it (the rule ``cell_dtype`` applies to tables), so preprocessing is a
+few array passes with no per-item Python objects.  The hint-propagating
+engine further perturbs hard instances so that all item efficiencies and
+profits are pairwise distinct; the perturbation is invertible on totals, so
+optimal profits of the original instance can be recovered exactly.  Every
+other path orders the original items by exact efficiency, ties by index.
 
 This module also provides the greedy prefix split (the solution all exchange
 arguments are phrased against), per-weight-class rank orders, the signed
@@ -19,7 +22,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -58,22 +63,47 @@ def cell_dtype(total_profit: int):
     return np.int64
 
 
+def _fitted(values: np.ndarray) -> np.ndarray:
+    """``values`` as int64 if their total is at most INT64_VALUE_CAP, else as Python ints.
+
+    Under that cap every prefix sum of the array is exact in int64; the
+    object array holds the same values as Python ints.  The result is
+    read-only, since ``Instance`` derives ``items`` from it.
+    """
+    if values.dtype != object and (
+        not values.size or int(values.max()) * values.size <= INT64_VALUE_CAP
+    ):
+        out = values.astype(np.int64, copy=False)
+    else:
+        out = values.astype(object)
+        if sum(out.tolist()) <= INT64_VALUE_CAP:
+            out = out.astype(np.int64)
+    out.flags.writeable = False
+    return out
+
+
 class Item(NamedTuple):
     weight: int
     profit: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A normalized 0-1 knapsack instance.
 
-    ``all_fit`` marks instances whose kept items all fit simultaneously; for
-    those ``total_profit`` is already the optimal answer.  ``tie_break_m`` is
-    the modulus M that ``break_ties`` perturbed the profits with, and 0 on an
-    unperturbed instance.
+    ``weights`` and ``profits`` are read-only 1-D arrays indexed by item.
+    Each is int64 when its total is at most ``INT64_VALUE_CAP`` and holds
+    Python ints (dtype object) otherwise, so huge profits and ``break_ties``
+    instances run through the same array code.  ``items`` is the same data
+    as a tuple of ``Item``s, built on first access; the solver paths read
+    the arrays.  ``all_fit`` marks instances whose kept items all fit
+    simultaneously; for those ``total_profit`` is already the optimal
+    answer.  ``tie_break_m`` is the modulus M that ``break_ties`` perturbed
+    the profits with, and 0 on an unperturbed instance.
     """
 
-    items: tuple[Item, ...]
+    weights: np.ndarray
+    profits: np.ndarray
     capacity: int
     w_max: int
     all_fit: bool
@@ -82,7 +112,11 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(self.items)
+        return len(self.weights)
+
+    @cached_property
+    def items(self) -> tuple[Item, ...]:
+        return tuple(map(Item, self.weights.tolist(), self.profits.tolist()))
 
 
 def _integer(value, what: str) -> int:
@@ -104,31 +138,41 @@ def normalize(raw_items: Iterable[tuple[int, int]], capacity: int) -> Instance:
     solution).  If the kept items all fit together, the instance is flagged
     trivial with its answer precomputed.  Weights, profits and the capacity
     must be integers (Python or numpy; not bool); weights and profits must
-    be >= 1 and the capacity >= 0.
+    be >= 1 and the capacity >= 0.  ``raw_items`` may also be an (n, 2)
+    integer array.
+
+    Every value is checked before any conversion, because converting to
+    int64 would silently truncate 2.9 to 2 and turn True into 1: when the
+    values are not all plain ints, each one goes through ``_integer``.
     """
     capacity = _integer(capacity, "capacity")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    kept = []
-    for w, p in raw_items:
-        if type(w) is not int:
-            w = _integer(w, "item weight")
-        if type(p) is not int:
-            p = _integer(p, "item profit")
-        if w < 1 or p < 1:
-            raise ValueError("item weights and profits must be >= 1")
-        if w <= capacity:
-            kept.append(Item(w, p))
-    total_w = sum(it.weight for it in kept)
-    total_p = sum(it.profit for it in kept)
-    w_max = max((it.weight for it in kept), default=0)
-    all_fit = total_w <= capacity
+    pairs = raw_items if isinstance(raw_items, (list, tuple)) else list(raw_items)
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("items must be (weight, profit) pairs")
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int}:
+        whats = ("item weight", "item profit")
+        flat = [_integer(v, whats[k & 1]) for k, v in enumerate(flat)]
+    try:
+        values = np.fromiter(flat, np.int64, len(flat))
+    except OverflowError:
+        values = np.array(flat, dtype=object)
+    values = values.reshape(-1, 2)
+    if values.size and values.min() < 1:
+        raise ValueError("item weights and profits must be >= 1")
+    keep = values[:, 0] <= capacity
+    weights = _fitted(values[keep, 0])
+    profits = _fitted(values[keep, 1])
+    all_fit = weights.sum() <= capacity
     return Instance(
-        items=tuple(kept),
+        weights=weights,
+        profits=profits,
         capacity=capacity,
-        w_max=w_max,
-        all_fit=all_fit,
-        total_profit=total_p if all_fit else 0,
+        w_max=int(weights.max()) if weights.size else 0,
+        all_fit=bool(all_fit),
+        total_profit=int(profits.sum()) if all_fit else 0,
     )
 
 
@@ -142,19 +186,18 @@ def break_ties(inst: Instance) -> Instance:
     All p'_i are distinct, all p'_i / w_i are distinct, and the original total
     of any subset S is floor(sum of primed profits / (M * w_max)); see
     ``recover_profit``.  Optimal subsets of the perturbed instance are optimal
-    for the original one.
+    for the original one.  The primed profits are computed as Python ints
+    and stored by the same dtype rule as ``normalize``'s.
     """
     if inst.all_fit:
         raise ValueError("trivial instance needs no tie-breaking")
     n = inst.n
     m = 1 + n + n * (n + 1) // 2
     ww = inst.w_max
-    primed = tuple(
-        Item(it.weight, (it.profit * m + i) * ww + 1)
-        for i, it in enumerate(inst.items, start=1)
-    )
+    index = np.arange(1, n + 1, dtype=object)
     return Instance(
-        items=primed,
+        weights=inst.weights,
+        profits=_fitted((inst.profits.astype(object) * m + index) * ww + 1),
         capacity=inst.capacity,
         w_max=ww,
         all_fit=False,
@@ -181,7 +224,9 @@ class GreedySplit:
     (best first to add) and items inside G are ranked 1, 2, ... by
     increasing profit (cheapest first to remove), ties by ascending index.
     Only the 2 * w_max best ranks per class and side are materialized: no
-    optimal exchange uses deeper ranks.
+    optimal exchange uses deeper ranks.  The fields are plain lists and
+    dicts (the candidate dicts keyed in ascending weight), computed from the
+    instance's arrays.
     """
 
     order: list[int]
@@ -207,57 +252,52 @@ def greedy_split(inst: Instance) -> GreedySplit:
     """
     if inst.all_fit:
         raise ValueError("greedy split undefined for trivial instances")
-    items = inst.items
+    weights, profits = inst.weights, inst.profits
+    n = inst.n
     # exact integer efficiency keys: two distinct ratios p/w differ by at
     # least 1 / w_max^2, so floor(p * w_max^2 / w) keeps their order, and
-    # equal ratios get equal keys
+    # equal ratios get equal keys; past int64 range they are Python ints
     scale = inst.w_max * inst.w_max
-    keys = [it.profit * scale // it.weight for it in items]
-    order = sorted(range(len(items)), key=keys.__getitem__, reverse=True)
+    key_type = object if int(profits.max()) * scale > INT64_VALUE_CAP else np.int64
+    keys = profits.astype(key_type) * scale // weights.astype(key_type)
+    order = np.argsort(-keys, kind="stable")
 
-    in_greedy = [False] * len(items)
-    weight_used = 0
-    profit_used = 0
-    break_index = 0
-    for pos, idx in enumerate(order):
-        w = items[idx].weight
-        if weight_used + w > inst.capacity:
-            break_index = pos
-            break
-        weight_used += w
-        profit_used += items[idx].profit
-        in_greedy[idx] = True
-    else:
+    # the break is the first prefix that overflows; one exists, since the
+    # kept items do not all fit
+    prefix = np.cumsum(weights[order])
+    break_index = int(np.searchsorted(prefix, inst.capacity, side="right"))
+    if break_index == n:
         raise AssertionError("normalized nontrivial instance must overflow")
+    in_greedy = np.zeros(n, dtype=bool)
+    in_greedy[order[:break_index]] = True
+
+    # one stable sort groups items by class = (weight, side) and ranks each
+    # class: outside G by decreasing profit, inside G by increasing profit
+    signed = np.where(in_greedy, profits, -profits)
+    classes = weights * 2 + in_greedy
+    by_class = np.lexsort((signed, classes))
+    sorted_classes = classes[by_class]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_classes[1:] != sorted_classes[:-1]))
+    )
+    sizes = np.diff(np.append(starts, n))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_class] = np.arange(n) - np.repeat(starts, sizes) + 1
 
     cap = 2 * inst.w_max
-    rank = [0] * len(items)
-    by_weight_out: dict[int, list[int]] = {}
-    by_weight_in: dict[int, list[int]] = {}
-    for idx, it in enumerate(items):
-        side = by_weight_in if in_greedy[idx] else by_weight_out
-        side.setdefault(it.weight, []).append(idx)
-
     add_candidates = {}
-    for w, members in by_weight_out.items():
-        members.sort(key=lambda i: items[i].profit, reverse=True)
-        for r, idx in enumerate(members, start=1):
-            rank[idx] = r
-        add_candidates[w] = members[:cap]
     remove_candidates = {}
-    for w, members in by_weight_in.items():
-        members.sort(key=lambda i: items[i].profit)
-        for r, idx in enumerate(members, start=1):
-            rank[idx] = r
-        remove_candidates[w] = members[:cap]
+    for start, size, c in zip(starts.tolist(), sizes.tolist(), sorted_classes[starts].tolist()):
+        side = remove_candidates if c & 1 else add_candidates
+        side[c >> 1] = by_class[start : start + min(size, cap)].tolist()
 
     return GreedySplit(
-        order=order,
+        order=order.tolist(),
         break_index=break_index,
-        in_greedy=in_greedy,
-        rank=rank,
-        greedy_weight=weight_used,
-        greedy_profit=profit_used,
+        in_greedy=in_greedy.tolist(),
+        rank=rank.tolist(),
+        greedy_weight=int(prefix[break_index - 1]) if break_index else 0,
+        greedy_profit=int(profits[order[:break_index]].sum()),
         add_candidates=add_candidates,
         remove_candidates=remove_candidates,
     )

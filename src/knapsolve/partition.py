@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import GreedySplit, Instance
 
 
@@ -39,17 +41,26 @@ class WeightPartition:
         return self.layers[0]
 
 
+def _by_first_occurrence(weights) -> list[int]:
+    """Distinct values of ``weights`` in the order they first occur."""
+    values, first = np.unique(weights, return_index=True)
+    return values[np.argsort(first)].tolist()
+
+
 def weight_partition(inst: Instance, split: GreedySplit, constant: float = 2.0) -> WeightPartition:
     """Partition the distinct weights into layers around the greedy break.
 
     The layer count s is the smallest s >= 1 with
     2 * C * sqrt(w_max * log2(w_max)) * 2^s >= w_max; the last layer is
     forced to absorb every remaining weight so the layers cover the support.
+
+    Layer j's window walks outward from the break on each side as long as
+    the side's distinct-weight count stays within the threshold, so its
+    support is, per side, the threshold-many distinct weights met first.
     """
     if inst.w_max < 1:
         raise ValueError("instance has no items")
-    weights_in_order = [inst.items[i].weight for i in split.order]
-    n = len(weights_in_order)
+    weights_in_order = inst.weights[split.order]
     i_star = split.break_index
 
     base = 2.0 * constant * math.sqrt(inst.w_max * math.log2(inst.w_max)) if inst.w_max > 1 else 0.0
@@ -58,42 +69,16 @@ def weight_partition(inst: Instance, split: GreedySplit, constant: float = 2.0) 
         while base * (2**s) < inst.w_max:
             s += 1
 
-    # Distinct-weight counts walking outward from the break point.
-    # left_distinct[k] = support size of positions [i_star - 1 - k, i_star - 1]
-    left_distinct: list[int] = []
-    seen: set[int] = set()
-    for pos in range(i_star - 1, -1, -1):
-        seen.add(weights_in_order[pos])
-        left_distinct.append(len(seen))
-    right_distinct: list[int] = []
-    seen = set()
-    for pos in range(i_star, n):
-        seen.add(weights_in_order[pos])
-        right_distinct.append(len(seen))
+    # distinct weights in the order a walk outward from the break meets them
+    left = _by_first_occurrence(weights_in_order[:i_star][::-1])
+    right = _by_first_occurrence(weights_in_order[i_star:])
 
     cumulative: list[set[int]] = []
     layers: list[set[int]] = []
     covered: set[int] = set()
     for j in range(1, s + 1):
-        threshold = max(1, math.ceil(base * (2**j)))
-        if j == s:
-            lo, hi = 0, n - 1
-        else:
-            k_left = -1
-            for k, d in enumerate(left_distinct):
-                if d <= threshold:
-                    k_left = k
-                else:
-                    break
-            k_right = -1
-            for k, d in enumerate(right_distinct):
-                if d <= threshold:
-                    k_right = k
-                else:
-                    break
-            lo = i_star - 1 - k_left
-            hi = i_star + k_right
-        support = set(weights_in_order[lo : hi + 1])
+        threshold = None if j == s else max(1, math.ceil(base * (2**j)))
+        support = set(left[:threshold]) | set(right[:threshold])
         layers.append(support - covered)
         covered |= support
         cumulative.append(set(covered))

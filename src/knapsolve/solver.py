@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hinted
-from .baselines import BudgetExceededError, solve_bellman
+from .baselines import BudgetExceededError, _capacity_dp
 from .core import (
     BOTTOM,
     NEG_SENTINEL,
@@ -197,22 +197,24 @@ class _DenseFold:
         self.hi = half + 1
 
     def resize(self, new_half: int) -> None:
+        """Re-center the table at half-size ``new_half``, keeping index z at z.
+
+        Only the live span is copied; every slot outside it is bottom, so the
+        new table is written with the sentinel there and nowhere else.
+        """
         if new_half == self.half:
             return
         size = 2 * new_half + 1
-        if self.is_object:
-            arr = np.full(size, BOTTOM, dtype=object)
-        else:
-            arr = np.full(size, self.sentinel, dtype=self.arr.dtype)
-        keep = min(self.half, new_half)
-        arr[new_half - keep : new_half + keep + 1] = self.arr[
-            self.half - keep : self.half + keep + 1
-        ]
         delta = new_half - self.half
+        lo = min(max(self.lo + delta, 0), size)
+        hi = min(max(self.hi + delta, 0), size)
+        arr = np.empty(size, dtype=self.arr.dtype)
+        arr[:lo] = self.sentinel
+        arr[lo:hi] = self.arr[lo - delta : hi - delta]
+        arr[hi:] = self.sentinel
         self.arr = arr
         self.tmp = np.empty(min(size, _TILE), dtype=arr.dtype)
-        self.lo = min(max(self.lo + delta, 0), size)
-        self.hi = min(max(self.hi + delta, 0), size)
+        self.lo, self.hi = lo, hi
         self.half = new_half
 
     def update(self, weight: int, prefix, direction: int) -> None:
@@ -466,7 +468,7 @@ def first_stage_hinted(
     hint set exceeds the next budget are deleted.  The finished table is
     returned as a fold engine over the perturbed profits, for stage two.
     """
-    profits = [it.profit for it in primed.items]
+    profits = primed.profits.tolist()
     universe = tuple(sorted(inner_weights))
     store = SetStore()
     half = schedule.table_half_sizes[0]
@@ -628,11 +630,11 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
             stats.engine = "bellman-fallback"
             stats.fallback = True
             stats.note_table(inst.capacity + 1)
-        answer = solve_bellman([(it.weight, it.profit) for it in inst.items], inst.capacity)
+        answer = _capacity_dp(inst)
     else:
         answer = _solve_structured(inst, config, stats)
     if config.verify:
-        ref = solve_bellman(raw_items, capacity, cell_budget=config.verify_cell_budget)
+        ref = _capacity_dp(inst, cell_budget=config.verify_cell_budget)
         if ref != answer:
             raise VerificationError(
                 f"fast answer {answer} disagrees with capacity DP {ref}"
@@ -650,7 +652,7 @@ def _solve_structured(inst: Instance, config: SolverConfig, stats: Stats | None)
     rank_part = rank_partition(work, split, wpart.innermost)
     if stats is not None:
         stats.engine = engine
-    profits = [it.profit for it in work.items]
+    profits = work.profits.tolist()
     if perturbed:
         eng = first_stage_hinted(work, rank_part, schedule, config, wpart.innermost, stats)
     else:
@@ -684,7 +686,7 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
     if stats is not None:
         stats.engine = "proximity"
         stats.note_table(cells)
-    profits = [it.profit for it in inst.items]
+    profits = inst.profits.tolist()
     eng = _DenseFold(half, cell_dtype(sum(profits)))
     weights = split.add_candidates.keys() | split.remove_candidates.keys()
     _fold_classes(eng, weights, split, profits)

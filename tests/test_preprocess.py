@@ -1,0 +1,312 @@
+"""Array preprocessing against a pure-Python reference, and normalize's input contract.
+
+``normalize``, ``greedy_split`` and ``weight_partition`` run as numpy array
+passes.  The reference here is the per-item formulation they replace:
+items sorted by (exact ratio descending, index ascending), the greedy walk,
+per-class rank sorts, and distinct-weight counts walked outward from the
+break one position at a time.  Every structure must match exactly.
+"""
+
+import math
+import random
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knapsolve import (
+    break_ties,
+    generate_instance,
+    greedy_split,
+    normalize,
+    solve_exhaustive,
+    solve_fast,
+    weight_partition,
+)
+from knapsolve.core import INT64_VALUE_CAP
+
+# --- the reference --------------------------------------------------------
+
+
+def reference_instance(raw_items, capacity, perturbed=False):
+    """(kept (weight, profit) list, w_max, tie-break modulus) without numpy."""
+    kept = [(w, p) for w, p in raw_items if w <= capacity]
+    w_max = max((w for w, _ in kept), default=0)
+    if not perturbed:
+        return kept, w_max, 0
+    n = len(kept)
+    m = 1 + n + n * (n + 1) // 2
+    return [(w, (p * m + i) * w_max + 1) for i, (w, p) in enumerate(kept, 1)], w_max, m
+
+
+def reference_split(items, capacity, w_max):
+    n = len(items)
+    order = sorted(range(n), key=lambda i: (-Fraction(items[i][1], items[i][0]), i))
+    in_greedy = [False] * n
+    used = profit = 0
+    break_index = None
+    for pos, i in enumerate(order):
+        if used + items[i][0] > capacity:
+            break_index = pos
+            break
+        used += items[i][0]
+        profit += items[i][1]
+        in_greedy[i] = True
+    rank = [0] * n
+    add, remove = {}, {}
+    for i in range(n):
+        (remove if in_greedy[i] else add).setdefault(items[i][0], []).append(i)
+    for side, sign in ((add, -1), (remove, +1)):
+        for w, members in side.items():
+            members.sort(key=lambda i: (sign * items[i][1], i))
+            for r, i in enumerate(members, 1):
+                rank[i] = r
+            side[w] = members[: 2 * w_max]
+    return {
+        "order": order, "break_index": break_index, "in_greedy": in_greedy,
+        "rank": rank, "greedy_weight": used, "greedy_profit": profit,
+        "add_candidates": add, "remove_candidates": remove,
+    }
+
+
+def reference_layers(weights_in_order, i_star, w_max, constant=2.0):
+    """(layer count, layers, cumulative, layer_of) by the walk-outward counts."""
+    n = len(weights_in_order)
+    base = 2.0 * constant * math.sqrt(w_max * math.log2(w_max)) if w_max > 1 else 0.0
+    s = 1
+    if base > 0:
+        while base * (2**s) < w_max:
+            s += 1
+    left, right, seen = [], [], set()
+    for pos in range(i_star - 1, -1, -1):
+        seen.add(weights_in_order[pos])
+        left.append(len(seen))
+    seen = set()
+    for pos in range(i_star, n):
+        seen.add(weights_in_order[pos])
+        right.append(len(seen))
+    layers, cumulative, covered = [], [], set()
+    for j in range(1, s + 1):
+        threshold = max(1, math.ceil(base * (2**j)))
+        if j == s:
+            lo, hi = 0, n - 1
+        else:
+            lo = i_star - sum(1 for d in left if d <= threshold)
+            hi = i_star + sum(1 for d in right if d <= threshold) - 1
+        support = set(weights_in_order[lo : hi + 1])
+        layers.append(support - covered)
+        covered |= support
+        cumulative.append(set(covered))
+    layer_of = {w: j for j, layer in enumerate(layers, 1) for w in layer}
+    return s, layers, cumulative, layer_of
+
+
+def check_against_reference(raw_items, capacity, perturbed=False, constant=2.0):
+    """Run the array preprocessing and the reference; every structure must agree."""
+    inst = normalize(raw_items, capacity)
+    kept, w_max, m = reference_instance(raw_items, capacity)
+    assert inst.items == tuple(kept)
+    assert inst.w_max == w_max
+    assert inst.all_fit == (sum(w for w, _ in kept) <= capacity)
+    if inst.all_fit:
+        assert inst.total_profit == sum(p for _, p in kept)
+        with pytest.raises(ValueError):
+            greedy_split(inst)
+        return None
+    if perturbed:
+        inst = break_ties(inst)
+        kept, w_max, m = reference_instance(raw_items, capacity, perturbed=True)
+        assert inst.tie_break_m == m and inst.items == tuple(kept)
+    for arr, column in ((inst.weights, 0), (inst.profits, 1)):
+        total = sum(item[column] for item in kept)
+        assert arr.dtype == (np.int64 if total <= INT64_VALUE_CAP else object)
+
+    split = greedy_split(inst)
+    want = reference_split(kept, capacity, w_max)
+    for name, value in want.items():
+        assert getattr(split, name) == value, name
+    assert all(type(v) is int for v in split.order + split.rank)
+
+    part = weight_partition(inst, split, constant)
+    s, layers, cumulative, layer_of = reference_layers(
+        [kept[i][0] for i in want["order"]], want["break_index"], w_max, constant
+    )
+    assert (part.layer_count, part.layers, part.cumulative, part.layer_of) == (
+        s, layers, cumulative, layer_of,
+    )
+    return inst, split
+
+
+# --- fixed cases ------------------------------------------------------------
+
+
+def test_random_instances_match_reference():
+    rng = random.Random(5150)
+    for trial in range(300):
+        w_max = rng.choice((1, 2, 5, 16, 64))
+        n = rng.randint(1, 60)
+        items = [(rng.randint(1, w_max), rng.randint(1, 40)) for _ in range(n)]
+        total = sum(w for w, _ in items)
+        capacity = rng.choice((0, total - 1, rng.randint(0, total)))
+        constant = rng.choice((0.05, 0.5, 2.0))
+        check_against_reference(items, capacity, perturbed=trial % 3 == 0, constant=constant)
+
+
+def test_layer_windows_cut_inside_the_order():
+    # enough distinct weights on each side of the break that every layer
+    # but the last stops short of the ends of the order
+    for seed, family in enumerate(("uniform", "clustered", "hard-equal-weights")):
+        items, capacity = generate_instance(2000, 512, 1000, 0.5, seed, family)
+        for constant in (0.05, 0.2, 1.0):
+            inst, split = check_against_reference(items, capacity, constant=constant)
+            part = weight_partition(inst, split, constant)
+            if family == "uniform":
+                assert part.layer_count >= 2
+                assert len(part.cumulative[0]) < len(set(inst.weights.tolist()))
+
+
+def test_object_keys_with_int64_profits():
+    # the perturbed oracle shape: primed profits fit int64, their keys
+    # p' * w_max^2 do not (about 2.7e19)
+    for family in ("uniform", "hard-equal-weights"):
+        items, capacity = generate_instance(1280, 320, 10**6, 0.5, 3, family)
+        inst, split = check_against_reference(items, capacity, perturbed=True)
+        assert inst.profits.dtype == np.int64
+        assert int(inst.profits.max()) * inst.w_max**2 > 1 << 63
+
+
+def test_profits_past_int64():
+    rng = random.Random(5151)
+    for trial in range(60):
+        n = rng.randint(2, 30)
+        items = [(rng.randint(1, 9), (1 << 64) + rng.randint(0, 1 << 70)) for _ in range(n)]
+        if trial % 2:
+            items += [(w, p) for w, p in items[:3]]  # duplicates
+        capacity = sum(w for w, _ in items) - 1
+        inst, _ = check_against_reference(items, capacity, perturbed=trial % 4 == 1)
+        assert inst.profits.dtype == object
+    items = [(3, 1 << 64), (2, 5), (4, (1 << 64) + 7), (1, 2)]
+    assert solve_fast(items, 6) == solve_exhaustive(items, 6) == (1 << 64) + 12
+
+
+def test_all_equal_efficiencies_and_duplicates():
+    rng = random.Random(5152)
+    for _ in range(100):
+        a, b = rng.randint(1, 4), rng.randint(1, 9)
+        items = [(a * k, b * k) for k in (rng.randint(1, 6) for _ in range(rng.randint(2, 40)))]
+        items += items[: rng.randint(0, 5)]
+        total = sum(w for w, _ in items)
+        check_against_reference(items, rng.choice((total - 1, rng.randint(0, total))))
+
+
+def test_unit_weights():
+    rng = random.Random(5153)
+    for _ in range(60):
+        items = [(1, rng.randint(1, 5)) for _ in range(rng.randint(2, 50))]
+        inst, _ = check_against_reference(items, rng.randint(1, len(items) - 1))
+        assert inst.w_max == 1
+
+
+def test_capacity_edges_and_heavy_items():
+    rng = random.Random(5154)
+    for _ in range(100):
+        items = [(rng.randint(1, 30), rng.randint(1, 50)) for _ in range(rng.randint(2, 40))]
+        assert check_against_reference(items, 0) is None  # every item dropped
+        total = sum(w for w, _ in items)
+        check_against_reference(items, total - 1)
+        # a capacity below most weights: the heavy items are dropped first
+        check_against_reference(items, rng.randint(1, 15))
+    inst = normalize([(5, 9), (7, 1)], 4)
+    assert inst.n == 0 and inst.all_fit and inst.total_profit == 0
+
+
+# --- the same comparison as a property --------------------------------------
+
+profit_values = st.one_of(
+    st.integers(1, 50), st.integers(1, 10**6), st.integers(1 << 62, 1 << 70)
+)
+
+
+@st.composite
+def instances(draw):
+    w_max = draw(st.sampled_from((1, 2, 7, 64)))
+    pairs = st.tuples(st.integers(1, w_max), profit_values)
+    items = draw(st.lists(pairs, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        # equal efficiencies: scaled copies of the first item
+        w, p = items[0]
+        items += [(w * k, p * k) for k in range(1, w_max // w + 1)]
+    total = sum(w for w, _ in items)
+    capacity = draw(st.one_of(st.just(0), st.just(total - 1), st.integers(0, total)))
+    # small constants give several layers with thresholds that cut the order
+    return items, capacity, draw(st.booleans()), draw(st.sampled_from((0.05, 0.3, 2.0)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(instances())
+def test_preprocessing_matches_reference_property(case):
+    items, capacity, perturbed, constant = case
+    check_against_reference(items, capacity, perturbed=perturbed, constant=constant)
+
+
+# --- normalize's input contract ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "items, capacity, message",
+    [
+        ([(True, 3), (2, 4)], 5, "item weight must be an integer"),
+        ([(2, np.True_), (2, 4)], 5, "item profit must be an integer"),
+        ([(2.9, 5), (3, 4)], 3, "item weight must be an integer"),
+        ([(2, 4), (3, np.float64(2.0))], 5, "item profit must be an integer"),
+        ([(Fraction(2), 4)], 5, "item weight must be an integer"),
+        ([(2, 4)], np.float64(5.0), "capacity must be an integer"),
+        ([(2, 4)], True, "capacity must be an integer"),
+        ([(0, 4)], 5, "item weights and profits must be >= 1"),
+        ([(2, 4), (3, -1 << 70)], 5, "item weights and profits must be >= 1"),
+        ([(2, 4, 1)], 5, "items must be (weight, profit) pairs"),
+    ],
+)
+def test_normalize_refuses(items, capacity, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        normalize(items, capacity)
+
+
+def test_normalize_accepts_integer_types():
+    plain = [(2, 3), (3, 4), (5, 5)]
+    want = normalize(plain, 6)
+    for items in (
+        [(np.int64(2), np.int32(3)), (np.uint8(3), np.int16(4)), (5, np.uint64(5))],
+        np.array(plain, dtype=np.int64),
+        np.array(plain, dtype=np.uint16),
+        (pair for pair in plain),
+    ):
+        inst = normalize(items, np.int32(6))
+        assert inst.items == want.items and inst.all_fit == want.all_fit
+        assert all(type(v) is int for it in inst.items for v in it)
+        assert inst.weights.dtype == inst.profits.dtype == np.int64
+    assert solve_fast(np.array(plain), 6) == solve_fast(plain, 6) == 7
+
+
+def test_normalize_accepts_values_past_int64():
+    big = 2**63 + 5
+    for items in ([(2, np.uint64(big)), (3, 4), (4, 1)], [(2, big), (3, 4), (4, 1)]):
+        inst = normalize(items, 5)
+        assert inst.items == ((2, big), (3, 4), (4, 1))
+        assert inst.profits.dtype == object and inst.weights.dtype == np.int64
+        assert solve_fast(items, 5) == big + 4
+    # a huge weight is dropped against a smaller capacity, then the rest is int64
+    inst = normalize([(1 << 80, 3), (2, 4), (3, 5)], 4)
+    assert inst.items == ((2, 4), (3, 5)) and inst.weights.dtype == np.int64
+    inst = normalize([(1 << 80, 3), (2, 4)], 1 << 81)
+    assert inst.weights.dtype == object and inst.all_fit and inst.total_profit == 7
+
+
+def test_instance_arrays_are_read_only():
+    inst = normalize([(2, 3), (3, 4), (5, 5)], 6)
+    for arr in (inst.weights, inst.profits, break_ties(inst).profits):
+        with pytest.raises(ValueError):
+            arr[0] = 1

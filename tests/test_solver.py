@@ -218,6 +218,32 @@ def test_bellman_cell_budget():
         solve_bellman([(2, 3), (3, 4)], 4, cell_budget=2)
 
 
+def test_capacity_dp_paths_normalize_once(monkeypatch):
+    # the fallback and the verify check run the capacity DP on the instance
+    # solve_fast already normalized, under the same budgets and messages
+    import knapsolve.baselines
+    import knapsolve.solver
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(knapsolve.solver, "normalize", counting)
+    monkeypatch.setattr(knapsolve.baselines, "normalize", counting)
+    fallback = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
+    structured = [(2, 3), (3, 4), (4, 5), (5, 9)]
+    for items, capacity in ((fallback, 70), (structured, 9)):
+        calls.clear()
+        got = solve_fast(items, capacity, SolverConfig(verify=True))
+        assert got == solve_exhaustive(items, capacity) and len(calls) == 1
+    with pytest.raises(BudgetExceededError, match="table needs 40 cells, over the budget of 39"):
+        solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=39))
+    with pytest.raises(BudgetExceededError, match="over the budget of"):
+        solve_fast([(1 << 40, 7), ((1 << 40) + 1, 9)], 1 << 41)
+
+
 def test_huge_profits_use_exact_arithmetic():
     big = 1 << 60
     items = [(3, big), (2, 5), (4, big + 7)]
@@ -346,6 +372,9 @@ def test_dense_fold_resize_both_ways():
                 want = {z: v for z, v in want.items() if -half <= z <= half}
                 assert eng.half == half and eng.arr.size == 2 * half + 1
                 assert finite_cells(eng) == want
+                # only the live span is copied; everything outside is the sentinel
+                outside = eng.arr[: eng.lo].tolist() + eng.arr[eng.hi :].tolist()
+                assert all(v == eng.sentinel for v in outside)
                 weight = rng.randint(1, half)
                 prefix = concave_prefix(rng, rng.randint(1, 4), scale)
                 direction = rng.choice((+1, -1))
