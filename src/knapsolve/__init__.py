@@ -3,18 +3,17 @@
 Public surface: ``solve_fast`` (the structured exchange solver),
 ``solve_bellman`` and ``solve_exhaustive`` (references), and
 ``solve_proximity_smawk`` (the simpler quadratic-table variant), plus the
-instance generator and the building blocks for callers who want to drive
-the stages directly.
+instance generator, the preprocessing and partition stages for callers who
+want to drive the pipeline directly, and ``row_maxima``, the SMAWK row-maxima
+routine the hint-propagating engine runs on.
 """
 
 from .baselines import BudgetExceededError, solve_bellman, solve_exhaustive
 from .core import (
     BOTTOM,
-    DpTable,
     Instance,
     Item,
     break_ties,
-    dp_resize,
     greedy_split,
     is_bottom,
     normalize,
@@ -22,7 +21,7 @@ from .core import (
 )
 from .gen import SplitMix64, generate_instance
 from .partition import phase_schedule, rank_partition, weight_partition
-from .smawk import batch_update_weight_class, concave_maxplus_conv, row_maxima
+from .smawk import row_maxima
 from .solver import (
     SolverConfig,
     Stats,
@@ -36,17 +35,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BOTTOM",
     "BudgetExceededError",
-    "DpTable",
     "Instance",
     "Item",
     "SolverConfig",
     "SplitMix64",
     "Stats",
     "VerificationError",
-    "batch_update_weight_class",
     "break_ties",
-    "concave_maxplus_conv",
-    "dp_resize",
     "generate_instance",
     "greedy_split",
     "is_bottom",

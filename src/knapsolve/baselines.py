@@ -2,7 +2,8 @@
 
 Both are oracles for the fast solver.  ``solve_bellman`` is the classic
 O(n * t) table, vectorized over capacities; it refuses instances whose
-table would exceed an explicit cell budget instead of thrashing.
+table would exceed an explicit cell budget, or whose two rows would exceed
+a fixed byte budget, instead of thrashing.
 ``solve_exhaustive`` is exact for up to 40 items and can also report a
 witness subset, which the property tests use to validate solution
 structure, not just values.
@@ -17,6 +18,9 @@ import numpy as np
 from .core import Instance, _integer, cell_dtype, normalize
 
 DEFAULT_CELL_BUDGET = 600_000_000_000
+# bytes the capacity DP's two rows may take; a short instance with a huge
+# capacity passes the cell budget with rows far larger than memory
+ROW_BYTE_BUDGET = 2 << 30
 
 
 class BudgetExceededError(RuntimeError):
@@ -38,11 +42,16 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
         raise BudgetExceededError(
             f"table needs {cells} cells, over the budget of {cell_budget}"
         )
-    if stats is not None:
-        stats.note_table(t + 1)
     # cells are nonnegative and bounded by the profit total, so the narrowest
     # sufficient dtype is safe; narrower cells mean fewer bytes per pass
     dtype = cell_dtype(int(inst.profits.sum()))
+    row_bytes = 2 * (t + 1) * np.dtype(dtype).itemsize
+    if row_bytes > ROW_BYTE_BUDGET:
+        raise BudgetExceededError(
+            f"table rows need {row_bytes} bytes, over the budget of {ROW_BYTE_BUDGET}"
+        )
+    if stats is not None:
+        stats.note_table(t + 1)
     dp = np.zeros(t + 1, dtype=dtype)
     tmp = np.empty(t + 1, dtype=dtype)
     for w, p in zip(inst.weights.tolist(), inst.profits.tolist()):

@@ -5,7 +5,7 @@ Subcommands:
     solve     read an instance file and print the optimal profit
     gen       emit a reproducible random instance
     bench     time solvers across a range of maximum weights, write CSV
-    selftest  run the built-in cross-validation suites
+    selftest  check every solver against exhaustive search on small instances
 
 Instance file format: optional '#' comment lines; the first data line is
 "n t"; each of the following n data lines is "w p" with weight and profit.
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default="bench.csv")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_self = sub.add_parser("selftest", help="run built-in cross-validation")
+    p_self = sub.add_parser("selftest", help="check the solvers against exhaustive search")
     p_self.add_argument("--quick", action="store_true")
     p_self.set_defaults(func=cmd_selftest)
     return parser

@@ -13,8 +13,7 @@ optimal profits of the original instance can be recovered exactly.  Every
 other path orders the original items by exact efficiency, ties by index.
 
 This module also provides the greedy prefix split (the solution all exchange
-arguments are phrased against), per-weight-class rank orders, the signed
-difference-indexed DP table the reference batch update works on, and the
+arguments are phrased against), per-weight-class rank orders, and the
 cell-width rule every solver's tables follow.
 """
 
@@ -217,22 +216,21 @@ def recover_profit(primed_total, tie_break_m: int, w_max: int):
 class GreedySplit:
     """Greedy prefix of the efficiency order, with per-weight-class ranks.
 
-    ``order`` lists item indices by decreasing efficiency, ties by ascending
-    index.  The greedy solution G is the maximal prefix of that order
-    fitting in the capacity; ``break_index`` is its length.  Within each
-    weight class, items outside G are ranked 1, 2, ... by decreasing profit
-    (best first to add) and items inside G are ranked 1, 2, ... by
-    increasing profit (cheapest first to remove), ties by ascending index.
-    Only the 2 * w_max best ranks per class and side are materialized: no
-    optimal exchange uses deeper ranks.  The fields are plain lists and
-    dicts (the candidate dicts keyed in ascending weight), computed from the
-    instance's arrays.
+    ``order`` is an index array listing items by decreasing efficiency, ties
+    by ascending index.  The greedy solution G is the maximal prefix of that
+    order fitting in the capacity; ``break_index`` is its length and
+    ``in_greedy`` the boolean membership array.  Within each weight class,
+    items outside G are ranked 1, 2, ... by decreasing profit (best first to
+    add) and items inside G are ranked 1, 2, ... by increasing profit
+    (cheapest first to remove), ties by ascending index.  The candidate
+    dicts, keyed in ascending weight, list each class's item indices in that
+    rank order as plain lists.  Only the 2 * w_max best ranks per class and
+    side are materialized: no optimal exchange uses deeper ranks.
     """
 
-    order: list[int]
+    order: np.ndarray
     break_index: int
-    in_greedy: list[bool]
-    rank: list[int]
+    in_greedy: np.ndarray
     greedy_weight: int
     greedy_profit: int
     # weight -> item indices in rank order (capped at 2 * w_max entries)
@@ -281,8 +279,6 @@ def greedy_split(inst: Instance) -> GreedySplit:
         np.concatenate(([True], sorted_classes[1:] != sorted_classes[:-1]))
     )
     sizes = np.diff(np.append(starts, n))
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_class] = np.arange(n) - np.repeat(starts, sizes) + 1
 
     cap = 2 * inst.w_max
     add_candidates = {}
@@ -292,77 +288,12 @@ def greedy_split(inst: Instance) -> GreedySplit:
         side[c >> 1] = by_class[start : start + min(size, cap)].tolist()
 
     return GreedySplit(
-        order=order.tolist(),
+        order=order,
         break_index=break_index,
-        in_greedy=in_greedy.tolist(),
-        rank=rank.tolist(),
+        in_greedy=in_greedy,
         greedy_weight=int(prefix[break_index - 1]) if break_index else 0,
         greedy_profit=int(profits[order[:break_index]].sum()),
         add_candidates=add_candidates,
         remove_candidates=remove_candidates,
     )
 
-
-class DpTable:
-    """Profit table indexed by signed weight difference z in [-L, L].
-
-    Entry z holds the best known profit delta of a partial exchange solution
-    whose added-minus-removed weight equals z, or bottom when no such partial
-    solution is known.  Values live in an int64 numpy array with a large
-    negative sentinel for bottom; instances whose profits could overflow
-    int64 use an object array holding plain ints and float("-inf").
-    """
-
-    __slots__ = ("half_size", "values")
-
-    def __init__(self, half_size: int, dtype=np.int64):
-        if half_size < 0:
-            raise ValueError("half_size must be >= 0")
-        self.half_size = half_size
-        if dtype == np.int64:
-            self.values = np.full(2 * half_size + 1, NEG_SENTINEL, dtype=np.int64)
-        else:
-            self.values = np.full(2 * half_size + 1, BOTTOM, dtype=object)
-
-    @property
-    def is_object(self) -> bool:
-        return self.values.dtype == object
-
-    def _slot(self, z: int) -> int:
-        if not -self.half_size <= z <= self.half_size:
-            raise IndexError(f"index {z} outside [-{self.half_size}, {self.half_size}]")
-        return z + self.half_size
-
-    def get(self, z: int):
-        v = self.values[self._slot(z)]
-        if self.is_object:
-            return v
-        v = int(v)
-        return BOTTOM if v < NEG_THRESHOLD else v
-
-    def set(self, z: int, value) -> None:
-        slot = self._slot(z)
-        if is_bottom(value):
-            self.values[slot] = BOTTOM if self.is_object else NEG_SENTINEL
-        else:
-            self.values[slot] = value
-
-    def indices(self):
-        return range(-self.half_size, self.half_size + 1)
-
-    def finite_items(self):
-        for z in self.indices():
-            v = self.get(z)
-            if not is_bottom(v):
-                yield z, v
-
-
-def dp_resize(table: DpTable, new_half_size: int) -> DpTable:
-    """Grow (pad with bottom) or shrink (drop out-of-range entries) a table."""
-    out = DpTable(new_half_size, dtype=object if table.is_object else np.int64)
-    lo = -min(table.half_size, new_half_size)
-    hi = min(table.half_size, new_half_size)
-    src = slice(lo + table.half_size, hi + table.half_size + 1)
-    dst = slice(lo + new_half_size, hi + new_half_size + 1)
-    out.values[dst] = table.values[src]
-    return out

@@ -16,9 +16,10 @@ Stage one has two interchangeable engines.  The ``hinted`` engine follows
 the hint-propagation design: each phase extends the table through the
 hint-set solver and prunes hint sets against the next phase's budget; it is
 the instrumented reference.  The ``dense`` engine folds the same phase
-groups with vectorized shift-max passes over the full scheduled table; it
-considers a superset of the candidates the hinted engine keeps, so it
-reaches the same optimal entries, and it is far faster under an
+groups with vectorized shift-max passes over the table's live span, the
+cells between its outermost finite entries, which pruning (below) keeps
+short.  It considers a superset of the candidates the hinted engine keeps,
+so it reaches the same optimal entries, and it is far faster under an
 interpreter.  Only the hinted engine perturbs profits (``break_ties``) and
 orders, partitions and folds the perturbed instance, recovering the
 original total at the end.  The dense engine orders the original items by

@@ -106,6 +106,17 @@ def test_capacity_dp_fallback_refuses_before_allocating(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+def test_capacity_dp_row_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # two int32 rows of 71 cells take 568 bytes, over the lowered budget
+    import knapsolve.baselines
+
+    monkeypatch.setattr(knapsolve.baselines, "ROW_BYTE_BUDGET", 567)
+    path = write(tmp_path, "short.txt", "2 70\n50 7\n60 9\n")
+    for solver in ("fast", "bellman"):
+        assert main(["solve", path, "--solver", solver]) == 3
+        assert "refused:" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic_and_round_trips(tmp_path, capsys):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"
@@ -168,6 +179,29 @@ def test_bench_rejects_bad_arguments(capsys):
 def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_selftest_full_run(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok random (300 checks)",
+        "ok tie-heavy (300 checks)",
+    ]
+
+
+def test_selftest_reports_a_wrong_solver(capsys, monkeypatch):
+    import knapsolve.selftest
+
+    def off_by_one(items, capacity):
+        return knapsolve.selftest.solve_exhaustive(items, capacity) + 1
+
+    solvers = dict(knapsolve.selftest.SOLVERS)
+    solvers["proximity"] = off_by_one
+    monkeypatch.setattr(knapsolve.selftest, "SOLVERS", tuple(solvers.items()))
+    assert main(["selftest", "--quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("FAIL ") and "proximity gave" in line for line in lines)
 
 
 def test_module_entry_point(tmp_path):

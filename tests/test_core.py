@@ -1,4 +1,4 @@
-"""Instance model: normalization, tie-breaking, greedy split, DP tables."""
+"""Instance model: normalization, tie-breaking, greedy split, cell widths."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,7 @@ import pytest
 
 from knapsolve import (
     BOTTOM,
-    DpTable,
     break_ties,
-    dp_resize,
     greedy_split,
     is_bottom,
     normalize,
@@ -129,7 +127,7 @@ def test_greedy_split_frozen_example():
     inst = normalize([(2, 30), (3, 40), (5, 50)], 6)
     split = greedy_split(inst)
     assert split.break_index == 2
-    assert split.in_greedy == [True, True, False]
+    assert split.in_greedy.tolist() == [True, True, False]
     assert split.greedy_weight == 5
     assert split.greedy_profit == 70
 
@@ -139,9 +137,8 @@ def test_greedy_split_rank_order_within_class():
     # outside and must be ranked 1,2,3 by decreasing profit
     inst = normalize([(1, 100), (3, 9), (3, 7), (3, 5)], 3)
     split = greedy_split(inst)
-    assert split.in_greedy == [True, False, False, False]
+    assert split.in_greedy.tolist() == [True, False, False, False]
     assert split.add_candidates[3] == [1, 2, 3]
-    assert [split.rank[i] for i in (1, 2, 3)] == [1, 2, 3]
 
 
 def test_greedy_split_weight_window():
@@ -191,24 +188,24 @@ def test_greedy_split_order_matches_exact_ratios():
                 for k in [rng.randint(1, max(1, w_max // w))]
             ]
         inst = normalize(items, sum(w for w, _ in items) - 1)
-        assert greedy_split(inst).order == ratio_order(inst)
+        assert greedy_split(inst).order.tolist() == ratio_order(inst)
         primed = break_ties(inst)
-        assert greedy_split(primed).order == ratio_order(primed)
+        assert greedy_split(primed).order.tolist() == ratio_order(primed)
 
 
 def test_greedy_split_breaks_ties_by_index():
     inst = normalize([(2, 4), (3, 6), (4, 1)], 5)  # 4/2 == 6/3
     split = greedy_split(inst)
-    assert split.order == ratio_order(inst) == [0, 1, 2]
-    assert split.in_greedy == [True, True, False]
+    assert split.order.tolist() == ratio_order(inst) == [0, 1, 2]
+    assert split.in_greedy.tolist() == [True, True, False]
     # duplicates inside one weight class rank by index on both sides
     split = greedy_split(normalize([(3, 5), (1, 9), (3, 5), (3, 5), (3, 5)], 7))
-    assert split.order == [1, 0, 2, 3, 4]
+    assert split.order.tolist() == [1, 0, 2, 3, 4]
     assert split.remove_candidates[3] == [0, 2]
     assert split.add_candidates[3] == [3, 4]
     # ratios 1/999 and 1/1000 differ by about 1e-6 and must stay distinct
     split = greedy_split(normalize([(999, 1), (1000, 1), (1, 1)], 1000))
-    assert split.order == [2, 0, 1]
+    assert split.order.tolist() == [2, 0, 1]
 
 
 def test_bottom_arithmetic():
@@ -216,40 +213,3 @@ def test_bottom_arithmetic():
     assert max(BOTTOM, -3) == -3
     assert BOTTOM < -(10**30)
 
-
-def test_dp_table_get_set():
-    table = DpTable(3)
-    assert all(is_bottom(table.get(z)) for z in table.indices())
-    table.set(-2, 7)
-    table.set(3, -4)
-    assert table.get(-2) == 7
-    assert table.get(3) == -4
-    table.set(-2, BOTTOM)
-    assert is_bottom(table.get(-2))
-    with pytest.raises(IndexError):
-        table.get(4)
-
-
-def test_dp_resize_grow_shrink_identity():
-    table = DpTable(0)
-    table.set(0, 0)
-    grown = dp_resize(table, 3)
-    assert grown.get(0) == 0
-    assert sum(1 for _ in grown.finite_items()) == 1
-
-    table = DpTable(3)
-    table.set(2, 5)
-    shrunk = dp_resize(table, 1)
-    assert all(is_bottom(shrunk.get(z)) for z in shrunk.indices())
-
-    table.set(0, 1)
-    same = dp_resize(table, 3)
-    assert list(same.finite_items()) == list(table.finite_items())
-
-
-def test_dp_table_object_dtype_holds_big_ints():
-    table = DpTable(2, dtype=object)
-    big = 1 << 90
-    table.set(1, big)
-    assert table.get(1) == big
-    assert is_bottom(table.get(0))

@@ -1,0 +1,49 @@
+"""The package's public surface: every exported name resolves, nothing else lingers."""
+
+import inspect
+
+import knapsolve
+import knapsolve.core
+import knapsolve.smawk
+
+
+def defined_in(module):
+    """Public functions and classes a module defines itself."""
+    return {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+
+
+def test_every_exported_name_resolves():
+    assert len(set(knapsolve.__all__)) == len(knapsolve.__all__)
+    for name in knapsolve.__all__:
+        assert hasattr(knapsolve, name), name
+
+
+def test_no_public_name_outside_all():
+    # a retired name left imported in the package would show up here
+    public = {
+        name
+        for name, obj in vars(knapsolve).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert public == set(knapsolve.__all__)
+
+
+def test_modules_define_only_the_live_building_blocks():
+    assert defined_in(knapsolve.smawk) == {"row_maxima"}
+    assert defined_in(knapsolve.core) == {
+        "GreedySplit",
+        "Instance",
+        "Item",
+        "break_ties",
+        "cell_dtype",
+        "greedy_split",
+        "is_bottom",
+        "normalize",
+        "recover_profit",
+    }

@@ -55,19 +55,16 @@ def reference_split(items, capacity, w_max):
         used += items[i][0]
         profit += items[i][1]
         in_greedy[i] = True
-    rank = [0] * n
     add, remove = {}, {}
     for i in range(n):
         (remove if in_greedy[i] else add).setdefault(items[i][0], []).append(i)
     for side, sign in ((add, -1), (remove, +1)):
         for w, members in side.items():
             members.sort(key=lambda i: (sign * items[i][1], i))
-            for r, i in enumerate(members, 1):
-                rank[i] = r
             side[w] = members[: 2 * w_max]
     return {
         "order": order, "break_index": break_index, "in_greedy": in_greedy,
-        "rank": rank, "greedy_weight": used, "greedy_profit": profit,
+        "greedy_weight": used, "greedy_profit": profit,
         "add_candidates": add, "remove_candidates": remove,
     }
 
@@ -127,8 +124,10 @@ def check_against_reference(raw_items, capacity, perturbed=False, constant=2.0):
     split = greedy_split(inst)
     want = reference_split(kept, capacity, w_max)
     for name, value in want.items():
-        assert getattr(split, name) == value, name
-    assert all(type(v) is int for v in split.order + split.rank)
+        got = getattr(split, name)
+        assert (got.tolist() if name in ("order", "in_greedy") else got) == value, name
+    for side in (split.add_candidates, split.remove_candidates):
+        assert all(type(v) is int for members in side.values() for v in members)
 
     part = weight_partition(inst, split, constant)
     s, layers, cumulative, layer_of = reference_layers(

@@ -1,17 +1,10 @@
-"""Tall-matrix row maxima, concave (max,+) convolution, weight-class folds."""
+"""Tall-matrix row maxima."""
 
 import random
 
 import pytest
 
-from knapsolve import (
-    BOTTOM,
-    DpTable,
-    batch_update_weight_class,
-    concave_maxplus_conv,
-    is_bottom,
-    row_maxima,
-)
+from knapsolve import BOTTOM, is_bottom, row_maxima
 
 
 def breakpoints_to_argmax(breaks, nrows):
@@ -82,123 +75,3 @@ def test_row_maxima_matches_naive_on_random_matrices():
             nrows, ncols, value
         )
 
-
-def test_conv_frozen_examples():
-    assert concave_maxplus_conv([0, 1], [0, 5, 7]) == [0, 5, 7, 8]
-    assert concave_maxplus_conv([BOTTOM, 0], [0, 2]) == [BOTTOM, 0, 2]
-    a = [3, BOTTOM, -1, 4]
-    assert concave_maxplus_conv(a, [0]) == a  # neutral element
-
-
-def test_conv_argmax_is_consistent():
-    a = [0, BOTTOM, 2]
-    b = [0, 4, 5]
-    c, arg = concave_maxplus_conv(a, b, with_argmax=True)
-    for i, v in enumerate(c):
-        if is_bottom(v):
-            continue
-        j = arg[i]
-        assert 0 <= i - j < len(b)
-        assert a[j] + b[i - j] == v
-
-
-def naive_conv(a, b):
-    out = []
-    for i in range(len(a) + len(b) - 1):
-        best = BOTTOM
-        for j in range(max(0, i - len(b) + 1), min(i, len(a) - 1) + 1):
-            if is_bottom(a[j]):
-                continue
-            best = max(best, a[j] + b[i - j])
-        out.append(best)
-    return out
-
-
-def test_conv_matches_naive_on_random_sequences():
-    rng = random.Random(90210)
-    for _ in range(250):
-        n = rng.randint(1, 24)
-        m = rng.randint(1, 24)
-        a = [
-            BOTTOM if rng.random() < 0.3 else rng.randint(-50, 50) for _ in range(n)
-        ]
-        incs = sorted((rng.randint(-8, 8) for _ in range(m - 1)), reverse=True)
-        b = [rng.randint(-20, 20)]
-        for d in incs:
-            b.append(b[-1] + d)
-        assert concave_maxplus_conv(a, b) == naive_conv(a, b)
-
-
-def test_conv_rejects_non_concave_or_bottom_b():
-    with pytest.raises((AssertionError, ValueError)):
-        concave_maxplus_conv([0], [0, 1, 3])  # increments increase
-    with pytest.raises((AssertionError, ValueError)):
-        concave_maxplus_conv([0], [0, BOTTOM])
-
-
-def singleton_table(value=0):
-    t = DpTable(0)
-    t.set(0, value)
-    return t
-
-
-def test_batch_update_add_direction_example():
-    # two copies of a weight-2 item class with marginal profits 5 then 3
-    out = batch_update_weight_class(singleton_table(), 2, [0, 5, 8], 4, 1)
-    assert dict(out.finite_items()) == {0: 0, 2: 5, 4: 8}
-
-
-def test_batch_update_empty_class_is_resize():
-    t = DpTable(1)
-    t.set(1, 9)
-    out = batch_update_weight_class(t, 3, [0], 2, 1)
-    assert out.half_size == 2
-    assert dict(out.finite_items()) == {1: 9}
-
-
-def test_batch_update_remove_direction_example():
-    out = batch_update_weight_class(singleton_table(), 3, [0, -4], 3, -1)
-    assert dict(out.finite_items()) == {0: 0, -3: -4}
-
-
-def test_batch_update_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        batch_update_weight_class(singleton_table(), 2, [0, 1], 3, 0)
-    with pytest.raises(ValueError):
-        batch_update_weight_class(singleton_table(), 2, [1, 2], 3, 1)
-
-
-def naive_batch_update(table, weight, prefix, new_half, direction):
-    out = DpTable(new_half)
-    for z, v in table.finite_items():
-        for x in range(len(prefix)):
-            nz = z + direction * x * weight
-            if -new_half <= nz <= new_half:
-                cand = v + prefix[x]
-                cur = out.get(nz)
-                if is_bottom(cur) or cand > cur:
-                    out.set(nz, cand)
-    return out
-
-
-def test_batch_update_matches_naive_on_random_classes():
-    rng = random.Random(5150)
-    for _ in range(200):
-        half = rng.randint(0, 7)
-        t = DpTable(half)
-        for z in t.indices():
-            if rng.random() < 0.5:
-                t.set(z, rng.randint(-30, 30))
-        if is_bottom(t.get(0)) and rng.random() < 0.8:
-            t.set(0, 0)
-        weight = rng.randint(1, 5)
-        cap = rng.randint(0, 4)
-        incs = sorted((rng.randint(-12, 12) for _ in range(cap)), reverse=True)
-        prefix = [0]
-        for d in incs:
-            prefix.append(prefix[-1] + d)
-        new_half = rng.randint(half, half + weight * cap + 2)
-        direction = rng.choice((1, -1))
-        got = batch_update_weight_class(t, weight, prefix, new_half, direction)
-        want = naive_batch_update(t, weight, prefix, new_half, direction)
-        assert dict(got.finite_items()) == dict(want.finite_items())

@@ -24,6 +24,7 @@ from knapsolve import (
     weight_partition,
 )
 from knapsolve.core import INT32_VALUE_CAP, INT64_VALUE_CAP, cell_dtype
+from knapsolve.selftest import SOLVERS, TIE_SHAPES, tie_heavy_items
 from knapsolve.solver import (
     _TILE,
     _Bound,
@@ -128,55 +129,27 @@ def test_all_solvers_agree_on_random_instances():
         items = random_items(rng, equal_weights=trial % 4 == 0)
         capacity = rng.randint(0, sum(w for w, _ in items))
         want = solve_exhaustive(items, capacity)
-        assert solve_bellman(items, capacity) == want
-        assert solve_fast(items, capacity) == want
-        assert solve_fast(items, capacity, SolverConfig(engine="hinted")) == want
-        assert solve_proximity_smawk(items, capacity) == want
-
-
-def tie_heavy_items(rng, shape):
-    """A small instance whose greedy order has many efficiency ties."""
-    n = rng.randint(2, 14)
-    if shape == "equal-efficiency":
-        rate = rng.randint(1, 5)
-        return [(w, rate * w) for w in (rng.randint(1, 10) for _ in range(n))]
-    if shape == "few-ratios":
-        bases = [(rng.randint(1, 4), rng.randint(1, 9)) for _ in range(2)]
-        return [
-            (w * k, p * k)
-            for w, p in (rng.choice(bases) for _ in range(n))
-            for k in [rng.randint(1, 3)]
-        ]
-    if shape == "duplicates":
-        bases = [(rng.randint(1, 10), rng.randint(1, 30)) for _ in range(rng.randint(1, 3))]
-        return [rng.choice(bases) for _ in range(n)]
-    return [(1, rng.randint(1, 4)) for _ in range(n)]  # w_max = 1
-
-
-TIE_SOLVERS = (
-    ("dense", solve_fast),
-    ("hinted", lambda items, t: solve_fast(items, t, SolverConfig(engine="hinted"))),
-    ("proximity", solve_proximity_smawk),
-)
+        for name, solver in SOLVERS:
+            assert solver(items, capacity) == want, (name, items, capacity)
 
 
 def test_tie_heavy_differential_sweep():
     rng = random.Random(4401)
     checked = 0
     for trial in range(200):
-        shape = ("equal-efficiency", "few-ratios", "duplicates", "unit-weights")[trial % 4]
+        shape = TIE_SHAPES[trial % 4]
         items = tie_heavy_items(rng, shape)
         total = sum(w for w, _ in items)
         for capacity in (0, total - 1, rng.randint(0, total)):
             want = solve_exhaustive(items, capacity)
-            for name, solver in TIE_SOLVERS:
+            for name, solver in SOLVERS:
                 assert solver(items, capacity) == want, (name, shape, items, capacity)
             checked += 1
     # at n = 4w hard-equal-weights puts most items in a few equal-weight classes
     for w_max, seed in ((8, 1), (8, 2), (16, 3), (32, 4), (64, 5), (128, 6)):
         items, capacity = generate_instance(4 * w_max, w_max, 32, 0.5, seed, "hard-equal-weights")
         want = solve_bellman(items, capacity)
-        for name, solver in TIE_SOLVERS:
+        for name, solver in SOLVERS:
             if name != "hinted" or w_max <= 16:
                 assert solver(items, capacity) == want, (name, w_max, seed)
         checked += 1
@@ -216,6 +189,28 @@ def test_proximity_table_budget():
 def test_bellman_cell_budget():
     with pytest.raises(BudgetExceededError):
         solve_bellman([(2, 3), (3, 4)], 4, cell_budget=2)
+
+
+def test_capacity_dp_row_byte_budget(monkeypatch):
+    # a few items under a huge capacity pass the cell budget with rows far
+    # larger than memory; the capacity DP must refuse them before allocating.
+    # Both instances run at capacity 70: two int32 rows of 71 cells, 568 bytes
+    import knapsolve.baselines
+
+    fallback = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
+    structured = [(5, k) for k in range(1, 20)]
+    calls = (
+        lambda: solve_bellman(fallback, 70),
+        lambda: solve_fast(fallback, 70),
+        lambda: solve_fast(structured, 70, SolverConfig(verify=True)),
+    )
+    monkeypatch.setattr(knapsolve.baselines, "ROW_BYTE_BUDGET", 567)
+    for call in calls:
+        with pytest.raises(BudgetExceededError, match="568 bytes, over the budget of 567"):
+            call()
+    assert solve_fast(structured, 70) == solve_exhaustive(structured, 70)
+    monkeypatch.setattr(knapsolve.baselines, "ROW_BYTE_BUDGET", 568)
+    assert [call() for call in calls] == [9, 9, solve_exhaustive(structured, 70)]
 
 
 def test_capacity_dp_paths_normalize_once(monkeypatch):
