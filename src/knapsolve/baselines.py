@@ -3,7 +3,7 @@
 Both are oracles for the fast solver.  ``solve_bellman`` is the classic
 O(n * t) table, vectorized over capacities; it refuses instances whose
 table would exceed an explicit cell budget, or whose two rows would exceed
-a fixed byte budget, instead of thrashing.
+``TABLE_BYTE_BUDGET``, instead of thrashing.
 ``solve_exhaustive`` is exact for up to 40 items and can also report a
 witness subset, which the property tests use to validate solution
 structure, not just values.
@@ -18,13 +18,22 @@ import numpy as np
 from .core import Instance, _integer, cell_dtype, normalize
 
 DEFAULT_CELL_BUDGET = 600_000_000_000
-# bytes the capacity DP's two rows may take; a short instance with a huge
-# capacity passes the cell budget with rows far larger than memory
-ROW_BYTE_BUDGET = 2 << 30
+# bytes one solver table may take: the capacity DP's two rows, or a fold
+# table.  A short instance with a huge capacity passes the cell budget with
+# rows far larger than memory, and a fold table may grow to 4 w_max^2 cells
+TABLE_BYTE_BUDGET = 2 << 30
 
 
 class BudgetExceededError(RuntimeError):
     """The requested computation is larger than the caller allowed."""
+
+
+def check_table_bytes(what: str, nbytes: int) -> None:
+    """Refuse a table of ``nbytes`` bytes past ``TABLE_BYTE_BUDGET``, before it is allocated."""
+    if nbytes > TABLE_BYTE_BUDGET:
+        raise BudgetExceededError(
+            f"{what} {nbytes} bytes, over the budget of {TABLE_BYTE_BUDGET}"
+        )
 
 
 def solve_bellman(raw_items, capacity, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
@@ -45,11 +54,7 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
     # cells are nonnegative and bounded by the profit total, so the narrowest
     # sufficient dtype is safe; narrower cells mean fewer bytes per pass
     dtype = cell_dtype(int(inst.profits.sum()))
-    row_bytes = 2 * (t + 1) * np.dtype(dtype).itemsize
-    if row_bytes > ROW_BYTE_BUDGET:
-        raise BudgetExceededError(
-            f"table rows need {row_bytes} bytes, over the budget of {ROW_BYTE_BUDGET}"
-        )
+    check_table_bytes("table rows need", 2 * (t + 1) * np.dtype(dtype).itemsize)
     if stats is not None:
         stats.note_table(t + 1)
     dp = np.zeros(t + 1, dtype=dtype)

@@ -103,6 +103,7 @@ def cmd_solve(args) -> int:
         print(
             f"# engine={stats.engine or args.solver} "
             f"peak_table_cells={stats.peak_table_cells} "
+            f"passes={stats.fold_passes} "
             f"cells_pruned={stats.cells_pruned}",
             file=sys.stderr,
         )

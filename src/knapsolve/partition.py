@@ -1,4 +1,4 @@
-"""Structural partitions driving the two solver stages.
+"""Structural partitions driving the hinted engine's two stages.
 
 Weights are split into layers W_1, ..., W_s by distance from the greedy
 break point in the efficiency order: layer j collects the distinct weights
@@ -103,7 +103,8 @@ class RankPartition:
     ``slack`` is the capacity the greedy set leaves unused.  The frontiers
     map every weight class, in all layers, to its rank-1 item per side: the
     best item to add and the cheapest to remove.  They bound what any fold
-    step can still gain, which the dense engine's pruning uses.
+    step can still gain, which the legacy ``first_stage_dense`` prunes with;
+    no solve path reads ``slack`` or the frontiers any more.
     """
 
     phase_count: int

@@ -2,10 +2,12 @@
 
 Every solver in ``SOLVERS`` must return ``solve_exhaustive``'s answer on
 seeded small instances: uniformly random ones, and tie-heavy ones whose
-greedy order is full of equal efficiencies.  Each instance is solved at
-capacity 0, at its total weight minus one and at a random capacity.  The
-test suite checks the same table, so a field install can prove the solvers
-the tests prove, without the development test tree.
+greedy order is full of equal efficiencies, among them small versions of
+Pisinger's hard families (even weights, p = 3w + {0, 1}, spanner
+multiples).  Each instance is solved at capacity 0, at its total weight
+minus one and at a random capacity.  The test suite checks the same table,
+so a field install can prove the solvers the tests prove, without the
+development test tree.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ SOLVERS = (
     ("proximity", solve_proximity_smawk),
 )
 
-TIE_SHAPES = ("equal-efficiency", "few-ratios", "duplicates", "unit-weights")
+TIE_SHAPES = (
+    "equal-efficiency",
+    "few-ratios",
+    "duplicates",
+    "unit-weights",
+    "even-odd",
+    "near-equal",
+    "spanner",
+)
 
 
 def random_items(rng):
@@ -46,6 +56,21 @@ def tie_heavy_items(rng, shape):
     if shape == "duplicates":
         bases = [(rng.randint(1, 10), rng.randint(1, 30)) for _ in range(rng.randint(1, 3))]
         return [rng.choice(bases) for _ in range(n)]
+    if shape == "even-odd":
+        # even weights, so the odd capacity total - 1 cannot be filled
+        # exactly
+        extra = rng.randint(0, 2)
+        return [(w, w + extra) for w in (2 * rng.randint(1, 5) for _ in range(n))]
+    if shape == "near-equal":
+        return [(w, 3 * w + rng.randint(0, 1)) for w in (rng.randint(1, 10) for _ in range(n))]
+    if shape == "spanner":
+        # small multiples of two strongly correlated base items
+        bases = [(w, w + 1) for w in (rng.randint(1, 4) for _ in range(2))]
+        return [
+            (k * w, k * p)
+            for w, p in (rng.choice(bases) for _ in range(n))
+            for k in [rng.randint(1, 4)]
+        ]
     return [(1, rng.randint(1, 4)) for _ in range(n)]  # w_max = 1
 
 

@@ -2,62 +2,66 @@
 
 ``solve_fast`` answers a 0-1 knapsack instance in time near-linear in n and
 polynomial in the largest item weight, by searching exchange solutions
-around the greedy prefix:
+around the greedy prefix.  Its default (``dense``) path is:
 
 1. normalize, and sort items by efficiency, ties by index, to find the
-   greedy prefix and its break point,
-2. split weights into layers around the greedy break point,
-3. stage one: fold the innermost layer into a difference-indexed DP table,
-   phase by dyadic rank phase, growing the table per the phase schedule,
-4. stage two: fold the outer layers while shrinking the table, and read the
-   best feasible entry off the final table.
+   greedy prefix, its break point and the leftover capacity (the slack);
+2. the core fold: fold the candidate items one at a time, outward from the
+   break, into a difference-indexed table (index = added minus removed
+   weight), pruning as the core grows, and read the answer as the greedy
+   profit plus the best entry at index <= slack.
 
-Stage one has two interchangeable engines.  The ``hinted`` engine follows
-the hint-propagation design: each phase extends the table through the
-hint-set solver and prunes hint sets against the next phase's budget; it is
-the instrumented reference.  The ``dense`` engine folds the same phase
-groups with vectorized shift-max passes over the table's live span, the
-cells between its outermost finite entries, which pruning (below) keeps
-short.  It considers a superset of the candidates the hinted engine keeps,
-so it reaches the same optimal entries, and it is far faster under an
-interpreter.  Only the hinted engine perturbs profits (``break_ties``) and
-orders, partitions and folds the perturbed instance, recovering the
-original total at the end.  The dense engine orders the original items by
-exact efficiency, ties by index, and folds the original profits, which
-keeps table cells narrow and makes the greedy profit plus the best window
-entry the answer directly.
+The core fold alternates the next item to add (the add side: items after
+the break, by decreasing efficiency) with the next item to remove (the
+remove side: the greedy prefix backwards, by increasing efficiency); once
+one side is used up it takes the other.  Only candidates are folded: the
+2 * w_max best ranks per weight class and side, which hold every optimal
+exchange.  Each item is one vectorized shift-max pass over the table's live
+span, the cells between its outermost finite entries.  The table starts at
+half-size max(w_max, slack + 1) and doubles before a pass would reach past
+it, up to 2 * w_max^2, which every partial sum of an optimal exchange stays
+within.
 
-Both engines hand stage two a ``_DenseFold``; stage two, and the flat
-proximity solver, fold weight classes and read the answer through it alone.
+Every eight passes the fold prunes (Pisinger's minknap reduction, with
+rates that tighten as the core grows).  LB is the best entry at z <= slack
+and LB's cell its lowest such index; it is a feasible exchange, so the
+optimum is at least LB.  The items still to fold are no more efficient than
+the next add item (wa, pa), and no less efficient than the next remove item
+(wr, pr).  Every reachable index is a multiple of g, the gcd of the
+candidate weights, so an exchange ends at an index <= s_g = g * (slack // g).
+A completion from cell z thus gains at most (pa / wa) * (s_g - z) for
+z <= slack and (pr / wr) * (s_g - z) above.  Profits are integers, so a
+cell that cannot pass LB + 1 is dropped, ties with LB included, except
+LB's cell itself; with no remove item left every cell above the slack is
+dropped.  When only LB's cell survives and pa * (s_g - z_LB) < wa (always,
+once the add side is used up), nothing can beat LB and the fold stops.
+Object cells, and tables whose bound could overflow int64, fold unpruned.
 
-The dense stage one also prunes (Pisinger's minknap reduction, with two
-rates).  Let LB be the best entry at z <= slack, slack being the capacity
-the greedy set leaves; it is a feasible exchange, so the optimum is at
-least LB.  Every item still to fold is either added at efficiency at most
-ea, the best over add-side candidates, or removed at efficiency at least
-er, the worst over remove-side candidates.  So when ea <= er no completion
-lifts cell z above q[z] + ea * (slack - z) for z <= slack, or above
-q[z] + er * (slack - z) for z > slack.  Every eight class updates, cells
-whose bound falls short of LB become bottom and the live span shrinks to
-the survivors; pass cost follows that span.  On the efficiency order
-``solve_fast`` builds, every greedy item is at least as efficient as every
-item outside, so ea <= er always.  A caller that builds the partitions on
-a perturbed order can see ea > er, because ``break_ties`` does not keep
-the original efficiency order: on the (weight, profit) items
-[(5, 7), (5, 8), (2, 3)] with capacity 6 its greedy set is {(2, 3)}
-(efficiency 1.5) while (5, 8) (efficiency 1.6) lies outside it.  The bound
-is then unsafe and pruning is skipped.  The hinted engine and the
-proximity solver fold unpruned and stay independent references.
+The ``hinted`` engine runs the paper's phased algorithm on an instance
+perturbed by ``break_ties``: weight layers around the break, dyadic rank
+phases through the hint-set solver (stage one, ``first_stage_hinted``),
+the outer layers folded while the table shrinks (``second_stage``), and
+the original total recovered at the end.  It is the instrumented reference.
+``solve_proximity_smawk`` folds every candidate class in one fixed table of
+half-size 2 * w_max^2, unpruned: the simplest reference.  All of them fold
+through ``_DenseFold``, which refuses a table past
+``baselines.TABLE_BYTE_BUDGET`` before allocating it.
+
+``first_stage_dense``, ``_prune_bound``, ``_Bound`` and
+``_DenseFold.prune`` are the earlier dense stage one (class-order phases,
+with fixed rates that keep ties); no solve path calls them any more.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import hinted
-from .baselines import BudgetExceededError, _capacity_dp
+from .baselines import BudgetExceededError, _capacity_dp, check_table_bytes
 from .core import (
     BOTTOM,
     NEG_SENTINEL,
@@ -94,12 +98,13 @@ class Stats:
     """Work counters a solve populates when passed in."""
 
     peak_table_cells: int = 0
-    phases_run: int = 0
+    # item passes the dense path's core fold ran before it stopped
+    fold_passes: int = 0
     engine: str = ""
     fallback: bool = False
     extend: ExtendStats = field(default_factory=ExtendStats)
     best_index: int | None = None
-    # live-span slots the dense stage one's bound dropped, over all prunes
+    # live-span slots the core fold's bound dropped, over all prunes
     cells_pruned: int = 0
 
     def note_table(self, cells: int) -> None:
@@ -111,11 +116,11 @@ class Stats:
 class SolverConfig:
     """Tuning knobs; defaults match the analysis constants.
 
-    ``constant`` scales every structural bound (layer windows, phase table
-    sizes, hint budgets).  ``engine`` picks the stage-one implementation:
-    "auto" resolves to the vectorized dense engine, which wins at every
-    practical scale under CPython; "hinted" forces the hint-propagating
-    engine.  ``verify`` cross-checks the final answer against the capacity
+    ``constant`` scales every structural bound of the hinted engine (layer
+    windows, phase table sizes, hint budgets).  ``engine`` picks the path:
+    "auto" resolves to the dense path, the pruned core fold, which wins at
+    every practical scale under CPython; "hinted" forces the
+    hint-propagating engine.  ``verify`` cross-checks the final answer against the capacity
     DP and raises ``VerificationError`` on mismatch.
     """
 
@@ -176,6 +181,8 @@ class _DenseFold:
     ``dtype`` may be int64 (default), int32 (for instances whose profit
     total fits INT32_VALUE_CAP, with proportionally scaled sentinels), or
     ``object`` (plain ints and float bottom, for totals past int64 range).
+    A table past ``baselines.TABLE_BYTE_BUDGET`` is refused with
+    ``BudgetExceededError`` before it is allocated.
     """
 
     __slots__ = (
@@ -184,6 +191,7 @@ class _DenseFold:
 
     def __init__(self, half: int, dtype=np.int64):
         size = 2 * half + 1
+        check_table_bytes("fold table needs", size * np.dtype(dtype).itemsize)
         self.is_object = dtype == object
         if self.is_object:
             self.sentinel = self.threshold = BOTTOM
@@ -206,6 +214,7 @@ class _DenseFold:
         if new_half == self.half:
             return
         size = 2 * new_half + 1
+        check_table_bytes("fold table needs", size * self.arr.itemsize)
         delta = new_half - self.half
         lo = min(max(self.lo + delta, 0), size)
         hi = min(max(self.hi + delta, 0), size)
@@ -284,6 +293,7 @@ class _DenseFold:
         failing ``bound`` become bottom and the live span shrinks to the
         survivors; the cell holding LB always survives.  Works tile by tile
         through the bound's int64 scratch.  Returns the slots the span lost.
+        No solve path calls it any more; the core fold prunes with ``cut``.
         """
         arr, half = self.arr, self.half
         split = half + bound.slack + 1  # slots below split have z <= slack
@@ -321,6 +331,56 @@ class _DenseFold:
         self.lo, self.hi = first, last
         return (b - a) - (last - first)
 
+    def cut(self, slack: int, s_g: int, add, remove, scratch) -> int:
+        """Drop every cell no completion can lift above LB, except LB's own.
+
+        LB is the best entry at z <= slack and LB's cell its lowest such
+        slot, which this returns.  ``add`` is the next add item (wa, pa), or
+        (1, 0) when none is left; ``remove`` is the next remove item
+        (wr, pr), or None.  A cell z <= slack survives only if
+        wa*q[z] + pa*(s_g - z) >= wa*(LB + 1), a cell z > slack only if
+        wr*q[z] + pr*(s_g - z) >= wr*(LB + 1), and none above the slack
+        survives when ``remove`` is None.  The live span shrinks to the
+        survivors.  Works tile by tile through ``scratch`` (index ramp,
+        int64 terms, rate ramp and mask tiles, from ``_cut_scratch``);
+        integer cells only, whose compare the caller has checked fits int64.
+        """
+        arr, half = self.arr, self.half
+        split = half + slack + 1  # slots below split have z <= slack
+        a, b = self.lo, self.hi
+        # LB's cell has never been dropped, so some cell at z <= slack is finite
+        pos = a + int(arr[a : min(b, split)].argmax())
+        lb = int(arr[pos])
+        k, wide, ramp, dead_tile = scratch
+        first = last = None
+        for start, stop, rate in ((a, min(b, split), add), (max(a, split), b, remove)):
+            if rate is None:
+                arr[start:stop] = self.sentinel
+                continue
+            w, p = rate
+            # bottom cells are lifted to floor, low enough to fail the bound
+            # anywhere in the table: |s_g - z| <= 2 * half
+            floor = np.int64(lb - p * (2 * half + 1) // w - 2)
+            for off in range(start, stop, k.size):
+                m = min(k.size, stop - off)
+                seg = arr[off : off + m]
+                t = wide[:m]
+                np.maximum(seg, floor, out=t)
+                t *= w
+                t -= np.multiply(k[:m], p, out=ramp[:m])
+                # with the scalar: w*q[z] + p*(s_g - z) < w*(LB + 1)
+                dead = np.less(t, w * (lb + 1) - p * (half + s_g - off), out=dead_tile[:m])
+                if off <= pos < off + m:
+                    dead[pos - off] = False
+                np.copyto(seg, self.sentinel, where=dead)
+                j = int(dead.argmin())
+                if not dead[j]:
+                    if first is None:
+                        first = off + j
+                    last = off + m - int(dead[::-1].argmin())
+        self.lo, self.hi = first, last
+        return pos
+
     def window_best(self, slack: int):
         """Best finite value over indices z <= slack, lowest index on ties."""
         end = self.half + slack + 1
@@ -339,7 +399,8 @@ class _DenseFold:
         return m, pos - self.half
 
 
-# class updates the dense stage one folds between two prunes
+# folds between two prunes: item passes in the core fold, class updates in
+# the legacy first_stage_dense
 _PRUNE_EVERY = 8
 
 # tile of the prune step's int64 scratch (cells), 512 KiB per buffer; at
@@ -362,7 +423,7 @@ class _Bound:
     ``add`` is (wa, pa) and ``remove`` is (wr, pr).  The ramps hold -p*k
     per side, so a tile's term is a scalar plus a ramp; ``wide`` and
     ``dead`` are the per-tile int64 and mask scratch, sized for tables of
-    half-size up to ``half``.
+    half-size up to ``half``.  Only the legacy ``first_stage_dense`` uses it.
     """
 
     __slots__ = ("slack", "add", "remove", "add_ramp", "remove_ramp", "wide", "dead")
@@ -384,7 +445,8 @@ def _prune_bound(profits, rank_part: RankPartition, schedule: PhaseSchedule, dty
     add candidate is more efficient than a remove candidate, and when the
     compare could overflow int64.  ``solve_fast``'s efficiency order never
     has such a pair; partitions built on a ``break_ties`` order, as direct
-    callers may build them, can, and the bound then does not hold.
+    callers may build them, can, and the bound then does not hold.  Only
+    the legacy ``first_stage_dense`` calls it.
     """
     if dtype == object:
         return None
@@ -417,7 +479,8 @@ def first_stage_dense(
     ``profits`` maps item index to the profit value being folded; returns
     the live engine so stage two can keep folding without a table copy.
     Every ``_PRUNE_EVERY`` class updates the fold drops the cells that
-    cannot reach the best feasible entry (see ``_Bound``).
+    cannot reach the best feasible entry (see ``_Bound``).  No solve path
+    calls it any more: the dense path runs the core fold (``_core_fold``).
     """
     eng = _DenseFold(schedule.table_half_sizes[0], dtype)
     bound = _prune_bound(profits, rank_part, schedule, dtype)
@@ -430,7 +493,6 @@ def first_stage_dense(
         eng.resize(schedule.table_half_sizes[j])
         if stats is not None:
             stats.note_table(2 * eng.half + 1)
-            stats.phases_run += 1
         for direction in (+1, -1):
             groups = rank_part.phase_items(direction, j)
             # ascending weights keep the live span growing as slowly as possible
@@ -546,8 +608,6 @@ def first_stage_hinted(
             q, pos_hints, neg_hints = new_q, new_pos, new_neg
             if stats is not None:
                 stats.note_table(size)
-        if stats is not None:
-            stats.phases_run += 1
 
     eng = _DenseFold(half, cell_dtype(sum(profits)))
     finite = [k for k in range(size) if not is_bottom(q[k])]
@@ -611,6 +671,87 @@ def second_stage(
     return base_profit + _best_entry(eng, slack, stats)
 
 
+def _cut_scratch(cells: int):
+    """Tiles for ``_DenseFold.cut`` on tables of up to ``cells`` cells."""
+    size = min(_PRUNE_TILE, cells)
+    return (
+        np.arange(size, dtype=np.int64),
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=bool),
+    )
+
+
+def _core_fold(inst: Instance, split: GreedySplit, stats: Stats | None = None) -> int:
+    """The dense path's answer: fold the candidates outward from the break.
+
+    See the module docstring for the order, the table growth, the prune and
+    the stop rule.  Returns the greedy profit plus the best entry at
+    z <= slack.
+    """
+    is_candidate = np.zeros(inst.n, dtype=bool)
+    is_candidate[
+        list(chain(*split.add_candidates.values(), *split.remove_candidates.values()))
+    ] = True
+    adds = split.order[split.break_index :]
+    adds = adds[is_candidate[adds]]
+    removes = split.order[: split.break_index][::-1]
+    removes = removes[is_candidate[removes]]
+    aw, ap = inst.weights[adds].tolist(), inst.profits[adds].tolist()
+    rw, rp = inst.weights[removes].tolist(), inst.profits[removes].tolist()
+    na, nr = len(aw), len(rw)
+
+    slack = inst.capacity - split.greedy_weight
+    g = math.gcd(*split.add_candidates, *split.remove_candidates)
+    s_g = g * (slack // g)
+    total = int(inst.profits.sum())
+    dtype = cell_dtype(total)
+    cap = 2 * inst.w_max * inst.w_max
+    # every term of the compare stays under (3 w + 8 (cap + 1)) * total
+    prunable = dtype != object and (3 * inst.w_max + 8 * (cap + 1)) * total < 1 << 62
+    scratch = _cut_scratch(2 * cap + 1) if prunable else None
+
+    eng = _DenseFold(min(cap, max(inst.w_max, slack + 1)), dtype)
+    if stats is not None:
+        stats.note_table(2 * eng.half + 1)
+    i = j = passes = 0
+    stop_pos = None
+    while i < na or j < nr:
+        if i < na and (j == nr or passes % 2 == 0):
+            w, p, direction = aw[i], ap[i], 1
+            i += 1
+            reach = eng.hi - 1 - eng.half + w
+        else:
+            w, p, direction = rw[j], -rp[j], -1
+            j += 1
+            reach = eng.half - eng.lo + w
+        if reach > eng.half and eng.half < cap:
+            half = eng.half
+            while half < reach and half < cap:
+                half = min(2 * half, cap)
+            eng.resize(half)
+            if stats is not None:
+                stats.note_table(2 * half + 1)
+        eng.update(w, (0, p), direction)
+        passes += 1
+        if prunable and passes % _PRUNE_EVERY == 0:
+            add = (aw[i], ap[i]) if i < na else (1, 0)
+            span = eng.hi - eng.lo
+            pos = eng.cut(slack, s_g, add, (rw[j], rp[j]) if j < nr else None, scratch)
+            if stats is not None:
+                stats.cells_pruned += span - (eng.hi - eng.lo)
+            if eng.hi - eng.lo == 1 and add[1] * (s_g - (pos - eng.half)) < add[0]:
+                stop_pos = pos
+                break
+    if stats is not None:
+        stats.fold_passes = passes
+    if stop_pos is None:
+        return split.greedy_profit + _best_entry(eng, slack, stats)
+    if stats is not None:
+        stats.best_index = stop_pos - eng.half
+    return split.greedy_profit + int(eng.arr[stop_pos])
+
+
 def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: Stats | None = None) -> int:
     """Optimal total profit, parameterized by the largest item weight.
 
@@ -645,24 +786,21 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
 
 def _solve_structured(inst: Instance, config: SolverConfig, stats: Stats | None) -> int:
     engine = config.resolved_engine()
-    perturbed = engine == "hinted"
-    work = break_ties(inst) if perturbed else inst
+    if stats is not None:
+        stats.engine = engine
+    if engine == "dense":
+        return _core_fold(inst, greedy_split(inst), stats)
+    work = break_ties(inst)
     split = greedy_split(work)
     wpart = weight_partition(work, split, config.constant)
     schedule = phase_schedule(work.w_max, config.constant, len(wpart.innermost))
     rank_part = rank_partition(work, split, wpart.innermost)
-    if stats is not None:
-        stats.engine = engine
-    profits = work.profits.tolist()
-    if perturbed:
-        eng = first_stage_hinted(work, rank_part, schedule, config, wpart.innermost, stats)
-    else:
-        eng = first_stage_dense(profits, rank_part, schedule, stats, cell_dtype(sum(profits)))
+    eng = first_stage_hinted(work, rank_part, schedule, config, wpart.innermost, stats)
     total = second_stage(
         eng, work, split, schedule, wpart.layers, config,
-        profits, split.greedy_profit, stats,
+        work.profits.tolist(), split.greedy_profit, stats,
     )
-    return recover_profit(total, work.tie_break_m, work.w_max) if perturbed else total
+    return recover_profit(total, work.tie_break_m, work.w_max)
 
 
 def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> int:

@@ -77,7 +77,8 @@ def test_solve_stats_go_to_stderr(tmp_path, capsys):
     assert captured.out.strip() == "70"
     assert "engine=" in captured.err
     assert "peak_table_cells=" in captured.err
-    assert "cells_pruned=0" in captured.err
+    # three candidates folded, fewer than one prune's eight passes
+    assert "passes=3 cells_pruned=0" in captured.err
 
 
 def test_solve_verify_flag(tmp_path, capsys):
@@ -110,11 +111,28 @@ def test_capacity_dp_row_budget_exit_code(tmp_path, capsys, monkeypatch):
     # two int32 rows of 71 cells take 568 bytes, over the lowered budget
     import knapsolve.baselines
 
-    monkeypatch.setattr(knapsolve.baselines, "ROW_BYTE_BUDGET", 567)
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 567)
     path = write(tmp_path, "short.txt", "2 70\n50 7\n60 9\n")
     for solver in ("fast", "bellman"):
         assert main(["solve", path, "--solver", solver]) == 3
         assert "refused:" in capsys.readouterr().err
+
+
+def test_fold_table_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # the core fold's first table has half-size 5: 11 int32 cells of 4
+    # bytes; it grows to 41 cells
+    import knapsolve.baselines
+
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 43)
+    path = write(tmp_path, "fold.txt", "4 9\n5 9\n5 8\n4 6\n3 4\n")
+    assert main(["solve", path]) == 3
+    assert "refused: fold table needs 44 bytes, over the budget of 43" in capsys.readouterr().err
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 163)
+    assert main(["solve", path]) == 3
+    assert "fold table needs 164 bytes" in capsys.readouterr().err
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 164)
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out.strip() == "15"
 
 
 def test_gen_is_deterministic_and_round_trips(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """End-to-end solver agreement, engines, fallbacks, stats, and the fold engine."""
 
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from knapsolve.selftest import SOLVERS, TIE_SHAPES, tie_heavy_items
 from knapsolve.solver import (
     _TILE,
     _Bound,
+    _cut_scratch,
     _DenseFold,
     _prune_bound,
     first_stage_dense,
@@ -136,8 +140,8 @@ def test_all_solvers_agree_on_random_instances():
 def test_tie_heavy_differential_sweep():
     rng = random.Random(4401)
     checked = 0
-    for trial in range(200):
-        shape = TIE_SHAPES[trial % 4]
+    for trial in range(50 * len(TIE_SHAPES)):
+        shape = TIE_SHAPES[trial % len(TIE_SHAPES)]
         items = tie_heavy_items(rng, shape)
         total = sum(w for w, _ in items)
         for capacity in (0, total - 1, rng.randint(0, total)):
@@ -153,7 +157,7 @@ def test_tie_heavy_differential_sweep():
             if name != "hinted" or w_max <= 16:
                 assert solver(items, capacity) == want, (name, w_max, seed)
         checked += 1
-    assert checked == 606
+    assert checked == 150 * len(TIE_SHAPES) + 6
 
 
 def test_answer_is_constant_independent():
@@ -204,12 +208,12 @@ def test_capacity_dp_row_byte_budget(monkeypatch):
         lambda: solve_fast(fallback, 70),
         lambda: solve_fast(structured, 70, SolverConfig(verify=True)),
     )
-    monkeypatch.setattr(knapsolve.baselines, "ROW_BYTE_BUDGET", 567)
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 567)
     for call in calls:
         with pytest.raises(BudgetExceededError, match="568 bytes, over the budget of 567"):
             call()
     assert solve_fast(structured, 70) == solve_exhaustive(structured, 70)
-    monkeypatch.setattr(knapsolve.baselines, "ROW_BYTE_BUDGET", 568)
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 568)
     assert [call() for call in calls] == [9, 9, solve_exhaustive(structured, 70)]
 
 
@@ -272,11 +276,13 @@ def test_stats_populated_on_structured_path():
     solve_fast(items, capacity, stats=stats)
     assert stats.engine == "dense"
     assert stats.peak_table_cells > 0
-    assert stats.phases_run >= 1
+    # three add-side and three remove-side candidates, folded in full
+    assert stats.fold_passes == 6
     hinted = Stats()
     solve_fast(items, capacity, SolverConfig(engine="hinted"), hinted)
     assert hinted.engine == "hinted"
     assert hinted.extend.matrix_evals > 0
+    assert hinted.fold_passes == 0
 
 
 def test_repeat_runs_are_deterministic():
@@ -285,7 +291,7 @@ def test_repeat_runs_are_deterministic():
     for _ in range(2):
         stats = Stats()
         got = solve_fast(items, 11, stats=stats)
-        runs.append((got, stats.peak_table_cells, stats.phases_run, stats.engine))
+        runs.append((got, stats.peak_table_cells, stats.fold_passes, stats.engine))
     assert runs[0] == runs[1]
 
 
@@ -419,16 +425,37 @@ def test_int32_fold_at_profit_cap_keeps_bottom_cells():
 # --- bound-based pruning of the dense stage one -------------------------
 
 
-def prune_reference(cells, slack, add, remove):
-    """Cells whose two-rate completion bound reaches the best entry at z <= slack."""
+def prune_reference(cells, slack, add, remove, g=None):
+    """Cells whose two-rate completion bound reaches the best entry at z <= slack.
+
+    Without ``g`` this is ``_DenseFold.prune``'s rule: the bound runs to the
+    slack and a cell whose bound ties LB survives.  With ``g`` it is
+    ``_DenseFold.cut``'s: the bound runs to s_g = g * (slack // g), a cell
+    must reach LB + 1 unless it is LB's own (lowest-index) cell, ``add`` is
+    (1, 0) once the add side is used up, and with ``remove`` None no cell
+    above the slack survives.
+    """
     feasible = [v for z, v in cells.items() if z <= slack]
     if not feasible:
         return dict(cells)
     lb = max(feasible)
-    rate = {True: Fraction(add[1], add[0]), False: Fraction(remove[1], remove[0])}
-    return {
-        z: v for z, v in cells.items() if v + rate[z <= slack] * (slack - z) >= lb
-    }
+    if g is None:
+        rate = {True: Fraction(add[1], add[0]), False: Fraction(remove[1], remove[0])}
+        return {
+            z: v for z, v in cells.items() if v + rate[z <= slack] * (slack - z) >= lb
+        }
+    z_lb = min(z for z, v in cells.items() if z <= slack and v == lb)
+    s_g = g * (slack // g)
+
+    def keep(z, v):
+        if z == z_lb:
+            return True
+        if z > slack and remove is None:
+            return False
+        w, p = add if z <= slack else remove
+        return v + Fraction(p, w) * (s_g - z) >= lb + 1
+
+    return {z: v for z, v in cells.items() if keep(z, v)}
 
 
 def random_bound(rng, half, scale):
@@ -487,6 +514,74 @@ def test_dense_fold_prune_across_tiles():
         eng.lo, eng.hi = 0, 2 * half + 1
         want = check_prune(eng, want, rng, slack, add, remove)
         assert 0 < eng.lo and eng.hi < 2 * half + 1
+
+
+def check_cut(eng, want, rng, slack, g, add, remove):
+    span = eng.hi - eng.lo
+    feasible = {z: v for z, v in want.items() if z <= slack}
+    pos = eng.cut(slack, g * (slack // g), add, remove, _cut_scratch(eng.arr.size))
+    assert pos - eng.half == window_reference(feasible, slack)[1]
+    want = prune_reference(want, slack, add, remove, g)
+    got = finite_cells(eng)
+    assert got == want
+    assert span - (eng.hi - eng.lo) >= 0
+    assert eng.lo == min(got) + eng.half and eng.hi == max(got) + eng.half + 1
+    check_window(eng, want, rng)
+    return want
+
+
+def random_cut(rng, half, scale):
+    """A ``random_bound`` with a gcd, and now and then a side used up."""
+    slack, add, remove = random_bound(rng, half, scale)
+    if rng.random() < 0.2:
+        add = (1, 0)
+    if rng.random() < 0.2:
+        remove = None
+    return slack, rng.randint(1, 4), add, remove
+
+
+def test_dense_fold_cut_matches_reference():
+    rng = random.Random(817)
+    ties = 0
+    for dtype, scale in CELL_TYPES[:2]:
+        for _ in range(150):
+            half = rng.randint(2, 40)
+            eng = _DenseFold(half, dtype)
+            want = {0: 0}
+            for _ in range(rng.randint(1, 8)):
+                weight = rng.randint(1, half)
+                prefix = concave_prefix(rng, rng.randint(0, 4), scale)
+                direction = rng.choice((+1, -1))
+                eng.update(weight, prefix, direction)
+                want = fold_reference(want, half, weight, prefix, direction)
+            slack, g, add, remove = random_cut(rng, half, scale)
+            # a cell on LB's level at z <= slack is a tie the cut must drop
+            lb = max(v for z, v in want.items() if z <= slack)
+            ties += sum(v == lb for z, v in want.items() if z <= slack) > 1
+            want = check_cut(eng, want, rng, slack, g, add, remove)
+            eng.update(1, [0, scale], +1)
+            assert finite_cells(eng) == fold_reference(want, half, 1, [0, scale], +1)
+    assert ties > 0
+
+
+def test_dense_fold_cut_across_tiles():
+    # values along a line between the two rates, with ties to LB, so the cut
+    # meets LB's cell and both span ends in different scratch tiles
+    rng = random.Random(818)
+    half = _TILE + 5000
+    for dtype, scale in CELL_TYPES[:2]:
+        for g, removes_left in ((1, True), (3, False)):
+            slack, add, remove = random_bound(rng, half, scale)
+            slope = (Fraction(*add[::-1]) + Fraction(*remove[::-1])) / 2
+            eng = _DenseFold(half, dtype)
+            eng.arr[half] = eng.sentinel
+            want = {}
+            for k in range(0, 2 * half + 1, 3):
+                z = k - half
+                want[z] = eng.arr[k] = int(slope * z) + rng.randint(-50, 50) * scale
+            eng.lo, eng.hi = 0, 2 * half + 1
+            check_cut(eng, want, rng, slack, g, add, remove if removes_left else None)
+            assert 0 < eng.lo
 
 
 def stage_one_inputs(items, capacity, perturbed=False):
@@ -565,16 +660,19 @@ def test_inverted_efficiencies_skip_pruning():
 
 
 def test_pruning_on_equal_efficiencies():
-    # every cell then lies on the bound, q[z] = rate * z, so pruning runs and
-    # must keep all of them: the bound's ties are kept
+    # every cell then lies on the bound, q[z] = rate * z, so while both
+    # sides have items left only ties to LB can be dropped: once LB is
+    # rate * s_g every other cell ties it, the cut keeps LB's cell alone and
+    # the fold stops before its last candidate.  Keeping ties, it would run
+    # to the end.
     rng = random.Random(813)
     for trial in range(40):
         rate = rng.randint(1, 4)
-        items = [(w, rate * w) for w in (rng.randint(1, 30) for _ in range(80))]
+        items = [(w, rate * w) for w in (rng.randint(1, 30) for _ in range(24))]
         capacity = rng.randint(1, sum(w for w, _ in items) - 1)
-        profits, rank_part, schedule, _ = stage_one_inputs(items, capacity)
-        assert _prune_bound(profits, rank_part, schedule, np.int32) is not None
-        assert check_pruned(items, capacity) == 0
+        stats = Stats()
+        assert solve_fast(items, capacity, stats=stats) == solve_exhaustive(items, capacity)
+        assert stats.cells_pruned > 0 and stats.fold_passes < len(items)
 
 
 def test_pruning_at_capacity_edges():
@@ -630,3 +728,185 @@ def test_pruning_removes_cells_at_scale():
     items, capacity = generate_instance(1024, 256, 32, 0.5, 7, "uniform")
     # proximity folds the same classes unpruned
     assert check_pruned(items, capacity, solve_proximity_smawk(items, capacity)) > 0
+
+
+# --- the dense path's core fold ------------------------------------------
+
+
+def core_fold_reference(items, capacity):
+    """The core fold on a {z: value} dict, with ``prune_reference`` as the cut.
+
+    Returns (answer, fold_passes, peak_table_cells, best_index) for a
+    nontrivial instance with w_max <= n^2, as ``solve_fast`` reports them.
+    """
+    inst = normalize(items, capacity)
+    split = greedy_split(inst)
+    weights, profits = inst.weights.tolist(), inst.profits.tolist()
+    sides = (split.add_candidates, split.remove_candidates)
+    candidates = {i for side in sides for m in side.values() for i in m}
+    order = split.order.tolist()
+    k = split.break_index
+    adds = [(weights[i], profits[i]) for i in order[k:] if i in candidates]
+    removes = [(weights[i], profits[i]) for i in reversed(order[:k]) if i in candidates]
+    slack = inst.capacity - split.greedy_weight
+    g = math.gcd(*(w for w, _ in adds + removes))
+    s_g = g * (slack // g)
+    w_max = inst.w_max
+    cap = 2 * w_max * w_max
+    half = min(cap, max(w_max, slack + 1))
+    peak = 2 * half + 1
+    cells = {0: 0}
+    passes = 0
+    while adds or removes:
+        if adds and (not removes or passes % 2 == 0):
+            (w, p), direction = adds.pop(0), +1
+        else:
+            (w, p), direction = removes.pop(0), -1
+        # grow by doubling until the pass stays inside the table, up to cap
+        reach = max(direction * z for z in cells) + w
+        while reach > half and half < cap:
+            half = min(2 * half, cap)
+        peak = max(peak, 2 * half + 1)
+        cells = fold_reference(cells, half, w, [0, direction * p], direction)
+        passes += 1
+        if passes % 8 == 0:
+            add = adds[0] if adds else (1, 0)
+            cells = prune_reference(cells, slack, add, removes[0] if removes else None, g)
+            if len(cells) == 1:
+                (z_lb, lb), = cells.items()
+                if add[1] * (s_g - z_lb) < add[0]:
+                    return split.greedy_profit + lb, passes, peak, z_lb
+    lb, z_lb = window_reference(cells, slack)
+    return split.greedy_profit + lb, passes, peak, z_lb
+
+
+def test_core_fold_matches_reference():
+    # pins the fold order, the table growth, the rates (the next unfolded
+    # item per side), the cut's cadence and the stop rule, not only answers
+    rng = random.Random(819)
+    stopped = 0
+    shapes = TIE_SHAPES + ("random",)
+    for trial in range(300):
+        shape = shapes[trial % len(shapes)]
+        size = rng.randint(10, 60)
+        items = []
+        while len(items) < size:
+            if shape == "random":
+                items.append((rng.randint(1, 16), rng.randint(1, 40)))
+            else:
+                items += tie_heavy_items(rng, shape)
+        total = sum(w for w, _ in items)
+        capacity = rng.choice((rng.randint(0, total), total // 2, total - 1))
+        inst = normalize(items, capacity)
+        if inst.all_fit or inst.w_max > inst.n * inst.n:
+            continue
+        stats = Stats()
+        got = solve_fast(items, capacity, stats=stats)
+        want = core_fold_reference(items, capacity)
+        assert (got, stats.fold_passes, stats.peak_table_cells, stats.best_index) == want
+        assert got == solve_bellman(items, capacity)
+        split = greedy_split(inst)
+        sides = (split.add_candidates, split.remove_candidates)
+        stopped += stats.fold_passes < sum(len(m) for side in sides for m in side.values())
+    assert stopped > 100
+
+
+def pisinger_instance(family, n, r, seed):
+    """One of Pisinger's hard families ("Where are the hard knapsack problems?",
+    C&OR 32, 2005) at n items and range r, capacity half the total weight
+    (made odd for even-odd)."""
+    rng = random.Random(seed)
+    items = []
+    if family == "spanner":
+        # two strongly correlated spanner items scaled by 2/m, then n
+        # multiples a * (w, p) of them with a in [1, m]
+        m = 10
+        bases = []
+        for _ in range(2):
+            w = rng.randint(1, r)
+            bases.append((-(-2 * w // m), -(-2 * (w + r // 10) // m)))
+        for _ in range(n):
+            w, p = rng.choice(bases)
+            a = rng.randint(1, m)
+            items.append((a * w, a * p))
+    for _ in range(n if family != "spanner" else 0):
+        w = rng.randint(1, r)
+        if family == "subset-sum":
+            p = w
+        elif family == "even-odd":
+            w = 2 * rng.randint(1, r // 2)
+            p = w
+        elif family == "strongly-correlated":
+            p = w + r // 10
+        elif family == "inverse-strongly-correlated":
+            p, w = w, w + r // 10
+        elif family == "profit-ceiling":
+            p = 3 * -(-w // 3)
+        else:  # near-equal
+            p = 3 * w + rng.randint(0, 1)
+        items.append((w, p))
+    capacity = sum(w for w, _ in items) // 2
+    return items, capacity | 1 if family == "even-odd" else capacity
+
+
+PISINGER_FAMILIES = (
+    "subset-sum",
+    "even-odd",
+    "strongly-correlated",
+    "inverse-strongly-correlated",
+    "profit-ceiling",
+    "near-equal",
+    "spanner",
+)
+
+
+def test_pisinger_families_against_bellman():
+    for r, seed in ((8, 1), (16, 2), (64, 3), (128, 4)):
+        for family in PISINGER_FAMILIES:
+            items, capacity = pisinger_instance(family, 4 * r, r, seed)
+            want = solve_bellman(items, capacity)
+            assert solve_fast(items, capacity) == want, (family, r)
+            assert solve_proximity_smawk(items, capacity) == want, (family, r)
+            if r <= 16:
+                hinted = solve_fast(items, capacity, SolverConfig(engine="hinted"))
+                assert hinted == want, (family, r)
+
+
+def test_core_fold_work_on_wide_w():
+    # the benchmark's wide-w instances, n = 4w at w = 1024: each stops after
+    # a few dozen passes on a table far below the 2 w^2 cap
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    calls, _ = workloads.build("wide-w", 1)
+    for call in calls:
+        stats = Stats()
+        solve_fast(call.items, call.capacity, stats=stats)
+        assert stats.fold_passes <= 100 and stats.peak_table_cells <= 300_000, call.label
+
+
+def test_fold_table_byte_budget(monkeypatch):
+    # every fold table is refused before allocation past the byte budget:
+    # the core fold's first table and its growth, proximity's fixed table
+    # and the hinted engine's hand-over to stage two
+    import knapsolve.baselines
+
+    items, capacity = [(5, k) for k in range(1, 20)] + [(1, 1)] * 4, 40
+    stats = Stats()
+    want = solve_fast(items, capacity, stats=stats)
+    first = 2 * 5 + 1  # half-size max(w_max, slack + 1) = 5, int32 cells
+    assert stats.peak_table_cells > first
+    for nbytes, call in (
+        (4 * first, lambda: solve_fast(items, capacity)),
+        (4 * stats.peak_table_cells, lambda: solve_fast(items, capacity)),
+        (4 * (4 * 25 + 1), lambda: solve_proximity_smawk(items, capacity)),
+    ):
+        monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", nbytes - 1)
+        with pytest.raises(BudgetExceededError, match=f"fold table needs {nbytes} bytes"):
+            call()
+    # the hinted engine's perturbed profits take wider cells
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 0)
+    with pytest.raises(BudgetExceededError, match="fold table needs [0-9]+ bytes"):
+        solve_fast(items, capacity, SolverConfig(engine="hinted"))
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 4 * stats.peak_table_cells)
+    assert solve_fast(items, capacity) == want == solve_exhaustive(items, capacity)
