@@ -42,6 +42,27 @@ class InstanceParseError(ValueError):
     pass
 
 
+def _checked(convert, valid, wanted: str):
+    """An argparse type: ``convert`` the text, refusing values that fail ``valid``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# nan fails every compare, so these refuse it too
+_FRACTION = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_POSITIVE_REAL = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+
+
 def parse_instance_text(text: str):
     """Parse "n t" plus n "w p" lines into (items, capacity)."""
     rows = []
@@ -125,14 +146,14 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        wmax_values = [int(tok) for tok in args.wmax_list.split(",") if tok]
-    except ValueError:
-        print("bench: --wmax-list must be comma-separated integers", file=sys.stderr)
+        wmax_values = [_POSITIVE_INT(tok) for tok in args.wmax_list.split(",") if tok]
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: --wmax-list: {exc}", file=sys.stderr)
         return 2
     solvers = [tok.strip() for tok in args.solvers.split(",") if tok.strip()]
     for name in solvers:
         if name not in SOLVER_NAMES:
-            print(f"bench: unknown solver {name!r}", file=sys.stderr)
+            print(f"error: unknown solver {name!r}", file=sys.stderr)
             return 2
     config = SolverConfig(constant=args.constant, engine=args.engine)
     rows = []
@@ -215,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--constant",
         "--structural-constant",
         dest="constant",
-        type=float,
+        type=_POSITIVE_REAL,
         default=2.0,
         help="scale factor for all structural bounds (default 2)",
     )
@@ -227,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a reproducible instance")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--wmax", type=int, required=True)
-    p_gen.add_argument("--pmax", type=int, default=1000)
-    p_gen.add_argument("--t-frac", dest="t_frac", type=float, default=0.5)
+    p_gen.add_argument("--n", type=_POSITIVE_INT, required=True)
+    p_gen.add_argument("--wmax", type=_POSITIVE_INT, required=True)
+    p_gen.add_argument("--pmax", type=_POSITIVE_INT, default=1000)
+    p_gen.add_argument("--t-frac", dest="t_frac", type=_FRACTION, default=0.5)
     p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
     p_gen.add_argument("--out", default=None)
@@ -238,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time solvers across maximum weights")
     p_bench.add_argument("--wmax-list", dest="wmax_list", default="256,512,1024")
-    p_bench.add_argument("--n-per-w", dest="n_per_w", type=int, default=4)
+    p_bench.add_argument("--n-per-w", dest="n_per_w", type=_POSITIVE_INT, default=4)
     p_bench.add_argument("--solvers", default="fast,bellman")
     p_bench.add_argument("--reps", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=12345)
-    p_bench.add_argument("--pmax", type=int, default=32)
-    p_bench.add_argument("--t-frac", dest="t_frac", type=float, default=0.5)
+    p_bench.add_argument("--pmax", type=_POSITIVE_INT, default=32)
+    p_bench.add_argument("--t-frac", dest="t_frac", type=_FRACTION, default=0.5)
     p_bench.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
-    p_bench.add_argument("--constant", type=float, default=2.0)
+    p_bench.add_argument("--constant", type=_POSITIVE_REAL, default=2.0)
     p_bench.add_argument("--engine", choices=("auto", "dense", "hinted"), default="auto")
     p_bench.add_argument("--out", default="bench.csv")
     p_bench.set_defaults(func=cmd_bench)
@@ -261,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceParseError as exc:
+    except (InstanceParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -99,20 +99,11 @@ class RankPartition:
     1-based, j in [1, k].  ``remove_groups`` mirrors this inside the greedy
     set.  Ranks beyond 2 * w_max are never materialized (no optimal exchange
     reaches them), which leaves every group beyond phase k empty.
-
-    ``slack`` is the capacity the greedy set leaves unused.  The frontiers
-    map every weight class, in all layers, to its rank-1 item per side: the
-    best item to add and the cheapest to remove.  They bound what any fold
-    step can still gain, which the legacy ``first_stage_dense`` prunes with;
-    no solve path reads ``slack`` or the frontiers any more.
     """
 
     phase_count: int
     add_groups: list[dict[int, list[int]]]
     remove_groups: list[dict[int, list[int]]]
-    slack: int
-    add_frontier: dict[int, int]
-    remove_frontier: dict[int, int]
 
     def group(self, direction: int, phase: int, weight: int) -> list[int]:
         groups = self.add_groups if direction > 0 else self.remove_groups
@@ -144,9 +135,6 @@ def rank_partition(inst: Instance, split: GreedySplit, inner_weights: set[int]) 
         phase_count=k,
         add_groups=add_groups,
         remove_groups=remove_groups,
-        slack=inst.capacity - split.greedy_weight,
-        add_frontier={w: m[0] for w, m in split.add_candidates.items() if m},
-        remove_frontier={w: m[0] for w, m in split.remove_candidates.items() if m},
     )
 
 

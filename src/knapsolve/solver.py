@@ -47,9 +47,9 @@ half-size 2 * w_max^2, unpruned: the simplest reference.  All of them fold
 through ``_DenseFold``, which refuses a table past
 ``baselines.TABLE_BYTE_BUDGET`` before allocating it.
 
-``first_stage_dense``, ``_prune_bound``, ``_Bound`` and
-``_DenseFold.prune`` are the earlier dense stage one (class-order phases,
-with fixed rates that keep ties); no solve path calls them any more.
+``first_stage_dense`` is the earlier dense stage one: class-order phases,
+folded unpruned.  No solve path calls it; only the benchmark's staged
+mirror does.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from itertools import chain
 import numpy as np
 
 from . import hinted
-from .baselines import BudgetExceededError, _capacity_dp, check_table_bytes
+from .baselines import _capacity_dp, check_table_bytes
 from .core import (
     BOTTOM,
     NEG_SENTINEL,
@@ -86,7 +86,6 @@ from .partition import (
 
 DEFAULT_CONSTANT = 2.0
 DEFAULT_BETA = 12
-PROXIMITY_CELL_BUDGET = 800_000_000
 
 
 class VerificationError(RuntimeError):
@@ -285,52 +284,6 @@ class _DenseFold:
                     )
             self.lo = max(0, a - cap * weight)
 
-    def prune(self, bound: _Bound) -> int:
-        """Drop every cell no completion can lift to the best entry at z <= slack.
-
-        That entry, LB, is a feasible exchange, so the optimum is at least LB
-        and a cell whose bound falls short of it can be dropped.  Cells
-        failing ``bound`` become bottom and the live span shrinks to the
-        survivors; the cell holding LB always survives.  Works tile by tile
-        through the bound's int64 scratch.  Returns the slots the span lost.
-        No solve path calls it any more; the core fold prunes with ``cut``.
-        """
-        arr, half = self.arr, self.half
-        split = half + bound.slack + 1  # slots below split have z <= slack
-        a, b = self.lo, self.hi
-        if a >= min(b, split):
-            return 0
-        lb = int(arr[a : min(b, split)].max())
-        if lb < self.threshold:
-            return 0
-        tile = bound.wide.size
-        first = last = None
-        for start, stop, (w, p), ramp in (
-            (a, min(b, split), bound.add, bound.add_ramp),
-            (max(a, split), b, bound.remove, bound.remove_ramp),
-        ):
-            # bottom cells are lifted to floor, low enough to fail the bound
-            # anywhere in the table: |slack - z| <= 2 * half
-            floor = np.int64(lb - p * (2 * half + 1) // w - 2)
-            for off in range(start, stop, tile):
-                end = min(off + tile, stop)
-                seg = arr[off:end]
-                t = bound.wide[: end - off]
-                np.maximum(seg, floor, out=t)
-                t *= w
-                t += ramp[: end - off]  # with the scalar: p * (slack - z)
-                dead = np.less(
-                    t, w * lb - p * (split - 1 - off), out=bound.dead[: end - off]
-                )
-                np.copyto(seg, self.sentinel, where=dead)
-                k = int(dead.argmin())
-                if not dead[k]:
-                    if first is None:
-                        first = off + k
-                    last = end - int(dead[::-1].argmin())
-        self.lo, self.hi = first, last
-        return (b - a) - (last - first)
-
     def cut(self, slack: int, s_g: int, add, remove, scratch) -> int:
         """Drop every cell no completion can lift above LB, except LB's own.
 
@@ -399,74 +352,6 @@ class _DenseFold:
         return m, pos - self.half
 
 
-# folds between two prunes: item passes in the core fold, class updates in
-# the legacy first_stage_dense
-_PRUNE_EVERY = 8
-
-# tile of the prune step's int64 scratch (cells), 512 KiB per buffer; at
-# _TILE the buffers added about 3 MB to peak RSS and were no faster
-_PRUNE_TILE = _TILE // 2
-
-
-class _Bound:
-    """How far a completion can lift a cell, for ``_DenseFold.prune``.
-
-    Every item still to be folded is a class candidate.  A completion adds
-    items of efficiency at most pa/wa and removes items of efficiency at
-    least pr/wr; with pa/wa <= pr/wr its best gain from cell z is
-    (pa/wa)(slack - z) for z <= slack and (pr/wr)(slack - z) above, so cell
-    z can still reach LB only if
-
-        wa*q[z] + pa*(slack - z) >= wa*LB   (z <= slack)
-        wr*q[z] + pr*(slack - z) >= wr*LB   (z > slack).
-
-    ``add`` is (wa, pa) and ``remove`` is (wr, pr).  The ramps hold -p*k
-    per side, so a tile's term is a scalar plus a ramp; ``wide`` and
-    ``dead`` are the per-tile int64 and mask scratch, sized for tables of
-    half-size up to ``half``.  Only the legacy ``first_stage_dense`` uses it.
-    """
-
-    __slots__ = ("slack", "add", "remove", "add_ramp", "remove_ramp", "wide", "dead")
-
-    def __init__(self, slack: int, add: tuple[int, int], remove: tuple[int, int], half: int):
-        k = np.arange(min(_PRUNE_TILE, 2 * half + 1), dtype=np.int64)
-        self.slack, self.add, self.remove = slack, add, remove
-        self.add_ramp = -add[1] * k
-        self.remove_ramp = -remove[1] * k
-        self.wide = np.empty(k.size, dtype=np.int64)
-        self.dead = np.empty(k.size, dtype=bool)
-
-
-def _prune_bound(profits, rank_part: RankPartition, schedule: PhaseSchedule, dtype):
-    """The bound stage one prunes with, or None where pruning is skipped.
-
-    The rates come from the class frontiers under the profits being folded,
-    compared by cross-multiplication.  Skipped for object cells, when an
-    add candidate is more efficient than a remove candidate, and when the
-    compare could overflow int64.  ``solve_fast``'s efficiency order never
-    has such a pair; partitions built on a ``break_ties`` order, as direct
-    callers may build them, can, and the bound then does not hold.  Only
-    the legacy ``first_stage_dense`` calls it.
-    """
-    if dtype == object:
-        return None
-    wa, pa = 1, 0
-    for w, i in rank_part.add_frontier.items():
-        if profits[i] * wa > pa * w:
-            wa, pa = w, profits[i]
-    wr = pr = None
-    for w, i in rank_part.remove_frontier.items():
-        if wr is None or profits[i] * wr < pr * w:
-            wr, pr = w, profits[i]
-    if pa * wr > pr * wa:
-        return None
-    # every term of the compare stays under (3 w + 8 (half + 1)) * total
-    half = max(schedule.table_half_sizes)
-    if (3 * schedule.w_max + 8 * (half + 1)) * sum(profits) >= 1 << 62:
-        return None
-    return _Bound(rank_part.slack, (wa, pa), (wr, pr), half)
-
-
 def first_stage_dense(
     profits,
     rank_part: RankPartition,
@@ -474,17 +359,14 @@ def first_stage_dense(
     stats: Stats | None = None,
     dtype=np.int64,
 ) -> _DenseFold:
-    """Fold all dyadic phases of the innermost layer, vectorized.
+    """Fold all dyadic phases of the innermost layer, vectorized and unpruned.
 
     ``profits`` maps item index to the profit value being folded; returns
     the live engine so stage two can keep folding without a table copy.
-    Every ``_PRUNE_EVERY`` class updates the fold drops the cells that
-    cannot reach the best feasible entry (see ``_Bound``).  No solve path
-    calls it any more: the dense path runs the core fold (``_core_fold``).
+    No solve path calls it: the dense path runs the core fold
+    (``_core_fold``), and only the benchmark's staged mirror calls this.
     """
     eng = _DenseFold(schedule.table_half_sizes[0], dtype)
-    bound = _prune_bound(profits, rank_part, schedule, dtype)
-    updates = 0
     last_phase = 0
     for j in range(1, schedule.phase_count + 1):
         if rank_part.phase_items(+1, j) or rank_part.phase_items(-1, j):
@@ -499,11 +381,6 @@ def first_stage_dense(
             for w in sorted(groups):
                 prefix = _prefix_profits(profits, groups[w], direction)
                 eng.update(w, prefix, direction)
-                updates += 1
-                if bound is not None and updates % _PRUNE_EVERY == 0:
-                    pruned = eng.prune(bound)
-                    if stats is not None:
-                        stats.cells_pruned += pruned
     return eng
 
 
@@ -671,6 +548,14 @@ def second_stage(
     return base_profit + _best_entry(eng, slack, stats)
 
 
+# item passes of the core fold between two prunes
+_PRUNE_EVERY = 8
+
+# tile of the prune step's int64 scratch (cells), 512 KiB per buffer; at
+# _TILE the buffers added about 3 MB to peak RSS and were no faster
+_PRUNE_TILE = _TILE // 2
+
+
 def _cut_scratch(cells: int):
     """Tiles for ``_DenseFold.cut`` on tables of up to ``cells`` cells."""
     size = min(_PRUNE_TILE, cells)
@@ -816,15 +701,10 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
     if inst.all_fit:
         return inst.total_profit
     half = 2 * inst.w_max * inst.w_max
-    cells = 2 * half + 1
-    if cells > PROXIMITY_CELL_BUDGET:
-        raise BudgetExceededError(
-            f"proximity table needs {cells} cells, over {PROXIMITY_CELL_BUDGET}"
-        )
     split = greedy_split(inst)
     if stats is not None:
         stats.engine = "proximity"
-        stats.note_table(cells)
+        stats.note_table(2 * half + 1)
     profits = inst.profits.tolist()
     eng = _DenseFold(half, cell_dtype(sum(profits)))
     weights = split.add_candidates.keys() | split.remove_candidates.keys()

@@ -194,6 +194,46 @@ def test_bench_rejects_bad_arguments(capsys):
     capsys.readouterr()
 
 
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.count("error:") == 1 and "Traceback" not in err
+
+
+def usage_exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_solve_unreadable_file_exit_code(tmp_path, capsys):
+    assert main(["solve", str(tmp_path / "missing.txt")]) == 2
+    assert one_error_line(capsys)
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe 3 6\n")
+    assert main(["solve", str(tmp_path / "binary.txt")]) == 2
+    assert one_error_line(capsys)
+
+
+def test_gen_rejects_out_of_range_shapes(capsys):
+    for argv in (["--n", "3", "--wmax", "0"], ["--n", "-1", "--wmax", "3"]):
+        assert usage_exit_code(["gen"] + argv) == 2
+        assert one_error_line(capsys)
+
+
+def test_bench_rejects_nonpositive_wmax(tmp_path, capsys):
+    # refused before the valid first size is benchmarked
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--wmax-list", "8,0", "--out", str(out)]) == 2
+    assert one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_solve_rejects_nonpositive_or_nonfinite_constant(tmp_path, capsys):
+    path = write(tmp_path, "inst.txt", SMALL)
+    for value in ("-1", "nan", "inf"):
+        assert usage_exit_code(["solve", path, "--engine", "hinted", "--constant", value]) == 2
+        assert one_error_line(capsys)
+
+
 def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     assert "ok" in capsys.readouterr().out

@@ -30,10 +30,8 @@ from knapsolve.core import INT32_VALUE_CAP, INT64_VALUE_CAP, cell_dtype
 from knapsolve.selftest import SOLVERS, TIE_SHAPES, tie_heavy_items
 from knapsolve.solver import (
     _TILE,
-    _Bound,
     _cut_scratch,
     _DenseFold,
-    _prune_bound,
     first_stage_dense,
     second_stage,
 )
@@ -186,7 +184,8 @@ def test_engine_name_is_validated():
 
 
 def test_proximity_table_budget():
-    with pytest.raises(BudgetExceededError):
+    # 9e8 int32 cells, 3.6 GB: over the fold table's byte budget
+    with pytest.raises(BudgetExceededError, match="fold table needs"):
         solve_proximity_smawk([(15000, 5), (15000, 9)], 15000)
 
 
@@ -422,28 +421,21 @@ def test_int32_fold_at_profit_cap_keeps_bottom_cells():
     assert eng.window_best(half) == window_reference(want, half)
 
 
-# --- bound-based pruning of the dense stage one -------------------------
+# --- bound-based pruning of the core fold --------------------------------
 
 
-def prune_reference(cells, slack, add, remove, g=None):
-    """Cells whose two-rate completion bound reaches the best entry at z <= slack.
+def prune_reference(cells, slack, add, remove, g):
+    """Cells whose two-rate completion bound can pass the best entry at z <= slack.
 
-    Without ``g`` this is ``_DenseFold.prune``'s rule: the bound runs to the
-    slack and a cell whose bound ties LB survives.  With ``g`` it is
-    ``_DenseFold.cut``'s: the bound runs to s_g = g * (slack // g), a cell
-    must reach LB + 1 unless it is LB's own (lowest-index) cell, ``add`` is
-    (1, 0) once the add side is used up, and with ``remove`` None no cell
-    above the slack survives.
+    This is ``_DenseFold.cut``'s rule: the bound runs to s_g = g * (slack // g),
+    a cell must reach LB + 1 unless it is LB's own (lowest-index) cell,
+    ``add`` is (1, 0) once the add side is used up, and with ``remove`` None
+    no cell above the slack survives.
     """
     feasible = [v for z, v in cells.items() if z <= slack]
     if not feasible:
         return dict(cells)
     lb = max(feasible)
-    if g is None:
-        rate = {True: Fraction(add[1], add[0]), False: Fraction(remove[1], remove[0])}
-        return {
-            z: v for z, v in cells.items() if v + rate[z <= slack] * (slack - z) >= lb
-        }
     z_lb = min(z for z, v in cells.items() if z <= slack and v == lb)
     s_g = g * (slack // g)
 
@@ -459,61 +451,11 @@ def prune_reference(cells, slack, add, remove, g=None):
 
 
 def random_bound(rng, half, scale):
-    """Slack and two rates with pa/wa <= pr/wr, as ``_DenseFold.prune`` needs."""
+    """Slack and two rates with pa/wa <= pr/wr, as ``_DenseFold.cut`` needs."""
     wa, wr = rng.randint(1, 9), rng.randint(1, 9)
     pa = rng.randint(1, 40) * scale
     pr = -(-pa * wr // wa) + rng.randint(0, 20) * scale
     return rng.randint(0, half - 1), (wa, pa), (wr, pr)
-
-
-def check_prune(eng, want, rng, slack, add, remove):
-    span = eng.hi - eng.lo
-    dropped = eng.prune(_Bound(slack, add, remove, eng.half))
-    want = prune_reference(want, slack, add, remove)
-    got = finite_cells(eng)
-    assert got == want
-    assert eng.hi - eng.lo + dropped == span
-    assert eng.lo == min(got) + eng.half and eng.hi == max(got) + eng.half + 1
-    check_window(eng, want, rng)
-    return want
-
-
-def test_dense_fold_prune_matches_bound():
-    rng = random.Random(811)
-    for dtype, scale in CELL_TYPES[:2]:
-        for _ in range(60):
-            half = rng.randint(2, 40)
-            eng = _DenseFold(half, dtype)
-            want = {0: 0}
-            for _ in range(rng.randint(1, 8)):
-                weight = rng.randint(1, half)
-                prefix = concave_prefix(rng, rng.randint(0, 4), scale)
-                direction = rng.choice((+1, -1))
-                eng.update(weight, prefix, direction)
-                want = fold_reference(want, half, weight, prefix, direction)
-            want = check_prune(eng, want, rng, *random_bound(rng, half, scale))
-            # the pruned table folds on like any other
-            eng.update(1, [0, scale], +1)
-            assert finite_cells(eng) == fold_reference(want, half, 1, [0, scale], +1)
-
-
-def test_dense_fold_prune_across_tiles():
-    # values along a line between the two rates, so the bound cuts both
-    # ends of a span several scratch tiles wide
-    rng = random.Random(812)
-    half = _TILE + 5000
-    for dtype, scale in CELL_TYPES[:2]:
-        slack, add, remove = random_bound(rng, half, scale)
-        slope = (Fraction(*add[::-1]) + Fraction(*remove[::-1])) / 2
-        eng = _DenseFold(half, dtype)
-        eng.arr[half] = eng.sentinel
-        want = {}
-        for k in range(0, 2 * half + 1, 3):
-            z = k - half
-            want[z] = eng.arr[k] = int(slope * z) + rng.randint(-50, 50) * scale
-        eng.lo, eng.hi = 0, 2 * half + 1
-        want = check_prune(eng, want, rng, slack, add, remove)
-        assert 0 < eng.lo and eng.hi < 2 * half + 1
 
 
 def check_cut(eng, want, rng, slack, g, add, remove):
@@ -624,39 +566,29 @@ def perturbed_answer(items, capacity):
     return second_stage(eng, inst, split, schedule, layers, SolverConfig(), profits, base)
 
 
-def test_inverted_efficiencies_skip_pruning():
+def test_legacy_pipeline_on_perturbed_partitions():
     items = [(5, 7), (5, 8), (2, 3)]
     # the perturbed order puts (2, 3) (efficiency 1.5) inside the greedy set
-    # and (5, 8) (efficiency 1.6) outside, so the bound does not hold there
-    profits, rank_part, schedule, split = stage_one_inputs(items, 6, perturbed=True)
+    # and (5, 8) (efficiency 1.6) outside
+    split = stage_one_inputs(items, 6, perturbed=True)[3]
     assert [items[i] for i in range(3) if split.in_greedy[i]] == [(2, 3)]
-    assert _prune_bound(profits, rank_part, schedule, np.int32) is None
     assert perturbed_answer(items, 6) == 8
-    # solve_fast orders by the original efficiencies and can prune
-    profits, rank_part, schedule, split = stage_one_inputs(items, 6)
+    # solve_fast orders by the original efficiencies
+    split = stage_one_inputs(items, 6)[3]
     assert [items[i] for i in range(3) if split.in_greedy[i]] == [(5, 8)]
-    assert _prune_bound(profits, rank_part, schedule, np.int32) is not None
     check_pruned(items, 6)
     # near-equal efficiencies with n < 2 w_max let the perturbation put a
-    # less efficient item inside the greedy set; some of these skip pruning,
-    # while solve_fast's own order never needs to
+    # less efficient item inside the greedy set
     rng = random.Random(812)
-    skipped = 0
     for _ in range(150):
         weights = [rng.randint(20, 60) for _ in range(rng.randint(10, 16))]
         items = [(w, w + rng.randint(0, 2)) for w in weights]
         capacity = rng.randint(1, sum(w for w, _ in items) - 1)
-        inst = normalize(items, capacity)
-        if inst.all_fit:
+        if normalize(items, capacity).all_fit:
             continue
-        profits, rank_part, schedule, _ = stage_one_inputs(items, capacity, perturbed=True)
-        skipped += _prune_bound(profits, rank_part, schedule, np.int32) is None
         want = solve_exhaustive(items, capacity)
         check_pruned(items, capacity, want)
         assert perturbed_answer(items, capacity) == want
-        profits, rank_part, schedule, _ = stage_one_inputs(items, capacity)
-        assert _prune_bound(profits, rank_part, schedule, np.int32) is not None
-    assert skipped > 0
 
 
 def test_pruning_on_equal_efficiencies():
@@ -717,11 +649,10 @@ def test_pruning_across_cell_widths():
             assert sum(p for _, p in items) == total
             capacity = sum(weights) // 2
             assert cell_dtype(total) == dtype
-            prof, rank_part, schedule, _ = stage_one_inputs(items, capacity)
-            bound = _prune_bound(prof, rank_part, schedule, dtype)
-            # int64 products near the cap would overflow, so those skip
-            assert (bound is None) == (total > 1 << 40)
-            check_pruned(items, capacity, solve_bellman(items, capacity))
+            pruned = check_pruned(items, capacity, solve_bellman(items, capacity))
+            # the core fold's compare would overflow int64 near the cap, so
+            # those totals fold unpruned
+            assert (pruned == 0) == (total > 1 << 40)
 
 
 def test_pruning_removes_cells_at_scale():
