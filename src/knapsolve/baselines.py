@@ -1,9 +1,12 @@
 """Reference solvers: capacity-indexed DP and meet-in-the-middle search.
 
 Both are oracles for the fast solver.  ``solve_bellman`` is the classic
-O(n * t) table, vectorized over capacities; it refuses instances whose
-table would exceed an explicit cell budget, or whose two rows would exceed
-``TABLE_BYTE_BUDGET``, instead of thrashing.
+capacity-indexed table, vectorized over capacities and banded: each item
+updates only the capacities the answer dp[t] can still read (Toth 1980), so
+at t = half the total weight it touches about n * t / 2 cells.  Its cells
+take the narrowest integer width their profit total fits.  It refuses
+instances whose n * (t + 1) table would exceed an explicit cell budget, or
+whose two rows would exceed ``TABLE_BYTE_BUDGET``, instead of thrashing.
 ``solve_exhaustive`` is exact for up to 40 items and can also report a
 witness subset, which the property tests use to validate solution
 structure, not just values.
@@ -15,7 +18,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .core import Instance, _integer, cell_dtype, normalize
+from .core import Instance, _integer, normalize
 
 DEFAULT_CELL_BUDGET = 600_000_000_000
 # bytes one solver table may take: the capacity DP's two rows, or a fold
@@ -42,7 +45,17 @@ def solve_bellman(raw_items, capacity, cell_budget=DEFAULT_CELL_BUDGET, stats=No
 
 
 def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
-    """``solve_bellman`` on an instance ``normalize`` already built."""
+    """``solve_bellman`` on an instance ``normalize`` already built.
+
+    Before item i, with W and P the weight and profit of the items before
+    it and R the weight of the items after it, dp[c] is exact for c in
+    [t - R - w_i, W]; above W every earlier item fits, so cells W + 1 to
+    min(t, W + w_i) are first set to P.  Item i then updates only
+    [max(w_i, t - R), min(t, W + w_i)]: a cell below t - R cannot reach
+    dp[t] through the remaining weight R, and a cell above W + w_i gains
+    nothing from item i.  The band is never empty, since the items that
+    remain after ``normalize`` weigh more than t in total.
+    """
     if inst.all_fit:
         return inst.total_profit
     t = inst.capacity
@@ -51,20 +64,40 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
         raise BudgetExceededError(
             f"table needs {cells} cells, over the budget of {cell_budget}"
         )
-    # cells are nonnegative and bounded by the profit total, so the narrowest
-    # sufficient dtype is safe; narrower cells mean fewer bytes per pass
-    dtype = cell_dtype(int(inst.profits.sum()))
+    weights = inst.weights.tolist()
+    profits = inst.profits.tolist()
+    dtype = _dp_cell_dtype(sum(profits))
     check_table_bytes("table rows need", 2 * (t + 1) * np.dtype(dtype).itemsize)
     if stats is not None:
         stats.note_table(t + 1)
     dp = np.zeros(t + 1, dtype=dtype)
     tmp = np.empty(t + 1, dtype=dtype)
-    for w, p in zip(inst.weights.tolist(), inst.profits.tolist()):
+    below, gained, after = 0, 0, sum(weights)
+    for w, p in zip(weights, profits):
+        after -= w
+        lo = max(w, t - after)
+        hi = min(t, below + w)
+        dp[below + 1 : hi + 1] = gained
         # temp copy keeps this a 0-1 update: sources predate the writes
-        head = t + 1 - w
-        np.add(dp[:head], p, out=tmp[:head])
-        np.maximum(dp[w:], tmp[:head], out=dp[w:])
+        span = hi - lo + 1
+        np.add(dp[lo - w : hi - w + 1], p, out=tmp[:span])
+        np.maximum(dp[lo : hi + 1], tmp[:span], out=dp[lo : hi + 1])
+        below += w
+        gained += p
     return int(dp[t])
+
+
+def _dp_cell_dtype(total_profit: int):
+    """Narrowest cell type for the capacity DP, whose cells lie in [0, total_profit].
+
+    Unlike the fold tables (``core.cell_dtype``) it keeps no bottom
+    sentinels, so each integer width may run up to its own maximum.
+    """
+    if total_profit <= np.iinfo(np.int32).max:
+        return np.int32
+    if total_profit <= np.iinfo(np.int64).max:
+        return np.int64
+    return object
 
 
 def _half_profiles(items, capacity):

@@ -121,13 +121,20 @@ def cmd_solve(args) -> int:
     profit = _run_named_solver(args.solver, items, capacity, config, stats)
     print(profit)
     if args.stats:
-        print(
+        line = (
             f"# engine={stats.engine or args.solver} "
             f"peak_table_cells={stats.peak_table_cells} "
             f"passes={stats.fold_passes} "
-            f"cells_pruned={stats.cells_pruned}",
-            file=sys.stderr,
+            f"cells_pruned={stats.cells_pruned}"
         )
+        if stats.engine == "hinted":
+            ext = stats.extend
+            line += (
+                f" matrix_evals={ext.matrix_evals} "
+                f"ap_count={ext.ap_count} "
+                f"bucket_inserts={ext.bucket_inserts}"
+            )
+        print(line, file=sys.stderr)
     return 0
 
 

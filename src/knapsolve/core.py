@@ -5,8 +5,8 @@ in this package work on a normalized view of the instance: items that cannot
 fit are dropped and trivially-feasible instances are answered directly.  The
 normalized instance holds weights and profits as two 1-D numpy arrays, int64
 while their totals fit ``INT64_VALUE_CAP`` and Python ints in object arrays
-past it (the rule ``cell_dtype`` applies to tables), so preprocessing is a
-few array passes with no per-item Python objects.  The hint-propagating
+past it (the rule ``cell_dtype`` applies to fold tables), so preprocessing
+is a few array passes with no per-item Python objects.  The hint-propagating
 engine further perturbs hard instances so that all item efficiencies and
 profits are pairwise distinct; the perturbation is invertible on totals, so
 optimal profits of the original instance can be recovered exactly.  Every
@@ -14,7 +14,7 @@ other path orders the original items by exact efficiency, ties by index.
 
 This module also provides the greedy prefix split (the solution all exchange
 arguments are phrased against), per-weight-class rank orders, and the
-cell-width rule every solver's tables follow.
+cell-width rule the fold tables follow.
 """
 
 from __future__ import annotations

@@ -216,10 +216,15 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
 
     Candidates i = j + x*w for a hinted base j are grouped by weight and
     residue; each group is one concave matrix whose row maxima come from a
-    single SMAWK pass.  Winner columns turn into arithmetic progressions
-    that a single left-to-right bucket scan merges: at each index the best
-    progression is applied (strict improvement only) and advanced one step,
-    the rest stay parked.
+    single SMAWK pass.  Its columns are the group's bases j; its rows are
+    the residue's indices from cols[0] + w to cols[-1] + cap * w, the only
+    ones where some column has x in [1, cap].  The rows outside hold only
+    continuation values, and a block of consecutive rows of a totally
+    monotone matrix keeps every row's leftmost maximum, so cutting them
+    changes no progression.  Winner columns turn into arithmetic
+    progressions that a single left-to-right bucket scan merges: at each
+    index the best progression is applied (strict improvement only) and
+    advanced one step, the rest stay parked.
     """
     L = inst.half_size
     sol = trivial_solution(inst)
@@ -248,8 +253,10 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
         cols.sort()
         fn = inst.fns[w]
         prefix, cap = fn.prefix, fn.cap
-        first_row = -L + ((c + L) % w)
-        rows = list(range(first_row, L + 1, w))
+        # only these rows give some column an x in [1, cap]
+        rows = range(cols[0] + w, min(L, cols[-1] + cap * w) + 1, w)
+        if not cap or not rows:
+            continue
 
         def value(ri, cj, _rows=rows, _cols=cols, _w=w, _prefix=prefix, _cap=cap):
             stats.matrix_evals += 1

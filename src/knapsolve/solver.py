@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -115,12 +116,14 @@ class Stats:
 class SolverConfig:
     """Tuning knobs; defaults match the analysis constants.
 
-    ``constant`` scales every structural bound of the hinted engine (layer
-    windows, phase table sizes, hint budgets).  ``engine`` picks the path:
-    "auto" resolves to the dense path, the pruned core fold, which wins at
-    every practical scale under CPython; "hinted" forces the
-    hint-propagating engine.  ``verify`` cross-checks the final answer against the capacity
-    DP and raises ``VerificationError`` on mismatch.
+    ``constant`` (positive and finite) scales every structural bound of the
+    hinted engine (layer windows, phase table sizes, hint budgets), and
+    ``beta`` (an integer >= 1) its balls-and-bins load bound; other values
+    raise ``ValueError`` when the config is built.  ``engine`` picks the
+    path: "auto" resolves to the dense path, the pruned core fold, which
+    wins at every practical scale under CPython; "hinted" forces the
+    hint-propagating engine.  ``verify`` cross-checks the final answer
+    against the capacity DP and raises ``VerificationError`` on mismatch.
     """
 
     constant: float = DEFAULT_CONSTANT
@@ -128,6 +131,14 @@ class SolverConfig:
     engine: str = "auto"
     verify: bool = False
     verify_cell_budget: int = 400_000_000
+
+    def __post_init__(self):
+        c = self.constant
+        if isinstance(c, bool) or not isinstance(c, Real) or not 0 < c < math.inf:
+            raise ValueError(f"constant must be a positive finite number, got {c!r}")
+        b = self.beta
+        if isinstance(b, bool) or not isinstance(b, Integral) or b < 1:
+            raise ValueError(f"beta must be an integer >= 1, got {b!r}")
 
     def resolved_engine(self) -> str:
         if self.engine not in ("auto", "dense", "hinted"):

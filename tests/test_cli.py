@@ -81,6 +81,25 @@ def test_solve_stats_go_to_stderr(tmp_path, capsys):
     assert "passes=3 cells_pruned=0" in captured.err
 
 
+def test_solve_stats_hinted_counters(tmp_path, capsys):
+    # the hinted engine's line adds its extension counters to the dense fields
+    from knapsolve import SolverConfig, Stats, solve_fast
+
+    path = write(tmp_path, "inst.txt", SMALL)
+    assert main(["solve", path, "--stats", "--engine", "hinted"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "70"
+    stats = Stats()
+    solve_fast(*parse_instance_text(SMALL), SolverConfig(engine="hinted"), stats)
+    ext = stats.extend
+    assert captured.err == (
+        f"# engine=hinted peak_table_cells={stats.peak_table_cells} passes=0 "
+        f"cells_pruned=0 matrix_evals={ext.matrix_evals} "
+        f"ap_count={ext.ap_count} bucket_inserts={ext.bucket_inserts}\n"
+    )
+    assert ext.matrix_evals > 0
+
+
 def test_solve_verify_flag(tmp_path, capsys):
     path = write(tmp_path, "inst.txt", SMALL)
     assert main(["solve", path, "--verify"]) == 0

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from knapsolve import SolverConfig, Stats, generate_instance, solve_fast
 from knapsolve.core import BOTTOM, is_bottom
 from knapsolve.hinted import (
     ConcaveProfitFn,
@@ -200,6 +201,20 @@ def test_singleton_progression_bound():
         sol = solve_singleton(inst)
         st = sol.stats
         assert st.bucket_inserts <= st.ap_count + inst.size
+
+
+def test_singleton_row_band_keeps_output_and_cuts_evals():
+    # SMAWK runs only over the rows where some base has x in [1, cap]; the
+    # cut rows held continuation values, so the answer, the progressions and
+    # the bucket scan are the same as with every row of the residue.  Before
+    # the cut this instance took 441,800 matrix evaluations; with it, 300,837
+    items, t = generate_instance(128, 32, 32, 0.5, 1, "uniform")
+    stats = Stats()
+    assert solve_fast(items, t, SolverConfig(engine="hinted"), stats) == 1785
+    ext = stats.extend
+    assert (ext.ap_count, ext.bucket_inserts) == (14232, 15000)
+    assert stats.peak_table_cells == 20097
+    assert ext.matrix_evals == 300_837 < 441_800
 
 
 def test_small_b_budget_one_agrees_with_singleton():

@@ -268,6 +268,57 @@ def test_profit_totals_straddling_narrow_table_cap():
         assert solve_bellman(items, cap) == want
 
 
+def test_banded_capacity_dp_against_exhaustive():
+    # the capacity DP updates only the cells dp[t] can still read, in cells
+    # as narrow as the profit total allows; every edge of the band and each
+    # cell width must agree with enumeration, through solve_bellman and
+    # through solve_fast's verify check
+    from knapsolve.baselines import _dp_cell_dtype
+
+    rng = random.Random(9191)
+    cases = []
+    for _ in range(120):
+        items = random_items(rng, equal_weights=rng.random() < 0.25)
+        total = sum(w for w, _ in items)
+        w_min = min(w for w, _ in items)
+        for t in (0, total - 1, total - w_min, rng.randint(0, total)):
+            cases.append((items, t))
+    for _ in range(30):
+        w = rng.randint(1, 9)
+        cases.append(([(w, rng.randint(1, 30))], rng.randint(0, 2 * w)))
+        heavy = [(rng.randint(10, 20), rng.randint(1, 30)) for _ in range(3)]
+        cases.append((heavy + random_items(rng, n_max=8, w_max=9), 9))
+    int32_max = (1 << 31) - 1
+    for total, dtype in ((int32_max, np.int32), (int32_max + 1, np.int64), ((1 << 63) + 5, object)):
+        assert _dp_cell_dtype(total) == dtype
+        for _ in range(10):
+            n = rng.randint(2, 12)
+            weights = [rng.randint(1, 9) for _ in range(n)]
+            profits = [total // n + rng.randint(-1000, 1000) for _ in range(n - 1)]
+            items = list(zip(weights, profits + [total - sum(profits)]))
+            t = rng.randint(max(weights), sum(weights) - 1)
+            # every item fits alone, so the DP's total is the whole total
+            assert sum(normalize(items, t).profits.tolist()) == total
+            cases.append((items, t))
+    for items, t in cases:
+        want = solve_exhaustive(items, t)
+        assert solve_bellman(items, t) == want, (items, t)
+        assert solve_fast(items, t, SolverConfig(verify=True)) == want, (items, t)
+
+
+@pytest.mark.parametrize("constant", [-1, 0, math.nan, math.inf])
+def test_solver_config_rejects_bad_constant(constant):
+    # refused when the config is built, not deep inside the hinted engine
+    with pytest.raises(ValueError, match="constant must be a positive finite number"):
+        SolverConfig(constant=constant, engine="hinted")
+
+
+def test_solver_config_rejects_bad_beta():
+    for beta in (0, -2, 1.5, True):
+        with pytest.raises(ValueError, match="beta must be an integer >= 1"):
+            SolverConfig(beta=beta)
+
+
 def test_stats_populated_on_structured_path():
     items = [(3, 7), (4, 9), (5, 4), (2, 6), (3, 5), (4, 8)]
     capacity = 9
