@@ -18,8 +18,11 @@ q[i].  ``relaxed_check`` verifies exactly this contract by enumeration.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
+from types import MappingProxyType
 
 from .colorings import (
     det_balls_and_bins,
@@ -28,6 +31,15 @@ from .colorings import (
 )
 from .core import BOTTOM, is_bottom
 from .smawk import row_maxima
+
+# The multiplicity map of every entry no extension touched; read-only, so
+# one object serves every table.
+NO_ITEMS = MappingProxyType({})
+
+
+def finite_slots(values) -> list[int]:
+    """Slots whose value is finite, found without a per-slot Python call."""
+    return list(compress(range(len(values)), map(BOTTOM.__lt__, values)))
 
 
 class ConcaveProfitFn:
@@ -194,18 +206,17 @@ class HintedExtendSolution:
 
 
 def trivial_solution(inst: HintedExtendInstance) -> HintedExtendSolution:
-    size = inst.size
     return HintedExtendSolution(
         inst.half_size,
         list(inst.q),
         list(range(-inst.half_size, inst.half_size + 1)),
-        [{} for _ in range(size)],
+        [NO_ITEMS] * inst.size,
         ExtendStats(),
     )
 
 
 def _value_spread(inst: HintedExtendInstance) -> int:
-    finite = [v for v in inst.q if not is_bottom(v)]
+    finite = list(filter(BOTTOM.__lt__, inst.q))
     spread = (max(finite) - min(finite)) if finite else 0
     fn_spread = max((fn.spread() for fn in inst.fns.values()), default=0)
     return spread + fn_spread + 1
@@ -230,24 +241,25 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
     sol = trivial_solution(inst)
     stats = sol.stats
     q = inst.q
-    bases_by_group: dict[tuple[int, int], list[int]] = {}
-    for i in inst.indices():
-        h = inst.hint_handles[i + L]
-        if h is None:
-            continue
-        s = inst.store.get(h)
-        if not s:
-            continue
+    handles = inst.hint_handles
+    weight_of = {}
+    for h in set(handles):
+        s = () if h is None else inst.store.get(h)
         if len(s) > 1:
             raise ValueError("solve_singleton needs hint sets of size <= 1")
-        (w,) = s
-        bases_by_group.setdefault((w, i % w), []).append(i)
+        if s:
+            (weight_of[h],) = s
+    bases_by_group: dict[tuple[int, int], list[int]] = {}
+    for k in compress(range(inst.size), map(weight_of.__contains__, handles)):
+        w = weight_of[handles[k]]
+        bases_by_group.setdefault((w, (k - L) % w), []).append(k - L)
 
     if not bases_by_group:
         return sol
 
     big = _value_spread(inst)
-    buckets: list[list] = [[] for _ in range(inst.size)]
+    # slot -> progressions parked there; ``pending`` heaps the occupied slots
+    buckets: dict[int, list] = {}
 
     for (w, c), cols in sorted(bases_by_group.items()):
         cols.sort()
@@ -285,13 +297,14 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
                 continue
             stats.ap_count += 1
             stats.bucket_inserts += 1
-            buckets[j + x_lo * w + L].append([j, w, x_lo, x_hi])
+            buckets.setdefault(j + x_lo * w + L, []).append([j, w, x_lo, x_hi])
 
     r, z, xs = sol.r, sol.z, sol.x
-    for slot in range(inst.size):
-        cell = buckets[slot]
-        if not cell:
-            continue
+    pending = list(buckets)
+    heapq.heapify(pending)
+    while pending:
+        slot = heapq.heappop(pending)
+        cell = buckets.pop(slot)
         best = None
         best_val = None
         for ap in cell:
@@ -306,7 +319,11 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
         # only the winning progression moves on; losers stay parked
         if best[2] + 1 <= best[3]:
             best[2] += 1
-            buckets[slot + best[1]].append(best)
+            nxt = slot + best[1]
+            if nxt not in buckets:
+                buckets[nxt] = []
+                heapq.heappush(pending, nxt)
+            buckets[nxt].append(best)
             stats.bucket_inserts += 1
     return sol
 
@@ -320,9 +337,9 @@ def restrict(inst: HintedExtendInstance, subset) -> HintedExtendInstance:
     store = inst.store
     vh = store.add(frozenset(subset) & set(inst.universe))
     vset = store.get(vh)
-    handles = [
-        None if h is None else store.intersect(h, vh) for h in inst.hint_handles
-    ]
+    # one intersection per distinct hint set; None (a bottom slot) stays None
+    shrunk = {h: store.intersect(h, vh) for h in set(inst.hint_handles) if h is not None}
+    handles = list(map(shrunk.get, inst.hint_handles))
     fns = {w: fn for w, fn in inst.fns.items() if w in vset}
     return HintedExtendInstance(
         inst.half_size, tuple(sorted(vset)), list(inst.q), handles, fns, store
@@ -343,9 +360,7 @@ def apply_update(
     L = inst.half_size
     q2 = list(sol.r)
     handles = [None] * inst.size
-    for k in range(inst.size):
-        if is_bottom(q2[k]):
-            continue
+    for k in finite_slots(q2):
         src = inst.hint_handles[sol.z[k] + L]
         if src is None:
             raise ValueError("solution base lacks a hint set")
@@ -364,17 +379,17 @@ def compose(
     L = outer.half_size
     size = 2 * L + 1
     r = list(outer.r)
-    z = [0] * size
-    xs: list = [None] * size
-    for k in range(size):
-        if is_bottom(r[k]):
-            z[k] = k - L
-            xs[k] = {}
-            continue
+    z = list(range(-L, L + 1))
+    xs = [NO_ITEMS] * size
+    for k in finite_slots(r):
         mid = outer.z[k] + L
         z[k] = inner.z[mid]
+        own = outer.x[k]
+        if not own:
+            xs[k] = inner.x[mid]  # maps are never mutated, so share it
+            continue
         merged = dict(inner.x[mid])
-        for w, cnt in outer.x[k].items():
+        for w, cnt in own.items():
             merged[w] = merged.get(w, 0) + cnt
         xs[k] = merged
     return HintedExtendSolution(L, r, z, xs, None)
@@ -433,18 +448,23 @@ def entrywise_max_solutions(
 # general budgets
 
 
+def _sets_by_handle(inst: HintedExtendInstance) -> dict:
+    """Each hint handle in the table with its set; None maps to the empty set."""
+    get = inst.store.get
+    return {h: frozenset() if h is None else get(h) for h in set(inst.hint_handles)}
+
+
 def _hint_sets(inst: HintedExtendInstance) -> list[frozenset]:
-    return [
-        frozenset() if h is None else inst.store.get(h)
-        for h in inst.hint_handles
-    ]
+    return list(map(_sets_by_handle(inst).__getitem__, inst.hint_handles))
 
 
-def _masked(inst, keep_mask) -> HintedExtendInstance:
-    q = [inst.q[k] if keep_mask[k] else BOTTOM for k in range(inst.size)]
-    handles = [
-        inst.hint_handles[k] if keep_mask[k] else None for k in range(inst.size)
-    ]
+def _masked(inst, slots) -> HintedExtendInstance:
+    """``inst`` with every entry outside ``slots`` set to bottom."""
+    q = [BOTTOM] * inst.size
+    handles = [None] * inst.size
+    for k in slots:
+        q[k] = inst.q[k]
+        handles[k] = inst.hint_handles[k]
     return HintedExtendInstance(
         inst.half_size, inst.universe, q, handles, dict(inst.fns), inst.store
     )
@@ -473,28 +493,33 @@ def solve_small_b(
     single weight, so the singleton solver applies class by class and the
     per-coloring results are folded with an entrywise maximum.
     """
-    sets = _hint_sets(inst)
-    for s in sets:
-        if len(s) > budget:
-            raise ValueError("hint set exceeds the declared budget")
-    if all(len(s) <= 1 for s in sets):
+    by_handle = _sets_by_handle(inst)
+    largest = max(map(len, by_handle.values()))
+    if largest > budget:
+        raise ValueError("hint set exceeds the declared budget")
+    if largest <= 1:
         out = solve_singleton(inst)
         if stats is not None:
             stats.absorb(out.stats)
         return out
-    colorings = det_isolating_colorings(sets, budget)
-    owner = [None] * inst.size
-    for k, s in enumerate(sets):
-        for idx, coloring in enumerate(colorings):
-            if is_isolated(s, coloring):
-                owner[k] = idx
-                break
+    colorings = det_isolating_colorings(
+        list(map(by_handle.__getitem__, inst.hint_handles)), budget
+    )
+    # slots sharing a hint handle share its set, so they share an owner
+    owner_of = {
+        h: next((idx for idx, c in enumerate(colorings) if is_isolated(s, c)), None)
+        for h, s in by_handle.items()
+    }
+    owned = set(owner_of.values())
+    # bottom slots stay bottom under every mask, so only finite ones are kept
+    finite_owned: dict = {}
+    for k in finite_slots(inst.q):
+        finite_owned.setdefault(owner_of[inst.hint_handles[k]], []).append(k)
     result = None
     for idx, coloring in enumerate(colorings):
-        keep = [owner[k] == idx for k in range(inst.size)]
-        if not any(keep):
+        if idx not in owned:
             continue
-        masked = _masked(inst, keep)
+        masked = _masked(inst, finite_owned.get(idx, ()))
         classes = {}
         for w in inst.universe:
             # weights in no hint set are uncolored; any class works for them

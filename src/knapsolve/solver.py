@@ -76,7 +76,13 @@ from .core import (
     normalize,
     recover_profit,
 )
-from .hinted import ConcaveProfitFn, ExtendStats, HintedExtendInstance, SetStore
+from .hinted import (
+    ConcaveProfitFn,
+    ExtendStats,
+    HintedExtendInstance,
+    SetStore,
+    finite_slots,
+)
 from .partition import (
     PhaseSchedule,
     RankPartition,
@@ -473,9 +479,7 @@ def first_stage_hinted(
             new_q: list = [BOTTOM] * size
             new_pos: list = [None] * size
             new_neg: list = [None] * size
-            for k in range(size):
-                if is_bottom(r[k]):
-                    continue
+            for k in finite_slots(r):
                 zk = z[k] + half
                 survivors = {
                     w
@@ -498,7 +502,7 @@ def first_stage_hinted(
                 stats.note_table(size)
 
     eng = _DenseFold(half, cell_dtype(sum(profits)))
-    finite = [k for k in range(size) if not is_bottom(q[k])]
+    finite = finite_slots(q)
     eng.arr[half] = eng.sentinel
     eng.arr[finite] = [q[k] for k in finite]
     eng.lo, eng.hi = (finite[0], finite[-1] + 1) if finite else (half, half)

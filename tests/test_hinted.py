@@ -217,6 +217,30 @@ def test_singleton_row_band_keeps_output_and_cuts_evals():
     assert ext.matrix_evals == 300_837 < 441_800
 
 
+# (answer, matrix_evals, ap_count, bucket_inserts, peak_table_cells) of the
+# hinted engine, recorded before the table passes skipped bottom slots; the
+# last two are the `oracles` benchmark's hinted calls at seed 103.
+HINTED_PINS = [
+    ((128, 32, 32, 0.5, 2, "uniform"), (1655, 277023, 11777, 12326, 20097)),
+    ((128, 32, 32, 0.5, 1, "hard-equal-weights"), (2023, 17136, 1962, 6122, 20097)),
+    ((96, 24, 1000, 0.3, 5, "clustered"), (30383, 44876, 3479, 4356, 8929)),
+    ((128, 32, 32, 0.5, 4575246633223535321, "uniform"), (1739, 299689, 12330, 13003, 20097)),
+    (
+        (128, 32, 32, 0.5, 18332398680674118316, "hard-equal-weights"),
+        (2018, 15540, 1856, 5807, 20097),
+    ),
+]
+
+
+@pytest.mark.parametrize("shape, pinned", HINTED_PINS, ids=[repr(s) for s, _ in HINTED_PINS])
+def test_hinted_answers_and_counters_are_pinned(shape, pinned):
+    stats = Stats()
+    answer = solve_fast(*generate_instance(*shape), SolverConfig(engine="hinted"), stats)
+    ext = stats.extend
+    got = (answer, ext.matrix_evals, ext.ap_count, ext.bucket_inserts, stats.peak_table_cells)
+    assert got == pinned
+
+
 def test_small_b_budget_one_agrees_with_singleton():
     rng = random.Random(5553)
     for _ in range(60):
