@@ -127,6 +127,8 @@ def cmd_solve(args) -> int:
             f"passes={stats.fold_passes} "
             f"cells_pruned={stats.cells_pruned}"
         )
+        if stats.engine == "dense":
+            line += f" core_sorted={stats.core_sorted}"
         if stats.engine == "hinted":
             ext = stats.extend
             line += (

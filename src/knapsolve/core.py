@@ -14,7 +14,13 @@ other path orders the original items by exact efficiency, ties by index.
 
 This module also provides the greedy prefix split (the solution all exchange
 arguments are phrased against), per-weight-class rank orders, and the
-cell-width rule the fold tables follow.
+cell-width rule the fold tables follow.  The split is ``LazyCore``: it finds
+the break by weighted selection on integer efficiency keys, in O(n), and
+sorts each side of the break one key band at a time, only as far as the
+core fold reads it.  A per-weight counter picks the candidates, mirrored
+within runs of identical items on the remove side, where the walk meets
+them by descending index.  ``greedy_split`` is the same core read to its
+end.
 """
 
 from __future__ import annotations
@@ -142,23 +148,36 @@ def normalize(raw_items: Iterable[tuple[int, int]], capacity: int) -> Instance:
 
     Every value is checked before any conversion, because converting to
     int64 would silently truncate 2.9 to 2 and turn True into 1: when the
-    values are not all plain ints, each one goes through ``_integer``.
+    values are not all plain ints, each one goes through ``_integer``.  An
+    array of a signed or unsigned integer dtype is checked by its dtype
+    instead, and converted whole; uint64 values past int64 range become
+    Python ints.  Arrays of other dtypes (bool, float, object) take the
+    per-value path.
     """
     capacity = _integer(capacity, "capacity")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    pairs = raw_items if isinstance(raw_items, (list, tuple)) else list(raw_items)
-    if set(map(len, pairs)) - {2}:
-        raise ValueError("items must be (weight, profit) pairs")
-    flat = list(chain.from_iterable(pairs))
-    if not set(map(type, flat)) <= {int}:
-        whats = ("item weight", "item profit")
-        flat = [_integer(v, whats[k & 1]) for k, v in enumerate(flat)]
-    try:
-        values = np.fromiter(flat, np.int64, len(flat))
-    except OverflowError:
-        values = np.array(flat, dtype=object)
-    values = values.reshape(-1, 2)
+    if isinstance(raw_items, np.ndarray) and raw_items.dtype.kind in "iu":
+        if raw_items.size and (raw_items.ndim != 2 or raw_items.shape[1] != 2):
+            raise ValueError("items must be (weight, profit) pairs")
+        values = raw_items.reshape(-1, 2)
+        if values.size and values.max() > np.iinfo(np.int64).max:
+            values = values.astype(object)
+        else:
+            values = values.astype(np.int64)
+    else:
+        pairs = raw_items if isinstance(raw_items, (list, tuple)) else list(raw_items)
+        if set(map(len, pairs)) - {2}:
+            raise ValueError("items must be (weight, profit) pairs")
+        flat = list(chain.from_iterable(pairs))
+        if not set(map(type, flat)) <= {int}:
+            whats = ("item weight", "item profit")
+            flat = [_integer(v, whats[k & 1]) for k, v in enumerate(flat)]
+        try:
+            values = np.fromiter(flat, np.int64, len(flat))
+        except OverflowError:
+            values = np.array(flat, dtype=object)
+        values = values.reshape(-1, 2)
     if values.size and values.min() < 1:
         raise ValueError("item weights and profits must be >= 1")
     keep = values[:, 0] <= capacity
@@ -225,7 +244,8 @@ class GreedySplit:
     (cheapest first to remove), ties by ascending index.  The candidate
     dicts, keyed in ascending weight, list each class's item indices in that
     rank order as plain lists.  Only the 2 * w_max best ranks per class and
-    side are materialized: no optimal exchange uses deeper ranks.
+    side are materialized: no optimal exchange uses deeper ranks.  It is
+    ``LazyCore`` read to its end; the dense path reads the core lazily.
     """
 
     order: np.ndarray
@@ -238,62 +258,312 @@ class GreedySplit:
     remove_candidates: dict[int, list[int]] = field(default_factory=dict)
 
 
+# items in the first key band of each side of the lazy core, and in the
+# first chunk of a tie group; each next band or chunk is 4 times larger
+_FIRST_BAND = 64
+_BAND_GROWTH = 4
+
+
+def _efficiency_keys(inst: Instance) -> np.ndarray:
+    """int64 keys that order items as their efficiencies p / w do, ties equal.
+
+    Two distinct ratios differ by at least 1 / w_max^2, so
+    floor(p * w_max^2 / w) keeps their order, and equal ratios get equal
+    keys.  Past int64 range the keys are Python ints, replaced by their
+    ranks among the distinct keys (one sort).
+    """
+    scale = inst.w_max * inst.w_max
+    weights, profits = inst.weights, inst.profits
+    if int(profits.max()) * scale <= INT64_VALUE_CAP:
+        weights = weights.astype(np.int64, copy=False)
+        return profits.astype(np.int64, copy=False) * scale // weights
+    keys = profits.astype(object) * scale // weights.astype(object)
+    return np.unique(keys, return_inverse=True)[1].astype(np.int64)
+
+
+# items in the strided sample a selection round takes its two pivots from,
+# and the sample positions kept on each side of the estimated break
+_SAMPLE = 1024
+_MARGIN = 48
+
+
+def _pivots(keys: np.ndarray, weights: np.ndarray, room: int, live: int):
+    """Two keys, lo <= hi, that likely enclose the key at weight ``room``.
+
+    A strided sample, sorted by key descending, estimates where the first
+    ``room`` of the ``live`` weight ends; the pivots sit ``_MARGIN`` sample
+    positions (about three standard deviations) on either side of it.
+    """
+    step = keys.size // _SAMPLE
+    sample = keys[::step]
+    order = np.argsort(-sample)
+    reach = np.cumsum(weights[::step][order])
+    pos = int(np.searchsorted(reach, int(reach[-1]) * room // live))
+    last = order.size - 1
+    return sample[order[min(pos + _MARGIN, last)]], sample[order[max(pos - _MARGIN, 0)]]
+
+
+def _select_break(keys: np.ndarray, weights: np.ndarray, capacity: int) -> tuple[int, int]:
+    """(break key, weight of the items with a higher key), by weighted selection.
+
+    The greedy order takes every item with a key above the break key, then
+    the break key's items by index until one overflows.  Each round splits
+    the live items at two pivots and keeps the part the capacity runs out
+    in (Balas and Zemel 1980).  The pivots come from a sample (``_pivots``)
+    and usually keep a tenth of the items; a round that keeps more than
+    half is followed by one at the median, so all rounds take O(n).  Items
+    are only copied out of the sparse middle part; the other parts are
+    weighed with a dot product.  The items must not all fit.
+    """
+    above = 0  # weight of the items with a key above every live key
+    live = int(weights.sum())
+    sampled = True
+    while True:
+        if sampled and keys.size > 4 * _SAMPLE:
+            lo, hi = _pivots(keys, weights, capacity - above, live)
+        else:
+            lo = hi = np.partition(keys, keys.size // 2)[keys.size // 2]
+        size = keys.size
+        higher = keys > hi
+        reach = above + int(np.dot(weights, higher))
+        if reach > capacity:
+            keep, live = higher, reach - above
+        else:
+            upto = keys >= lo
+            total = above + int(np.dot(weights, upto))
+            if total <= capacity:
+                keep, live, above = ~upto, live - (total - above), total
+            elif lo == hi:
+                return int(hi), reach
+            else:
+                keep, live, above = upto & ~higher, total - reach, reach
+        keep = np.flatnonzero(keep)
+        keys, weights = keys[keep], weights[keep]
+        sampled = 2 * keys.size <= size
+
+
+def _occurrence(values: np.ndarray) -> np.ndarray:
+    """For each entry, how many earlier entries hold the same value."""
+    order = np.argsort(values, kind="stable")
+    grouped = values[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    occ = np.empty(values.size, dtype=np.int64)
+    occ[order] = np.arange(values.size) - np.repeat(starts, np.diff(np.r_[starts, values.size]))
+    return occ
+
+
+def _run_flip(keys: np.ndarray) -> np.ndarray:
+    """The permutation reversing each run of equal entries of sorted ``keys``.
+
+    It is its own inverse: it maps the remove side's walk order (ties by
+    descending index) to its rank order (ties by ascending index) and back.
+    """
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    ends = np.r_[starts[1:], keys.size]
+    return np.repeat(starts + ends - 1, ends - starts) - np.arange(keys.size)
+
+
+def _bands(idx: np.ndarray, walk_keys: np.ndarray):
+    """Yield one side of the lazy core in walk order, one key band at a time.
+
+    ``idx`` lists the side's items in walk-index order and ``walk_keys``
+    their keys, so the walk is walk_keys ascending, ties in ``idx`` order.
+    Band k ends at the walk key e_k of walk position 64 (4^(k+1) - 1) / 3,
+    found by ``np.partition`` when the walk reaches the band, and holds the
+    items with a walk key in (e_(k-1), e_k].  Those below e_k are fewer than
+    the band size; they are sorted and yielded as (items, walk keys, None).
+    The tie group at e_k can be any size and is already in walk order, so
+    it is yielded in growing chunks as (chunk, None, group), with the same
+    ``group`` array for every chunk of it.  The bands are cut from a pool,
+    the items up to the end of the band after next, which one pass over the
+    side takes out when the walk passes the pool's end.
+    """
+    if not idx.size:
+        return
+    last = int(walk_keys.max())
+    top, end, size = None, _FIRST_BAND, _FIRST_BAND
+    pool = np.empty(0, np.intp)
+    while top != last:
+        if end > pool.size:
+            ahead = end + size * _BAND_GROWTH * (1 + _BAND_GROWTH)
+            if ahead < idx.size:
+                pool = np.flatnonzero(walk_keys <= np.partition(walk_keys, ahead - 1)[ahead - 1])
+            else:
+                pool = np.arange(idx.size)
+            pool_idx, pool_keys = idx[pool], walk_keys[pool]
+        bound = last if end >= idx.size else int(np.partition(pool_keys, end - 1)[end - 1])
+        size *= _BAND_GROWTH
+        end += size
+        if bound == top:
+            continue  # the band before ended inside this tie group
+        below = pool_keys < bound
+        head = np.flatnonzero(below if top is None else below & (pool_keys > top))
+        if head.size:
+            head = head[np.argsort(pool_keys[head], kind="stable")]
+            yield pool_idx[head], pool_keys[head], None
+        group = pool_idx[np.flatnonzero(pool_keys == bound)]
+        start, chunk = 0, _FIRST_BAND
+        while start < group.size:
+            yield group[start : start + chunk], None, group
+            start, chunk = start + chunk, chunk * _BAND_GROWTH
+        top = bound
+
+
+class _Side:
+    """One side of the lazy core: ``_bands`` with a per-weight rank counter.
+
+    ``load`` appends the next candidates' weights and profits, in walk
+    order, to ``weights`` and ``profits``; ``sorted`` counts the items
+    placed in sorted bands so far.  ``mirrored`` marks the remove side, whose
+    walk meets identical items by descending index while their ranks count
+    them by ascending index.
+    """
+
+    def __init__(self, inst: Instance, idx: np.ndarray, walk_keys: np.ndarray, mirrored: bool):
+        self._weights, self._profits = inst.weights, inst.profits
+        self._mirrored = mirrored
+        self._cap = 2 * inst.w_max
+        # items of each weight met so far, and candidates not yet handed
+        # out, so a side whose classes are all capped stops early; no class
+        # can pass the cap when the whole side is within it
+        self._seen = self._left = None
+        if self._cap < idx.size:
+            self._seen = np.zeros(inst.w_max + 1, np.int64)
+            sizes = np.bincount(inst.weights[idx], minlength=self._seen.size)
+            self._left = int(np.minimum(sizes, self._cap).sum())
+        # the remove side's current tie group, and the rank of each weight's
+        # next item in it
+        self._group = self._next_rank = None
+        self._pieces = _bands(idx, walk_keys)
+        self.weights: list[int] = []
+        self.profits: list[int] = []
+        self.sorted = 0
+
+    def load(self) -> bool:
+        """Append the next candidates in walk order; False once the side is used up."""
+        if self._left == 0:
+            return False
+        for items, head_keys, group in self._pieces:
+            keep = self._candidates(items, head_keys, group)
+            if keep is not None:
+                items = items[keep]
+                self._left -= items.size
+            if items.size:
+                self.weights += self._weights[items].tolist()
+                self.profits += self._profits[items].tolist()
+                return True
+        return False
+
+    def drain(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the rest of the side's items, its candidates), both in walk order."""
+        items, candidates = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for piece, head_keys, group in self._pieces:
+            keep = self._candidates(piece, head_keys, group)
+            items.append(piece)
+            candidates.append(piece if keep is None else piece[keep])
+        return np.concatenate(items), np.concatenate(candidates)
+
+    def _candidates(self, items, head_keys, group):
+        """Candidate mask of one piece of ``_bands``, or None when all are."""
+        if head_keys is not None:
+            self.sorted += items.size
+        if self._seen is None:
+            return None
+        if not self._mirrored:
+            return self._ranked(items)
+        if group is None:
+            flip = _run_flip(head_keys)
+            return self._ranked(items[flip])[flip]
+        # an item met j-th among its weight in the tie group ranks (items
+        # of its weight up to and including the group) - 1 - j
+        if group is not self._group:
+            self._group = group
+            self._seen += np.bincount(self._weights[group], minlength=self._seen.size)
+            self._next_rank = self._seen - 1
+        w = self._weights[items]
+        keep = self._next_rank[w] - _occurrence(w) < self._cap
+        np.subtract.at(self._next_rank, w, 1)
+        return keep
+
+    def _ranked(self, items):
+        """Candidate mask of ``items`` met in rank order: rank below the cap."""
+        w = self._weights[items]
+        keep = self._seen[w] + _occurrence(w) < self._cap
+        np.add.at(self._seen, w, 1)
+        return keep
+
+
+class LazyCore:
+    """The greedy split, with both sides sorted only as far as they are read.
+
+    The break comes from weighted selection on the integer efficiency keys
+    (``_select_break``), in O(n): the greedy solution is every item with a
+    key above the break key, then the break key's items by index while they
+    fit.  ``in_greedy``, ``greedy_weight`` and ``greedy_profit`` describe
+    it.  ``add`` walks the items outside it (key descending, ties by
+    ascending index), ``remove`` the items inside it (key ascending, ties by
+    descending index): the order the core fold meets them.
+
+    Each side is cut into key bands of growing size (64 items, then 4 times
+    more each), and a band is sorted only when the walk reaches it; a tie
+    group needs no sort and is read in chunks.  Only candidates are handed
+    out: a per-weight counter of the items met so far keeps the 2 * w_max
+    best ranks of each weight class and side, as ``GreedySplit`` defines
+    them.  On the remove side the walk meets identical (weight, profit)
+    items by descending index but ranks them by ascending index, so the
+    rank within each run of them is mirrored.
+    """
+
+    def __init__(self, inst: Instance):
+        if inst.all_fit:
+            raise ValueError("greedy split undefined for trivial instances")
+        weights = inst.weights
+        self.keys = keys = _efficiency_keys(inst)
+        pivot, above = _select_break(keys, weights, inst.capacity)
+        tie = np.flatnonzero(keys == pivot)
+        reach = np.cumsum(weights[tie]) + above
+        taken = int(np.searchsorted(reach, inst.capacity, side="right"))
+        self.in_greedy = keys > pivot
+        self.in_greedy[tie[:taken]] = True
+        self.greedy_weight = int(reach[taken - 1]) if taken else above
+        self.greedy_profit = int(np.dot(inst.profits, self.in_greedy))
+        outside = np.flatnonzero(~self.in_greedy)
+        inside = np.flatnonzero(self.in_greedy)[::-1]
+        self.add = _Side(inst, outside, -keys[outside], mirrored=False)
+        self.remove = _Side(inst, inside, keys[inside], mirrored=True)
+
+
+def _by_weight(weights: np.ndarray, members: np.ndarray) -> dict[int, list[int]]:
+    """{weight: its members in their given order}, keyed in ascending weight."""
+    members = members[np.argsort(weights[members], kind="stable")]
+    w = weights[members]
+    starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
+    parts = np.split(members, starts[1:])
+    return {weight: part.tolist() for weight, part in zip(w[starts].tolist(), parts)}
+
+
 def greedy_split(inst: Instance) -> GreedySplit:
-    """Compute the greedy prefix solution and rank tables.
+    """Compute the greedy prefix solution and rank tables: ``LazyCore`` read to its end.
 
     Requires a nontrivial instance, so the break index lands strictly inside
-    the item order.  Ties are broken by index: the stable sorts put equal
-    efficiencies, and equal profits within a weight class, in ascending
-    index order.  Any greedy order with ties broken consistently supports
-    the exchange argument, so no perturbation is needed; a ``break_ties``
-    instance has no ties to break.
+    the item order.  Ties are broken by index: equal efficiencies, and equal
+    profits within a weight class, go in ascending index order.  Any greedy
+    order with ties broken consistently supports the exchange argument, so
+    no perturbation is needed; a ``break_ties`` instance has no ties to
+    break.
     """
-    if inst.all_fit:
-        raise ValueError("greedy split undefined for trivial instances")
-    weights, profits = inst.weights, inst.profits
-    n = inst.n
-    # exact integer efficiency keys: two distinct ratios p/w differ by at
-    # least 1 / w_max^2, so floor(p * w_max^2 / w) keeps their order, and
-    # equal ratios get equal keys; past int64 range they are Python ints
-    scale = inst.w_max * inst.w_max
-    key_type = object if int(profits.max()) * scale > INT64_VALUE_CAP else np.int64
-    keys = profits.astype(key_type) * scale // weights.astype(key_type)
-    order = np.argsort(-keys, kind="stable")
-
-    # the break is the first prefix that overflows; one exists, since the
-    # kept items do not all fit
-    prefix = np.cumsum(weights[order])
-    break_index = int(np.searchsorted(prefix, inst.capacity, side="right"))
-    if break_index == n:
-        raise AssertionError("normalized nontrivial instance must overflow")
-    in_greedy = np.zeros(n, dtype=bool)
-    in_greedy[order[:break_index]] = True
-
-    # one stable sort groups items by class = (weight, side) and ranks each
-    # class: outside G by decreasing profit, inside G by increasing profit
-    signed = np.where(in_greedy, profits, -profits)
-    classes = weights * 2 + in_greedy
-    by_class = np.lexsort((signed, classes))
-    sorted_classes = classes[by_class]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_classes[1:] != sorted_classes[:-1]))
-    )
-    sizes = np.diff(np.append(starts, n))
-
-    cap = 2 * inst.w_max
-    add_candidates = {}
-    remove_candidates = {}
-    for start, size, c in zip(starts.tolist(), sizes.tolist(), sorted_classes[starts].tolist()):
-        side = remove_candidates if c & 1 else add_candidates
-        side[c >> 1] = by_class[start : start + min(size, cap)].tolist()
-
+    core = LazyCore(inst)
+    adds, add_candidates = core.add.drain()
+    removes, remove_candidates = core.remove.drain()
+    # add candidates meet each weight class in rank order; remove candidates
+    # meet each run of equal keys by descending index, which the flip undoes
+    remove_candidates = remove_candidates[_run_flip(core.keys[remove_candidates])]
     return GreedySplit(
-        order=order,
-        break_index=break_index,
-        in_greedy=in_greedy,
-        greedy_weight=int(prefix[break_index - 1]) if break_index else 0,
-        greedy_profit=int(profits[order[:break_index]].sum()),
-        add_candidates=add_candidates,
-        remove_candidates=remove_candidates,
+        order=np.concatenate((removes[::-1], adds)),
+        break_index=removes.size,
+        in_greedy=core.in_greedy,
+        greedy_weight=core.greedy_weight,
+        greedy_profit=core.greedy_profit,
+        add_candidates=_by_weight(inst.weights, add_candidates),
+        remove_candidates=_by_weight(inst.weights, remove_candidates),
     )
-

@@ -360,11 +360,16 @@ def apply_update(
     L = inst.half_size
     q2 = list(sol.r)
     handles = [None] * inst.size
+    # bases share few distinct hint sets: subtract once per handle
+    minus: dict = {}
     for k in finite_slots(q2):
         src = inst.hint_handles[sol.z[k] + L]
         if src is None:
             raise ValueError("solution base lacks a hint set")
-        handles[k] = store.subtract(src, vh)
+        h = minus.get(src)
+        if h is None:
+            h = minus[src] = store.subtract(src, vh)
+        handles[k] = h
     universe = tuple(w for w in inst.universe if w not in vset)
     fns = {w: fn for w, fn in inst.fns.items() if w not in vset}
     return HintedExtendInstance(L, universe, q2, handles, fns, store)

@@ -4,23 +4,26 @@
 polynomial in the largest item weight, by searching exchange solutions
 around the greedy prefix.  Its default (``dense``) path is:
 
-1. normalize, and sort items by efficiency, ties by index, to find the
-   greedy prefix, its break point and the leftover capacity (the slack);
+1. normalize, and find the greedy prefix, its break point and the leftover
+   capacity (the slack) by weighted selection on the efficiency keys, in
+   O(n), without sorting (``core.LazyCore``);
 2. the core fold: fold the candidate items one at a time, outward from the
    break, into a difference-indexed table (index = added minus removed
    weight), pruning as the core grows, and read the answer as the greedy
-   profit plus the best entry at index <= slack.
+   profit plus the best entry at index <= slack.  The lazy core sorts each
+   side one key band at a time, only as far as the fold and its prune
+   read it.
 
 The core fold alternates the next item to add (the add side: items after
 the break, by decreasing efficiency) with the next item to remove (the
 remove side: the greedy prefix backwards, by increasing efficiency); once
 one side is used up it takes the other.  Only candidates are folded: the
 2 * w_max best ranks per weight class and side, which hold every optimal
-exchange.  Each item is one vectorized shift-max pass over the table's live
-span, the cells between its outermost finite entries.  The table starts at
-half-size max(w_max, slack + 1) and doubles before a pass would reach past
-it, up to 2 * w_max^2, which every partial sum of an optimal exchange stays
-within.
+exchange; the core picks them with a per-weight counter as it walks.  Each
+item is one vectorized shift-max pass over the table's live span, the cells
+between its outermost finite entries.  The table starts at half-size
+max(w_max, slack + 1) and doubles before a pass would reach past it, up to
+2 * w_max^2, which every partial sum of an optimal exchange stays within.
 
 Every eight passes the fold prunes (Pisinger's minknap reduction, with
 rates that tighten as the core grows).  LB is the best entry at z <= slack
@@ -56,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
@@ -69,6 +71,7 @@ from .core import (
     NEG_THRESHOLD,
     GreedySplit,
     Instance,
+    LazyCore,
     break_ties,
     cell_dtype,
     greedy_split,
@@ -112,6 +115,8 @@ class Stats:
     best_index: int | None = None
     # live-span slots the core fold's bound dropped, over all prunes
     cells_pruned: int = 0
+    # items the dense path's lazy core placed in sorted key bands
+    core_sorted: int = 0
 
     def note_table(self, cells: int) -> None:
         if cells > self.peak_table_cells:
@@ -582,27 +587,24 @@ def _cut_scratch(cells: int):
     )
 
 
-def _core_fold(inst: Instance, split: GreedySplit, stats: Stats | None = None) -> int:
+def _core_fold(inst: Instance, core: LazyCore, stats: Stats | None = None) -> int:
     """The dense path's answer: fold the candidates outward from the break.
 
     See the module docstring for the order, the table growth, the prune and
-    the stop rule.  Returns the greedy profit plus the best entry at
+    the stop rule.  Each side of ``core`` is read only as far as the fold
+    and its prune look.  Returns the greedy profit plus the best entry at
     z <= slack.
     """
-    is_candidate = np.zeros(inst.n, dtype=bool)
-    is_candidate[
-        list(chain(*split.add_candidates.values(), *split.remove_candidates.values()))
-    ] = True
-    adds = split.order[split.break_index :]
-    adds = adds[is_candidate[adds]]
-    removes = split.order[: split.break_index][::-1]
-    removes = removes[is_candidate[removes]]
-    aw, ap = inst.weights[adds].tolist(), inst.profits[adds].tolist()
-    rw, rp = inst.weights[removes].tolist(), inst.profits[removes].tolist()
-    na, nr = len(aw), len(rw)
+    adding, removing = core.add, core.remove
+    aw, ap = adding.weights, adding.profits
+    rw, rp = removing.weights, removing.profits
 
-    slack = inst.capacity - split.greedy_weight
-    g = math.gcd(*split.add_candidates, *split.remove_candidates)
+    slack = inst.capacity - core.greedy_weight
+    # every weight has a candidate on its side, so g is the gcd of all
+    # weights; a gcd of 1 among the first few is final
+    g = math.gcd(*inst.weights[:64].tolist())
+    if g > 1:
+        g = math.gcd(g, int(np.gcd.reduce(inst.weights)))
     s_g = g * (slack // g)
     total = int(inst.profits.sum())
     dtype = cell_dtype(total)
@@ -616,15 +618,19 @@ def _core_fold(inst: Instance, split: GreedySplit, stats: Stats | None = None) -
         stats.note_table(2 * eng.half + 1)
     i = j = passes = 0
     stop_pos = None
-    while i < na or j < nr:
-        if i < na and (j == nr or passes % 2 == 0):
+    while True:
+        more_adds = i < len(aw) or adding.load()
+        more_removes = j < len(rw) or removing.load()
+        if more_adds and (not more_removes or passes % 2 == 0):
             w, p, direction = aw[i], ap[i], 1
             i += 1
             reach = eng.hi - 1 - eng.half + w
-        else:
+        elif more_removes:
             w, p, direction = rw[j], -rp[j], -1
             j += 1
             reach = eng.half - eng.lo + w
+        else:
+            break
         if reach > eng.half and eng.half < cap:
             half = eng.half
             while half < reach and half < cap:
@@ -635,9 +641,10 @@ def _core_fold(inst: Instance, split: GreedySplit, stats: Stats | None = None) -
         eng.update(w, (0, p), direction)
         passes += 1
         if prunable and passes % _PRUNE_EVERY == 0:
-            add = (aw[i], ap[i]) if i < na else (1, 0)
+            add = (aw[i], ap[i]) if i < len(aw) or adding.load() else (1, 0)
+            remove = (rw[j], rp[j]) if j < len(rw) or removing.load() else None
             span = eng.hi - eng.lo
-            pos = eng.cut(slack, s_g, add, (rw[j], rp[j]) if j < nr else None, scratch)
+            pos = eng.cut(slack, s_g, add, remove, scratch)
             if stats is not None:
                 stats.cells_pruned += span - (eng.hi - eng.lo)
             if eng.hi - eng.lo == 1 and add[1] * (s_g - (pos - eng.half)) < add[0]:
@@ -645,11 +652,12 @@ def _core_fold(inst: Instance, split: GreedySplit, stats: Stats | None = None) -
                 break
     if stats is not None:
         stats.fold_passes = passes
+        stats.core_sorted = adding.sorted + removing.sorted
     if stop_pos is None:
-        return split.greedy_profit + _best_entry(eng, slack, stats)
+        return core.greedy_profit + _best_entry(eng, slack, stats)
     if stats is not None:
         stats.best_index = stop_pos - eng.half
-    return split.greedy_profit + int(eng.arr[stop_pos])
+    return core.greedy_profit + int(eng.arr[stop_pos])
 
 
 def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: Stats | None = None) -> int:
@@ -689,7 +697,7 @@ def _solve_structured(inst: Instance, config: SolverConfig, stats: Stats | None)
     if stats is not None:
         stats.engine = engine
     if engine == "dense":
-        return _core_fold(inst, greedy_split(inst), stats)
+        return _core_fold(inst, LazyCore(inst), stats)
     work = break_ties(inst)
     split = greedy_split(work)
     wpart = weight_partition(work, split, config.constant)

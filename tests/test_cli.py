@@ -79,6 +79,9 @@ def test_solve_stats_go_to_stderr(tmp_path, capsys):
     assert "peak_table_cells=" in captured.err
     # three candidates folded, fewer than one prune's eight passes
     assert "passes=3 cells_pruned=0" in captured.err
+    # one band per side: the greedy side's lower key is sorted, each
+    # side's top key is a tie group
+    assert captured.err.endswith(" core_sorted=1\n")
 
 
 def test_solve_stats_hinted_counters(tmp_path, capsys):

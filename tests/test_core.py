@@ -73,6 +73,51 @@ def test_normalize_accepts_numpy_integers():
     assert solve_fast(items, np.int64(6)) == solve_fast([(2, 3), (3, 4), (5, 5)], 6) == 7
 
 
+def same_instance(a, b):
+    assert a.items == b.items
+    assert (a.weights.dtype, a.profits.dtype) == (b.weights.dtype, b.profits.dtype)
+    assert (a.capacity, a.w_max, a.all_fit, a.total_profit) == (
+        b.capacity, b.w_max, b.all_fit, b.total_profit,
+    )
+
+
+@pytest.mark.parametrize("dtype", sorted({np.dtype(c).name for c in np.typecodes["AllInteger"]}))
+def test_integer_arrays_normalize_as_lists(dtype):
+    # an integer array is checked by dtype and converted whole; it must give
+    # the instance the list of Python ints gives
+    rng = np.random.default_rng(4244)
+    top = min(np.iinfo(dtype).max, 1000)
+    for capacity in (0, 40, 300, 10**6):
+        arr = rng.integers(1, top, size=(60, 2), endpoint=True).astype(dtype)
+        same_instance(normalize(arr, capacity), normalize(arr.tolist(), capacity))
+    empty = np.empty((0, 2), dtype=dtype)
+    same_instance(normalize(empty, 5), normalize([], 5))
+
+
+def test_integer_array_edges():
+    big = np.iinfo(np.uint64).max
+    arr = np.array([[2, big], [3, 4], [4, 1]], dtype=np.uint64)
+    inst = normalize(arr, 5)
+    same_instance(inst, normalize(arr.tolist(), 5))
+    assert inst.profits.dtype == object and inst.items[0] == (2, big)
+    assert solve_fast(arr, 5) == big + 4
+    with pytest.raises(ValueError, match="item weights and profits must be >= 1"):
+        normalize(np.array([[2, 3], [0, 4]], dtype=np.int16), 5)
+    with pytest.raises(ValueError, match="item weights and profits must be >= 1"):
+        normalize(np.array([[2, 3], [-1, 4]], dtype=np.int64), 5)
+    for shape in ((3,), (2, 3), (2, 2, 2)):
+        with pytest.raises(ValueError, match=r"items must be \(weight, profit\) pairs"):
+            normalize(np.ones(shape, dtype=np.int32), 5)
+    # bool and float arrays are refused value by value, as lists are
+    for arr, message in (
+        (np.array([[True, False]]), "item weight must be an integer, got np.True_"),
+        (np.array([[2.0, 3.0]], dtype=np.float32), "item weight must be an integer"),
+        (np.array([[2, 3.5]]), "item weight must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            normalize(arr, 5)
+
+
 def test_cell_dtype_thresholds():
     assert cell_dtype(INT32_VALUE_CAP) == np.int32
     assert cell_dtype(INT32_VALUE_CAP + 1) == np.int64

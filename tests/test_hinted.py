@@ -332,6 +332,25 @@ def test_apply_update_consumes_hint_weights():
     updated.validate()
 
 
+def test_apply_update_subtracts_once_per_hint_set(monkeypatch):
+    # five finite entries share two hint sets: two subtractions, and each
+    # entry inherits its own base's set minus the consumed weight
+    fns = {2: ConcaveProfitFn([0, 1]), 3: ConcaveProfitFn([0, 2])}
+    entries = {z: (0, {2, 3} if z % 2 else {2}) for z in range(-2, 3)}
+    inst = build(4, entries, fns)
+    sol = trivial_solution(inst)
+    calls = []
+    real = SetStore.subtract
+    monkeypatch.setattr(
+        SetStore, "subtract", lambda store, h, o: calls.append(h) or real(store, h, o)
+    )
+    updated = apply_update(inst, {2}, sol)
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 2
+    for z in range(-2, 3):
+        assert updated.hint_set(z) == ({3} if z % 2 else set())
+    updated.validate()
+
+
 def test_apply_update_requires_hinted_bases():
     inst = build(1, {0: (0, set())}, {})
     bad = HintedExtendSolution(1, [7, BOTTOM, BOTTOM], [-1, 0, 1], [{}, {}, {}])

@@ -40,6 +40,7 @@ def test_modules_define_only_the_live_building_blocks():
         "GreedySplit",
         "Instance",
         "Item",
+        "LazyCore",
         "break_ties",
         "cell_dtype",
         "greedy_split",
