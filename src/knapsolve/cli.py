@@ -11,7 +11,8 @@ Instance file format: optional '#' comment lines; the first data line is
 "n t"; each of the following n data lines is "w p" with weight and profit.
 
 Exit codes: 0 success, 1 verification or selftest failure, 2 malformed
-input, 3 refused resource budget, 4 benchmark solver disagreement.
+input, 3 refused resource budget, 4 benchmark solver disagreement, 5 internal
+error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -300,6 +301,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ end.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -136,6 +137,24 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _int64_values(flat: list) -> np.ndarray | None:
+    """``flat`` as int64 in one strict conversion, or None when in any doubt.
+
+    ``array("q")`` takes ints and ``__index__`` objects only: it refuses
+    floats, ``Fraction``, ``Decimal`` and ``np.bool_`` with ``TypeError``
+    and values past int64 with ``OverflowError``.  Bools get through as 0
+    and 1, so a value <= 1 must come from a plain int.  On None the caller
+    checks each value, which gives every refusal its message.
+    """
+    try:
+        values = np.frombuffer(array("q", flat), dtype=np.int64)
+    except (TypeError, OverflowError):
+        return None
+    if any(type(flat[k]) is not int for k in np.flatnonzero(values <= 1).tolist()):
+        return None
+    return values
+
+
 def normalize(raw_items: Iterable[tuple[int, int]], capacity: int) -> Instance:
     """Validate and normalize raw (weight, profit) pairs.
 
@@ -147,12 +166,13 @@ def normalize(raw_items: Iterable[tuple[int, int]], capacity: int) -> Instance:
     integer array.
 
     Every value is checked before any conversion, because converting to
-    int64 would silently truncate 2.9 to 2 and turn True into 1: when the
-    values are not all plain ints, each one goes through ``_integer``.  An
-    array of a signed or unsigned integer dtype is checked by its dtype
-    instead, and converted whole; uint64 values past int64 range become
-    Python ints.  Arrays of other dtypes (bool, float, object) take the
-    per-value path.
+    int64 would silently truncate 2.9 to 2 and turn True into 1.  Pairs are
+    converted in one strict step (``_int64_values``); when it refuses them,
+    and the values are not all plain ints, each one goes through
+    ``_integer``.  An array of a signed or unsigned integer dtype is checked
+    by its dtype instead, and converted whole; uint64 values past int64
+    range become Python ints.  Arrays of other dtypes (bool, float, object)
+    take the per-value path.
     """
     capacity = _integer(capacity, "capacity")
     if capacity < 0:
@@ -170,13 +190,15 @@ def normalize(raw_items: Iterable[tuple[int, int]], capacity: int) -> Instance:
         if set(map(len, pairs)) - {2}:
             raise ValueError("items must be (weight, profit) pairs")
         flat = list(chain.from_iterable(pairs))
-        if not set(map(type, flat)) <= {int}:
-            whats = ("item weight", "item profit")
-            flat = [_integer(v, whats[k & 1]) for k, v in enumerate(flat)]
-        try:
-            values = np.fromiter(flat, np.int64, len(flat))
-        except OverflowError:
-            values = np.array(flat, dtype=object)
+        values = _int64_values(flat)
+        if values is None:
+            if not set(map(type, flat)) <= {int}:
+                whats = ("item weight", "item profit")
+                flat = [_integer(v, whats[k & 1]) for k, v in enumerate(flat)]
+            try:
+                values = np.fromiter(flat, np.int64, len(flat))
+            except OverflowError:
+                values = np.array(flat, dtype=object)
         values = values.reshape(-1, 2)
     if values.size and values.min() < 1:
         raise ValueError("item weights and profits must be >= 1")

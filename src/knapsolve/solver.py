@@ -48,7 +48,12 @@ the original total recovered at the end.  It is the instrumented reference.
 ``solve_proximity_smawk`` folds every candidate class in one fixed table of
 half-size 2 * w_max^2, unpruned: the simplest reference.  All of them fold
 through ``_DenseFold``, which refuses a table past
-``baselines.TABLE_BYTE_BUDGET`` before allocating it.
+``baselines.TABLE_BYTE_BUDGET`` before allocating it.  A class side is one
+bounded item whose prefix profits are concave; ``_DenseFold.update`` folds
+each run of k equal increments (k identical items) as 0-1 chunks of 1, 2,
+4, ... copies plus the remainder, ceil(log2(k + 1)) passes instead of k.
+A single item, as the core fold and the hinted engine's distinct profits
+fold it, stays one pass.
 
 ``first_stage_dense`` is the earlier dense stage one: class-order phases,
 folded unpruned.  No solve path calls it; only the benchmark's staged
@@ -107,7 +112,8 @@ class Stats:
     """Work counters a solve populates when passed in."""
 
     peak_table_cells: int = 0
-    # item passes the dense path's core fold ran before it stopped
+    # item passes the dense path's core fold ran before it stopped, or the
+    # shift passes of solve_proximity_smawk's class fold
     fold_passes: int = 0
     engine: str = ""
     fallback: bool = False
@@ -182,6 +188,29 @@ def _int_limits(dtype):
 _TILE = 1 << 17
 
 
+def _chunks(prefix):
+    """(copies, gain) of each 0-1 pass that folds the concave ``prefix``.
+
+    Each run of k equal increments d is cut into chunks of 1, 2, 4, ...
+    copies plus the remainder (the binary decomposition of a bounded item),
+    ceil(log2(k + 1)) chunks whose copies sum to k; a chunk of c copies
+    gains c * d.
+    """
+    x, cap = 1, len(prefix) - 1
+    while x <= cap:
+        d = prefix[x] - prefix[x - 1]
+        end = x
+        while end < cap and prefix[end + 1] - prefix[end] == d:
+            end += 1
+        left, c = end - x + 1, 1
+        while left:
+            c = min(c, left)
+            yield c, c * d
+            left -= c
+            c *= 2
+        x = end + 1
+
+
 class _DenseFold:
     """Shift-max fold engine over one flat table with a tracked live span.
 
@@ -189,14 +218,16 @@ class _DenseFold:
     bottom.  A class update reads and writes within the span plus the reach
     cap * weight of the class, so pass cost follows the occupied region
     instead of the allocated table.  Shifting by x * weight preserves the
-    index residue, so residues never need separating; each multiplicity is
-    one vectorized compare.  Passes run tile by tile through a small
-    scratch block, ordered against the shift direction so a destination
-    tile never feeds a source tile within the same pass.
+    index residue, so residues never need separating; each binary chunk of
+    a run of equal increments is one vectorized compare.  Passes run tile
+    by tile through a small scratch block, ordered against the shift
+    direction so a destination tile never feeds a source tile within the
+    same pass, whatever the shift's length.
 
     Bottom sentinels inside the span drift upward by the positive
     increments folded onto them and never drift down (in-place maximum only
-    raises cells).  That climb is at most the add-side profit total, which
+    raises cells).  A run's chunk gains sum to the run's total, so that
+    climb is at most the add-side profit total, which
     ``cell_dtype`` keeps at or under the cap, far below the bottom threshold.
 
     ``dtype`` may be int64 (default), int32 (for instances whose profit
@@ -248,55 +279,64 @@ class _DenseFold:
         self.lo, self.hi = lo, hi
         self.half = new_half
 
-    def update(self, weight: int, prefix, direction: int) -> None:
+    def update(self, weight: int, prefix, direction: int) -> int:
         """Fold one class: q[z] = max over x of q[z - direction*x*weight] + prefix[x].
 
-        Runs cap chained single-shift passes using the marginal increments
-        of the concave prefix.  A chain taking m of the shifts earns at most
-        the first m increments, which is exactly prefix[m], so multiplicity
-        m costs prefix[m] and never exceeds cap; no pre-update snapshot of
-        the table is needed.
+        Runs one 0-1 shift pass per chunk of ``_chunks(prefix)``: each run of
+        k equal increments d of the concave prefix becomes chunks of 1, 2,
+        4, ... copies plus the remainder, a chunk of c copies shifting by
+        c * weight and earning c * d.  Every count 0..k of a run is a sum of
+        its chunks and no count past k is, so a set of chunks taking m
+        copies earns at most the m largest increments, which is exactly
+        prefix[m]; no pre-update snapshot of the table is needed.  A single
+        item is one pass.  A chunk whose shift leaves the table is skipped.
+        Returns the number of passes run.
         """
         cap = len(prefix) - 1
         a, b = self.lo, self.hi
         if cap == 0 or a >= b:
-            return
+            return 0
         arr, tmp = self.arr, self.tmp
         size = arr.size
+        passes = done = 0  # done: copies the chunks so far can place
         if direction > 0:
             if a + weight >= size:
-                return
-            for x in range(1, cap + 1):
-                delta = prefix[x] - prefix[x - 1]
-                hi_x = min(size, b + (x - 1) * weight)
-                ell = min(hi_x - a, size - (a + weight))
+                return 0
+            for copies, gain in _chunks(prefix):
+                shift = copies * weight
+                ell = min(b + done * weight, size - shift) - a
+                done += copies
+                if ell <= 0:
+                    continue
+                passes += 1
                 # dst sits above src: walk tiles downward so every source
                 # cell is read before any overlapping destination is written
                 for off in range(((ell - 1) // _TILE) * _TILE, -1, -_TILE):
                     blk = min(_TILE, ell - off)
-                    np.add(arr[a + off : a + off + blk], delta, out=tmp[:blk])
+                    np.add(arr[a + off : a + off + blk], gain, out=tmp[:blk])
                     np.maximum(
-                        arr[a + weight + off : a + weight + off + blk],
+                        arr[a + shift + off : a + shift + off + blk],
                         tmp[:blk],
-                        out=arr[a + weight + off : a + weight + off + blk],
+                        out=arr[a + shift + off : a + shift + off + blk],
                     )
             self.hi = min(size, b + cap * weight)
         else:
             if b - weight <= 0:
-                return
-            for x in range(1, cap + 1):
-                delta = prefix[x] - prefix[x - 1]
-                lo_x = max(0, a - (x - 1) * weight)
-                t0 = max(lo_x - weight, 0)
-                ell = (b - weight) - t0
+                return 0
+            for copies, gain in _chunks(prefix):
+                shift = copies * weight
+                t0 = max(a - done * weight - shift, 0)
+                ell = (b - shift) - t0
+                done += copies
                 if ell <= 0:
-                    break
+                    continue
+                passes += 1
                 # dst sits below src: walk tiles upward for the same reason
                 for off in range(0, ell, _TILE):
                     blk = min(_TILE, ell - off)
                     np.add(
-                        arr[t0 + weight + off : t0 + weight + off + blk],
-                        delta,
+                        arr[t0 + shift + off : t0 + shift + off + blk],
+                        gain,
                         out=tmp[:blk],
                     )
                     np.maximum(
@@ -305,6 +345,7 @@ class _DenseFold:
                         out=arr[t0 + off : t0 + off + blk],
                     )
             self.lo = max(0, a - cap * weight)
+        return passes
 
     def cut(self, slack: int, s_g: int, add, remove, scratch) -> int:
         """Drop every cell no completion can lift above LB, except LB's own.
@@ -514,11 +555,18 @@ def first_stage_hinted(
     return eng
 
 
-def _fold_classes(eng: _DenseFold, weights, split: GreedySplit, profits) -> None:
-    """Fold both sides of each weight class, in ascending weight order."""
+def _fold_classes(eng: _DenseFold, weights, split: GreedySplit, profits) -> int:
+    """Fold both sides of each weight class, in ascending weight order.
+
+    Returns the number of shift passes run.
+    """
+    passes = 0
     for w in sorted(weights):
         for direction, side in ((+1, split.add_candidates), (-1, split.remove_candidates)):
-            eng.update(w, _prefix_profits(profits, side.get(w, ()), direction), direction)
+            passes += eng.update(
+                w, _prefix_profits(profits, side.get(w, ()), direction), direction
+            )
+    return passes
 
 
 def _best_entry(eng: _DenseFold, slack: int, stats: Stats | None):
@@ -731,5 +779,7 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
     profits = inst.profits.tolist()
     eng = _DenseFold(half, cell_dtype(sum(profits)))
     weights = split.add_candidates.keys() | split.remove_candidates.keys()
-    _fold_classes(eng, weights, split, profits)
+    passes = _fold_classes(eng, weights, split, profits)
+    if stats is not None:
+        stats.fold_passes = passes
     return split.greedy_profit + _best_entry(eng, inst.capacity - split.greedy_weight, stats)

@@ -121,6 +121,29 @@ def test_budget_error_exit_code(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+def test_unexpected_exception_exit_code(tmp_path, capsys, monkeypatch):
+    import knapsolve.cli
+
+    def broken(items, capacity, stats=None):
+        raise RuntimeError("table went missing")
+
+    monkeypatch.setattr(knapsolve.cli, "solve_proximity_smawk", broken)
+    path = write(tmp_path, "inst.txt", SMALL)
+    assert main(["solve", path, "--solver", "proximity"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: table went missing\n"
+
+
+def test_solve_stats_proximity_passes(tmp_path, capsys):
+    # three weight classes of one candidate each on their side: one pass each
+    path = write(tmp_path, "inst.txt", SMALL)
+    assert main(["solve", path, "--solver", "proximity", "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "70"
+    assert " passes=3 " in captured.err
+
+
 def test_capacity_dp_fallback_refuses_before_allocating(tmp_path, capsys):
     # w_max > n^2 takes the capacity DP, whose table here would be 2e13 cells
     big = 10**13

@@ -106,12 +106,9 @@ def check_case(items, capacity):
     eager = Stats()
     assert _core_fold(inst, eager_core(inst), eager) == got
     assert counters(stats) == counters(eager)
-    want = core_fold_reference(items, capacity)
-    if prunable(inst):
-        assert (got, *counters(stats)[:3]) == want
-    else:
-        # the reference always prunes; the solver folds these unpruned
-        assert got == want[0] and stats.cells_pruned == 0
+    assert (got, *counters(stats)[:3]) == core_fold_reference(items, capacity)
+    if not prunable(inst):
+        assert stats.cells_pruned == 0
     return True
 
 

@@ -392,6 +392,18 @@ def check_window(eng, cells, rng):
         assert eng.window_best(slack) == window_reference(cells, slack)
 
 
+def filled_fold(rng, half, dtype, scale, density=0.3):
+    """An engine whose live span is the whole table, with random finite cells."""
+    eng = _DenseFold(half, dtype)
+    eng.arr[half] = eng.sentinel
+    cells = {}
+    for k in range(2 * half + 1):
+        if rng.random() < density:
+            cells[k - half] = eng.arr[k] = rng.randint(-1000, 1000) * scale
+    eng.lo, eng.hi = 0, 2 * half + 1
+    return eng, cells
+
+
 def test_dense_fold_update_matches_enumeration():
     rng = random.Random(808)
     for dtype, scale in CELL_TYPES:
@@ -441,13 +453,7 @@ def test_dense_fold_live_span_crossing_a_tile():
     rng = random.Random(810)
     half = _TILE // 2 + 5000
     for dtype, scale in CELL_TYPES:
-        eng = _DenseFold(half, dtype)
-        eng.arr[half] = eng.sentinel
-        want = {}
-        for k in range(2 * half + 1):
-            if rng.random() < 0.3:
-                want[k - half] = eng.arr[k] = rng.randint(-1000, 1000) * scale
-        eng.lo, eng.hi = 0, 2 * half + 1
+        eng, want = filled_fold(rng, half, dtype, scale)
         for weight, direction in ((7, +1), (5, -1), (_TILE + 3, +1)):
             prefix = concave_prefix(rng, 2, scale)
             eng.update(weight, prefix, direction)
@@ -466,6 +472,99 @@ def test_int32_fold_at_profit_cap_keeps_bottom_cells():
     for _ in range(INT32_VALUE_CAP // gain):
         for direction, prefix in ((+1, [0, gain]), (-1, [0, -gain])):
             eng.update(weight, prefix, direction)
+            want = fold_reference(want, half, weight, prefix, direction)
+    assert finite_cells(eng) == want
+    assert all(z % 2 == 0 for z in want)
+    assert eng.window_best(half) == window_reference(want, half)
+
+
+# run lengths the binary chunks must cover: every length up to 9, and the
+# lengths on either side of a power of two
+RUN_LENGTHS = tuple(range(1, 10)) + (15, 16, 17)
+
+
+def run_prefix(rng, lengths, scale):
+    """A concave prefix made of one run of equal increments per length."""
+    incs = sorted(rng.sample(range(-40, 41), len(lengths)), reverse=True)
+    out = [0]
+    for k, d in zip(lengths, incs):
+        out += [out[-1] + d * scale * x for x in range(1, k + 1)]
+    return out
+
+
+def test_dense_fold_update_folds_runs():
+    # each run length alone and behind other runs, both directions; the
+    # table is wide enough that no chunk leaves it, so every chunk is a pass
+    rng = random.Random(811)
+    for dtype, scale in CELL_TYPES:
+        for k in RUN_LENGTHS:
+            for lengths in ((k,), (rng.randint(1, 3), k, rng.randint(1, 5))):
+                for direction in (+1, -1):
+                    weight = rng.randint(1, 5)
+                    half = weight * sum(lengths) + rng.randint(1, 5)
+                    eng = _DenseFold(half, dtype)
+                    want = {0: 0}
+                    for _ in range(2):
+                        prefix = run_prefix(rng, lengths, scale)
+                        passes = eng.update(weight, prefix, direction)
+                        assert passes == sum(m.bit_length() for m in lengths)
+                        want = fold_reference(want, half, weight, prefix, direction)
+                        assert finite_cells(eng) == want
+                        direction = -direction
+                    check_window(eng, want, rng)
+
+
+def test_dense_fold_runs_past_the_table_edge():
+    # small tables filled edge to edge: the larger chunks shift past the edge
+    # and are skipped, the remainder chunks after them still fit
+    rng = random.Random(812)
+    for dtype, scale in CELL_TYPES:
+        for k in RUN_LENGTHS:
+            for _ in range(4):
+                half = rng.randint(1, 25)
+                eng, want = filled_fold(rng, half, dtype, scale)
+                weight = rng.randint(1, half + 3)
+                lengths = (k,) if rng.random() < 0.5 else (k, rng.randint(1, 17))
+                prefix = run_prefix(rng, lengths, scale)
+                direction = rng.choice((+1, -1))
+                passes = eng.update(weight, prefix, direction)
+                assert passes <= sum(m.bit_length() for m in lengths)
+                want = fold_reference(want, half, weight, prefix, direction)
+                assert finite_cells(eng) == want
+                check_window(eng, want, rng)
+
+
+def test_dense_fold_chunk_shifts_wider_than_a_tile():
+    # a 4-copy chunk of weight _TILE // 4 + 7 shifts past one scratch tile;
+    # the chunks of weight 7 walk a span of two tiles
+    rng = random.Random(813)
+    half = _TILE // 2 + 5000
+    for dtype, scale in CELL_TYPES:
+        eng, want = filled_fold(rng, half, dtype, scale, density=0.1)
+        for weight, lengths, direction in (
+            (_TILE // 4 + 7, (7, 2), +1),
+            (_TILE // 4 + 7, (4, 5), -1),
+            (7, (17,), -1),
+            (7, (16, 1), +1),
+        ):
+            prefix = run_prefix(rng, lengths, scale)
+            eng.update(weight, prefix, direction)
+            want = fold_reference(want, half, weight, prefix, direction)
+        assert finite_cells(eng) == want
+        check_window(eng, want, rng)
+
+
+def test_int32_fold_at_profit_cap_keeps_bottom_cells_with_runs():
+    # the climb of the test above folded as runs of 16 equal gains: each
+    # chunk gains several increments at once, and the add-side total is
+    # still exactly INT32_VALUE_CAP
+    half, weight, gain, run = 40, 2, 1 << 20, 16
+    eng = _DenseFold(half, np.int32)
+    want = {0: 0}
+    for _ in range(INT32_VALUE_CAP // (gain * run)):
+        for direction in (+1, -1):
+            prefix = [direction * gain * x for x in range(run + 1)]
+            assert eng.update(weight, prefix, direction) == run.bit_length()
             want = fold_reference(want, half, weight, prefix, direction)
     assert finite_cells(eng) == want
     assert all(z % 2 == 0 for z in want)
@@ -716,7 +815,8 @@ def test_pruning_removes_cells_at_scale():
 
 
 def core_fold_reference(items, capacity):
-    """The core fold on a {z: value} dict, with ``prune_reference`` as the cut.
+    """The core fold on a {z: value} dict, with ``prune_reference`` as the cut
+    wherever the solver prunes.
 
     Returns (answer, fold_passes, peak_table_cells, best_index) for a
     nontrivial instance with w_max <= n^2, as ``solve_fast`` reports them.
@@ -735,6 +835,10 @@ def core_fold_reference(items, capacity):
     s_g = g * (slack // g)
     w_max = inst.w_max
     cap = 2 * w_max * w_max
+    # like the solver, fold unpruned on object cells and wherever the cut's
+    # compare could overflow int64
+    total = sum(profits)
+    prunable = cell_dtype(total) != object and (3 * w_max + 8 * (cap + 1)) * total < 1 << 62
     half = min(cap, max(w_max, slack + 1))
     peak = 2 * half + 1
     cells = {0: 0}
@@ -751,7 +855,7 @@ def core_fold_reference(items, capacity):
         peak = max(peak, 2 * half + 1)
         cells = fold_reference(cells, half, w, [0, direction * p], direction)
         passes += 1
-        if passes % 8 == 0:
+        if prunable and passes % 8 == 0:
             add = adds[0] if adds else (1, 0)
             cells = prune_reference(cells, slack, add, removes[0] if removes else None, g)
             if len(cells) == 1:
@@ -865,6 +969,24 @@ def test_core_fold_work_on_wide_w():
         stats = Stats()
         solve_fast(call.items, call.capacity, stats=stats)
         assert stats.fold_passes <= 100 and stats.peak_table_cells <= 300_000, call.label
+
+
+def test_proximity_folds_runs_in_chunks():
+    # the benchmark's proximity call on hard-equal-weights, n = 2048 at
+    # w = 512: about 62 items per class over two profits, so each class
+    # side folds in a few chunk passes instead of one pass per item
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    calls, _ = workloads.build("oracles", 1)
+    (call,) = (
+        c for c in calls
+        if c.spec.kind == "proximity" and c.spec.family == "hard-equal-weights"
+    )
+    stats = Stats()
+    got = solve_proximity_smawk(call.items, call.capacity, stats=stats)
+    assert 0 < stats.fold_passes <= call.spec.n // 4
+    assert got == solve_fast(call.items, call.capacity)
 
 
 def test_fold_table_byte_budget(monkeypatch):
