@@ -475,6 +475,14 @@ def _masked(inst, slots) -> HintedExtendInstance:
     )
 
 
+def _color_classes(universe, coloring) -> list[list[int]]:
+    """``universe`` grouped by color (color 0 if uncolored), colors ascending."""
+    classes: dict = {}
+    for w in universe:
+        classes.setdefault(coloring.get(w, 0), []).append(w)
+    return [classes[c] for c in sorted(classes)]
+
+
 def _chain_color_classes(inst, classes, solver):
     """Sequentially restrict to each class, solve, fold back, and compose."""
     current = inst
@@ -525,11 +533,8 @@ def solve_small_b(
         if idx not in owned:
             continue
         masked = _masked(inst, finite_owned.get(idx, ()))
-        classes = {}
-        for w in inst.universe:
-            # weights in no hint set are uncolored; any class works for them
-            classes.setdefault(coloring.get(w, 0), []).append(w)
-        ordered = [classes[c] for c in sorted(classes)]
+        # weights in no hint set are uncolored; any class works for them
+        ordered = _color_classes(inst.universe, coloring)
 
         def per_class(sub, _cls):
             out = solve_singleton(sub)
@@ -562,10 +567,7 @@ def solve(
     sets = _hint_sets(inst)
     num_colors = math.ceil(budget / log_m)
     coloring = det_balls_and_bins(sets, num_colors, beta)
-    classes: dict = {}
-    for w in inst.universe:
-        classes.setdefault(coloring.get(w, 0), []).append(w)
-    ordered = [classes[c] for c in sorted(classes)]
+    ordered = _color_classes(inst.universe, coloring)
     inner_budget = 1
     for s in sets:
         per: dict = {}

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -100,7 +100,6 @@ from .partition import (
 )
 
 DEFAULT_CONSTANT = 2.0
-DEFAULT_BETA = 12
 
 
 class VerificationError(RuntimeError):
@@ -111,13 +110,18 @@ class VerificationError(RuntimeError):
 class Stats:
     """Work counters a solve populates when passed in."""
 
+    # cells of the largest table the solve built: each fold engine records
+    # its own size, the capacity DP its row, the hinted stage one its lists
     peak_table_cells: int = 0
     # item passes the dense path's core fold ran before it stopped, or the
     # shift passes of solve_proximity_smawk's class fold
     fold_passes: int = 0
+    # the path that answered: "trivial", "bellman-fallback" (the capacity
+    # DP, when w_max > n^2), "dense", "hinted" or "proximity"
     engine: str = ""
-    fallback: bool = False
+    # the hinted engine's stage-one hint-extension work
     extend: ExtendStats = field(default_factory=ExtendStats)
+    # index z of the table entry the answer was read from
     best_index: int | None = None
     # live-span slots the core fold's bound dropped, over all prunes
     cells_pruned: int = 0
@@ -134,9 +138,8 @@ class SolverConfig:
     """Tuning knobs; defaults match the analysis constants.
 
     ``constant`` (positive and finite) scales every structural bound of the
-    hinted engine (layer windows, phase table sizes, hint budgets), and
-    ``beta`` (an integer >= 1) its balls-and-bins load bound; other values
-    raise ``ValueError`` when the config is built.  ``engine`` picks the
+    hinted engine (layer windows, phase table sizes, hint budgets); other
+    values raise ``ValueError`` when the config is built.  ``engine`` picks the
     path: "auto" resolves to the dense path, the pruned core fold, which
     wins at every practical scale under CPython; "hinted" forces the
     hint-propagating engine.  ``verify`` cross-checks the final answer
@@ -144,7 +147,6 @@ class SolverConfig:
     """
 
     constant: float = DEFAULT_CONSTANT
-    beta: int = DEFAULT_BETA
     engine: str = "auto"
     verify: bool = False
     verify_cell_budget: int = 400_000_000
@@ -153,9 +155,6 @@ class SolverConfig:
         c = self.constant
         if isinstance(c, bool) or not isinstance(c, Real) or not 0 < c < math.inf:
             raise ValueError(f"constant must be a positive finite number, got {c!r}")
-        b = self.beta
-        if isinstance(b, bool) or not isinstance(b, Integral) or b < 1:
-            raise ValueError(f"beta must be an integer >= 1, got {b!r}")
 
     def resolved_engine(self) -> str:
         if self.engine not in ("auto", "dense", "hinted"):
@@ -171,17 +170,15 @@ def _prefix_profits(profits, members, sign: int) -> list[int]:
     return out
 
 
-# int32 twin of the int64 sentinel scheme, used when the instance's profit
-# total fits INT32_VALUE_CAP; halving the cell width halves memory traffic,
-# which is what bounds the fold at large table sizes
-_NEG_SENTINEL32 = -(1 << 30)
-_NEG_THRESHOLD32 = -(1 << 29)
-
-
-def _int_limits(dtype):
-    if np.dtype(dtype) == np.int32:
-        return _NEG_SENTINEL32, _NEG_THRESHOLD32
-    return NEG_SENTINEL, NEG_THRESHOLD
+# (sentinel, threshold) per cell type: bottom is written as the sentinel and
+# read as any value at or below the threshold, which leaves room for drift.
+# int32 cells (profit totals within INT32_VALUE_CAP) halve the memory traffic
+# that bounds the fold at large table sizes.
+_BOTTOMS = {
+    np.dtype(np.int32): (-(1 << 30), -(1 << 29)),
+    np.dtype(np.int64): (NEG_SENTINEL, NEG_THRESHOLD),
+    np.dtype(object): (BOTTOM, BOTTOM),
+}
 
 # scratch tile (cells); 1 MiB keeps the shift buffer cache resident so a
 # pass streams three arrays through memory instead of five
@@ -219,10 +216,10 @@ class _DenseFold:
     cap * weight of the class, so pass cost follows the occupied region
     instead of the allocated table.  Shifting by x * weight preserves the
     index residue, so residues never need separating; each binary chunk of
-    a run of equal increments is one vectorized compare.  Passes run tile
-    by tile through a small scratch block, ordered against the shift
-    direction so a destination tile never feeds a source tile within the
-    same pass, whatever the shift's length.
+    a run of equal increments is one vectorized compare.  Both directions
+    run through one pass loop, tile by tile through a small scratch block,
+    ordered against the shift so a destination tile never feeds a source
+    tile within the same pass, whatever the shift's length.
 
     Bottom sentinels inside the span drift upward by the positive
     increments folded onto them and never drift down (in-place maximum only
@@ -234,28 +231,25 @@ class _DenseFold:
     total fits INT32_VALUE_CAP, with proportionally scaled sentinels), or
     ``object`` (plain ints and float bottom, for totals past int64 range).
     A table past ``baselines.TABLE_BYTE_BUDGET`` is refused with
-    ``BudgetExceededError`` before it is allocated.
+    ``BudgetExceededError`` before it is allocated.  With ``stats`` the
+    engine records its own size there when it is built and on each resize.
     """
 
-    __slots__ = (
-        "arr", "tmp", "half", "lo", "hi", "is_object", "sentinel", "threshold",
-    )
+    __slots__ = ("arr", "tmp", "half", "lo", "hi", "sentinel", "threshold", "stats")
 
-    def __init__(self, half: int, dtype=np.int64):
+    def __init__(self, half: int, dtype=np.int64, stats: Stats | None = None):
         size = 2 * half + 1
         check_table_bytes("fold table needs", size * np.dtype(dtype).itemsize)
-        self.is_object = dtype == object
-        if self.is_object:
-            self.sentinel = self.threshold = BOTTOM
-            self.arr = np.full(size, BOTTOM, dtype=object)
-        else:
-            self.sentinel, self.threshold = _int_limits(dtype)
-            self.arr = np.full(size, self.sentinel, dtype=dtype)
+        self.sentinel, self.threshold = _BOTTOMS[np.dtype(dtype)]
+        self.arr = np.full(size, self.sentinel, dtype=dtype)
         self.arr[half] = 0
         self.tmp = np.empty(min(size, _TILE), dtype=self.arr.dtype)
         self.half = half
         self.lo = half
         self.hi = half + 1
+        self.stats = stats
+        if stats is not None:
+            stats.note_table(size)
 
     def resize(self, new_half: int) -> None:
         """Re-center the table at half-size ``new_half``, keeping index z at z.
@@ -278,6 +272,8 @@ class _DenseFold:
         self.tmp = np.empty(min(size, _TILE), dtype=arr.dtype)
         self.lo, self.hi = lo, hi
         self.half = new_half
+        if self.stats is not None:
+            self.stats.note_table(size)
 
     def update(self, weight: int, prefix, direction: int) -> int:
         """Fold one class: q[z] = max over x of q[z - direction*x*weight] + prefix[x].
@@ -299,51 +295,33 @@ class _DenseFold:
         arr, tmp = self.arr, self.tmp
         size = arr.size
         passes = done = 0  # done: copies the chunks so far can place
+        for copies, gain in _chunks(prefix):
+            shift = copies * weight
+            # sources the chunks so far can reach whose destination
+            # src + direction * shift stays in the table
+            if direction > 0:
+                src, end = a, min(b + done * weight, size - shift)
+            else:
+                src, end = max(a - done * weight, shift), b
+            done += copies
+            ell = end - src
+            if ell <= 0:
+                continue
+            passes += 1
+            dst = src + direction * shift
+            # walk tiles against the shift so every source cell is read
+            # before any overlapping destination is written
+            tiles = range(0, ell, _TILE)
+            for off in reversed(tiles) if direction > 0 else tiles:
+                blk = min(_TILE, ell - off)
+                np.add(arr[src + off : src + off + blk], gain, out=tmp[:blk])
+                out = arr[dst + off : dst + off + blk]
+                np.maximum(out, tmp[:blk], out=out)
+        if not passes:  # even one copy shifts the whole span out
+            return 0
         if direction > 0:
-            if a + weight >= size:
-                return 0
-            for copies, gain in _chunks(prefix):
-                shift = copies * weight
-                ell = min(b + done * weight, size - shift) - a
-                done += copies
-                if ell <= 0:
-                    continue
-                passes += 1
-                # dst sits above src: walk tiles downward so every source
-                # cell is read before any overlapping destination is written
-                for off in range(((ell - 1) // _TILE) * _TILE, -1, -_TILE):
-                    blk = min(_TILE, ell - off)
-                    np.add(arr[a + off : a + off + blk], gain, out=tmp[:blk])
-                    np.maximum(
-                        arr[a + shift + off : a + shift + off + blk],
-                        tmp[:blk],
-                        out=arr[a + shift + off : a + shift + off + blk],
-                    )
             self.hi = min(size, b + cap * weight)
         else:
-            if b - weight <= 0:
-                return 0
-            for copies, gain in _chunks(prefix):
-                shift = copies * weight
-                t0 = max(a - done * weight - shift, 0)
-                ell = (b - shift) - t0
-                done += copies
-                if ell <= 0:
-                    continue
-                passes += 1
-                # dst sits below src: walk tiles upward for the same reason
-                for off in range(0, ell, _TILE):
-                    blk = min(_TILE, ell - off)
-                    np.add(
-                        arr[t0 + shift + off : t0 + shift + off + blk],
-                        gain,
-                        out=tmp[:blk],
-                    )
-                    np.maximum(
-                        arr[t0 + off : t0 + off + blk],
-                        tmp[:blk],
-                        out=arr[t0 + off : t0 + off + blk],
-                    )
             self.lo = max(0, a - cap * weight)
         return passes
 
@@ -399,20 +377,11 @@ class _DenseFold:
 
     def window_best(self, slack: int):
         """Best finite value over indices z <= slack, lowest index on ties."""
-        end = self.half + slack + 1
-        if self.is_object:
-            best, best_z = BOTTOM, None
-            for k in range(end):
-                v = self.arr[k]
-                if not is_bottom(v) and (is_bottom(best) or v > best):
-                    best, best_z = v, k - self.half
-            return best, best_z
-        window = self.arr[:end]
-        pos = int(window.argmax())
-        m = int(window[pos])
-        if m < self.threshold:
+        window = self.arr[: self.half + slack + 1]
+        pos = int(window.argmax())  # object arrays too: first maximum wins
+        if window[pos] <= self.threshold:
             return BOTTOM, None
-        return m, pos - self.half
+        return int(window[pos]), pos - self.half
 
 
 def first_stage_dense(
@@ -429,15 +398,13 @@ def first_stage_dense(
     No solve path calls it: the dense path runs the core fold
     (``_core_fold``), and only the benchmark's staged mirror calls this.
     """
-    eng = _DenseFold(schedule.table_half_sizes[0], dtype)
+    eng = _DenseFold(schedule.table_half_sizes[0], dtype, stats)
     last_phase = 0
     for j in range(1, schedule.phase_count + 1):
         if rank_part.phase_items(+1, j) or rank_part.phase_items(-1, j):
             last_phase = j
     for j in range(1, last_phase + 1):
         eng.resize(schedule.table_half_sizes[j])
-        if stats is not None:
-            stats.note_table(2 * eng.half + 1)
         for direction in (+1, -1):
             groups = rank_part.phase_items(direction, j)
             # ascending weights keep the live span growing as slowly as possible
@@ -470,6 +437,8 @@ def first_stage_hinted(
     or skipped group ends the class for that entry).  Entries whose new
     hint set exceeds the next budget are deleted.  The finished table is
     returned as a fold engine over the perturbed profits, for stage two.
+    ``config`` is not read; it stays in the signature because callers pass
+    the arguments positionally.
     """
     profits = primed.profits.tolist()
     universe = tuple(sorted(inner_weights))
@@ -511,9 +480,7 @@ def first_stage_hinted(
                 for w in universe
             }
             inst = HintedExtendInstance(half, universe, mq, mhints, fns, store)
-            sol = hinted.solve(
-                inst, schedule.hint_budgets[phase], beta=config.beta, stats=ext_stats
-            )
+            sol = hinted.solve(inst, schedule.hint_budgets[phase], stats=ext_stats)
             if direction > 0:
                 r, z, xs = sol.r, sol.z, sol.x
             else:
@@ -547,7 +514,7 @@ def first_stage_hinted(
             if stats is not None:
                 stats.note_table(size)
 
-    eng = _DenseFold(half, cell_dtype(sum(profits)))
+    eng = _DenseFold(half, cell_dtype(sum(profits)), stats)
     finite = finite_slots(q)
     eng.arr[half] = eng.sentinel
     eng.arr[finite] = [q[k] for k in finite]
@@ -603,13 +570,9 @@ def second_stage(
     base_profit plus the best table entry within the leftover capacity.
     """
     eng.resize(schedule.stage_two_size(1))
-    if stats is not None:
-        stats.note_table(2 * eng.half + 1)
     for layer in range(2, len(layers) + 1):
         _fold_classes(eng, layers[layer - 1], split, profits)
         eng.resize(schedule.stage_two_size(layer))
-        if stats is not None:
-            stats.note_table(2 * eng.half + 1)
 
     slack = primed.capacity - split.greedy_weight
     assert 0 <= slack < primed.w_max <= eng.half
@@ -661,11 +624,8 @@ def _core_fold(inst: Instance, core: LazyCore, stats: Stats | None = None) -> in
     prunable = dtype != object and (3 * inst.w_max + 8 * (cap + 1)) * total < 1 << 62
     scratch = _cut_scratch(2 * cap + 1) if prunable else None
 
-    eng = _DenseFold(min(cap, max(inst.w_max, slack + 1)), dtype)
-    if stats is not None:
-        stats.note_table(2 * eng.half + 1)
+    eng = _DenseFold(min(cap, max(inst.w_max, slack + 1)), dtype, stats)
     i = j = passes = 0
-    stop_pos = None
     while True:
         more_adds = i < len(aw) or adding.load()
         more_removes = j < len(rw) or removing.load()
@@ -684,8 +644,6 @@ def _core_fold(inst: Instance, core: LazyCore, stats: Stats | None = None) -> in
             while half < reach and half < cap:
                 half = min(2 * half, cap)
             eng.resize(half)
-            if stats is not None:
-                stats.note_table(2 * half + 1)
         eng.update(w, (0, p), direction)
         passes += 1
         if prunable and passes % _PRUNE_EVERY == 0:
@@ -695,17 +653,13 @@ def _core_fold(inst: Instance, core: LazyCore, stats: Stats | None = None) -> in
             pos = eng.cut(slack, s_g, add, remove, scratch)
             if stats is not None:
                 stats.cells_pruned += span - (eng.hi - eng.lo)
+            # LB's cell is then the only finite one, which _best_entry reads
             if eng.hi - eng.lo == 1 and add[1] * (s_g - (pos - eng.half)) < add[0]:
-                stop_pos = pos
                 break
     if stats is not None:
         stats.fold_passes = passes
         stats.core_sorted = adding.sorted + removing.sorted
-    if stop_pos is None:
-        return core.greedy_profit + _best_entry(eng, slack, stats)
-    if stats is not None:
-        stats.best_index = stop_pos - eng.half
-    return core.greedy_profit + int(eng.arr[stop_pos])
+    return core.greedy_profit + _best_entry(eng, slack, stats)
 
 
 def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: Stats | None = None) -> int:
@@ -726,9 +680,7 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
     if inst.w_max > inst.n * inst.n:
         if stats is not None:
             stats.engine = "bellman-fallback"
-            stats.fallback = True
-            stats.note_table(inst.capacity + 1)
-        answer = _capacity_dp(inst)
+        answer = _capacity_dp(inst, stats=stats)
     else:
         answer = _solve_structured(inst, config, stats)
     if config.verify:
@@ -775,9 +727,8 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
     split = greedy_split(inst)
     if stats is not None:
         stats.engine = "proximity"
-        stats.note_table(2 * half + 1)
     profits = inst.profits.tolist()
-    eng = _DenseFold(half, cell_dtype(sum(profits)))
+    eng = _DenseFold(half, cell_dtype(sum(profits)), stats)
     weights = split.add_candidates.keys() | split.remove_candidates.keys()
     passes = _fold_classes(eng, weights, split, profits)
     if stats is not None:

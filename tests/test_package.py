@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, nothing else lingers."""
 
+import dataclasses
 import inspect
 
 import knapsolve
@@ -48,3 +49,26 @@ def test_modules_define_only_the_live_building_blocks():
         "normalize",
         "recover_profit",
     }
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def test_config_and_stats_fields_are_pinned():
+    # a new knob or counter, or a retired one left behind, fails here
+    assert field_names(knapsolve.SolverConfig) == [
+        "constant",
+        "engine",
+        "verify",
+        "verify_cell_budget",
+    ]
+    assert field_names(knapsolve.Stats) == [
+        "peak_table_cells",
+        "fold_passes",
+        "engine",
+        "extend",
+        "best_index",
+        "cells_pruned",
+        "core_sorted",
+    ]

@@ -108,7 +108,7 @@ def test_wide_weights_fall_back_to_capacity_dp():
     items = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
     got = solve_fast(items, 70, stats=stats)
     assert got == solve_bellman(items, 70) == 9
-    assert stats.fallback and stats.engine == "bellman-fallback"
+    assert stats.engine == "bellman-fallback"
 
 
 def test_forced_fallback_matches():
@@ -122,7 +122,7 @@ def test_forced_fallback_matches():
         capacity = rng.randint(max(w for w, _ in items), total - 1)
         stats = Stats()
         assert solve_fast(items, capacity, stats=stats) == solve_exhaustive(items, capacity)
-        assert stats.fallback and stats.engine == "bellman-fallback"
+        assert stats.engine == "bellman-fallback"
 
 
 def test_all_solvers_agree_on_random_instances():
@@ -313,12 +313,6 @@ def test_solver_config_rejects_bad_constant(constant):
         SolverConfig(constant=constant, engine="hinted")
 
 
-def test_solver_config_rejects_bad_beta():
-    for beta in (0, -2, 1.5, True):
-        with pytest.raises(ValueError, match="beta must be an integer >= 1"):
-            SolverConfig(beta=beta)
-
-
 def test_stats_populated_on_structured_path():
     items = [(3, 7), (4, 9), (5, 4), (2, 6), (3, 5), (4, 8)]
     capacity = 9
@@ -333,6 +327,18 @@ def test_stats_populated_on_structured_path():
     assert hinted.engine == "hinted"
     assert hinted.extend.matrix_evals > 0
     assert hinted.fold_passes == 0
+
+
+def test_peak_table_cells_of_fallback_and_proximity():
+    # the capacity DP's row of capacity + 1 cells
+    stats = Stats()
+    assert solve_fast([(50, 7), (60, 9)], 70, stats=stats) == 9
+    assert stats.peak_table_cells == 71
+    # proximity's one table of half-size 2 * w_max^2, w_max = 5
+    stats = Stats()
+    items = [(3, 7), (4, 9), (5, 4), (2, 6), (3, 5), (4, 8)]
+    assert solve_proximity_smawk(items, 9, stats=stats) == solve_exhaustive(items, 9)
+    assert stats.peak_table_cells == 4 * 5 * 5 + 1
 
 
 def test_repeat_runs_are_deterministic():
@@ -360,7 +366,7 @@ def concave_prefix(rng, cap, scale):
 
 def finite_cells(eng):
     """{z: value} over the engine's finite cells, checked to lie in its live span."""
-    if eng.is_object:
+    if eng.arr.dtype == object:
         slots = [k for k, v in enumerate(eng.arr) if v != BOTTOM]
     else:
         slots = np.flatnonzero(eng.arr > eng.threshold).tolist()
