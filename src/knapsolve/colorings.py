@@ -19,6 +19,7 @@ deterministic functions of their inputs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 
 class ColoringError(RuntimeError):
@@ -160,30 +161,33 @@ def det_isolating_colorings(sets: list, size_bound: int) -> list[dict]:
     sets below half by the collision estimator
     p(x) = (2x(s - x) + (s - x)(s - x - 1)) / (2 b^2)  (exact integers,
     scaled by 2 b^2), so at most log2(2m) rounds are needed; the list is as
-    short as the inputs allow.
+    short as the inputs allow.  Copies of one set share every step of a
+    round, so each distinct set is tracked once and its penalty counts once
+    per copy: the estimator sums, and so the colorings, are those of the
+    full list, and m (with the round cap) counts every copy.
     """
     m = len(sets)
-    normalized = [sorted(set(s)) for s in sets]
-    for s in normalized:
-        if len(s) > size_bound:
-            raise ValueError("set exceeds the declared size bound")
-    universe = _sorted_universe(sets)
+    copies = Counter(map(frozenset, sets))
+    if any(len(s) > size_bound for s in copies):
+        raise ValueError("set exceeds the declared size bound")
+    universe = _sorted_universe(copies)
     colors = max(1, size_bound * size_bound)
 
     colorings: list[dict] = []
-    remaining = [i for i, s in enumerate(normalized) if len(s) >= 2]
+    # distinct sets that need isolating, with their copy counts
+    remaining = [(s, n) for s, n in copies.items() if len(s) >= 2]
     max_rounds = max(1, math.ceil(math.log2(2 * m))) if m else 1
     while remaining:
         if len(colorings) >= max_rounds:
             raise ColoringError("isolating colorings did not converge")
         member_sets: dict = {e: [] for e in universe}
-        for i in remaining:
-            for e in normalized[i]:
+        for i, (elems, _) in enumerate(remaining):
+            for e in elems:
                 member_sets[e].append(i)
         # per-set state for this round
-        colored_count = {i: 0 for i in remaining}
-        used_colors: dict[int, set[int]] = {i: set() for i in remaining}
-        collided: dict[int, bool] = {i: False for i in remaining}
+        colored_count = [0] * len(remaining)
+        used_colors: list[set[int]] = [set() for _ in remaining]
+        collided = [False] * len(remaining)
         full = 2 * colors  # scaled estimator value of a collided set
 
         coloring = {}
@@ -193,12 +197,12 @@ def det_isolating_colorings(sets: list, size_bound: int) -> list[dict]:
             # fresh colors are always at least as good.
             penalty: dict[int, int] = {}
             for i in active:
-                s_len = len(normalized[i])
+                elems, n = remaining[i]
                 x = colored_count[i]
-                u = s_len - x - 1
+                u = len(elems) - x - 1
                 fresh = 2 * (x + 1) * u + u * (u - 1)
                 for c in used_colors[i]:
-                    penalty[c] = penalty.get(c, 0) + (full - fresh)
+                    penalty[c] = penalty.get(c, 0) + n * (full - fresh)
             choice = None
             if len(penalty) < colors:
                 for c in range(colors):
@@ -220,7 +224,7 @@ def det_isolating_colorings(sets: list, size_bound: int) -> list[dict]:
                     used_colors[i].add(choice)
                     colored_count[i] += 1
         colorings.append(coloring)
-        remaining = [i for i in remaining if collided[i]]
+        remaining = [rem for rem, hit in zip(remaining, collided) if hit]
     if not colorings:
         colorings.append({e: 0 for e in universe})
     return colorings

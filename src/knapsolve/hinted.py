@@ -21,7 +21,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import compress, repeat
+from operator import is_not
 from types import MappingProxyType
 
 from .colorings import (
@@ -35,11 +37,6 @@ from .smawk import row_maxima
 # The multiplicity map of every entry no extension touched; read-only, so
 # one object serves every table.
 NO_ITEMS = MappingProxyType({})
-
-
-def finite_slots(values) -> list[int]:
-    """Slots whose value is finite, found without a per-slot Python call."""
-    return list(compress(range(len(values)), map(BOTTOM.__lt__, values)))
 
 
 class ConcaveProfitFn:
@@ -166,6 +163,16 @@ class HintedExtendInstance:
         h = self.hint_handles[self.slot(index)]
         return None if h is None else self.store.get(h)
 
+    @cached_property
+    def finite(self) -> list[int]:
+        """Slots holding a value, ascending: exactly those with a hint set.
+
+        Whoever builds a table whose finite slots it already knows assigns
+        them here instead; the list is shared, so it is never mutated.
+        """
+        handles = self.hint_handles
+        return list(compress(range(len(handles)), map(is_not, handles, repeat(None))))
+
     def validate(self) -> None:
         if len(self.q) != self.size or len(self.hint_handles) != self.size:
             raise ValueError("table arrays disagree with half_size")
@@ -204,20 +211,31 @@ class HintedExtendSolution:
     def mult(self, index: int) -> dict:
         return self.x[self.slot(index)]
 
+    @cached_property
+    def finite(self) -> list[int]:
+        """Slots of ``r`` holding a value, ascending; shared like the maps.
+
+        The solvers and the algebra set it on every solution they build,
+        so it is searched for in ``r`` only on a solution built by hand.
+        """
+        return list(compress(range(len(self.r)), map(BOTTOM.__lt__, self.r)))
+
 
 def trivial_solution(inst: HintedExtendInstance) -> HintedExtendSolution:
-    return HintedExtendSolution(
+    sol = HintedExtendSolution(
         inst.half_size,
         list(inst.q),
         list(range(-inst.half_size, inst.half_size + 1)),
         [NO_ITEMS] * inst.size,
         ExtendStats(),
     )
+    sol.finite = inst.finite
+    return sol
 
 
 def _value_spread(inst: HintedExtendInstance) -> int:
-    finite = list(filter(BOTTOM.__lt__, inst.q))
-    spread = (max(finite) - min(finite)) if finite else 0
+    values = list(map(inst.q.__getitem__, inst.finite))
+    spread = (max(values) - min(values)) if values else 0
     fn_spread = max((fn.spread() for fn in inst.fns.values()), default=0)
     return spread + fn_spread + 1
 
@@ -241,17 +259,18 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
     sol = trivial_solution(inst)
     stats = sol.stats
     q = inst.q
-    handles = inst.hint_handles
+    finite = inst.finite
+    handles = list(map(inst.hint_handles.__getitem__, finite))
     weight_of = {}
     for h in set(handles):
-        s = () if h is None else inst.store.get(h)
+        s = inst.store.get(h)
         if len(s) > 1:
             raise ValueError("solve_singleton needs hint sets of size <= 1")
         if s:
             (weight_of[h],) = s
     bases_by_group: dict[tuple[int, int], list[int]] = {}
-    for k in compress(range(inst.size), map(weight_of.__contains__, handles)):
-        w = weight_of[handles[k]]
+    for k, h in compress(zip(finite, handles), map(weight_of.__contains__, handles)):
+        w = weight_of[h]
         bases_by_group.setdefault((w, (k - L) % w), []).append(k - L)
 
     if not bases_by_group:
@@ -260,71 +279,78 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
     big = _value_spread(inst)
     # slot -> progressions parked there; ``pending`` heaps the occupied slots
     buckets: dict[int, list] = {}
+    evals = aps = 0
 
     for (w, c), cols in sorted(bases_by_group.items()):
-        cols.sort()
         fn = inst.fns[w]
         prefix, cap = fn.prefix, fn.cap
         # only these rows give some column an x in [1, cap]
         rows = range(cols[0] + w, min(L, cols[-1] + cap * w) + 1, w)
         if not cap or not rows:
             continue
+        # row ri is cols[0] + ri * w and every base shares the residue, so
+        # base cj (1-based, like ri) takes x = ri + off[cj] items
+        off = [0] + [(cols[0] - j) // w for j in cols]
+        qv = [0] + [q[j + L] for j in cols]
 
-        def value(ri, cj, _rows=rows, _cols=cols, _w=w, _prefix=prefix, _cap=cap):
-            stats.matrix_evals += 1
-            i = _rows[ri - 1]
-            j = _cols[cj - 1]
-            x = (i - j) // _w
+        def value(ri, cj, _off=off, _qv=qv, _prefix=prefix, _cap=cap, _top=prefix[cap]):
+            nonlocal evals
+            evals += 1
+            x = ri + _off[cj]
             # steep concave continuation outside [0, cap] keeps the matrix
             # totally monotone; continuation values lose to any real one
             if x < 0:
-                return q[j + L] + x * big
+                return _qv[cj] + x * big
             if x > _cap:
-                return q[j + L] + _prefix[_cap] + (_cap - x) * big
-            return q[j + L] + _prefix[x]
+                return _qv[cj] + _top + (_cap - x) * big
+            return _qv[cj] + _prefix[x]
 
         breakpoints = row_maxima(len(rows), len(cols), value)
-        for cj in range(1, len(cols) + 1):
-            lo, hi = breakpoints[cj - 1], breakpoints[cj]
-            if lo >= hi:
-                continue
-            j = cols[cj - 1]
-            x_lo = (rows[lo - 1] - j) // w
-            x_hi = (rows[hi - 2] - j) // w
-            x_lo = max(x_lo, 1)
-            x_hi = min(x_hi, cap)
+        # base j wins rows lo..hi-1, so it extends by x in [lo, hi - 1] + off
+        for j, o, lo, hi in zip(cols, off[1:], breakpoints, breakpoints[1:]):
+            x_lo = max(lo + o, 1)
+            x_hi = min(hi - 1 + o, cap)
             if x_lo > x_hi:
                 continue
-            stats.ap_count += 1
-            stats.bucket_inserts += 1
-            buckets.setdefault(j + x_lo * w + L, []).append([j, w, x_lo, x_hi])
+            aps += 1
+            # a progression: [base, weight, next x, last x, q at base, prefix]
+            buckets.setdefault(j + x_lo * w + L, []).append([j, w, x_lo, x_hi, q[j + L], prefix])
+    inserts = aps
 
     r, z, xs = sol.r, sol.z, sol.x
+    grown = []  # slots the scan turns finite, ascending
     pending = list(buckets)
     heapq.heapify(pending)
     while pending:
         slot = heapq.heappop(pending)
         cell = buckets.pop(slot)
-        best = None
-        best_val = None
-        for ap in cell:
-            val = q[ap[0] + L] + inst.fns[ap[1]].prefix[ap[2]]
-            if best_val is None or val > best_val:
+        best = cell[0]
+        best_val = best[4] + best[5][best[2]]
+        for ap in cell[1:]:
+            val = ap[4] + ap[5][ap[2]]
+            if val > best_val:
                 best_val = val
                 best = ap
-        if is_bottom(r[slot]) or best_val > r[slot]:
+        if is_bottom(r[slot]):
+            grown.append(slot)
+        if best_val > r[slot]:  # always true over bottom
             r[slot] = best_val
             z[slot] = best[0]
             xs[slot] = {best[1]: best[2]}
         # only the winning progression moves on; losers stay parked
-        if best[2] + 1 <= best[3]:
+        if best[2] < best[3]:
             best[2] += 1
             nxt = slot + best[1]
             if nxt not in buckets:
                 buckets[nxt] = []
                 heapq.heappush(pending, nxt)
             buckets[nxt].append(best)
-            stats.bucket_inserts += 1
+            inserts += 1
+    stats.matrix_evals += evals
+    stats.ap_count += aps
+    stats.bucket_inserts += inserts
+    if grown:
+        sol.finite = sorted(finite + grown)  # two ascending runs: one merge
     return sol
 
 
@@ -341,9 +367,11 @@ def restrict(inst: HintedExtendInstance, subset) -> HintedExtendInstance:
     shrunk = {h: store.intersect(h, vh) for h in set(inst.hint_handles) if h is not None}
     handles = list(map(shrunk.get, inst.hint_handles))
     fns = {w: fn for w, fn in inst.fns.items() if w in vset}
-    return HintedExtendInstance(
+    out = HintedExtendInstance(
         inst.half_size, tuple(sorted(vset)), list(inst.q), handles, fns, store
     )
+    out.finite = inst.finite
+    return out
 
 
 def apply_update(
@@ -358,11 +386,10 @@ def apply_update(
     vh = store.add(frozenset(subset))
     vset = store.get(vh)
     L = inst.half_size
-    q2 = list(sol.r)
     handles = [None] * inst.size
     # bases share few distinct hint sets: subtract once per handle
     minus: dict = {}
-    for k in finite_slots(q2):
+    for k in sol.finite:
         src = inst.hint_handles[sol.z[k] + L]
         if src is None:
             raise ValueError("solution base lacks a hint set")
@@ -372,7 +399,9 @@ def apply_update(
         handles[k] = h
     universe = tuple(w for w in inst.universe if w not in vset)
     fns = {w: fn for w, fn in inst.fns.items() if w not in vset}
-    return HintedExtendInstance(L, universe, q2, handles, fns, store)
+    out = HintedExtendInstance(L, universe, list(sol.r), handles, fns, store)
+    out.finite = sol.finite
+    return out
 
 
 def compose(
@@ -386,7 +415,7 @@ def compose(
     r = list(outer.r)
     z = list(range(-L, L + 1))
     xs = [NO_ITEMS] * size
-    for k in finite_slots(r):
+    for k in outer.finite:
         mid = outer.z[k] + L
         z[k] = inner.z[mid]
         own = outer.x[k]
@@ -397,7 +426,9 @@ def compose(
         for w, cnt in own.items():
             merged[w] = merged.get(w, 0) + cnt
         xs[k] = merged
-    return HintedExtendSolution(L, r, z, xs, None)
+    out = HintedExtendSolution(L, r, z, xs, None)
+    out.finite = outer.finite
+    return out
 
 
 def entrywise_max_instances(
@@ -435,18 +466,19 @@ def entrywise_max_solutions(
 ) -> HintedExtendSolution:
     if a.half_size != b.half_size:
         raise ValueError("solutions disagree on shape")
-    size = 2 * a.half_size + 1
-    r = []
-    z = []
-    xs = []
-    for k in range(size):
-        va, vb = a.r[k], b.r[k]
-        take_a = (not is_bottom(va)) and (is_bottom(vb) or va > vb)
-        src = a if take_a else b
-        r.append(src.r[k])
-        z.append(src.z[k])
-        xs.append(dict(src.x[k]))
-    return HintedExtendSolution(a.half_size, r, z, xs, None)
+    L = a.half_size
+    r = [BOTTOM] * (2 * L + 1)
+    z = list(range(-L, L + 1))
+    xs = [NO_ITEMS] * (2 * L + 1)
+    # b wins ties; multiplicity maps are never mutated, so they are shared
+    for k in b.finite:
+        r[k], z[k], xs[k] = b.r[k], b.z[k], b.x[k]
+    for k in a.finite:
+        if a.r[k] > r[k]:
+            r[k], z[k], xs[k] = a.r[k], a.z[k], a.x[k]
+    out = HintedExtendSolution(L, r, z, xs, None)
+    out.finite = sorted({*a.finite, *b.finite})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +491,6 @@ def _sets_by_handle(inst: HintedExtendInstance) -> dict:
     return {h: frozenset() if h is None else get(h) for h in set(inst.hint_handles)}
 
 
-def _hint_sets(inst: HintedExtendInstance) -> list[frozenset]:
-    return list(map(_sets_by_handle(inst).__getitem__, inst.hint_handles))
-
-
 def _masked(inst, slots) -> HintedExtendInstance:
     """``inst`` with every entry outside ``slots`` set to bottom."""
     q = [BOTTOM] * inst.size
@@ -470,9 +498,11 @@ def _masked(inst, slots) -> HintedExtendInstance:
     for k in slots:
         q[k] = inst.q[k]
         handles[k] = inst.hint_handles[k]
-    return HintedExtendInstance(
+    out = HintedExtendInstance(
         inst.half_size, inst.universe, q, handles, dict(inst.fns), inst.store
     )
+    out.finite = list(slots)
+    return out
 
 
 def _color_classes(universe, coloring) -> list[list[int]]:
@@ -526,7 +556,7 @@ def solve_small_b(
     owned = set(owner_of.values())
     # bottom slots stay bottom under every mask, so only finite ones are kept
     finite_owned: dict = {}
-    for k in finite_slots(inst.q):
+    for k in inst.finite:
         finite_owned.setdefault(owner_of[inst.hint_handles[k]], []).append(k)
     result = None
     for idx, coloring in enumerate(colorings):
@@ -548,10 +578,7 @@ def solve_small_b(
 
 
 def solve(
-    inst: HintedExtendInstance,
-    budget: int,
-    beta: int = 12,
-    stats: ExtendStats | None = None,
+    inst: HintedExtendInstance, budget: int, stats: ExtendStats | None = None
 ) -> HintedExtendSolution:
     """Extend with arbitrary hint budgets.
 
@@ -564,12 +591,14 @@ def solve(
     log_m = math.log2(4 * L + 2)
     if budget <= max(1, 2 * log_m):
         return solve_small_b(inst, budget, stats)
-    sets = _hint_sets(inst)
+    by_handle = _sets_by_handle(inst)
     num_colors = math.ceil(budget / log_m)
-    coloring = det_balls_and_bins(sets, num_colors, beta)
+    coloring = det_balls_and_bins(
+        list(map(by_handle.__getitem__, inst.hint_handles)), num_colors
+    )
     ordered = _color_classes(inst.universe, coloring)
     inner_budget = 1
-    for s in sets:
+    for s in by_handle.values():
         per: dict = {}
         for w in s:
             per[coloring[w]] = per.get(coloring[w], 0) + 1

@@ -14,49 +14,62 @@ r_j <= i < r_{j+1}.  Tall matrices (m >> n) are handled by sampling every
 (m/n)-th row, solving the sampled square matrix, and recursing on the row
 gaps with the column range bracketed by neighboring sampled answers; this
 keeps the number of entry evaluations at O(n * (1 + log2(ceil(m / n)))).
+
+The square solver keeps everything in lists.  After the column reduce and
+the recursion on the odd rows, each even row scans the reduced columns from
+its upper neighbor's answer to its lower neighbor's; consecutive scans
+share only their end column, so one left-to-right walk over the reduced
+columns serves every even row.  Rows are settled in increasing order with
+nondecreasing columns, so each breakpoint is written once, when the first
+row reaching its column settles.
 """
 
 from __future__ import annotations
 
 
-def _smawk_dense(rows: list[int], cols: list[int], value) -> dict[int, int]:
+def _smawk_dense(rows: list[int], cols: list[int], value) -> list[int]:
     """Classic SMAWK: leftmost row-maximum column per row, O(m + n) evals.
 
-    ``rows`` and ``cols`` are actual matrix indices in increasing order.
-    Ties are resolved to the leftmost column throughout (the column-reduce
-    step only discards a candidate when strictly beaten).
+    ``rows`` and ``cols`` are actual matrix indices in increasing order; the
+    result lists each row's argmax column, in row order.  Ties are resolved
+    to the leftmost column throughout (the column-reduce step only discards
+    a candidate when strictly beaten).
     """
-    if not rows:
-        return {}
-    # Column reduce: keep at most len(rows) columns that can hold a maximum.
+    nrows = len(rows)
+    # Column reduce: keep at most len(rows) columns that can hold a maximum;
+    # stack[k - 1] is the top, compared in row rows[k - 1].
     stack: list[int] = []
+    k = 0
     for c in cols:
-        while stack and value(rows[len(stack) - 1], stack[-1]) < value(rows[len(stack) - 1], c):
+        while k and value(rows[k - 1], stack[k - 1]) < value(rows[k - 1], c):
             stack.pop()
-        if len(stack) < len(rows):
+            k -= 1
+        if k < nrows:
             stack.append(c)
-    cols = stack
-    if len(rows) == 1:
-        return {rows[0]: cols[0]}
-    sol = _smawk_dense(rows[1::2], cols, value)
-    # Interpolate even-position rows between their odd neighbors' answers.
-    pos_of = {c: k for k, c in enumerate(cols)}
-    out: dict[int, int] = {}
-    lo = 0
-    for k, r in enumerate(rows):
-        if k % 2 == 1:
-            out[r] = sol[r]
-            lo = pos_of[sol[r]]
-            continue
-        hi = pos_of[sol[rows[k + 1]]] if k + 1 < len(rows) else len(cols) - 1
-        best = None
-        best_c = cols[lo]
-        for p in range(lo, hi + 1):
-            v = value(r, cols[p])
-            if best is None or v > best:
+            k += 1
+    if nrows == 1:
+        return stack
+    odd = _smawk_dense(rows[1::2], stack, value)
+    if nrows % 2:
+        odd.append(stack[-1])  # the last row scans to the last column
+    # Interpolate even-position rows between their odd neighbors' answers:
+    # each scans from the previous answer up to the next one, so one walk
+    # over the reduced columns serves them all.
+    out: list[int] = []
+    p = 0
+    for r, stop in zip(rows[::2], odd):
+        best_c = c = stack[p]
+        best = value(r, c)
+        while c != stop:
+            p += 1
+            c = stack[p]
+            v = value(r, c)
+            if v > best:
                 best = v
-                best_c = cols[p]
-        out[r] = best_c
+                best_c = c
+        out.append(best_c)
+        out.append(stop)
+    del out[nrows:]
     return out
 
 
@@ -69,33 +82,27 @@ def row_maxima(nrows: int, ncols: int, value) -> list[int]:
     """
     if nrows < 1 or ncols < 1:
         raise ValueError("matrix must be nonempty")
-    segments: list[tuple[int, int, int]] = []  # (row_start, row_end, col)
+    # starts[j - 1] = first row whose leftmost maximum lies in a column >= j;
+    # rows are settled in increasing order and their columns never decrease
+    starts: list[int] = []
 
-    def emit(rlo: int, rhi: int, col: int) -> None:
-        if segments and segments[-1][2] == col and segments[-1][1] == rlo - 1:
-            segments[-1] = (segments[-1][0], rhi, col)
-        else:
-            segments.append((rlo, rhi, col))
+    def settle(row: int, col: int) -> None:
+        if col > len(starts):
+            starts.extend([row] * (col - len(starts)))
 
     def solve(rlo: int, rhi: int, clo: int, chi: int) -> None:
         if rlo > rhi:
             return
         if clo == chi:
-            emit(rlo, rhi, clo)
+            settle(rlo, clo)
             return
         m = rhi - rlo + 1
         n = chi - clo + 1
         cols = list(range(clo, chi + 1))
         if m <= 2 * n:
             amax = _smawk_dense(list(range(rlo, rhi + 1)), cols, value)
-            run_start = rlo
-            run_col = amax[rlo]
-            for r in range(rlo + 1, rhi + 1):
-                if amax[r] != run_col:
-                    emit(run_start, r - 1, run_col)
-                    run_start = r
-                    run_col = amax[r]
-            emit(run_start, rhi, run_col)
+            for r, col in enumerate(amax, rlo):
+                settle(r, col)
             return
         # Tall: sample ~n evenly spaced rows, then recurse on the gaps with
         # the column range pinned between neighboring sampled answers.
@@ -106,24 +113,11 @@ def row_maxima(nrows: int, ncols: int, value) -> list[int]:
         amax = _smawk_dense(sampled, cols, value)
         prev_row = rlo - 1
         prev_col = clo
-        for s in sampled:
-            cs = amax[s]
+        for s, cs in zip(sampled, amax):
             solve(prev_row + 1, s - 1, prev_col, cs)
-            emit(s, s, cs)
+            settle(s, cs)
             prev_row = s
             prev_col = cs
 
     solve(1, nrows, 1, ncols)
-
-    breakpoints = [1] * (ncols + 2)
-    # r_j = first row whose argmax column is >= j (m + 1 when none).
-    last_col = 0
-    for rlo, rhi, col in segments:
-        for j in range(last_col + 1, col + 1):
-            breakpoints[j] = rlo
-        last_col = max(last_col, col)
-    for j in range(last_col + 1, ncols + 2):
-        breakpoints[j] = nrows + 1
-    breakpoints[1] = 1
-    return breakpoints[1:]
-
+    return starts + [nrows + 1] * (ncols + 1 - len(starts))

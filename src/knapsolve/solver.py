@@ -89,7 +89,6 @@ from .hinted import (
     ExtendStats,
     HintedExtendInstance,
     SetStore,
-    finite_slots,
 )
 from .partition import (
     PhaseSchedule,
@@ -447,6 +446,7 @@ def first_stage_hinted(
     size = 2 * half + 1
     q: list = [BOTTOM] * size
     q[half] = 0
+    finite = [half]  # slots of q holding a value, ascending
     pos_hints: list = [None] * size
     neg_hints: list = [None] * size
     pos_hints[half] = store.add(
@@ -465,46 +465,59 @@ def first_stage_hinted(
                 q = [BOTTOM] * pad + q + [BOTTOM] * pad
                 pos_hints = [None] * pad + pos_hints + [None] * pad
                 neg_hints = [None] * pad + neg_hints + [None] * pad
+                finite = [k + pad for k in finite]
                 half = new_half
                 size = 2 * half + 1
 
             active = pos_hints if direction > 0 else neg_hints
             if direction > 0:
-                mq, mhints = q, active
+                mq, mhints, mfinite = q, active, finite
             else:
                 mq, mhints = list(reversed(q)), list(reversed(active))
+                mfinite = [size - 1 - k for k in reversed(finite)]
+            groups = {w: _group(rank_part, direction, phase, w) for w in universe}
             fns = {
-                w: ConcaveProfitFn(
-                    _prefix_profits(profits, _group(rank_part, direction, phase, w), direction)
-                )
-                for w in universe
+                w: ConcaveProfitFn(_prefix_profits(profits, g, direction))
+                for w, g in groups.items()
             }
             inst = HintedExtendInstance(half, universe, mq, mhints, fns, store)
+            inst.finite = mfinite
             sol = hinted.solve(inst, schedule.hint_budgets[phase], stats=ext_stats)
             if direction > 0:
-                r, z, xs = sol.r, sol.z, sol.x
+                r, z, xs, sol_finite = sol.r, sol.z, sol.x, sol.finite
             else:
                 r = list(reversed(sol.r))
                 z = [-v for v in reversed(sol.z)]
                 xs = list(reversed(sol.x))
+                sol_finite = [size - 1 - k for k in reversed(sol.finite)]
 
+            # a weight survives on an entry that took its whole phase group,
+            # if its class continues into the next phase
+            whole = {
+                w: len(g) for w, g in groups.items()
+                if _group(rank_part, direction, phase + 1, w)
+            }
             next_budget = schedule.hint_budgets[phase + 1]
+            # entries share multiplicity maps, so each map is read once;
+            # None marks an over-budget hint set, which is dropped entirely
+            survivors_of: dict = {}
             new_q: list = [BOTTOM] * size
             new_pos: list = [None] * size
             new_neg: list = [None] * size
-            for k in finite_slots(r):
-                zk = z[k] + half
-                survivors = {
-                    w
-                    for w, cnt in xs[k].items()
-                    if cnt == len(_group(rank_part, direction, phase, w))
-                    and _group(rank_part, direction, phase + 1, w)
-                }
-                if len(survivors) > next_budget:
-                    continue  # over-budget hint sets are dropped entirely
+            finite = []
+            for k in sol_finite:
+                key = id(xs[k])
+                if key not in survivors_of:
+                    survivors = [w for w, cnt in xs[k].items() if whole.get(w) == cnt]
+                    survivors_of[key] = (
+                        store.add(survivors) if len(survivors) <= next_budget else None
+                    )
+                handle = survivors_of[key]
+                if handle is None:
+                    continue
                 new_q[k] = r[k]
-                handle = store.add(survivors)
-                passthrough = (neg_hints if direction > 0 else pos_hints)[zk]
+                finite.append(k)
+                passthrough = (neg_hints if direction > 0 else pos_hints)[z[k] + half]
                 assert passthrough is not None, "finite base lost its hint set"
                 if direction > 0:
                     new_pos[k], new_neg[k] = handle, passthrough
@@ -515,7 +528,6 @@ def first_stage_hinted(
                 stats.note_table(size)
 
     eng = _DenseFold(half, cell_dtype(sum(profits)), stats)
-    finite = finite_slots(q)
     eng.arr[half] = eng.sentinel
     eng.arr[finite] = [q[k] for k in finite]
     eng.lo, eng.hi = (finite[0], finite[-1] + 1) if finite else (half, half)

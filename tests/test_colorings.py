@@ -1,5 +1,6 @@
 """Deterministic set balancing, low-collision coloring, isolating families."""
 
+import itertools
 import math
 import random
 
@@ -128,3 +129,111 @@ def test_isolating_random_families():
             assert all(0 <= c < max(1, b * b) for c in coloring.values())
         for s in sets:
             assert any(is_isolated(s, col) for col in colorings)
+
+
+def per_set_isolating_colorings(sets, size_bound):
+    """``det_isolating_colorings`` as it was before copies were grouped.
+
+    Frozen as a reference: it tracks every set separately, copies included,
+    so grouped copies must reproduce its colorings exactly.
+    """
+    m = len(sets)
+    normalized = [sorted(set(s)) for s in sets]
+    for s in normalized:
+        if len(s) > size_bound:
+            raise ValueError("set exceeds the declared size bound")
+    universe = sorted(set().union(*map(set, sets)))
+    colors = max(1, size_bound * size_bound)
+
+    colorings = []
+    remaining = [i for i, s in enumerate(normalized) if len(s) >= 2]
+    max_rounds = max(1, math.ceil(math.log2(2 * m))) if m else 1
+    while remaining:
+        if len(colorings) >= max_rounds:
+            raise ColoringError("isolating colorings did not converge")
+        member_sets = {e: [] for e in universe}
+        for i in remaining:
+            for e in normalized[i]:
+                member_sets[e].append(i)
+        colored_count = {i: 0 for i in remaining}
+        used_colors = {i: set() for i in remaining}
+        collided = {i: False for i in remaining}
+        full = 2 * colors
+
+        coloring = {}
+        for e in universe:
+            active = [i for i in member_sets[e] if not collided[i]]
+            penalty = {}
+            for i in active:
+                s_len = len(normalized[i])
+                x = colored_count[i]
+                u = s_len - x - 1
+                fresh = 2 * (x + 1) * u + u * (u - 1)
+                for c in used_colors[i]:
+                    penalty[c] = penalty.get(c, 0) + (full - fresh)
+            choice = None
+            if len(penalty) < colors:
+                for c in range(colors):
+                    if c not in penalty:
+                        choice = c
+                        break
+            else:
+                best = None
+                for c in range(colors):
+                    pen = penalty.get(c, 0)
+                    if best is None or pen < best:
+                        best = pen
+                        choice = c
+            coloring[e] = choice
+            for i in active:
+                if choice in used_colors[i]:
+                    collided[i] = True
+                else:
+                    used_colors[i].add(choice)
+                    colored_count[i] += 1
+        colorings.append(coloring)
+        remaining = [i for i in remaining if collided[i]]
+    if not colorings:
+        colorings.append({e: 0 for e in universe})
+    return colorings
+
+
+def table_like_sets(rng, distinct, universe, size_bound):
+    """Hint sets the way a hinted table holds them: a few sets, each repeated
+    up to thousands of times, among many empty and singleton sets."""
+    sets = []
+    for _ in range(distinct):
+        s = frozenset(rng.sample(universe, rng.randint(2, size_bound)))
+        sets += [s] * rng.choice((1, 7, 300, 2500))
+    sets += [frozenset()] * rng.randint(0, 3000)
+    sets += [frozenset({e}) for e in universe] * rng.randint(0, 20)
+    rng.shuffle(sets)
+    return sets
+
+
+def test_isolating_grouped_copies_match_per_set_reference():
+    rng = random.Random(9014)
+    for _ in range(25):
+        b = rng.randint(2, 4)
+        universe = list(range(rng.randint(4, 30)))
+        sets = table_like_sets(rng, rng.randint(1, 12), universe, b)
+        assert det_isolating_colorings(sets, b) == per_set_isolating_colorings(sets, b)
+
+
+def test_isolating_multi_round_copies_match_per_set_reference():
+    # every pair of 8 elements under 4 colors: some pair shares a color in
+    # any single coloring, so more than one round is needed; the uneven
+    # copy counts steer the penalties
+    pairs = [frozenset(p) for p in itertools.combinations(range(8), 2)]
+    sets = [s for k, s in enumerate(pairs) for _ in range(1 + (k * 37) % 500)]
+    sets += [frozenset()] * 2000 + [frozenset({3})] * 900
+    got = det_isolating_colorings(sets, 2)
+    assert len(got) > 1
+    assert got == per_set_isolating_colorings(sets, 2)
+    assert all(any(is_isolated(s, c) for c in got) for s in pairs)
+
+
+def test_isolating_only_empty_and_singleton_sets():
+    sets = [frozenset()] * 1000 + [frozenset({5})] * 1000 + [frozenset({2})]
+    got = det_isolating_colorings(sets, 3)
+    assert got == per_set_isolating_colorings(sets, 3) == [{2: 0, 5: 0}]

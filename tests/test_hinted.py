@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +241,27 @@ def test_hinted_answers_and_counters_are_pinned(shape, pinned):
     ext = stats.extend
     got = (answer, ext.matrix_evals, ext.ap_count, ext.bucket_inserts, stats.peak_table_cells)
     assert got == pinned
+
+
+def test_oracles_benchmark_hinted_calls_are_pinned():
+    # the `oracles` benchmark's two hinted calls at seed 1 (uniform, then
+    # hard-equal-weights, n = 128 at w = 32): answer, matrix_evals, ap_count,
+    # bucket_inserts and peak_table_cells as the engine gave them before its
+    # SMAWK, colorings and table walks were rewritten
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    calls, _ = workloads.build("oracles", 1)
+    got = []
+    for call in calls:
+        if call.spec.kind == "hinted":
+            stats = Stats()
+            answer = solve_fast(call.items, call.capacity, SolverConfig(engine="hinted"), stats)
+            ext = stats.extend
+            got.append(
+                (answer, ext.matrix_evals, ext.ap_count, ext.bucket_inserts, stats.peak_table_cells)
+            )
+    assert got == [(1702, 268170, 11634, 12584, 20097), (2022, 17213, 2023, 5978, 20097)]
 
 
 def test_small_b_budget_one_agrees_with_singleton():
