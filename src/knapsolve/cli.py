@@ -161,6 +161,10 @@ def cmd_bench(args) -> int:
         print(f"error: --wmax-list: {exc}", file=sys.stderr)
         return 2
     solvers = [tok.strip() for tok in args.solvers.split(",") if tok.strip()]
+    for option, values in (("--wmax-list", wmax_values), ("--solvers", solvers)):
+        if not values:
+            print(f"error: {option}: expected at least one value", file=sys.stderr)
+            return 2
     for name in solvers:
         if name not in SOLVER_NAMES:
             print(f"error: unknown solver {name!r}", file=sys.stderr)
@@ -213,18 +217,9 @@ def cmd_bench(args) -> int:
             ws = sorted(per_w)
             logs_w = [math.log2(w) for w in ws]
             logs_t = [math.log2(statistics.median(per_w[w])) for w in ws]
-            slope = _fit_slope(logs_w, logs_t)
+            slope = statistics.linear_regression(logs_w, logs_t).slope
             print(f"{name}: log-log slope {slope:.2f} over w_max {ws[0]}..{ws[-1]}")
     return 0
-
-
-def _fit_slope(xs, ys) -> float:
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
-    return num / den
 
 
 def cmd_selftest(args) -> int:
@@ -271,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--wmax-list", dest="wmax_list", default="256,512,1024")
     p_bench.add_argument("--n-per-w", dest="n_per_w", type=_POSITIVE_INT, default=4)
     p_bench.add_argument("--solvers", default="fast,bellman")
-    p_bench.add_argument("--reps", type=int, default=1)
+    p_bench.add_argument("--reps", type=_POSITIVE_INT, default=1)
     p_bench.add_argument("--seed", type=int, default=12345)
     p_bench.add_argument("--pmax", type=_POSITIVE_INT, default=32)
     p_bench.add_argument("--t-frac", dest="t_frac", type=_FRACTION, default=0.5)

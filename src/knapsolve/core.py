@@ -17,10 +17,9 @@ arguments are phrased against), per-weight-class rank orders, and the
 cell-width rule the fold tables follow.  The split is ``LazyCore``: it finds
 the break by weighted selection on integer efficiency keys, in O(n), and
 sorts each side of the break one key band at a time, only as far as the
-core fold reads it.  A per-weight counter picks the candidates, mirrored
-within runs of identical items on the remove side, where the walk meets
-them by descending index.  ``greedy_split`` is the same core read to its
-end.
+core fold reads it.  Each side ranks its items in the order its walk meets
+them, so a per-weight counter picks the candidates.  ``greedy_split`` is
+the same core read to its end.
 """
 
 from __future__ import annotations
@@ -262,12 +261,14 @@ class GreedySplit:
     order fitting in the capacity; ``break_index`` is its length and
     ``in_greedy`` the boolean membership array.  Within each weight class,
     items outside G are ranked 1, 2, ... by decreasing profit (best first to
-    add) and items inside G are ranked 1, 2, ... by increasing profit
-    (cheapest first to remove), ties by ascending index.  The candidate
-    dicts, keyed in ascending weight, list each class's item indices in that
-    rank order as plain lists.  Only the 2 * w_max best ranks per class and
-    side are materialized: no optimal exchange uses deeper ranks.  It is
-    ``LazyCore`` read to its end; the dense path reads the core lazily.
+    add), ties by ascending index, and items inside G are ranked 1, 2, ...
+    by increasing profit (cheapest first to remove), ties by descending
+    index: each side in the order a walk outward from the break meets it.
+    The candidate dicts, keyed in ascending weight, list each class's item
+    indices in that rank order as plain lists.  Only the 2 * w_max best
+    ranks per class and side are materialized: no optimal exchange uses
+    deeper ranks.  It is ``LazyCore`` read to its end; the dense path reads
+    the core lazily.
     """
 
     order: np.ndarray
@@ -374,17 +375,6 @@ def _occurrence(values: np.ndarray) -> np.ndarray:
     return occ
 
 
-def _run_flip(keys: np.ndarray) -> np.ndarray:
-    """The permutation reversing each run of equal entries of sorted ``keys``.
-
-    It is its own inverse: it maps the remove side's walk order (ties by
-    descending index) to its rank order (ties by ascending index) and back.
-    """
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    ends = np.r_[starts[1:], keys.size]
-    return np.repeat(starts + ends - 1, ends - starts) - np.arange(keys.size)
-
-
 def _bands(idx: np.ndarray, walk_keys: np.ndarray):
     """Yield one side of the lazy core in walk order, one key band at a time.
 
@@ -393,12 +383,11 @@ def _bands(idx: np.ndarray, walk_keys: np.ndarray):
     Band k ends at the walk key e_k of walk position 64 (4^(k+1) - 1) / 3,
     found by ``np.partition`` when the walk reaches the band, and holds the
     items with a walk key in (e_(k-1), e_k].  Those below e_k are fewer than
-    the band size; they are sorted and yielded as (items, walk keys, None).
-    The tie group at e_k can be any size and is already in walk order, so
-    it is yielded in growing chunks as (chunk, None, group), with the same
-    ``group`` array for every chunk of it.  The bands are cut from a pool,
-    the items up to the end of the band after next, which one pass over the
-    side takes out when the walk passes the pool's end.
+    the band size; they are sorted and yielded as (items, True).  The tie
+    group at e_k can be any size and is already in walk order, so it is
+    yielded in growing chunks as (chunk, False).  The bands are cut from a
+    pool, the items up to the end of the band after next, which one pass
+    over the side takes out when the walk passes the pool's end.
     """
     if not idx.size:
         return
@@ -422,11 +411,11 @@ def _bands(idx: np.ndarray, walk_keys: np.ndarray):
         head = np.flatnonzero(below if top is None else below & (pool_keys > top))
         if head.size:
             head = head[np.argsort(pool_keys[head], kind="stable")]
-            yield pool_idx[head], pool_keys[head], None
+            yield pool_idx[head], True
         group = pool_idx[np.flatnonzero(pool_keys == bound)]
         start, chunk = 0, _FIRST_BAND
         while start < group.size:
-            yield group[start : start + chunk], None, group
+            yield group[start : start + chunk], False
             start, chunk = start + chunk, chunk * _BAND_GROWTH
         top = bound
 
@@ -436,14 +425,11 @@ class _Side:
 
     ``load`` appends the next candidates' weights and profits, in walk
     order, to ``weights`` and ``profits``; ``sorted`` counts the items
-    placed in sorted bands so far.  ``mirrored`` marks the remove side, whose
-    walk meets identical items by descending index while their ranks count
-    them by ascending index.
+    placed in sorted bands so far.
     """
 
-    def __init__(self, inst: Instance, idx: np.ndarray, walk_keys: np.ndarray, mirrored: bool):
+    def __init__(self, inst: Instance, idx: np.ndarray, walk_keys: np.ndarray):
         self._weights, self._profits = inst.weights, inst.profits
-        self._mirrored = mirrored
         self._cap = 2 * inst.w_max
         # items of each weight met so far, and candidates not yet handed
         # out, so a side whose classes are all capped stops early; no class
@@ -453,9 +439,6 @@ class _Side:
             self._seen = np.zeros(inst.w_max + 1, np.int64)
             sizes = np.bincount(inst.weights[idx], minlength=self._seen.size)
             self._left = int(np.minimum(sizes, self._cap).sum())
-        # the remove side's current tie group, and the rank of each weight's
-        # next item in it
-        self._group = self._next_rank = None
         self._pieces = _bands(idx, walk_keys)
         self.weights: list[int] = []
         self.profits: list[int] = []
@@ -465,8 +448,8 @@ class _Side:
         """Append the next candidates in walk order; False once the side is used up."""
         if self._left == 0:
             return False
-        for items, head_keys, group in self._pieces:
-            keep = self._candidates(items, head_keys, group)
+        for items, in_band in self._pieces:
+            keep = self._candidates(items, in_band)
             if keep is not None:
                 items = items[keep]
                 self._left -= items.size
@@ -479,36 +462,22 @@ class _Side:
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """(the rest of the side's items, its candidates), both in walk order."""
         items, candidates = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for piece, head_keys, group in self._pieces:
-            keep = self._candidates(piece, head_keys, group)
+        for piece, in_band in self._pieces:
+            keep = self._candidates(piece, in_band)
             items.append(piece)
             candidates.append(piece if keep is None else piece[keep])
         return np.concatenate(items), np.concatenate(candidates)
 
-    def _candidates(self, items, head_keys, group):
-        """Candidate mask of one piece of ``_bands``, or None when all are."""
-        if head_keys is not None:
+    def _candidates(self, items, in_band):
+        """Candidate mask of one piece of ``_bands``, or None when all are.
+
+        The walk meets each weight class in rank order, so an item's rank
+        is the count of its weight met before it, kept below the cap.
+        """
+        if in_band:
             self.sorted += items.size
         if self._seen is None:
             return None
-        if not self._mirrored:
-            return self._ranked(items)
-        if group is None:
-            flip = _run_flip(head_keys)
-            return self._ranked(items[flip])[flip]
-        # an item met j-th among its weight in the tie group ranks (items
-        # of its weight up to and including the group) - 1 - j
-        if group is not self._group:
-            self._group = group
-            self._seen += np.bincount(self._weights[group], minlength=self._seen.size)
-            self._next_rank = self._seen - 1
-        w = self._weights[items]
-        keep = self._next_rank[w] - _occurrence(w) < self._cap
-        np.subtract.at(self._next_rank, w, 1)
-        return keep
-
-    def _ranked(self, items):
-        """Candidate mask of ``items`` met in rank order: rank below the cap."""
         w = self._weights[items]
         keep = self._seen[w] + _occurrence(w) < self._cap
         np.add.at(self._seen, w, 1)
@@ -531,16 +500,14 @@ class LazyCore:
     group needs no sort and is read in chunks.  Only candidates are handed
     out: a per-weight counter of the items met so far keeps the 2 * w_max
     best ranks of each weight class and side, as ``GreedySplit`` defines
-    them.  On the remove side the walk meets identical (weight, profit)
-    items by descending index but ranks them by ascending index, so the
-    rank within each run of them is mirrored.
+    them.
     """
 
     def __init__(self, inst: Instance):
         if inst.all_fit:
             raise ValueError("greedy split undefined for trivial instances")
         weights = inst.weights
-        self.keys = keys = _efficiency_keys(inst)
+        keys = _efficiency_keys(inst)
         pivot, above = _select_break(keys, weights, inst.capacity)
         tie = np.flatnonzero(keys == pivot)
         reach = np.cumsum(weights[tie]) + above
@@ -551,8 +518,8 @@ class LazyCore:
         self.greedy_profit = int(np.dot(inst.profits, self.in_greedy))
         outside = np.flatnonzero(~self.in_greedy)
         inside = np.flatnonzero(self.in_greedy)[::-1]
-        self.add = _Side(inst, outside, -keys[outside], mirrored=False)
-        self.remove = _Side(inst, inside, keys[inside], mirrored=True)
+        self.add = _Side(inst, outside, -keys[outside])
+        self.remove = _Side(inst, inside, keys[inside])
 
 
 def _by_weight(weights: np.ndarray, members: np.ndarray) -> dict[int, list[int]]:
@@ -568,18 +535,16 @@ def greedy_split(inst: Instance) -> GreedySplit:
     """Compute the greedy prefix solution and rank tables: ``LazyCore`` read to its end.
 
     Requires a nontrivial instance, so the break index lands strictly inside
-    the item order.  Ties are broken by index: equal efficiencies, and equal
-    profits within a weight class, go in ascending index order.  Any greedy
-    order with ties broken consistently supports the exchange argument, so
-    no perturbation is needed; a ``break_ties`` instance has no ties to
-    break.
+    the item order.  Ties are broken by index: equal efficiencies go in
+    ascending index order, and equal profits within a weight class rank in
+    the order the walk from the break meets them, by ascending index
+    outside G and by descending index inside it.  Any greedy order with
+    ties broken consistently supports the exchange argument, so no
+    perturbation is needed; a ``break_ties`` instance has no ties to break.
     """
     core = LazyCore(inst)
     adds, add_candidates = core.add.drain()
     removes, remove_candidates = core.remove.drain()
-    # add candidates meet each weight class in rank order; remove candidates
-    # meet each run of equal keys by descending index, which the flip undoes
-    remove_candidates = remove_candidates[_run_flip(core.keys[remove_candidates])]
     return GreedySplit(
         order=np.concatenate((removes[::-1], adds)),
         break_index=removes.size,

@@ -20,7 +20,7 @@ every structural quantity is clamped to at least 1 so degenerate instances
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,10 @@ from .core import GreedySplit, Instance
 
 @dataclass
 class WeightPartition:
-    """Disjoint weight layers with their cumulative supports."""
+    """Disjoint weight layers, innermost first."""
 
     layer_count: int
     layers: list[set[int]]  # layers[j - 1] = W_j
-    cumulative: list[set[int]]  # cumulative[j - 1] = union of W_1..W_j
-    layer_of: dict[int, int] = field(default_factory=dict)
 
     @property
     def innermost(self) -> set[int]:
@@ -73,7 +71,6 @@ def weight_partition(inst: Instance, split: GreedySplit, constant: float = 2.0) 
     left = _by_first_occurrence(weights_in_order[:i_star][::-1])
     right = _by_first_occurrence(weights_in_order[i_star:])
 
-    cumulative: list[set[int]] = []
     layers: list[set[int]] = []
     covered: set[int] = set()
     for j in range(1, s + 1):
@@ -81,13 +78,7 @@ def weight_partition(inst: Instance, split: GreedySplit, constant: float = 2.0) 
         support = set(left[:threshold]) | set(right[:threshold])
         layers.append(support - covered)
         covered |= support
-        cumulative.append(set(covered))
-
-    layer_of = {}
-    for j, layer in enumerate(layers, start=1):
-        for w in layer:
-            layer_of[w] = j
-    return WeightPartition(layer_count=s, layers=layers, cumulative=cumulative, layer_of=layer_of)
+    return WeightPartition(layer_count=s, layers=layers)
 
 
 @dataclass

@@ -141,7 +141,8 @@ class SolverConfig:
     values raise ``ValueError`` when the config is built.  ``engine`` picks the
     path: "auto" resolves to the dense path, the pruned core fold, which
     wins at every practical scale under CPython; "hinted" forces the
-    hint-propagating engine.  ``verify`` cross-checks the final answer
+    hint-propagating engine; other names raise ``ValueError`` when the
+    config is built.  ``verify`` cross-checks the final answer
     against the capacity DP and raises ``VerificationError`` on mismatch.
     """
 
@@ -154,6 +155,7 @@ class SolverConfig:
         c = self.constant
         if isinstance(c, bool) or not isinstance(c, Real) or not 0 < c < math.inf:
             raise ValueError(f"constant must be a positive finite number, got {c!r}")
+        self.resolved_engine()
 
     def resolved_engine(self) -> str:
         if self.engine not in ("auto", "dense", "hinted"):

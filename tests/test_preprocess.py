@@ -58,9 +58,10 @@ def reference_split(items, capacity, w_max):
     add, remove = {}, {}
     for i in range(n):
         (remove if in_greedy[i] else add).setdefault(items[i][0], []).append(i)
+    # each side ranks in the order a walk outward from the break meets it
     for side, sign in ((add, -1), (remove, +1)):
         for w, members in side.items():
-            members.sort(key=lambda i: (sign * items[i][1], i))
+            members.sort(key=lambda i: (sign * items[i][1], -sign * i))
             side[w] = members[: 2 * w_max]
     return {
         "order": order, "break_index": break_index, "in_greedy": in_greedy,
@@ -133,7 +134,10 @@ def check_against_reference(raw_items, capacity, perturbed=False, constant=2.0):
     s, layers, cumulative, layer_of = reference_layers(
         [kept[i][0] for i in want["order"]], want["break_index"], w_max, constant
     )
-    assert (part.layer_count, part.layers, part.cumulative, part.layer_of) == (
+    # the cumulative supports and the layer index, found from the layers
+    got_cumulative = [set().union(*part.layers[: j + 1]) for j in range(part.layer_count)]
+    got_layer_of = {w: j for j, layer in enumerate(part.layers, 1) for w in layer}
+    assert (part.layer_count, part.layers, got_cumulative, got_layer_of) == (
         s, layers, cumulative, layer_of,
     )
     return inst, split
@@ -164,7 +168,7 @@ def test_layer_windows_cut_inside_the_order():
             part = weight_partition(inst, split, constant)
             if family == "uniform":
                 assert part.layer_count >= 2
-                assert len(part.cumulative[0]) < len(set(inst.weights.tolist()))
+                assert len(part.layers[0]) < len(set(inst.weights.tolist()))
 
 
 def test_object_keys_with_int64_profits():

@@ -183,6 +183,11 @@ def test_engine_name_is_validated():
         solve_fast([(2, 3), (3, 4), (4, 5)], 5, SolverConfig(engine="bogus"))
 
 
+def test_engine_name_is_validated_when_the_config_is_built():
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        SolverConfig(engine="bogus")
+
+
 def test_proximity_table_budget():
     # 9e8 int32 cells, 3.6 GB: over the fold table's byte budget
     with pytest.raises(BudgetExceededError, match="fold table needs"):
