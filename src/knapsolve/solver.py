@@ -38,7 +38,10 @@ cell that cannot pass LB + 1 is dropped, ties with LB included, except
 LB's cell itself; with no remove item left every cell above the slack is
 dropped.  When only LB's cell survives and pa * (s_g - z_LB) < wa (always,
 once the add side is used up), nothing can beat LB and the fold stops.
-Object cells, and tables whose bound could overflow int64, fold unpruned.
+The prune runs at every profit magnitude: it clips q[z] - (LB + 1) to the
+most a completion can move it before multiplying by the rate (w, p), so
+the compare is exact on int64 tiles while 2 * p * (2 * half + 1) + 4 * w
+stays under 2^62, and on Python-int tiles past that and for object cells.
 
 The ``hinted`` engine runs the paper's phased algorithm on an instance
 perturbed by ``break_ties``: weight layers around the break, dyadic rank
@@ -326,7 +329,7 @@ class _DenseFold:
             self.lo = max(0, a - cap * weight)
         return passes
 
-    def cut(self, slack: int, s_g: int, add, remove, scratch) -> int:
+    def cut(self, slack: int, s_g: int, add, remove, scratch: _CutScratch) -> int:
         """Drop every cell no completion can lift above LB, except LB's own.
 
         LB is the best entry at z <= slack and LB's cell its lowest such
@@ -336,9 +339,9 @@ class _DenseFold:
         wa*q[z] + pa*(s_g - z) >= wa*(LB + 1), a cell z > slack only if
         wr*q[z] + pr*(s_g - z) >= wr*(LB + 1), and none above the slack
         survives when ``remove`` is None.  The live span shrinks to the
-        survivors.  Works tile by tile through ``scratch`` (index ramp,
-        int64 terms, rate ramp and mask tiles, from ``_cut_scratch``);
-        integer cells only, whose compare the caller has checked fits int64.
+        survivors.  Works tile by tile through ``scratch``: int64 tiles
+        while a side's compare fits them, Python-int tiles past that and
+        for object cells.
         """
         arr, half = self.arr, self.half
         split = half + slack + 1  # slots below split have z <= slack
@@ -346,25 +349,35 @@ class _DenseFold:
         # LB's cell has never been dropped, so some cell at z <= slack is finite
         pos = a + int(arr[a : min(b, split)].argmax())
         lb = int(arr[pos])
-        k, wide, ramp, dead_tile = scratch
         first = last = None
         for start, stop, rate in ((a, min(b, split), add), (max(a, split), b, remove)):
             if rate is None:
                 arr[start:stop] = self.sentinel
                 continue
             w, p = rate
-            # bottom cells are lifted to floor, low enough to fail the bound
-            # anywhere in the table: |s_g - z| <= 2 * half
-            floor = np.int64(lb - p * (2 * half + 1) // w - 2)
+            # |s_g - z| <= 2 * half, so a cell with d = q[z] - (LB + 1) below
+            # -reach fails the bound at every z and one above reach passes
+            # it: clipping d to [-reach, reach] keeps every verdict, and
+            # every term then stays under 2 p (2 half + 1) + 4 w
+            gain = p * (2 * half + 1)
+            reach = gain // w + 2
+            fits = arr.dtype != object and 2 * gain + 4 * w < 1 << 62
+            k, wide, ramp, dead_tile = scratch[np.int64 if fits else object]
+            # LB >= 0, so this holds for int64 cells on int64 tiles and for
+            # object cells, whose bottom is -inf
+            bottoms_clip = lb + 1 - self.threshold > reach
             for off in range(start, stop, k.size):
                 m = min(k.size, stop - off)
                 seg = arr[off : off + m]
-                t = wide[:m]
-                np.maximum(seg, floor, out=t)
+                t = np.subtract(seg, lb + 1, out=wide[:m])
+                t.clip(-reach, reach, out=t)
+                if not bottoms_clip:  # a bottom sentinel may lie above -reach
+                    bottom = np.less_equal(seg, self.threshold, out=dead_tile[:m])
+                    np.copyto(t, -reach, where=bottom)
                 t *= w
                 t -= np.multiply(k[:m], p, out=ramp[:m])
-                # with the scalar: w*q[z] + p*(s_g - z) < w*(LB + 1)
-                dead = np.less(t, w * (lb + 1) - p * (half + s_g - off), out=dead_tile[:m])
+                # with the scalar: w*d + p*(s_g - z) < 0
+                dead = np.less(t, -p * (half + s_g - off), out=dead_tile[:m])
                 if off <= pos < off + m:
                     dead[pos - off] = False
                 np.copyto(seg, self.sentinel, where=dead)
@@ -601,15 +614,23 @@ _PRUNE_EVERY = 8
 _PRUNE_TILE = _TILE // 2
 
 
-def _cut_scratch(cells: int):
-    """Tiles for ``_DenseFold.cut`` on tables of up to ``cells`` cells."""
-    size = min(_PRUNE_TILE, cells)
-    return (
-        np.arange(size, dtype=np.int64),
-        np.empty(size, dtype=np.int64),
-        np.empty(size, dtype=np.int64),
-        np.empty(size, dtype=bool),
-    )
+class _CutScratch(dict):
+    """Tiles for ``_DenseFold.cut`` on tables of up to ``cells`` cells.
+
+    Keyed by tile type (np.int64 or object); each type's index ramp, terms,
+    rate ramp and mask tiles are built when a compare first asks for it.
+    """
+
+    def __init__(self, cells: int):
+        super().__init__()
+        self.size = min(_PRUNE_TILE, cells)
+
+    def __missing__(self, dtype):
+        n = self.size
+        tiles = self[dtype] = (
+            np.arange(n, dtype=dtype), np.empty(n, dtype), np.empty(n, dtype), np.empty(n, bool)
+        )
+        return tiles
 
 
 def _core_fold(inst: Instance, core: LazyCore, stats: Stats | None = None) -> int:
@@ -631,12 +652,9 @@ def _core_fold(inst: Instance, core: LazyCore, stats: Stats | None = None) -> in
     if g > 1:
         g = math.gcd(g, int(np.gcd.reduce(inst.weights)))
     s_g = g * (slack // g)
-    total = int(inst.profits.sum())
-    dtype = cell_dtype(total)
     cap = 2 * inst.w_max * inst.w_max
-    # every term of the compare stays under (3 w + 8 (cap + 1)) * total
-    prunable = dtype != object and (3 * inst.w_max + 8 * (cap + 1)) * total < 1 << 62
-    scratch = _cut_scratch(2 * cap + 1) if prunable else None
+    dtype = cell_dtype(int(inst.profits.sum()))
+    scratch = _CutScratch(2 * cap + 1)
 
     eng = _DenseFold(min(cap, max(inst.w_max, slack + 1)), dtype, stats)
     i = j = passes = 0
@@ -660,7 +678,7 @@ def _core_fold(inst: Instance, core: LazyCore, stats: Stats | None = None) -> in
             eng.resize(half)
         eng.update(w, (0, p), direction)
         passes += 1
-        if prunable and passes % _PRUNE_EVERY == 0:
+        if passes % _PRUNE_EVERY == 0:
             add = (aw[i], ap[i]) if i < len(aw) or adding.load() else (1, 0)
             remove = (rw[j], rp[j]) if j < len(rw) or removing.load() else None
             span = eng.hi - eng.lo
@@ -736,6 +754,8 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
     """
     inst = normalize(raw_items, capacity)
     if inst.all_fit:
+        if stats is not None:
+            stats.engine = "trivial"
         return inst.total_profit
     half = 2 * inst.w_max * inst.w_max
     split = greedy_split(inst)

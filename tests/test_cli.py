@@ -144,6 +144,16 @@ def test_solve_stats_proximity_passes(tmp_path, capsys):
     assert " passes=3 " in captured.err
 
 
+def test_solve_stats_proximity_all_fit(tmp_path, capsys):
+    # every item fits, so proximity answers without folding, as solve_fast does
+    path = write(tmp_path, "inst.txt", "3 10\n2 30\n3 40\n5 50\n")
+    for solver in ("fast", "proximity"):
+        assert main(["solve", path, "--solver", solver, "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "120"
+        assert captured.err.startswith("# engine=trivial peak_table_cells=0 passes=0 ")
+
+
 def test_capacity_dp_fallback_refuses_before_allocating(tmp_path, capsys):
     # w_max > n^2 takes the capacity DP, whose table here would be 2e13 cells
     big = 10**13

@@ -30,7 +30,7 @@ from knapsolve.core import INT32_VALUE_CAP, INT64_VALUE_CAP, cell_dtype
 from knapsolve.selftest import SOLVERS, TIE_SHAPES, tie_heavy_items
 from knapsolve.solver import (
     _TILE,
-    _cut_scratch,
+    _CutScratch,
     _DenseFold,
     first_stage_dense,
     second_stage,
@@ -622,7 +622,7 @@ def random_bound(rng, half, scale):
 def check_cut(eng, want, rng, slack, g, add, remove):
     span = eng.hi - eng.lo
     feasible = {z: v for z, v in want.items() if z <= slack}
-    pos = eng.cut(slack, g * (slack // g), add, remove, _cut_scratch(eng.arr.size))
+    pos = eng.cut(slack, g * (slack // g), add, remove, _CutScratch(eng.arr.size))
     assert pos - eng.half == window_reference(feasible, slack)[1]
     want = prune_reference(want, slack, add, remove, g)
     got = finite_cells(eng)
@@ -643,10 +643,18 @@ def random_cut(rng, half, scale):
     return slack, rng.randint(1, 4), add, remove
 
 
+def int64_tiles_fit(half, rate):
+    """Whether ``_DenseFold.cut`` compares integer cells under ``rate`` in int64."""
+    return rate is None or 2 * rate[1] * (2 * half + 1) + 4 * rate[0] < 1 << 62
+
+
 def test_dense_fold_cut_matches_reference():
+    # every cell type at its scale, plus int64 cells under rates 16 times
+    # their scale, which push the compare past int64 tiles onto Python ints
     rng = random.Random(817)
-    ties = 0
-    for dtype, scale in CELL_TYPES[:2]:
+    ties = wide = 0
+    cases = [(dtype, scale, scale) for dtype, scale in CELL_TYPES]
+    for dtype, scale, rate_scale in cases + [(np.int64, 1 << 48, 1 << 52)]:
         for _ in range(150):
             half = rng.randint(2, 40)
             eng = _DenseFold(half, dtype)
@@ -657,14 +665,16 @@ def test_dense_fold_cut_matches_reference():
                 direction = rng.choice((+1, -1))
                 eng.update(weight, prefix, direction)
                 want = fold_reference(want, half, weight, prefix, direction)
-            slack, g, add, remove = random_cut(rng, half, scale)
+            slack, g, add, remove = random_cut(rng, half, rate_scale)
+            if dtype == np.int64:
+                wide += not (int64_tiles_fit(half, add) and int64_tiles_fit(half, remove))
             # a cell on LB's level at z <= slack is a tie the cut must drop
             lb = max(v for z, v in want.items() if z <= slack)
             ties += sum(v == lb for z, v in want.items() if z <= slack) > 1
             want = check_cut(eng, want, rng, slack, g, add, remove)
             eng.update(1, [0, scale], +1)
             assert finite_cells(eng) == fold_reference(want, half, 1, [0, scale], +1)
-    assert ties > 0
+    assert ties > 0 and wide > 0
 
 
 def test_dense_fold_cut_across_tiles():
@@ -672,7 +682,7 @@ def test_dense_fold_cut_across_tiles():
     # meets LB's cell and both span ends in different scratch tiles
     rng = random.Random(818)
     half = _TILE + 5000
-    for dtype, scale in CELL_TYPES[:2]:
+    for dtype, scale in CELL_TYPES:
         for g, removes_left in ((1, True), (3, False)):
             slack, add, remove = random_bound(rng, half, scale)
             slope = (Fraction(*add[::-1]) + Fraction(*remove[::-1])) / 2
@@ -810,24 +820,24 @@ def test_pruning_across_cell_widths():
             assert sum(p for _, p in items) == total
             capacity = sum(weights) // 2
             assert cell_dtype(total) == dtype
-            pruned = check_pruned(items, capacity, solve_bellman(items, capacity))
-            # the core fold's compare would overflow int64 near the cap, so
-            # those totals fold unpruned
-            assert (pruned == 0) == (total > 1 << 40)
+            # the core fold prunes at every cell width
+            assert check_pruned(items, capacity, solve_bellman(items, capacity)) > 0
 
 
 def test_pruning_removes_cells_at_scale():
-    items, capacity = generate_instance(1024, 256, 32, 0.5, 7, "uniform")
-    # proximity folds the same classes unpruned
-    assert check_pruned(items, capacity, solve_proximity_smawk(items, capacity)) > 0
+    # proximity folds the same classes unpruned; the two larger profit
+    # scales give int64 cells with a total past 2^62 / 16 w^2, and object
+    # cells
+    for n, w, p_max in ((1024, 256, 32), (1024, 256, 10**10), (256, 64, 2**58)):
+        items, capacity = generate_instance(n, w, p_max, 0.5, 7, "uniform")
+        assert check_pruned(items, capacity, solve_proximity_smawk(items, capacity)) > 0
 
 
 # --- the dense path's core fold ------------------------------------------
 
 
 def core_fold_reference(items, capacity):
-    """The core fold on a {z: value} dict, with ``prune_reference`` as the cut
-    wherever the solver prunes.
+    """The core fold on a {z: value} dict, with ``prune_reference`` as the cut.
 
     Returns (answer, fold_passes, peak_table_cells, best_index) for a
     nontrivial instance with w_max <= n^2, as ``solve_fast`` reports them.
@@ -846,10 +856,6 @@ def core_fold_reference(items, capacity):
     s_g = g * (slack // g)
     w_max = inst.w_max
     cap = 2 * w_max * w_max
-    # like the solver, fold unpruned on object cells and wherever the cut's
-    # compare could overflow int64
-    total = sum(profits)
-    prunable = cell_dtype(total) != object and (3 * w_max + 8 * (cap + 1)) * total < 1 << 62
     half = min(cap, max(w_max, slack + 1))
     peak = 2 * half + 1
     cells = {0: 0}
@@ -866,7 +872,7 @@ def core_fold_reference(items, capacity):
         peak = max(peak, 2 * half + 1)
         cells = fold_reference(cells, half, w, [0, direction * p], direction)
         passes += 1
-        if prunable and passes % 8 == 0:
+        if passes % 8 == 0:
             add = adds[0] if adds else (1, 0)
             cells = prune_reference(cells, slack, add, removes[0] if removes else None, g)
             if len(cells) == 1:
@@ -879,17 +885,20 @@ def core_fold_reference(items, capacity):
 
 def test_core_fold_matches_reference():
     # pins the fold order, the table growth, the rates (the next unfolded
-    # item per side), the cut's cadence and the stop rule, not only answers
+    # item per side), the cut's cadence and the stop rule, not only answers;
+    # random profits scaled by 2^40 (int64 cells, totals near 2^62 / 16
+    # w_max^2) and by 2^70 (object cells) too
     rng = random.Random(819)
     stopped = 0
-    shapes = TIE_SHAPES + ("random",)
-    for trial in range(300):
+    scales = {"random": 0, "random-2^40": 40, "random-2^70": 70}
+    shapes = TIE_SHAPES + tuple(scales)
+    for trial in range(360):
         shape = shapes[trial % len(shapes)]
         size = rng.randint(10, 60)
         items = []
         while len(items) < size:
-            if shape == "random":
-                items.append((rng.randint(1, 16), rng.randint(1, 40)))
+            if shape in scales:
+                items.append((rng.randint(1, 16), rng.randint(1, 40) << scales[shape]))
             else:
                 items += tie_heavy_items(rng, shape)
         total = sum(w for w, _ in items)
