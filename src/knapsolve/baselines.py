@@ -2,8 +2,10 @@
 
 Both are oracles for the fast solver.  ``solve_bellman`` is the classic
 capacity-indexed table, vectorized over capacities and banded: each item
-updates only the capacities the answer dp[t] can still read (Toth 1980), so
-at t = half the total weight it touches about n * t / 2 cells.  Its cells
+updates only the capacities the answer dp[t] can still read (Toth 1980).
+Runs of identical items are folded as binary chunks (Kellerer, Pferschy and
+Pisinger 2004, ch. 7) in weight order, light chunks at both ends, so at
+t = half the total weight it touches about n * t / 3 cells.  Its cells
 take the narrowest integer width their profit total fits.  It refuses
 instances whose n * (t + 1) table would exceed an explicit cell budget, or
 whose two rows would exceed ``TABLE_BYTE_BUDGET``, instead of thrashing.
@@ -15,6 +17,7 @@ structure, not just values.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 
@@ -47,14 +50,27 @@ def solve_bellman(raw_items, capacity, cell_budget=DEFAULT_CELL_BUDGET, stats=No
 def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
     """``solve_bellman`` on an instance ``normalize`` already built.
 
-    Before item i, with W and P the weight and profit of the items before
-    it and R the weight of the items after it, dp[c] is exact for c in
-    [t - R - w_i, W]; above W every earlier item fits, so cells W + 1 to
-    min(t, W + w_i) are first set to P.  Item i then updates only
+    Each run of k identical (weight, profit) items is folded as 0-1 chunks
+    of 1, 2, 4, ... copies plus the remainder (the binary reduction of a
+    bounded item): every count 0..k is a sum of chunks and none past k is.
+    A count m only uses chunks of at most m copies, so a chunk heavier than
+    t is in no feasible count and is dropped; if the kept chunks all fit,
+    their profit is the answer.  The chunks are then ordered by weight with
+    the light ones at both ends: ascending ranks go alternately to the
+    front and the back.
+
+    Before chunk i, with W and P the weight and profit of the chunks before
+    it and R the weight of the chunks after it, dp[c] is exact for c in
+    [t - R - w_i, W]; above W every earlier chunk fits, so cells W + 1 to
+    min(t, W + w_i) are first set to P.  Chunk i then updates only
     [max(w_i, t - R), min(t, W + w_i)]: a cell below t - R cannot reach
     dp[t] through the remaining weight R, and a cell above W + w_i gains
-    nothing from item i.  The band is never empty, since the items that
-    remain after ``normalize`` weigh more than t in total.
+    nothing from chunk i.  The band is never empty, since the kept chunks
+    weigh more than t in total.  It is widest where W is near t, so the
+    heavy chunks go there, where few of them cover the weight: with
+    uniformly spread weights and t half the total weight the band covers
+    about n * t / 3 cells, against n * t / 2 in input order.  With
+    ``stats`` the chunk passes go to ``fold_passes``.
     """
     if inst.all_fit:
         return inst.total_profit
@@ -64,16 +80,30 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
         raise BudgetExceededError(
             f"table needs {cells} cells, over the budget of {cell_budget}"
         )
-    weights = inst.weights.tolist()
-    profits = inst.profits.tolist()
-    dtype = _dp_cell_dtype(sum(profits))
+    dtype = _dp_cell_dtype(int(inst.profits.sum()))
     check_table_bytes("table rows need", 2 * (t + 1) * np.dtype(dtype).itemsize)
     if stats is not None:
         stats.note_table(t + 1)
+    chunks = []
+    for (w, p), k in Counter(zip(inst.weights.tolist(), inst.profits.tolist())).items():
+        c = 1
+        while k:
+            c = min(c, k)
+            if c * w <= t:
+                chunks.append((c * w, c * p))
+            k -= c
+            c *= 2
+    chunks.sort()
+    chunks = chunks[::2] + chunks[1::2][::-1]
+    if stats is not None:
+        stats.fold_passes = len(chunks)
+    after = sum(w for w, _ in chunks)
+    if after <= t:
+        return sum(p for _, p in chunks)
     dp = np.zeros(t + 1, dtype=dtype)
     tmp = np.empty(t + 1, dtype=dtype)
-    below, gained, after = 0, 0, sum(weights)
-    for w, p in zip(weights, profits):
+    below, gained = 0, 0
+    for w, p in chunks:
         after -= w
         lo = max(w, t - after)
         hi = min(t, below + w)

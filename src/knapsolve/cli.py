@@ -111,6 +111,12 @@ def _run_named_solver(name: str, items, capacity: int, config: SolverConfig, sta
 
 
 def cmd_solve(args) -> int:
+    if args.solver != "fast":
+        # the other solvers take neither option; refuse rather than ignore it
+        for option, given in (("--verify", args.verify), ("--engine", args.engine != "auto")):
+            if given:
+                print(f"error: {option} applies only to --solver fast", file=sys.stderr)
+                return 2
     if args.file == "-":
         text = sys.stdin.read()
     else:

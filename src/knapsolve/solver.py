@@ -49,8 +49,10 @@ phases through the hint-set solver (stage one, ``first_stage_hinted``),
 the outer layers folded while the table shrinks (``second_stage``), and
 the original total recovered at the end.  It is the instrumented reference.
 ``solve_proximity_smawk`` folds every candidate class in one fixed table of
-half-size 2 * w_max^2, unpruned: the simplest reference.  All of them fold
-through ``_DenseFold``, which refuses a table past
+half-size 2 * w_max^2, with no profit bound: the simplest reference.  After
+each class side it keeps only the cells the sides still to fold can carry
+into (slack - w_max, slack], where every optimal exchange ends.  All of them
+fold through ``_DenseFold``, which refuses a table past
 ``baselines.TABLE_BYTE_BUDGET`` before allocating it.  A class side is one
 bounded item whose prefix profits are concave; ``_DenseFold.update`` folds
 each run of k equal increments (k identical items) as 0-1 chunks of 1, 2,
@@ -115,8 +117,9 @@ class Stats:
     # cells of the largest table the solve built: each fold engine records
     # its own size, the capacity DP its row, the hinted stage one its lists
     peak_table_cells: int = 0
-    # item passes the dense path's core fold ran before it stopped, or the
-    # shift passes of solve_proximity_smawk's class fold
+    # item passes the dense path's core fold ran before it stopped, the
+    # shift passes of solve_proximity_smawk's class fold, or the chunk passes
+    # of the capacity DP (solve_bellman and the fallback; verify passes none)
     fold_passes: int = 0
     # the path that answered: "trivial", "bellman-fallback" (the capacity
     # DP, when w_max > n^2), "dense", "hinted" or "proximity"
@@ -328,6 +331,14 @@ class _DenseFold:
         else:
             self.lo = max(0, a - cap * weight)
         return passes
+
+    def keep(self, first: int, last: int) -> None:
+        """Drop every cell outside indices [first, last] and narrow the live span to it."""
+        lo = min(max(self.lo, self.half + first), self.hi)
+        hi = max(min(self.hi, self.half + last + 1), lo)
+        self.arr[self.lo : lo] = self.sentinel
+        self.arr[hi : self.hi] = self.sentinel
+        self.lo, self.hi = lo, hi
 
     def cut(self, slack: int, s_g: int, add, remove, scratch: _CutScratch) -> int:
         """Drop every cell no completion can lift above LB, except LB's own.
@@ -748,9 +759,24 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
 
     Uses a fixed difference table of half-size 2 * w_max^2 (optimal
     exchanges never move the index further) and folds every weight class
-    once per side, without layering or phases, as one flat stage-two layer
-    over the original profits.  Simpler object to audit than the full
-    pipeline, quadratically bigger table.
+    once per side, in ascending weight order, without layering, phases or
+    profit bounds, over the original profits.  Simpler object to audit than
+    the full pipeline, quadratically bigger table.
+
+    The fold keeps only cells that can still reach an index where an
+    optimal exchange may end.  A finite entry at z is the gain of an
+    exchange whose solution weighs the greedy weight plus z, and the best
+    entry at z <= slack is the optimum.  An optimal solution leaves less
+    than w_max of the capacity unused: otherwise any item it lacks (one
+    exists, since not all items fit) would fit and add a profit of at least
+    1.  So every entry at z <= slack - w_max is below the best, which lies
+    in (slack - w_max, slack].  With A and R the candidate weight of the add
+    and remove sides still to fold, a cell at z can end only in
+    [z - R, z + A]; after each class side every cell outside
+    [slack - w_max + 1 - A, slack + R] is dropped.  Every path into
+    (slack - w_max, slack] stays inside that window, so each final value
+    there, the answer, its index and the pass count are those of the full
+    fold, on the same 4 * w_max^2 + 1 cells.  The window reads weights only.
     """
     inst = normalize(raw_items, capacity)
     if inst.all_fit:
@@ -763,8 +789,18 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
         stats.engine = "proximity"
     profits = inst.profits.tolist()
     eng = _DenseFold(half, cell_dtype(sum(profits)), stats)
-    weights = split.add_candidates.keys() | split.remove_candidates.keys()
-    passes = _fold_classes(eng, weights, split, profits)
+    slack = inst.capacity - split.greedy_weight
+    sides = ((+1, split.add_candidates), (-1, split.remove_candidates))
+    # candidate weight still to fold on each side: how far a cell may move
+    rest = {d: sum(w * len(m) for w, m in side.items()) for d, side in sides}
+    passes = 0
+    for w in sorted(split.add_candidates.keys() | split.remove_candidates.keys()):
+        for direction, side in sides:
+            members = side.get(w)
+            if members:
+                passes += eng.update(w, _prefix_profits(profits, members, direction), direction)
+                rest[direction] -= w * len(members)
+                eng.keep(slack - inst.w_max + 1 - rest[+1], slack + rest[-1])
     if stats is not None:
         stats.fold_passes = passes
-    return split.greedy_profit + _best_entry(eng, inst.capacity - split.greedy_weight, stats)
+    return split.greedy_profit + _best_entry(eng, slack, stats)

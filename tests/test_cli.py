@@ -154,6 +154,33 @@ def test_solve_stats_proximity_all_fit(tmp_path, capsys):
         assert captured.err.startswith("# engine=trivial peak_table_cells=0 passes=0 ")
 
 
+def test_solve_stats_bellman_passes(tmp_path, capsys):
+    # three distinct items: one chunk pass each
+    path = write(tmp_path, "inst.txt", SMALL)
+    assert main(["solve", path, "--solver", "bellman", "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "70"
+    assert captured.err.startswith("# engine=bellman peak_table_cells=7 passes=3 ")
+
+
+def test_solve_refuses_options_the_solver_ignores(tmp_path, capsys):
+    # --verify and --engine reach only the fast solver; with another solver
+    # they are refused before anything is solved, not silently dropped
+    path = write(tmp_path, "inst.txt", SMALL)
+    for solver in ("bellman", "proximity", "exhaustive"):
+        for argv in (["--verify"], ["--engine", "dense"], ["--engine", "hinted"]):
+            assert main(["solve", path, "--solver", solver] + argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            option = argv[0]
+            assert captured.err == f"error: {option} applies only to --solver fast\n"
+        assert main(["solve", path, "--solver", solver, "--engine", "auto"]) == 0
+        assert capsys.readouterr().out.strip() == "70"
+    for argv in (["--verify"], ["--engine", "dense"], ["--engine", "hinted"]):
+        assert main(["solve", path, "--solver", "fast"] + argv) == 0
+        assert capsys.readouterr().out.strip() == "70"
+
+
 def test_capacity_dp_fallback_refuses_before_allocating(tmp_path, capsys):
     # w_max > n^2 takes the capacity DP, whose table here would be 2e13 cells
     big = 10**13

@@ -1034,3 +1034,213 @@ def test_fold_table_byte_budget(monkeypatch):
         solve_fast(items, capacity, SolverConfig(engine="hinted"))
     monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 4 * stats.peak_table_cells)
     assert solve_fast(items, capacity) == want == solve_exhaustive(items, capacity)
+
+
+# --- proximity's window against its unwindowed fold ----------------------
+
+
+def proximity_reference(items, capacity):
+    """solve_proximity_smawk's class fold with no window: every class side
+    folds over the whole live span, as before the window was added.
+
+    Returns (answer, fold_passes, peak_table_cells, best_index) for a
+    nontrivial instance.
+    """
+    inst = normalize(items, capacity)
+    split = greedy_split(inst)
+    profits = inst.profits.tolist()
+    stats = Stats()
+    eng = _DenseFold(2 * inst.w_max * inst.w_max, cell_dtype(sum(profits)), stats)
+    passes = 0
+    for w in sorted(split.add_candidates.keys() | split.remove_candidates.keys()):
+        for direction, side in ((+1, split.add_candidates), (-1, split.remove_candidates)):
+            prefix = [0]
+            for idx in side.get(w, ()):
+                prefix.append(prefix[-1] + direction * profits[idx])
+            passes += eng.update(w, prefix, direction)
+    best, best_z = eng.window_best(inst.capacity - split.greedy_weight)
+    return split.greedy_profit + best, passes, stats.peak_table_cells, best_z
+
+
+def check_proximity_window(items, capacity):
+    """Proximity's answer and counters equal the unwindowed fold's; returns
+    whether the instance was nontrivial."""
+    stats = Stats()
+    got = solve_proximity_smawk(items, capacity, stats=stats)
+    if normalize(items, capacity).all_fit:
+        assert got == solve_bellman(items, capacity)
+        return False
+    want = proximity_reference(items, capacity)
+    assert (got, stats.fold_passes, stats.peak_table_cells, stats.best_index) == want, (
+        items, capacity,
+    )
+    return True
+
+
+def test_proximity_window_matches_unwindowed_fold():
+    # the window drops only cells no optimal end can read: tie-heavy shapes,
+    # Pisinger's families, generator instances at capacities next to the
+    # edges, and profits past int64 (object cells) all fold to the same
+    # answer, passes, table size and answer index
+    rng = random.Random(6061)
+    checked = 0
+    for trial in range(40 * len(TIE_SHAPES)):
+        items = tie_heavy_items(rng, TIE_SHAPES[trial % len(TIE_SHAPES)])
+        total = sum(w for w, _ in items)
+        for capacity in (total - 1, rng.randint(0, total)):
+            checked += check_proximity_window(items, capacity)
+    for r, seed in ((8, 1), (16, 2), (64, 3), (128, 4)):
+        for family in PISINGER_FAMILIES:
+            checked += check_proximity_window(*pisinger_instance(family, 4 * r, r, seed))
+    for w_max in (1, 2, 5, 16, 40):
+        for k, dist in enumerate(("uniform", "clustered", "hard-equal-weights")):
+            items, _ = generate_instance(4 * w_max + 3, w_max, 50, 0.5, 100 * w_max + k, dist)
+            total = sum(w for w, _ in items)
+            w_min = min(w for w, _ in items)
+            for capacity in (0, total - 1, total - w_min):
+                checked += check_proximity_window(items, capacity)
+            huge = [(w, p << 70) for w, p in items]
+            checked += check_proximity_window(huge, total // 2)
+    assert checked > 400
+
+
+def test_proximity_window_shrinks_the_folded_span(monkeypatch):
+    # on the benchmark's three proximity calls the window cuts the live span
+    # each class side starts from to 51-57% of the unwindowed fold's (53%
+    # summed); the sides folded first, while most weight is still to come,
+    # keep their whole span
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    spans = []
+    update = _DenseFold.update
+
+    def spy(self, weight, prefix, direction):
+        spans[-1] += self.hi - self.lo
+        return update(self, weight, prefix, direction)
+
+    monkeypatch.setattr(_DenseFold, "update", spy)
+    calls, _ = workloads.build("oracles", 1)
+    windowed = reference = 0
+    for call in calls:
+        if call.spec.kind != "proximity":
+            continue
+        spans.append(0)
+        got = solve_proximity_smawk(call.items, call.capacity)
+        spans.append(0)
+        assert proximity_reference(call.items, call.capacity)[0] == got, call.label
+        windowed += spans[-2]
+        reference += spans[-1]
+    assert len(spans) == 6 and 0 < 100 * windowed <= 55 * reference
+
+
+# --- the capacity DP's chunks and order ------------------------------------
+
+
+def check_capacity_dp(items, t):
+    """solve_bellman, fast verify and a shuffled copy against enumeration."""
+    want = solve_exhaustive(items, t)
+    assert solve_bellman(items, t) == want, (items, t)
+    assert solve_fast(items, t, SolverConfig(verify=True)) == want, (items, t)
+    shuffled = list(items)
+    random.Random(len(items) * 1009 + t).shuffle(shuffled)
+    assert solve_bellman(shuffled, t) == want, (shuffled, t)
+    return want
+
+
+def test_capacity_dp_chunks_runs_of_identical_items():
+    # a run of k identical items folds as binary chunks: every count up to k
+    # is reachable and none past it, alone and among other items
+    rng = random.Random(7171)
+    for k in range(1, 18):
+        w, p = rng.randint(1, 6), rng.randint(1, 20)
+        run = [(w, p)] * k
+        for t in range(0, k * w + 2):
+            assert check_capacity_dp(run, t) == min(k, t // w) * p
+        stats = Stats()
+        if k > 1:
+            # every chunk fits under t = k w - 1: ceil(log2(k + 1)) passes
+            assert solve_bellman(run, k * w - 1, stats=stats) == (k - 1) * p
+            assert stats.fold_passes == k.bit_length()
+        for _ in range(6):
+            others = random_items(rng, n_max=22 - k, w_max=8)
+            mixed = run + others
+            total = sum(w for w, _ in mixed)
+            for t in (total - 1, total // 2, rng.randint(0, total)):
+                check_capacity_dp(mixed, t)
+    # several runs, each of mixed length, some sharing a weight
+    for _ in range(40):
+        items = []
+        while len(items) < 20:
+            items += [(rng.randint(1, 5), rng.randint(1, 9))] * rng.randint(1, 9)
+        total = sum(w for w, _ in items)
+        for t in (0, total - 1, rng.randint(0, total)):
+            check_capacity_dp(items[:24], t)
+
+
+def test_capacity_dp_drops_chunks_heavier_than_the_capacity():
+    # seven copies of (3, 5) give chunks of 1, 2 and 4 copies; under t = 10
+    # the 4-copy chunk (weight 12) is dropped and three copies still fit
+    items = [(3, 5)] * 7 + [(2, 1)] * 2
+    stats = Stats()
+    assert solve_bellman(items, 10, stats=stats) == 3 * 5
+    assert stats.fold_passes == 4  # (3, 5) x 1, (6, 10), (2, 1), (4, 2)
+    assert check_capacity_dp(items, 10) == 15
+    # the kept chunks all fit: the answer is their profit, with no band
+    for items, t, want, passes in (
+        ([(4, 9)] * 3, 5, 9, 1),  # chunks of 1 and 2 copies; 8 > 5 is dropped
+        ([(4, 9)] * 3 + [(1, 2)], 5, 11, 2),
+        ([(3, 5)] * 7, 10, 15, 2),  # 3 + 6 <= 10, the 12 is dropped
+    ):
+        assert not normalize(items, t).all_fit
+        stats = Stats()
+        assert solve_bellman(items, t, stats=stats) == want
+        assert stats.peak_table_cells == t + 1 and stats.fold_passes == passes
+        assert check_capacity_dp(items, t) == want
+
+
+def test_capacity_dp_answer_ignores_item_order():
+    rng = random.Random(8282)
+    for _ in range(60):
+        items = random_items(rng, n_max=18, w_max=12, p_max=40, equal_weights=rng.random() < 0.2)
+        items += [rng.choice(items)] * rng.randint(0, 5)
+        total = sum(w for w, _ in items)
+        for t in (total - 1, rng.randint(0, total)):
+            want = check_capacity_dp(items, t)
+            for _ in range(3):
+                rng.shuffle(items)
+                assert solve_bellman(items, t) == want
+
+
+def test_capacity_dp_passes_in_stats():
+    # solve_bellman and the w_max > n^2 fallback report their chunk passes;
+    # the verify check passes no Stats, so the dense counters stay put
+    stats = Stats()
+    assert solve_fast([(50, 7), (60, 9)], 70, stats=stats) == 9
+    assert (stats.engine, stats.fold_passes) == ("bellman-fallback", 2)
+    items = [(3, 7), (4, 9), (5, 4), (2, 6), (3, 5), (4, 8)] + [(2, 6)] * 5
+    plain, verified = Stats(), Stats()
+    solve_fast(items, 14, stats=plain)
+    solve_fast(items, 14, SolverConfig(verify=True), verified)
+    assert plain == verified
+    stats = Stats()
+    assert solve_bellman(items, 14, stats=stats) == solve_exhaustive(items, 14)
+    assert stats.fold_passes == 5 + 3  # six (2, 6) copies: chunks of 1, 2, 3
+
+
+def test_capacity_dp_passes_on_equal_weights():
+    # the benchmark's pmax-32 hard-equal-weights verify instance, n = 1280
+    # at w = 320: its long runs of identical items fold in few chunk passes
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    calls, _ = workloads.build("oracles", 1)
+    (call,) = (
+        c for c in calls
+        if c.spec.kind == "fast-verify" and c.spec.p_max == 32
+        and c.spec.family == "hard-equal-weights"
+    )
+    stats = Stats()
+    got = solve_bellman(call.items, call.capacity, stats=stats)
+    assert 0 < stats.fold_passes <= call.spec.n // 4
+    assert got == solve_fast(call.items, call.capacity)
