@@ -14,6 +14,19 @@ Outputs are "relaxed" solutions: entry i is guaranteed optimal only when
 every maximizer of i keeps its support inside S[z] for its base z; they are
 always feasible, support-disciplined, and never below the trivial value
 q[i].  ``relaxed_check`` verifies exactly this contract by enumeration.
+
+Tables are sparse.  An instance holds its finite entries only, as dicts
+keyed by the signed index i: ``q`` maps i to its value and
+``hint_handles`` maps the same keys to interned hint sets.  A solution's
+``r`` holds its finite values the same way, and ``z`` and ``x`` hold the
+base and the multiplicities only of the entries that extend a base.
+Absent keys read as bottom, no hint set, base i and no items.  Keys
+ascend: the SMAWK columns and the colorings' inputs follow index order.
+A built table is never mutated, so the algebra shares dicts between
+tables instead of copying them, and ``solve_singleton`` copies ``q``
+before its scan writes to it.  The colorings still see one set per index
+of the 2L + 1, since their parameters depend on that count: the finite
+entries' sets come first, padded with empty sets (``_coloring_sets``).
 """
 
 from __future__ import annotations
@@ -21,9 +34,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, repeat
-from operator import is_not
+from functools import partial
+from itertools import repeat
 from types import MappingProxyType
 
 from .colorings import (
@@ -120,27 +132,31 @@ class ExtendStats:
     ap_count: int = 0
     bucket_inserts: int = 0
 
-    def absorb(self, other: "ExtendStats") -> None:
-        self.matrix_evals += other.matrix_evals
-        self.ap_count += other.ap_count
-        self.bucket_inserts += other.bucket_inserts
-
 
 @dataclass
 class HintedExtendInstance:
+    """A table over [-half_size, half_size]: its finite entries and hint sets.
+
+    ``q`` maps index to value and ``hint_handles`` maps the same indices, in
+    the same ascending order, to ``store`` handles.
+    """
+
     half_size: int
     universe: tuple
-    q: list
-    hint_handles: list
+    q: dict
+    hint_handles: dict
     fns: dict
     store: SetStore
 
     @classmethod
-    def build(cls, half_size, q, hint_sets, fns, store=None):
-        """Construct from plain values; hint_sets entries are sets or None."""
+    def build(cls, half_size, entries, fns, store=None):
+        """Construct from ``{index: (value, hint set)}``, in any key order."""
         store = store if store is not None else SetStore()
-        handles = [None if s is None else store.add(s) for s in hint_sets]
-        inst = cls(half_size, tuple(sorted(fns)), list(q), handles, dict(fns), store)
+        q, handles = {}, {}
+        for i in sorted(entries):
+            q[i], hint = entries[i]
+            handles[i] = store.add(hint)
+        inst = cls(half_size, tuple(sorted(fns)), q, handles, dict(fns), store)
         inst.validate()
         return inst
 
@@ -148,99 +164,74 @@ class HintedExtendInstance:
     def size(self) -> int:
         return 2 * self.half_size + 1
 
-    def slot(self, index: int) -> int:
-        if index < -self.half_size or index > self.half_size:
-            raise IndexError(index)
-        return index + self.half_size
-
     def indices(self):
         return range(-self.half_size, self.half_size + 1)
 
     def q_at(self, index: int):
-        return self.q[self.slot(index)]
+        return self.q.get(index, BOTTOM)
 
     def hint_set(self, index: int):
-        h = self.hint_handles[self.slot(index)]
+        h = self.hint_handles.get(index)
         return None if h is None else self.store.get(h)
 
-    @cached_property
-    def finite(self) -> list[int]:
-        """Slots holding a value, ascending: exactly those with a hint set.
-
-        Whoever builds a table whose finite slots it already knows assigns
-        them here instead; the list is shared, so it is never mutated.
-        """
-        handles = self.hint_handles
-        return list(compress(range(len(handles)), map(is_not, handles, repeat(None))))
-
     def validate(self) -> None:
-        if len(self.q) != self.size or len(self.hint_handles) != self.size:
-            raise ValueError("table arrays disagree with half_size")
         uni = set(self.universe)
         if set(self.fns) != uni:
             raise ValueError("profit functions must cover exactly the universe")
         for w in self.universe:
             if not isinstance(w, int) or w < 1:
                 raise ValueError("weights must be positive integers")
-        for k in range(self.size):
-            defined = self.hint_handles[k] is not None
-            finite = not is_bottom(self.q[k])
-            if defined != finite:
-                raise ValueError("hint sets must exist exactly on finite entries")
-            if defined and not self.store.get(self.hint_handles[k]) <= uni:
+        keys = list(self.q)
+        if keys != list(self.hint_handles):
+            raise ValueError("hint sets must exist exactly on finite entries")
+        if keys and (keys[0] < -self.half_size or keys[-1] > self.half_size):
+            raise ValueError("table index outside [-half_size, half_size]")
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("table indices must ascend")
+        if any(map(is_bottom, self.q.values())):
+            raise ValueError("the table holds finite entries only")
+        for h in set(self.hint_handles.values()):
+            if not self.store.get(h) <= uni:
                 raise ValueError("hint sets must stay inside the universe")
 
 
 @dataclass
 class HintedExtendSolution:
-    half_size: int
-    r: list
-    z: list
-    x: list
-    stats: ExtendStats | None = None
+    """Extended values ``r`` (finite entries, ascending) and their witnesses.
 
-    def slot(self, index: int) -> int:
-        return index + self.half_size
+    ``z`` and ``x`` map each entry that extends a base to that base and to
+    its multiplicities; every other entry is its own base and adds nothing.
+    """
+
+    half_size: int
+    r: dict
+    z: dict
+    x: dict
 
     def value(self, index: int):
-        return self.r[self.slot(index)]
+        return self.r.get(index, BOTTOM)
 
     def base(self, index: int) -> int:
-        return self.z[self.slot(index)]
+        return self.z.get(index, index)
 
-    def mult(self, index: int) -> dict:
-        return self.x[self.slot(index)]
-
-    @cached_property
-    def finite(self) -> list[int]:
-        """Slots of ``r`` holding a value, ascending; shared like the maps.
-
-        The solvers and the algebra set it on every solution they build,
-        so it is searched for in ``r`` only on a solution built by hand.
-        """
-        return list(compress(range(len(self.r)), map(BOTTOM.__lt__, self.r)))
+    def mult(self, index: int):
+        return self.x.get(index, NO_ITEMS)
 
 
 def trivial_solution(inst: HintedExtendInstance) -> HintedExtendSolution:
-    sol = HintedExtendSolution(
-        inst.half_size,
-        list(inst.q),
-        list(range(-inst.half_size, inst.half_size + 1)),
-        [NO_ITEMS] * inst.size,
-        ExtendStats(),
-    )
-    sol.finite = inst.finite
-    return sol
+    return HintedExtendSolution(inst.half_size, inst.q, {}, {})
 
 
 def _value_spread(inst: HintedExtendInstance) -> int:
-    values = list(map(inst.q.__getitem__, inst.finite))
+    values = inst.q.values()
     spread = (max(values) - min(values)) if values else 0
     fn_spread = max((fn.spread() for fn in inst.fns.values()), default=0)
     return spread + fn_spread + 1
 
 
-def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
+def solve_singleton(
+    inst: HintedExtendInstance, stats: ExtendStats | None = None
+) -> HintedExtendSolution:
     """Extend a table whose hint sets all have at most one weight.
 
     Candidates i = j + x*w for a hinted base j are grouped by weight and
@@ -253,31 +244,30 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
     changes no progression.  Winner columns turn into arithmetic
     progressions that a single left-to-right bucket scan merges: at each
     index the best progression is applied (strict improvement only) and
-    advanced one step, the rest stay parked.
+    advanced one step, the rest stay parked.  The work counters are added
+    into ``stats``.
     """
     L = inst.half_size
-    sol = trivial_solution(inst)
-    stats = sol.stats
     q = inst.q
-    finite = inst.finite
-    handles = list(map(inst.hint_handles.__getitem__, finite))
+    handles = inst.hint_handles
     weight_of = {}
-    for h in set(handles):
+    for h in set(handles.values()):
         s = inst.store.get(h)
         if len(s) > 1:
             raise ValueError("solve_singleton needs hint sets of size <= 1")
         if s:
             (weight_of[h],) = s
     bases_by_group: dict[tuple[int, int], list[int]] = {}
-    for k, h in compress(zip(finite, handles), map(weight_of.__contains__, handles)):
-        w = weight_of[h]
-        bases_by_group.setdefault((w, (k - L) % w), []).append(k - L)
+    for j, h in handles.items():
+        w = weight_of.get(h)
+        if w is not None:
+            bases_by_group.setdefault((w, j % w), []).append(j)
 
     if not bases_by_group:
-        return sol
+        return trivial_solution(inst)
 
     big = _value_spread(inst)
-    # slot -> progressions parked there; ``pending`` heaps the occupied slots
+    # index -> progressions parked there; ``pending`` heaps the occupied indices
     buckets: dict[int, list] = {}
     evals = aps = 0
 
@@ -291,7 +281,7 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
         # row ri is cols[0] + ri * w and every base shares the residue, so
         # base cj (1-based, like ri) takes x = ri + off[cj] items
         off = [0] + [(cols[0] - j) // w for j in cols]
-        qv = [0] + [q[j + L] for j in cols]
+        qv = [0] + [q[j] for j in cols]
 
         def value(ri, cj, _off=off, _qv=qv, _prefix=prefix, _cap=cap, _top=prefix[cap]):
             nonlocal evals
@@ -314,16 +304,17 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
                 continue
             aps += 1
             # a progression: [base, weight, next x, last x, q at base, prefix]
-            buckets.setdefault(j + x_lo * w + L, []).append([j, w, x_lo, x_hi, q[j + L], prefix])
+            buckets.setdefault(j + x_lo * w, []).append([j, w, x_lo, x_hi, q[j], prefix])
     inserts = aps
 
-    r, z, xs = sol.r, sol.z, sol.x
-    grown = []  # slots the scan turns finite, ascending
+    # the input table is shared, never written: the scan fills a copy
+    r = dict(q)
+    z, xs = {}, {}
     pending = list(buckets)
     heapq.heapify(pending)
     while pending:
-        slot = heapq.heappop(pending)
-        cell = buckets.pop(slot)
+        i = heapq.heappop(pending)
+        cell = buckets.pop(i)
         best = cell[0]
         best_val = best[4] + best[5][best[2]]
         for ap in cell[1:]:
@@ -331,27 +322,26 @@ def solve_singleton(inst: HintedExtendInstance) -> HintedExtendSolution:
             if val > best_val:
                 best_val = val
                 best = ap
-        if is_bottom(r[slot]):
-            grown.append(slot)
-        if best_val > r[slot]:  # always true over bottom
-            r[slot] = best_val
-            z[slot] = best[0]
-            xs[slot] = {best[1]: best[2]}
+        if best_val > r.get(i, BOTTOM):
+            r[i] = best_val
+            z[i] = best[0]
+            xs[i] = {best[1]: best[2]}
         # only the winning progression moves on; losers stay parked
         if best[2] < best[3]:
             best[2] += 1
-            nxt = slot + best[1]
+            nxt = i + best[1]
             if nxt not in buckets:
                 buckets[nxt] = []
                 heapq.heappush(pending, nxt)
             buckets[nxt].append(best)
             inserts += 1
-    stats.matrix_evals += evals
-    stats.ap_count += aps
-    stats.bucket_inserts += inserts
-    if grown:
-        sol.finite = sorted(finite + grown)  # two ascending runs: one merge
-    return sol
+    if stats is not None:
+        stats.matrix_evals += evals
+        stats.ap_count += aps
+        stats.bucket_inserts += inserts
+    if len(r) > len(q):  # new entries went in after the old ones
+        r = dict(sorted(r.items()))
+    return HintedExtendSolution(L, r, z, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +353,13 @@ def restrict(inst: HintedExtendInstance, subset) -> HintedExtendInstance:
     store = inst.store
     vh = store.add(frozenset(subset) & set(inst.universe))
     vset = store.get(vh)
-    # one intersection per distinct hint set; None (a bottom slot) stays None
-    shrunk = {h: store.intersect(h, vh) for h in set(inst.hint_handles) if h is not None}
-    handles = list(map(shrunk.get, inst.hint_handles))
+    # one intersection per distinct hint set
+    shrunk = {h: store.intersect(h, vh) for h in set(inst.hint_handles.values())}
+    handles = {i: shrunk[h] for i, h in inst.hint_handles.items()}
     fns = {w: fn for w, fn in inst.fns.items() if w in vset}
-    out = HintedExtendInstance(
-        inst.half_size, tuple(sorted(vset)), list(inst.q), handles, fns, store
+    return HintedExtendInstance(
+        inst.half_size, tuple(sorted(vset)), inst.q, handles, fns, store
     )
-    out.finite = inst.finite
-    return out
 
 
 def apply_update(
@@ -385,23 +373,20 @@ def apply_update(
     store = inst.store
     vh = store.add(frozenset(subset))
     vset = store.get(vh)
-    L = inst.half_size
-    handles = [None] * inst.size
+    handles = {}
     # bases share few distinct hint sets: subtract once per handle
     minus: dict = {}
-    for k in sol.finite:
-        src = inst.hint_handles[sol.z[k] + L]
+    for i in sol.r:
+        src = inst.hint_handles.get(sol.base(i))
         if src is None:
             raise ValueError("solution base lacks a hint set")
         h = minus.get(src)
         if h is None:
             h = minus[src] = store.subtract(src, vh)
-        handles[k] = h
+        handles[i] = h
     universe = tuple(w for w in inst.universe if w not in vset)
     fns = {w: fn for w, fn in inst.fns.items() if w not in vset}
-    out = HintedExtendInstance(L, universe, list(sol.r), handles, fns, store)
-    out.finite = sol.finite
-    return out
+    return HintedExtendInstance(inst.half_size, universe, sol.r, handles, fns, store)
 
 
 def compose(
@@ -410,25 +395,19 @@ def compose(
     """Chain outer (solved on inner's updated table) through inner."""
     if outer.half_size != inner.half_size:
         raise ValueError("solutions live on different tables")
-    L = outer.half_size
-    size = 2 * L + 1
-    r = list(outer.r)
-    z = list(range(-L, L + 1))
-    xs = [NO_ITEMS] * size
-    for k in outer.finite:
-        mid = outer.z[k] + L
-        z[k] = inner.z[mid]
-        own = outer.x[k]
-        if not own:
-            xs[k] = inner.x[mid]  # maps are never mutated, so share it
-            continue
-        merged = dict(inner.x[mid])
-        for w, cnt in own.items():
-            merged[w] = merged.get(w, 0) + cnt
-        xs[k] = merged
-    out = HintedExtendSolution(L, r, z, xs, None)
-    out.finite = outer.finite
-    return out
+    # an entry outer left alone keeps inner's extension, and every entry
+    # inner extended is finite in outer, so it is one of outer's entries
+    z, xs = dict(inner.z), dict(inner.x)
+    for i, mid in outer.z.items():
+        z[i] = inner.base(mid)
+        own, below = outer.x[i], inner.x.get(mid)
+        if below:
+            merged = dict(below)
+            for w, cnt in own.items():
+                merged[w] = merged.get(w, 0) + cnt
+            own = merged
+        xs[i] = own  # maps are never mutated, so outer's is shared
+    return HintedExtendSolution(outer.half_size, outer.r, z, xs)
 
 
 def entrywise_max_instances(
@@ -439,26 +418,17 @@ def entrywise_max_instances(
     if a.store is not b.store:
         raise ValueError("instances must share a set store")
     store = a.store
-    q = []
-    handles = []
-    for k in range(a.size):
-        va, vb = a.q[k], b.q[k]
-        ha, hb = a.hint_handles[k], b.hint_handles[k]
-        if is_bottom(va) and is_bottom(vb):
-            q.append(BOTTOM)
-            handles.append(None)
-        elif is_bottom(vb) or (not is_bottom(va) and va > vb):
-            q.append(va)
-            handles.append(ha)
-        elif is_bottom(va) or vb > va:
-            q.append(vb)
-            handles.append(hb)
-        else:  # equal finite values: either base works, keep both options' floor
-            q.append(va)
-            handles.append(store.intersect(ha, hb))
-    return HintedExtendInstance(
-        a.half_size, a.universe, q, handles, dict(a.fns), store
-    )
+    q, handles = {}, {}
+    for i in sorted(a.q.keys() | b.q.keys()):
+        va, vb = a.q_at(i), b.q_at(i)
+        if va > vb:
+            q[i], handles[i] = va, a.hint_handles[i]
+        elif vb > va:
+            q[i], handles[i] = vb, b.hint_handles[i]
+        else:  # equal values: either base works, keep both options' floor
+            q[i] = va
+            handles[i] = store.intersect(a.hint_handles[i], b.hint_handles[i])
+    return HintedExtendInstance(a.half_size, a.universe, q, handles, a.fns, store)
 
 
 def entrywise_max_solutions(
@@ -466,19 +436,14 @@ def entrywise_max_solutions(
 ) -> HintedExtendSolution:
     if a.half_size != b.half_size:
         raise ValueError("solutions disagree on shape")
-    L = a.half_size
-    r = [BOTTOM] * (2 * L + 1)
-    z = list(range(-L, L + 1))
-    xs = [NO_ITEMS] * (2 * L + 1)
+    r, z, xs = {}, {}, {}
     # b wins ties; multiplicity maps are never mutated, so they are shared
-    for k in b.finite:
-        r[k], z[k], xs[k] = b.r[k], b.z[k], b.x[k]
-    for k in a.finite:
-        if a.r[k] > r[k]:
-            r[k], z[k], xs[k] = a.r[k], a.z[k], a.x[k]
-    out = HintedExtendSolution(L, r, z, xs, None)
-    out.finite = sorted({*a.finite, *b.finite})
-    return out
+    for i in sorted(a.r.keys() | b.r.keys()):
+        src = a if a.value(i) > b.value(i) else b
+        r[i] = src.r[i]
+        if i in src.z:
+            z[i], xs[i] = src.z[i], src.x[i]
+    return HintedExtendSolution(a.half_size, r, z, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +451,23 @@ def entrywise_max_solutions(
 
 
 def _sets_by_handle(inst: HintedExtendInstance) -> dict:
-    """Each hint handle in the table with its set; None maps to the empty set."""
+    """Each hint handle in the table with its set."""
     get = inst.store.get
-    return {h: frozenset() if h is None else get(h) for h in set(inst.hint_handles)}
+    return {h: get(h) for h in set(inst.hint_handles.values())}
 
 
-def _masked(inst, slots) -> HintedExtendInstance:
-    """``inst`` with every entry outside ``slots`` set to bottom."""
-    q = [BOTTOM] * inst.size
-    handles = [None] * inst.size
-    for k in slots:
-        q[k] = inst.q[k]
-        handles[k] = inst.hint_handles[k]
-    out = HintedExtendInstance(
-        inst.half_size, inst.universe, q, handles, dict(inst.fns), inst.store
-    )
-    out.finite = list(slots)
-    return out
+def _coloring_sets(inst: HintedExtendInstance, by_handle: dict) -> list:
+    """One set per table index: the hint sets in index order, then empty sets.
+
+    The colorings' parameters depend on the number of sets m (the set
+    balancing's t and lambda, the rounds cap of the isolating colorings),
+    and the analysis colors one set per index of the 2L + 1, a bottom entry
+    holding the empty set.  An empty set changes nothing else, so the
+    padding goes at the end.
+    """
+    sets = list(map(by_handle.__getitem__, inst.hint_handles.values()))
+    sets.extend(repeat(frozenset(), inst.size - len(sets)))
+    return sets
 
 
 def _color_classes(universe, coloring) -> list[list[int]]:
@@ -518,9 +483,7 @@ def _chain_color_classes(inst, classes, solver):
     current = inst
     acc = None
     for cls in classes:
-        if not cls:
-            continue
-        part = solver(restrict(current, cls), cls)
+        part = solver(restrict(current, cls))
         current = apply_update(current, cls, part)
         acc = part if acc is None else compose(part, acc)
     return trivial_solution(inst) if acc is None else acc
@@ -537,42 +500,34 @@ def solve_small_b(
     per-coloring results are folded with an entrywise maximum.
     """
     by_handle = _sets_by_handle(inst)
-    largest = max(map(len, by_handle.values()))
+    largest = max(map(len, by_handle.values()), default=0)
     if largest > budget:
         raise ValueError("hint set exceeds the declared budget")
     if largest <= 1:
-        out = solve_singleton(inst)
-        if stats is not None:
-            stats.absorb(out.stats)
-        return out
-    colorings = det_isolating_colorings(
-        list(map(by_handle.__getitem__, inst.hint_handles)), budget
-    )
-    # slots sharing a hint handle share its set, so they share an owner
+        return solve_singleton(inst, stats)
+    colorings = det_isolating_colorings(_coloring_sets(inst, by_handle), budget)
+    # entries sharing a hint handle share its set, so they share an owner
     owner_of = {
         h: next((idx for idx, c in enumerate(colorings) if is_isolated(s, c)), None)
         for h, s in by_handle.items()
     }
-    owned = set(owner_of.values())
-    # bottom slots stay bottom under every mask, so only finite ones are kept
-    finite_owned: dict = {}
-    for k in inst.finite:
-        finite_owned.setdefault(owner_of[inst.hint_handles[k]], []).append(k)
+    # each coloring's share of the table: (values, hint handles), ascending
+    owned: dict = {}
+    for i, h in inst.hint_handles.items():
+        q, handles = owned.setdefault(owner_of[h], ({}, {}))
+        q[i], handles[i] = inst.q[i], h
+    solve_class = partial(solve_singleton, stats=stats)
     result = None
     for idx, coloring in enumerate(colorings):
         if idx not in owned:
             continue
-        masked = _masked(inst, finite_owned.get(idx, ()))
+        q, handles = owned[idx]
+        masked = HintedExtendInstance(
+            inst.half_size, inst.universe, q, handles, inst.fns, inst.store
+        )
         # weights in no hint set are uncolored; any class works for them
         ordered = _color_classes(inst.universe, coloring)
-
-        def per_class(sub, _cls):
-            out = solve_singleton(sub)
-            if stats is not None:
-                stats.absorb(out.stats)
-            return out
-
-        part = _chain_color_classes(masked, ordered, per_class)
+        part = _chain_color_classes(masked, ordered, solve_class)
         result = part if result is None else entrywise_max_solutions(result, part)
     return trivial_solution(inst) if result is None else result
 
@@ -593,9 +548,7 @@ def solve(
         return solve_small_b(inst, budget, stats)
     by_handle = _sets_by_handle(inst)
     num_colors = math.ceil(budget / log_m)
-    coloring = det_balls_and_bins(
-        list(map(by_handle.__getitem__, inst.hint_handles)), num_colors
-    )
+    coloring = det_balls_and_bins(_coloring_sets(inst, by_handle), num_colors)
     ordered = _color_classes(inst.universe, coloring)
     inner_budget = 1
     for s in by_handle.values():
@@ -604,11 +557,9 @@ def solve(
             per[coloring[w]] = per.get(coloring[w], 0) + 1
         if per:
             inner_budget = max(inner_budget, max(per.values()))
-
-    def per_class(sub, _cls):
-        return solve_small_b(sub, inner_budget, stats)
-
-    return _chain_color_classes(inst, ordered, per_class)
+    return _chain_color_classes(
+        inst, ordered, partial(solve_small_b, budget=inner_budget, stats=stats)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +613,7 @@ def relaxed_check(
             best[1].append(supp)
 
     for i in inst.indices():
-        k = i + L
-        rv, zv, xv = sol.r[k], sol.z[k], sol.x[k]
+        rv, zv, xv = sol.value(i), sol.base(i), sol.mult(i)
         if is_bottom(rv):
             if xv:
                 errors.append(f"index {i}: bottom entry with nonempty support")
@@ -671,7 +621,7 @@ def relaxed_check(
         if zv < -L or zv > L:
             errors.append(f"index {i}: base {zv} out of range")
             continue
-        qz = inst.q[zv + L]
+        qz = inst.q_at(zv)
         if is_bottom(qz):
             errors.append(f"index {i}: base {zv} has no value")
             continue
@@ -695,22 +645,21 @@ def relaxed_check(
         if value != rv:
             errors.append(f"index {i}: claimed value {rv} != recomputed {value}")
             continue
-        if not is_bottom(inst.q[k]) and rv < inst.q[k]:
+        if rv < inst.q_at(i):
             errors.append(f"index {i}: below the trivial value")
 
     for i in inst.indices():
-        k = i + L
         best = None
-        for z in inst.indices():
-            if z > i or is_bottom(inst.q[z + L]):
+        for z, qz in inst.q.items():
+            if z > i:
                 continue
             got = by_total.get(i - z)
             if got is None:
                 continue
-            cand = inst.q[z + L] + got[0]
+            cand = qz + got[0]
             if best is None or cand > best:
                 best = cand
-        rv = sol.r[k]
+        rv = sol.value(i)
         if best is None:
             if not is_bottom(rv):
                 errors.append(f"index {i}: finite value where none is feasible")
@@ -718,11 +667,11 @@ def relaxed_check(
         if is_bottom(rv) or rv < best:
             # relaxed clause: fine if some maximizer escapes its hint set
             escaped = False
-            for z in inst.indices():
-                if z > i or is_bottom(inst.q[z + L]):
+            for z, qz in inst.q.items():
+                if z > i:
                     continue
                 got = by_total.get(i - z)
-                if got is None or inst.q[z + L] + got[0] != best:
+                if got is None or qz + got[0] != best:
                     continue
                 hint = inst.hint_set(z)
                 for supp in got[1]:

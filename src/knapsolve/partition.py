@@ -97,6 +97,9 @@ class RankPartition:
     remove_groups: list[dict[int, list[int]]]
 
     def group(self, direction: int, phase: int, weight: int) -> list[int]:
+        """The group's item indices; empty past the last phase."""
+        if phase > self.phase_count:
+            return []
         groups = self.add_groups if direction > 0 else self.remove_groups
         return groups[phase - 1].get(weight, [])
 

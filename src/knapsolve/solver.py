@@ -115,7 +115,7 @@ class Stats:
     """Work counters a solve populates when passed in."""
 
     # cells of the largest table the solve built: each fold engine records
-    # its own size, the capacity DP its row, the hinted stage one its lists
+    # its own size, the capacity DP its row, the hinted stage one its span
     peak_table_cells: int = 0
     # item passes the dense path's core fold ran before it stopped, the
     # shift passes of solve_proximity_smawk's class fold, or the chunk passes
@@ -439,10 +439,11 @@ def first_stage_dense(
     return eng
 
 
-def _group(rank_part: RankPartition, direction: int, phase: int, w: int) -> list[int]:
-    if phase > rank_part.phase_count:
-        return []
-    return rank_part.group(direction, phase, w)
+def _mirrored(table: dict, direction: int) -> dict:
+    """``table`` re-keyed by direction * i, keys still ascending."""
+    if direction > 0:
+        return table
+    return {-i: v for i, v in reversed(table.items())}
 
 
 def first_stage_hinted(
@@ -460,103 +461,75 @@ def first_stage_hinted(
     when the entry consumed the whole phase group and the class continues
     into the next phase (optimal exchanges use rank prefixes, so a partial
     or skipped group ends the class for that entry).  Entries whose new
-    hint set exceeds the next budget are deleted.  The finished table is
-    returned as a fold engine over the perturbed profits, for stage two.
-    ``config`` is not read; it stays in the signature because callers pass
-    the arguments positionally.
+    hint set exceeds the next budget are deleted.  The table is a dict of
+    finite entries keyed by index, so it grows with the phase half-size
+    without moving; the remove side is solved on the table mirrored to
+    index -i.  The finished table is returned as a fold engine over the
+    perturbed profits, for stage two.  ``config`` is not read; it stays in
+    the signature because callers pass the arguments positionally.
     """
     profits = primed.profits.tolist()
     universe = tuple(sorted(inner_weights))
     store = SetStore()
-    half = schedule.table_half_sizes[0]
-    size = 2 * half + 1
-    q: list = [BOTTOM] * size
-    q[half] = 0
-    finite = [half]  # slots of q holding a value, ascending
-    pos_hints: list = [None] * size
-    neg_hints: list = [None] * size
-    pos_hints[half] = store.add(
-        w for w in universe if _group(rank_part, +1, 1, w)
-    )
-    neg_hints[half] = store.add(
-        w for w in universe if _group(rank_part, -1, 1, w)
-    )
+    q = {0: 0}
+    # each entry's hint handles, per side: hints[+1] adds, hints[-1] removes
+    hints = {
+        d: {0: store.add(w for w in universe if rank_part.group(d, 1, w))}
+        for d in (+1, -1)
+    }
 
     ext_stats = stats.extend if stats is not None else None
     for phase in range(1, schedule.phase_count + 1):
+        half = schedule.table_half_sizes[phase]
         for direction in (+1, -1):
-            new_half = schedule.table_half_sizes[phase]
-            pad = new_half - half
-            if pad:
-                q = [BOTTOM] * pad + q + [BOTTOM] * pad
-                pos_hints = [None] * pad + pos_hints + [None] * pad
-                neg_hints = [None] * pad + neg_hints + [None] * pad
-                finite = [k + pad for k in finite]
-                half = new_half
-                size = 2 * half + 1
-
-            active = pos_hints if direction > 0 else neg_hints
-            if direction > 0:
-                mq, mhints, mfinite = q, active, finite
-            else:
-                mq, mhints = list(reversed(q)), list(reversed(active))
-                mfinite = [size - 1 - k for k in reversed(finite)]
-            groups = {w: _group(rank_part, direction, phase, w) for w in universe}
+            groups = {w: rank_part.group(direction, phase, w) for w in universe}
             fns = {
                 w: ConcaveProfitFn(_prefix_profits(profits, g, direction))
                 for w, g in groups.items()
             }
-            inst = HintedExtendInstance(half, universe, mq, mhints, fns, store)
-            inst.finite = mfinite
+            inst = HintedExtendInstance(
+                half, universe, _mirrored(q, direction),
+                _mirrored(hints[direction], direction), fns, store,
+            )
             sol = hinted.solve(inst, schedule.hint_budgets[phase], stats=ext_stats)
-            if direction > 0:
-                r, z, xs, sol_finite = sol.r, sol.z, sol.x, sol.finite
-            else:
-                r = list(reversed(sol.r))
-                z = [-v for v in reversed(sol.z)]
-                xs = list(reversed(sol.x))
-                sol_finite = [size - 1 - k for k in reversed(sol.finite)]
 
             # a weight survives on an entry that took its whole phase group,
             # if its class continues into the next phase
             whole = {
                 w: len(g) for w, g in groups.items()
-                if _group(rank_part, direction, phase + 1, w)
+                if rank_part.group(direction, phase + 1, w)
             }
             next_budget = schedule.hint_budgets[phase + 1]
             # entries share multiplicity maps, so each map is read once;
             # None marks an over-budget hint set, which is dropped entirely
             survivors_of: dict = {}
-            new_q: list = [BOTTOM] * size
-            new_pos: list = [None] * size
-            new_neg: list = [None] * size
-            finite = []
-            for k in sol_finite:
-                key = id(xs[k])
+            new_q: dict = {}
+            new_hints = {+1: {}, -1: {}}
+            passthrough = hints[-direction]
+            for i, value in _mirrored(sol.r, direction).items():
+                j = direction * i  # the index in the solved table
+                xs = sol.mult(j)
+                key = id(xs)
                 if key not in survivors_of:
-                    survivors = [w for w, cnt in xs[k].items() if whole.get(w) == cnt]
+                    survivors = [w for w, cnt in xs.items() if whole.get(w) == cnt]
                     survivors_of[key] = (
                         store.add(survivors) if len(survivors) <= next_budget else None
                     )
                 handle = survivors_of[key]
                 if handle is None:
                     continue
-                new_q[k] = r[k]
-                finite.append(k)
-                passthrough = (neg_hints if direction > 0 else pos_hints)[z[k] + half]
-                assert passthrough is not None, "finite base lost its hint set"
-                if direction > 0:
-                    new_pos[k], new_neg[k] = handle, passthrough
-                else:
-                    new_pos[k], new_neg[k] = passthrough, handle
-            q, pos_hints, neg_hints = new_q, new_pos, new_neg
+                new_q[i] = value
+                new_hints[direction][i] = handle
+                new_hints[-direction][i] = passthrough[direction * sol.base(j)]
+            q, hints = new_q, new_hints
             if stats is not None:
-                stats.note_table(size)
+                stats.note_table(2 * half + 1)
 
     eng = _DenseFold(half, cell_dtype(sum(profits)), stats)
     eng.arr[half] = eng.sentinel
-    eng.arr[finite] = [q[k] for k in finite]
-    eng.lo, eng.hi = (finite[0], finite[-1] + 1) if finite else (half, half)
+    slots = [i + half for i in q]
+    eng.arr[slots] = list(q.values())
+    eng.lo, eng.hi = (slots[0], slots[-1] + 1) if slots else (half, half)
     return eng
 
 

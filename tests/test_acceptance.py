@@ -170,19 +170,16 @@ def _random_extension(rng, budget):
         for d in incs:
             prefix.append(prefix[-1] + d)
         fns[w] = ConcaveProfitFn(prefix)
-    size = 2 * half + 1
-    q = [BOTTOM] * size
-    hints = [None] * size
-    placed = False
-    for k in range(size):
+    entries = {}
+    for i in range(-half, half + 1):
         if rng.random() < 0.4:
-            q[k] = rng.randint(-30, 30)
-            hints[k] = set(rng.sample(universe, rng.randint(0, min(budget, len(universe)))))
-            placed = True
-    if not placed:
-        q[half] = 0
-        hints[half] = set(rng.sample(universe, min(budget, len(universe))))
-    return HintedExtendInstance.build(half, q, hints, fns)
+            entries[i] = (
+                rng.randint(-30, 30),
+                rng.sample(universe, rng.randint(0, min(budget, len(universe)))),
+            )
+    if not entries:
+        entries[0] = (0, rng.sample(universe, min(budget, len(universe))))
+    return HintedExtendInstance.build(half, entries, fns)
 
 
 def test_extension_solvers_meet_relaxed_contract(capfd):
@@ -241,13 +238,10 @@ def test_extension_algebra_composes(capfd):
         store = base.store
 
         def masked(keep):
-            q = [v if keep[k] else BOTTOM for k, v in enumerate(base.q)]
-            hints = [
-                base.hint_handles[k] if keep[k] and base.hint_handles[k] is not None else None
-                for k in range(size)
-            ]
+            q = {i: v for i, v in base.q.items() if keep[i + base.half_size]}
+            hints = {i: base.hint_handles[i] for i in q}
             out = HintedExtendInstance(
-                base.half_size, base.universe, q, hints, dict(base.fns), store
+                base.half_size, base.universe, q, hints, base.fns, store
             )
             out.validate()
             return out

@@ -12,6 +12,7 @@ from knapsolve import SolverConfig, Stats, generate_instance, solve_fast
 from knapsolve.core import BOTTOM, is_bottom
 from knapsolve.hinted import (
     ConcaveProfitFn,
+    ExtendStats,
     HintedExtendInstance,
     HintedExtendSolution,
     SetStore,
@@ -28,15 +29,8 @@ from knapsolve.hinted import (
 )
 
 
-def build(half, entries, fns, store=None):
-    """entries: {index: (q, hint set)}; everything else is bottom."""
-    size = 2 * half + 1
-    q = [BOTTOM] * size
-    hints = [None] * size
-    for z, (v, s) in entries.items():
-        q[z + half] = v
-        hints[z + half] = set(s)
-    return HintedExtendInstance.build(half, q, hints, fns, store=store)
+# build(half, {index: (q, hint set)}, fns, store=None); other indices are bottom
+build = HintedExtendInstance.build
 
 
 def random_instance(rng, max_half=5, max_universe=3, max_hint=1, max_cap=3):
@@ -62,8 +56,8 @@ def random_instance(rng, max_half=5, max_universe=3, max_hint=1, max_cap=3):
 
 
 def brute_force_unconstrained(inst):
-    """Best extension per index with hint sets ignored (an upper bound)."""
-    best = [BOTTOM] * inst.size
+    """Best finite extension per index with hint sets ignored (an upper bound)."""
+    best = {}
     weights = sorted(inst.universe)
     ranges = [range(inst.fns[w].cap + 1) for w in weights]
     for z in inst.indices():
@@ -75,10 +69,9 @@ def brute_force_unconstrained(inst):
             if tz > inst.half_size:
                 continue
             gain = sum(inst.fns[w].value(x) for w, x in zip(weights, combo))
-            slot = tz + inst.half_size
             cand = inst.q_at(z) + gain
-            if is_bottom(best[slot]) or cand > best[slot]:
-                best[slot] = cand
+            if cand > best.get(tz, BOTTOM):
+                best[tz] = cand
     return best
 
 
@@ -109,19 +102,40 @@ def test_set_store_interns_and_memoizes():
 def test_build_validation():
     fn = ConcaveProfitFn([0, 1])
     with pytest.raises(ValueError):
-        HintedExtendInstance.build(1, [0, 0], [set(), set()], {})
+        build(1, {2: (0, set())}, {})  # index past half_size
     good = build(1, {0: (0, set())}, {2: fn})
     stray = HintedExtendInstance(
-        1, good.universe, list(good.q), list(good.hint_handles), {2: fn, 3: fn}, good.store
+        1, good.universe, good.q, good.hint_handles, {2: fn, 3: fn}, good.store
     )
     with pytest.raises(ValueError):
         stray.validate()  # profit fn for a weight outside the universe
     with pytest.raises(ValueError):
         build(1, {0: (0, {2})}, {})  # hint outside universe
     with pytest.raises(ValueError):
-        HintedExtendInstance.build(0, [BOTTOM], [set()], {})  # hint on bottom
+        build(0, {0: (BOTTOM, set())}, {})  # hint on bottom
     with pytest.raises(ValueError):
         build(0, {0: (0, set())}, {0: ConcaveProfitFn([0])})  # weight 0
+
+
+def test_validate_refuses_malformed_tables():
+    store = SetStore()
+    h = store.add(set())
+
+    def table(q, handles, half=2):
+        return HintedExtendInstance(half, (), q, handles, {}, store)
+
+    table({-2: 0, 2: 1}, {-2: h, 2: h}).validate()
+    bad = [
+        table({-3: 0}, {-3: h}),  # index past -half_size
+        table({3: 0}, {3: h}),  # index past half_size
+        table({1: 0, -1: 0}, {1: h, -1: h}),  # keys out of order
+        table({0: 0, 1: 0}, {0: h}),  # a finite entry without a hint set
+        table({0: 0}, {0: h, 1: h}),  # a hint set on a bottom entry
+        table({-1: 0, 1: 0}, {1: h, -1: h}),  # hint keys in another order
+    ]
+    for inst in bad:
+        with pytest.raises(ValueError):
+            inst.validate()
 
 
 def test_trivial_solution_is_the_identity():
@@ -178,7 +192,10 @@ def test_singleton_single_base_is_exact():
             half, {z0: (rng.randint(-20, 20), {w})}, {w: ConcaveProfitFn(prefix)}
         )
         sol = solve_singleton(inst)
-        assert [sol.r[k] for k in range(inst.size)] == brute_force_unconstrained(inst)
+        want = brute_force_unconstrained(inst)
+        assert [sol.value(i) for i in inst.indices()] == [
+            want.get(i, BOTTOM) for i in inst.indices()
+        ]
         assert relaxed_check(inst, sol) == []
 
 
@@ -189,9 +206,9 @@ def test_singleton_contract_and_upper_bound():
         sol = solve_singleton(inst)
         assert relaxed_check(inst, sol) == []
         upper = brute_force_unconstrained(inst)
-        for k in range(inst.size):
-            if not is_bottom(sol.r[k]):
-                assert sol.r[k] <= upper[k]
+        for i in inst.indices():
+            if not is_bottom(sol.value(i)):
+                assert sol.value(i) <= upper.get(i, BOTTOM)
 
 
 def test_singleton_progression_bound():
@@ -200,8 +217,8 @@ def test_singleton_progression_bound():
     rng = random.Random(5552)
     for _ in range(100):
         inst = random_instance(rng, max_half=7, max_hint=1, max_cap=5)
-        sol = solve_singleton(inst)
-        st = sol.stats
+        st = ExtendStats()
+        solve_singleton(inst, st)
         assert st.bucket_inserts <= st.ap_count + inst.size
 
 
@@ -221,7 +238,11 @@ def test_singleton_row_band_keeps_output_and_cuts_evals():
 
 # (answer, matrix_evals, ap_count, bucket_inserts, peak_table_cells) of the
 # hinted engine, recorded before the table passes skipped bottom slots; the
-# last two are the `oracles` benchmark's hinted calls at seed 103.
+# fourth and fifth are the `oracles` benchmark's hinted calls at seed 103.
+# The entries after them add best_index and were recorded before the hint
+# tables became index-keyed dicts: w_max = 1 and 2, `clustered` at w = 32,
+# n = 4w^2 at w = 16, and a shape whose budget reaches the balls-and-bins
+# split (w = 24).
 HINTED_PINS = [
     ((128, 32, 32, 0.5, 2, "uniform"), (1655, 277023, 11777, 12326, 20097)),
     ((128, 32, 32, 0.5, 1, "hard-equal-weights"), (2023, 17136, 1962, 6122, 20097)),
@@ -231,6 +252,11 @@ HINTED_PINS = [
         (128, 32, 32, 0.5, 18332398680674118316, "hard-equal-weights"),
         (2018, 15540, 1856, 5807, 20097),
     ),
+    ((16, 1, 32, 0.5, 1, "uniform"), (202, 3, 4, 4, 11, 0)),
+    ((32, 2, 32, 0.5, 1, "uniform"), (436, 86, 24, 30, 49, 0)),
+    ((128, 32, 32, 0.5, 1, "clustered"), (1695, 107203, 6636, 7954, 20097, 1)),
+    ((1024, 16, 32, 0.5, 1, "uniform"), (13307, 122269, 8186, 13194, 4609, 2)),
+    ((96, 24, 32, 0.5, 1, "uniform"), (1303, 118248, 6058, 6526, 8929, 14)),
 ]
 
 
@@ -239,8 +265,11 @@ def test_hinted_answers_and_counters_are_pinned(shape, pinned):
     stats = Stats()
     answer = solve_fast(*generate_instance(*shape), SolverConfig(engine="hinted"), stats)
     ext = stats.extend
-    got = (answer, ext.matrix_evals, ext.ap_count, ext.bucket_inserts, stats.peak_table_cells)
-    assert got == pinned
+    got = (
+        answer, ext.matrix_evals, ext.ap_count, ext.bucket_inserts,
+        stats.peak_table_cells, stats.best_index,
+    )
+    assert got[: len(pinned)] == pinned
 
 
 def test_oracles_benchmark_hinted_calls_are_pinned():
@@ -376,7 +405,7 @@ def test_apply_update_subtracts_once_per_hint_set(monkeypatch):
 
 def test_apply_update_requires_hinted_bases():
     inst = build(1, {0: (0, set())}, {})
-    bad = HintedExtendSolution(1, [7, BOTTOM, BOTTOM], [-1, 0, 1], [{}, {}, {}])
+    bad = HintedExtendSolution(1, {-1: 7}, {}, {})  # entry -1 is its own base
     with pytest.raises(ValueError):
         apply_update(inst, set(), bad)
 
@@ -391,10 +420,10 @@ def test_compose_with_trivial_sides():
     updated = apply_update(inst, set(inst.universe), sol)
     right = compose(trivial_solution(updated), sol)  # outer did nothing
     assert right.r == sol.r
-    for k in range(inst.size):
-        if not is_bottom(right.r[k]):
-            assert right.z[k] == sol.z[k]
-            assert right.x[k] == sol.x[k]
+    for i in inst.indices():
+        if not is_bottom(right.value(i)):
+            assert right.base(i) == sol.base(i)
+            assert right.mult(i) == sol.mult(i)
 
 
 def test_compose_merges_multiplicities():
@@ -448,10 +477,7 @@ def test_entrywise_max_instance_all_bottom_side():
     store = SetStore()
     fns = {2: ConcaveProfitFn([0, 1])}
     a = build(1, {0: (0, {2})}, fns, store=store)
-    b = build(1, {}, fns, store=store) if False else None
-    # a fully bottom twin still needs one finite entry to build; mask instead
-    empty_q = [BOTTOM] * 3
-    empty = HintedExtendInstance(1, a.universe, empty_q, [None] * 3, dict(a.fns), store)
+    empty = build(1, {}, fns, store=store)
     merged = entrywise_max_instances(a, empty)
     assert merged.q == a.q
     assert merged.hint_set(0) == a.hint_set(0)
@@ -476,26 +502,76 @@ def test_entrywise_max_solutions_takes_pointwise_best():
         a = solve_singleton(inst)
         b = trivial_solution(inst)
         merged = entrywise_max_solutions(a, b)
-        for k in range(inst.size):
-            va, vb = a.r[k], b.r[k]
+        for i in inst.indices():
+            va, vb = a.value(i), b.value(i)
             want = vb if is_bottom(va) else va if is_bottom(vb) else max(va, vb)
-            assert merged.r[k] == want
+            assert merged.value(i) == want
             if not is_bottom(want):
                 src = a if (not is_bottom(va)) and (is_bottom(vb) or va > vb) else b
-                assert merged.z[k] == src.z[k]
-                assert merged.x[k] == src.x[k]
+                assert merged.base(i) == src.base(i)
+                assert merged.mult(i) == src.mult(i)
+
+
+def frozen(*tables):
+    """Every dict field of the given instances and solutions, items in order."""
+    return [
+        (name, list(value.items()))
+        for table in tables
+        for name, value in vars(table).items()
+        if isinstance(value, dict)
+    ]
+
+
+def test_solvers_and_algebra_leave_their_inputs_unchanged():
+    # tables share their dicts instead of copying them, so no step may
+    # write into a table it was given
+    rng = random.Random(5561)
+    done = 0
+    while done < 40:
+        inst = random_instance(rng, max_half=4, max_universe=4, max_hint=3, max_cap=2)
+        if len(inst.universe) < 2:
+            continue
+        done += 1
+        before = frozen(inst)
+        w = inst.universe[0]
+        single = restrict(inst, {w})
+        single_before = frozen(single)
+        inner = solve_singleton(single)
+        inner_before = frozen(inner)
+        mid = apply_update(inst, {w}, inner)
+        mid_before = frozen(mid)
+        rest = set(inst.universe) - {w}
+        outer = solve_small_b(restrict(mid, rest), 3)
+        outer_before = frozen(outer)
+        compose(outer, inner)
+        solve(inst, 9)  # past 2 * log2(4L + 2): the balls-and-bins split
+        twin = HintedExtendInstance(
+            inst.half_size, inst.universe,
+            {i: v + i % 3 - 1 for i, v in inst.q.items()},
+            dict(inst.hint_handles), inst.fns, inst.store,
+        )
+        twin_before = frozen(twin)
+        entrywise_max_instances(inst, twin)
+        trivial = trivial_solution(inst)
+        trivial_before = frozen(trivial)
+        entrywise_max_solutions(inner, trivial)
+        assert frozen(inst) == before
+        assert frozen(single) == single_before
+        assert frozen(inner) == inner_before
+        assert frozen(mid) == mid_before
+        assert frozen(outer) == outer_before
+        assert frozen(twin) == twin_before
+        assert frozen(trivial) == trivial_before
 
 
 def test_relaxed_check_flags_wrong_solutions():
     inst = build(3, {0: (0, {2})}, {2: ConcaveProfitFn([0, 1])})
     sol = solve_singleton(inst)
     # claim more profit than any extension can reach
-    forged = HintedExtendSolution(3, list(sol.r), list(sol.z), list(sol.x))
-    forged.r[forged.slot(2)] = 99
+    forged = HintedExtendSolution(3, {**sol.r, 2: 99}, sol.z, sol.x)
     assert relaxed_check(inst, forged) != []
     # weight bookkeeping must match the index shift
-    shifted = HintedExtendSolution(3, list(sol.r), list(sol.z), list(sol.x))
-    shifted.x[shifted.slot(2)] = {2: 2}
+    shifted = HintedExtendSolution(3, sol.r, sol.z, {**sol.x, 2: {2: 2}})
     assert relaxed_check(inst, shifted) != []
 
 

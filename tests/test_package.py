@@ -5,6 +5,7 @@ import inspect
 
 import knapsolve
 import knapsolve.core
+import knapsolve.hinted
 import knapsolve.smawk
 
 
@@ -49,6 +50,23 @@ def test_modules_define_only_the_live_building_blocks():
         "normalize",
         "recover_profit",
     }
+    assert defined_in(knapsolve.hinted) == {
+        "ConcaveProfitFn",
+        "ExtendStats",
+        "HintedExtendInstance",
+        "HintedExtendSolution",
+        "SetStore",
+        "apply_update",
+        "compose",
+        "entrywise_max_instances",
+        "entrywise_max_solutions",
+        "relaxed_check",
+        "restrict",
+        "solve",
+        "solve_singleton",
+        "solve_small_b",
+        "trivial_solution",
+    }
 
 
 def field_names(cls):
@@ -71,4 +89,23 @@ def test_config_and_stats_fields_are_pinned():
         "best_index",
         "cells_pruned",
         "core_sorted",
+    ]
+
+
+def test_hint_table_fields_are_pinned():
+    # the sparse tables hold no per-slot list or counter field: a dropped
+    # one coming back fails here
+    assert field_names(knapsolve.hinted.HintedExtendInstance) == [
+        "half_size",
+        "universe",
+        "q",
+        "hint_handles",
+        "fns",
+        "store",
+    ]
+    assert field_names(knapsolve.hinted.HintedExtendSolution) == [
+        "half_size",
+        "r",
+        "z",
+        "x",
     ]

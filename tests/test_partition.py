@@ -135,6 +135,8 @@ def test_rank_partition_dyadic_blocks():
     assert part.group(1, 1, 3) == [1]
     assert part.group(1, 2, 3) == [2, 3]
     assert part.group(1, 3, 3) == []
+    # past the last phase every group is empty, on both sides
+    assert part.group(1, 4, 3) == [] and part.group(-1, 4, 3) == []
     assert part.phase_items(1, 2) == {3: [2, 3]}
 
 
