@@ -21,7 +21,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import Instance, _integer, normalize
+from .core import Instance, _columns, _integer, normalize
 
 DEFAULT_CELL_BUDGET = 600_000_000_000
 # bytes one solver table may take: the capacity DP's two rows, or a fold
@@ -149,7 +149,10 @@ def solve_exhaustive(raw_items, capacity, with_subset=False):
     capacity = _integer(capacity, "capacity")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    items = [(_integer(w, "item weight"), _integer(p, "item profit")) for w, p in raw_items]
+    items = [
+        (_integer(w, "item weight"), _integer(p, "item profit"))
+        for w, p in zip(*_columns(raw_items))
+    ]
     n = len(items)
     if n > 40:
         raise BudgetExceededError("exhaustive solver accepts at most 40 items")

@@ -28,7 +28,6 @@ import operator
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -136,8 +135,8 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _int64_values(flat: list) -> np.ndarray | None:
-    """``flat`` as int64 in one strict conversion, or None when in any doubt.
+def _int64_values(column: list) -> np.ndarray | None:
+    """``column`` as int64 in one strict conversion, or None when in any doubt.
 
     ``array("q")`` takes ints and ``__index__`` objects only: it refuses
     floats, ``Fraction``, ``Decimal`` and ``np.bool_`` with ``TypeError``
@@ -146,12 +145,44 @@ def _int64_values(flat: list) -> np.ndarray | None:
     checks each value, which gives every refusal its message.
     """
     try:
-        values = np.frombuffer(array("q", flat), dtype=np.int64)
+        values = np.frombuffer(array("q", column), dtype=np.int64)
     except (TypeError, OverflowError):
         return None
-    if any(type(flat[k]) is not int for k in np.flatnonzero(values <= 1).tolist()):
+    small = np.flatnonzero(values <= 1).tolist()
+    if not set(map(type, map(column.__getitem__, small))) <= {int}:
         return None
     return values
+
+
+def _exact_values(column: list) -> np.ndarray:
+    """Checked Python ints as int64, or as an object array past int64 range."""
+    try:
+        return np.fromiter(column, np.int64, len(column))
+    except OverflowError:
+        return np.array(column, dtype=object)
+
+
+_NOT_PAIRS = "items must be (weight, profit) pairs"
+
+
+def _columns(raw_items) -> tuple[list, list]:
+    """The weights and the profits of ``raw_items``, as two lists in input order.
+
+    Unpacking each pair checks its shape: an item that is not an iterable
+    of two values is refused, and so is a ``raw_items`` that is not
+    iterable.  An iterator pair runs dry in the first column, so the second
+    column refuses it.
+    """
+    if not isinstance(raw_items, (list, tuple)):
+        try:
+            raw_items = iter(raw_items)
+        except TypeError:
+            raise ValueError(_NOT_PAIRS) from None
+        raw_items = list(raw_items)
+    try:
+        return [w for w, _ in raw_items], [p for _, p in raw_items]
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_PAIRS) from None
 
 
 def normalize(raw_items: Iterable[tuple[int, int]], capacity: int) -> Instance:
@@ -166,44 +197,44 @@ def normalize(raw_items: Iterable[tuple[int, int]], capacity: int) -> Instance:
 
     Every value is checked before any conversion, because converting to
     int64 would silently truncate 2.9 to 2 and turn True into 1.  Pairs are
-    converted in one strict step (``_int64_values``); when it refuses them,
-    and the values are not all plain ints, each one goes through
-    ``_integer``.  An array of a signed or unsigned integer dtype is checked
-    by its dtype instead, and converted whole; uint64 values past int64
-    range become Python ints.  Arrays of other dtypes (bool, float, object)
-    take the per-value path.
+    split into a weight and a profit column, and each column is converted
+    in one strict step (``_int64_values``); when either refuses, each value
+    goes through ``_integer`` pair by pair in input order, so the first bad
+    value is the one named.  An array of a signed or unsigned integer dtype
+    is checked by its dtype instead, and each column is copied whole;
+    uint64 values past int64 range become Python ints.  Arrays of other
+    dtypes (bool, float, object) take the per-value path.  When every item
+    fits the capacity, the columns become the instance's arrays as they
+    are, with no masked copy.
     """
     capacity = _integer(capacity, "capacity")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
     if isinstance(raw_items, np.ndarray) and raw_items.dtype.kind in "iu":
         if raw_items.size and (raw_items.ndim != 2 or raw_items.shape[1] != 2):
-            raise ValueError("items must be (weight, profit) pairs")
-        values = raw_items.reshape(-1, 2)
-        if values.size and values.max() > np.iinfo(np.int64).max:
-            values = values.astype(object)
-        else:
-            values = values.astype(np.int64)
+            raise ValueError(_NOT_PAIRS)
+        weights, profits = (
+            col.astype(object if col.size and col.max() > np.iinfo(np.int64).max else np.int64)
+            for col in raw_items.reshape(-1, 2).T
+        )
     else:
-        pairs = raw_items if isinstance(raw_items, (list, tuple)) else list(raw_items)
-        if set(map(len, pairs)) - {2}:
-            raise ValueError("items must be (weight, profit) pairs")
-        flat = list(chain.from_iterable(pairs))
-        values = _int64_values(flat)
-        if values is None:
-            if not set(map(type, flat)) <= {int}:
-                whats = ("item weight", "item profit")
-                flat = [_integer(v, whats[k & 1]) for k, v in enumerate(flat)]
-            try:
-                values = np.fromiter(flat, np.int64, len(flat))
-            except OverflowError:
-                values = np.array(flat, dtype=object)
-        values = values.reshape(-1, 2)
-    if values.size and values.min() < 1:
+        ws, ps = _columns(raw_items)
+        weights, profits = _int64_values(ws), _int64_values(ps)
+        if weights is None or profits is None:
+            if not set(map(type, ws)) | set(map(type, ps)) <= {int}:
+                checked = [
+                    (_integer(w, "item weight"), _integer(p, "item profit"))
+                    for w, p in zip(ws, ps)
+                ]
+                ws, ps = _columns(checked)
+            weights = _exact_values(ws) if weights is None else weights
+            profits = _exact_values(ps) if profits is None else profits
+    if weights.size and min(weights.min(), profits.min()) < 1:
         raise ValueError("item weights and profits must be >= 1")
-    keep = values[:, 0] <= capacity
-    weights = _fitted(values[keep, 0])
-    profits = _fitted(values[keep, 1])
+    fits = weights <= capacity
+    if not fits.all():
+        weights, profits = weights[fits], profits[fits]
+    weights, profits = _fitted(weights), _fitted(profits)
     all_fit = weights.sum() <= capacity
     return Instance(
         weights=weights,

@@ -9,6 +9,8 @@ import math
 import random
 import time
 
+import pytest
+
 from knapsolve import (
     break_ties,
     generate_instance,
@@ -351,6 +353,7 @@ def test_tie_breaking_round_trip(capfd):
     _report(capfd, "tie-breaking", ok, f"{checked} instances, {bad} failures")
 
 
+@pytest.mark.slow
 def test_scaling_benchmark(capfd, tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "bench.csv"

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knapsolve import (
@@ -26,7 +26,7 @@ from knapsolve import (
     solve_fast,
     weight_partition,
 )
-from knapsolve.core import INT64_VALUE_CAP
+from knapsolve.core import INT64_VALUE_CAP, _integer
 
 # --- the reference --------------------------------------------------------
 
@@ -271,6 +271,14 @@ def test_preprocessing_matches_reference_property(case):
         ([(0, 4)], 5, "item weights and profits must be >= 1"),
         ([(2, 4), (3, -1 << 70)], 5, "item weights and profits must be >= 1"),
         ([(2, 4, 1)], 5, "items must be (weight, profit) pairs"),
+        ([5], 5, "items must be (weight, profit) pairs"),
+        ([None], 5, "items must be (weight, profit) pairs"),
+        ([(1, 2), 7], 5, "items must be (weight, profit) pairs"),
+        ([iter((1, 2))], 5, "items must be (weight, profit) pairs"),
+        (5, 5, "items must be (weight, profit) pairs"),
+        # the first bad value in input order is the one named
+        ([(2, 2.5), (2.9, 3)], 5, "item profit must be an integer, got 2.5"),
+        ([(2, 1 << 70), (np.int64(3), 2.0), (1.5, 4)], 5, "item profit must be an integer, got 2.0"),
     ],
 )
 def test_normalize_refuses(items, capacity, message):
@@ -313,3 +321,102 @@ def test_instance_arrays_are_read_only():
     for arr in (inst.weights, inst.profits, break_ties(inst).profits):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+# --- normalize against a per-value reference --------------------------------
+
+
+def normalize_reference(raw_items, capacity):
+    """(weights, profits, their dtypes, all_fit) of ``normalize``, value by value.
+
+    Each value goes through ``_integer`` in input order, then the documented
+    rules: values >= 1, items heavier than the capacity dropped, and a
+    column int64 while its total is at most ``INT64_VALUE_CAP``.
+    """
+    capacity = _integer(capacity, "capacity")
+    pairs = [(_integer(w, "item weight"), _integer(p, "item profit")) for w, p in raw_items]
+    if any(v < 1 for pair in pairs for v in pair):
+        raise ValueError("item weights and profits must be >= 1")
+    weights = [w for w, _ in pairs if w <= capacity]
+    profits = [p for w, p in pairs if w <= capacity]
+
+    def dtype(column):
+        return np.dtype(np.int64) if sum(column) <= INT64_VALUE_CAP else np.dtype(object)
+
+    return weights, profits, dtype(weights), dtype(profits), sum(weights) <= capacity
+
+
+PAST_INT64 = st.integers(1 << 63, 1 << 70)
+COLUMN_VALUES = {
+    "plain": st.integers(1, 60),
+    "numpy": st.builds(
+        lambda cls, v: cls(v),
+        st.sampled_from((np.int64, np.int32, np.uint8, np.uint64)),
+        st.integers(1, 60),
+    ),
+    "refused": st.sampled_from((True, False, np.True_, np.False_, 2.0, 2.5, np.float64(3.0), 0, -1)),
+    "past-int64": PAST_INT64,
+}
+
+
+@st.composite
+def raw_inputs(draw):
+    """(container, its data: a list of pairs or an (n, 2) array, capacity)."""
+    n = draw(st.integers(0, 12))
+    container = draw(st.sampled_from(("list", "tuple", "generator", "array")))
+    if container == "array":
+        dtype = draw(st.sampled_from((np.int64, np.int32, np.uint16, np.uint64)))
+        rows = draw(st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)), min_size=n, max_size=n))
+        data = np.array(rows, dtype=dtype).reshape(n, 2)
+        if n and draw(st.integers(0, 3)) == 0:
+            data[draw(st.integers(0, n - 1)), draw(st.integers(0, 1))] = 0
+        if dtype is np.uint64 and n and draw(st.booleans()):
+            # values past int64 in one column only
+            column = draw(st.integers(0, 1))
+            for row in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+                data[row, column] = draw(st.integers(1 << 63, (1 << 64) - 1))
+    else:
+        columns = []
+        for _ in range(2):
+            special = COLUMN_VALUES[draw(st.sampled_from(sorted(COLUMN_VALUES)))]
+            values = st.one_of(COLUMN_VALUES["plain"], special)
+            columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+        data = list(zip(*columns))
+    # drop none, some or all items
+    capacity = draw(st.one_of(st.sampled_from((0, 60, 1 << 80)), st.integers(1, 59)))
+    return container, data, capacity
+
+
+def fresh(container, data):
+    """The drawn input in its container, anew: a generator is read only once."""
+    if container == "generator":
+        return (pair for pair in data)
+    return tuple(data) if container == "tuple" else data
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(raw_inputs())
+# every item fits, so the columns are kept unmasked
+@example(("array", np.array([[2, 3], [4, 5], [6, 7]]), 60))
+@example(("list", [(2, 3), (4, 5), (6, 7)], 60))
+def test_normalize_matches_per_value_reference(case):
+    container, data, capacity = case
+    before = [(w, p) for w, p in data]
+    try:
+        weights, profits, w_dtype, p_dtype, all_fit = normalize_reference(fresh(container, data), capacity)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            normalize(fresh(container, data), capacity)
+        assert str(got.value) == str(err)
+        return
+    inst = normalize(fresh(container, data), capacity)
+    assert inst.weights.tolist() == weights and inst.profits.tolist() == profits
+    assert all(type(v) is int for v in inst.weights.tolist() + inst.profits.tolist())
+    assert (inst.weights.dtype, inst.profits.dtype) == (w_dtype, p_dtype)
+    assert inst.all_fit == all_fit and inst.w_max == max(weights, default=0)
+    assert inst.total_profit == (sum(profits) if all_fit else 0)
+    for arr in (inst.weights, inst.profits):
+        assert not arr.flags.writeable and arr.flags.c_contiguous
+        if container == "array":
+            assert not np.shares_memory(arr, data)
+    assert [(w, p) for w, p in data] == before

@@ -87,6 +87,18 @@ def test_exhaustive_applies_normalize_input_rules():
         for solver in (solve_exhaustive, solve_bellman, solve_fast, solve_proximity_smawk):
             with pytest.raises(ValueError):
                 solver(items, capacity)
+    # items that are not (weight, profit) pairs get one typed refusal
+    for make in (
+        lambda: [5],
+        lambda: [None],
+        lambda: [(1, 2), 7],
+        lambda: [(1, 2, 3)],
+        lambda: [iter((1, 2))],
+        lambda: 5,
+    ):
+        for solver in (solve_exhaustive, solve_bellman, solve_fast, solve_proximity_smawk):
+            with pytest.raises(ValueError, match=r"items must be \(weight, profit\) pairs"):
+                solver(make(), 5)
     # numpy integers are integers; subset indices still point into raw_items
     items = [(np.int64(2), np.int32(30)), (9, 1), (3, 40), (np.uint8(5), 50)]
     assert solve_exhaustive(items, np.int64(6), with_subset=True) == (70, frozenset({0, 2}))
