@@ -158,7 +158,7 @@ def solve_exhaustive(raw_items, capacity, with_subset=False):
         raise BudgetExceededError("exhaustive solver accepts at most 40 items")
     for w, p in items:
         if w < 1 or p < 1:
-            raise ValueError("weights and profits must be positive")
+            raise ValueError("item weights and profits must be >= 1")
     tagged = [(w, p, 1 << i) for i, (w, p) in enumerate(items)]
     left = _half_profiles(tagged[: n // 2], capacity)
     right = _half_profiles(tagged[n // 2 :], capacity)

@@ -14,6 +14,7 @@ stream, counting from 1, is mix(seed + k * GAMMA) mod 2^64.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -93,7 +94,8 @@ def generate_instance(
     Each item reads its draws by stride from the stream: ``uniform`` takes
     (weight, profit), ``hard-equal-weights`` (weight, jitter) and
     ``clustered`` (center index, offset, profit) after its k center draws.
-    n, w_max, p_max and seed must be integers (bools refused).
+    n, w_max, p_max and seed must be integers and t_frac a real number
+    (bools refused).
     """
     n = _integer(n, "n")
     w_max = _integer(w_max, "w_max")
@@ -101,6 +103,8 @@ def generate_instance(
     seed = _integer(seed, "seed")
     if n < 1 or w_max < 1 or p_max < 1:
         raise ValueError("n, w_max and p_max must be >= 1")
+    if isinstance(t_frac, bool) or not isinstance(t_frac, Real):
+        raise ValueError(f"t_frac must be a real number, got {t_frac!r}")
     if not 0.0 <= t_frac <= 1.0:
         raise ValueError("t_frac must be in [0, 1]")
     if dist not in DISTRIBUTIONS:

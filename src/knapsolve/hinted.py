@@ -16,17 +16,20 @@ always feasible, support-disciplined, and never below the trivial value
 q[i].  ``relaxed_check`` verifies exactly this contract by enumeration.
 
 Tables are sparse.  An instance holds its finite entries only, as dicts
-keyed by the signed index i: ``q`` maps i to its value and
-``hint_handles`` maps the same keys to interned hint sets.  A solution's
-``r`` holds its finite values the same way, and ``z`` and ``x`` hold the
-base and the multiplicities only of the entries that extend a base.
-Absent keys read as bottom, no hint set, base i and no items.  Keys
-ascend: the SMAWK columns and the colorings' inputs follow index order.
-A built table is never mutated, so the algebra shares dicts between
-tables instead of copying them, and ``solve_singleton`` copies ``q``
-before its scan writes to it.  The colorings still see one set per index
-of the 2L + 1, since their parameters depend on that count: the finite
-entries' sets come first, padded with empty sets (``_coloring_sets``).
+keyed by the signed index i: ``q`` maps i to its value and ``hints`` maps
+the same keys to frozensets of weights.  A solution's ``r`` holds its
+finite values the same way, and ``z`` and ``x`` hold the base and the
+multiplicities only of the entries that extend a base.  Absent keys read
+as bottom, no hint set, base i and no items.  Keys ascend: the SMAWK
+columns and the colorings' inputs follow index order.  A built table is
+never mutated, so the algebra shares dicts and sets between tables
+instead of copying them, and ``solve_singleton`` copies ``q`` before its
+scan writes to it.  Each call works once per distinct hint set, grouping
+entries by set equality, so equal sets held as distinct objects give the
+same result as one shared object.  The colorings still see one set per
+index of the 2L + 1, since their parameters depend on that count: the
+finite entries' sets come first, padded with empty sets
+(``_coloring_sets``).
 """
 
 from __future__ import annotations
@@ -82,48 +85,6 @@ class ConcaveProfitFn:
         return f"ConcaveProfitFn({list(self.prefix)!r})"
 
 
-class SetStore:
-    """Interned hint sets addressed by integer handles.
-
-    Restriction and difference against another stored set are memoized, so
-    chains of restrict/update calls share structure instead of copying.
-    """
-
-    def __init__(self):
-        self._sets: list[frozenset] = []
-        self._handles: dict[frozenset, int] = {}
-        self._inter_memo: dict[tuple[int, int], int] = {}
-        self._minus_memo: dict[tuple[int, int], int] = {}
-
-    def add(self, elems) -> int:
-        s = frozenset(elems)
-        h = self._handles.get(s)
-        if h is None:
-            h = len(self._sets)
-            self._sets.append(s)
-            self._handles[s] = h
-        return h
-
-    def get(self, handle: int) -> frozenset:
-        return self._sets[handle]
-
-    def intersect(self, handle: int, other: int) -> int:
-        key = (handle, other)
-        h = self._inter_memo.get(key)
-        if h is None:
-            h = self.add(self._sets[handle] & self._sets[other])
-            self._inter_memo[key] = h
-        return h
-
-    def subtract(self, handle: int, other: int) -> int:
-        key = (handle, other)
-        h = self._minus_memo.get(key)
-        if h is None:
-            h = self.add(self._sets[handle] - self._sets[other])
-            self._minus_memo[key] = h
-        return h
-
-
 @dataclass
 class ExtendStats:
     """Work counters for the extension solvers (asserted in tests)."""
@@ -137,26 +98,25 @@ class ExtendStats:
 class HintedExtendInstance:
     """A table over [-half_size, half_size]: its finite entries and hint sets.
 
-    ``q`` maps index to value and ``hint_handles`` maps the same indices, in
-    the same ascending order, to ``store`` handles.
+    ``q`` maps index to value and ``hints`` maps the same indices, in the
+    same ascending order, to the frozenset of weights each entry may still
+    extend with.  ``universe`` is the sorted weights ``fns`` covers.
     """
 
     half_size: int
     universe: tuple
     q: dict
-    hint_handles: dict
+    hints: dict
     fns: dict
-    store: SetStore
 
     @classmethod
-    def build(cls, half_size, entries, fns, store=None):
+    def build(cls, half_size, entries, fns):
         """Construct from ``{index: (value, hint set)}``, in any key order."""
-        store = store if store is not None else SetStore()
-        q, handles = {}, {}
+        q, hints = {}, {}
         for i in sorted(entries):
             q[i], hint = entries[i]
-            handles[i] = store.add(hint)
-        inst = cls(half_size, tuple(sorted(fns)), q, handles, dict(fns), store)
+            hints[i] = frozenset(hint)
+        inst = cls(half_size, tuple(sorted(fns)), q, hints, dict(fns))
         inst.validate()
         return inst
 
@@ -170,10 +130,6 @@ class HintedExtendInstance:
     def q_at(self, index: int):
         return self.q.get(index, BOTTOM)
 
-    def hint_set(self, index: int):
-        h = self.hint_handles.get(index)
-        return None if h is None else self.store.get(h)
-
     def validate(self) -> None:
         uni = set(self.universe)
         if set(self.fns) != uni:
@@ -182,7 +138,7 @@ class HintedExtendInstance:
             if not isinstance(w, int) or w < 1:
                 raise ValueError("weights must be positive integers")
         keys = list(self.q)
-        if keys != list(self.hint_handles):
+        if keys != list(self.hints):
             raise ValueError("hint sets must exist exactly on finite entries")
         if keys and (keys[0] < -self.half_size or keys[-1] > self.half_size):
             raise ValueError("table index outside [-half_size, half_size]")
@@ -190,8 +146,10 @@ class HintedExtendInstance:
             raise ValueError("table indices must ascend")
         if any(map(is_bottom, self.q.values())):
             raise ValueError("the table holds finite entries only")
-        for h in set(self.hint_handles.values()):
-            if not self.store.get(h) <= uni:
+        if not all(isinstance(s, frozenset) for s in self.hints.values()):
+            raise ValueError("hint sets must be frozensets")
+        for s in set(self.hints.values()):
+            if not s <= uni:
                 raise ValueError("hint sets must stay inside the universe")
 
 
@@ -249,17 +207,16 @@ def solve_singleton(
     """
     L = inst.half_size
     q = inst.q
-    handles = inst.hint_handles
+    hints = inst.hints
     weight_of = {}
-    for h in set(handles.values()):
-        s = inst.store.get(h)
+    for s in set(hints.values()):
         if len(s) > 1:
             raise ValueError("solve_singleton needs hint sets of size <= 1")
         if s:
-            (weight_of[h],) = s
+            (weight_of[s],) = s
     bases_by_group: dict[tuple[int, int], list[int]] = {}
-    for j, h in handles.items():
-        w = weight_of.get(h)
+    for j, s in hints.items():
+        w = weight_of.get(s)
         if w is not None:
             bases_by_group.setdefault((w, j % w), []).append(j)
 
@@ -350,16 +307,12 @@ def solve_singleton(
 
 def restrict(inst: HintedExtendInstance, subset) -> HintedExtendInstance:
     """Keep only the weights in ``subset``: hints and profit fns shrink."""
-    store = inst.store
-    vh = store.add(frozenset(subset) & set(inst.universe))
-    vset = store.get(vh)
+    vset = frozenset(subset) & set(inst.universe)
     # one intersection per distinct hint set
-    shrunk = {h: store.intersect(h, vh) for h in set(inst.hint_handles.values())}
-    handles = {i: shrunk[h] for i, h in inst.hint_handles.items()}
+    shrunk = {s: s & vset for s in set(inst.hints.values())}
+    hints = {i: shrunk[s] for i, s in inst.hints.items()}
     fns = {w: fn for w, fn in inst.fns.items() if w in vset}
-    return HintedExtendInstance(
-        inst.half_size, tuple(sorted(vset)), inst.q, handles, fns, store
-    )
+    return HintedExtendInstance(inst.half_size, tuple(sorted(vset)), inst.q, hints, fns)
 
 
 def apply_update(
@@ -370,23 +323,21 @@ def apply_update(
     The new entry i inherits the hint set of its base minus the consumed
     weights, so later stages can keep extending without reusing them.
     """
-    store = inst.store
-    vh = store.add(frozenset(subset))
-    vset = store.get(vh)
-    handles = {}
-    # bases share few distinct hint sets: subtract once per handle
+    vset = frozenset(subset)
+    hints = {}
+    # bases share few distinct hint sets: subtract once per set
     minus: dict = {}
     for i in sol.r:
-        src = inst.hint_handles.get(sol.base(i))
+        src = inst.hints.get(sol.base(i))
         if src is None:
             raise ValueError("solution base lacks a hint set")
-        h = minus.get(src)
-        if h is None:
-            h = minus[src] = store.subtract(src, vh)
-        handles[i] = h
+        s = minus.get(src)
+        if s is None:
+            s = minus[src] = src - vset
+        hints[i] = s
     universe = tuple(w for w in inst.universe if w not in vset)
     fns = {w: fn for w, fn in inst.fns.items() if w not in vset}
-    return HintedExtendInstance(inst.half_size, universe, sol.r, handles, fns, store)
+    return HintedExtendInstance(inst.half_size, universe, sol.r, hints, fns)
 
 
 def compose(
@@ -415,20 +366,16 @@ def entrywise_max_instances(
 ) -> HintedExtendInstance:
     if a.half_size != b.half_size or a.universe != b.universe:
         raise ValueError("instances disagree on shape")
-    if a.store is not b.store:
-        raise ValueError("instances must share a set store")
-    store = a.store
-    q, handles = {}, {}
+    q, hints = {}, {}
     for i in sorted(a.q.keys() | b.q.keys()):
         va, vb = a.q_at(i), b.q_at(i)
         if va > vb:
-            q[i], handles[i] = va, a.hint_handles[i]
+            q[i], hints[i] = va, a.hints[i]
         elif vb > va:
-            q[i], handles[i] = vb, b.hint_handles[i]
+            q[i], hints[i] = vb, b.hints[i]
         else:  # equal values: either base works, keep both options' floor
-            q[i] = va
-            handles[i] = store.intersect(a.hint_handles[i], b.hint_handles[i])
-    return HintedExtendInstance(a.half_size, a.universe, q, handles, a.fns, store)
+            q[i], hints[i] = va, a.hints[i] & b.hints[i]
+    return HintedExtendInstance(a.half_size, a.universe, q, hints, a.fns)
 
 
 def entrywise_max_solutions(
@@ -450,13 +397,7 @@ def entrywise_max_solutions(
 # general budgets
 
 
-def _sets_by_handle(inst: HintedExtendInstance) -> dict:
-    """Each hint handle in the table with its set."""
-    get = inst.store.get
-    return {h: get(h) for h in set(inst.hint_handles.values())}
-
-
-def _coloring_sets(inst: HintedExtendInstance, by_handle: dict) -> list:
+def _coloring_sets(inst: HintedExtendInstance) -> list:
     """One set per table index: the hint sets in index order, then empty sets.
 
     The colorings' parameters depend on the number of sets m (the set
@@ -465,7 +406,7 @@ def _coloring_sets(inst: HintedExtendInstance, by_handle: dict) -> list:
     holding the empty set.  An empty set changes nothing else, so the
     padding goes at the end.
     """
-    sets = list(map(by_handle.__getitem__, inst.hint_handles.values()))
+    sets = list(inst.hints.values())
     sets.extend(repeat(frozenset(), inst.size - len(sets)))
     return sets
 
@@ -499,32 +440,30 @@ def solve_small_b(
     single weight, so the singleton solver applies class by class and the
     per-coloring results are folded with an entrywise maximum.
     """
-    by_handle = _sets_by_handle(inst)
-    largest = max(map(len, by_handle.values()), default=0)
+    sets = set(inst.hints.values())
+    largest = max(map(len, sets), default=0)
     if largest > budget:
         raise ValueError("hint set exceeds the declared budget")
     if largest <= 1:
         return solve_singleton(inst, stats)
-    colorings = det_isolating_colorings(_coloring_sets(inst, by_handle), budget)
-    # entries sharing a hint handle share its set, so they share an owner
+    colorings = det_isolating_colorings(_coloring_sets(inst), budget)
+    # entries with equal hint sets share an owner
     owner_of = {
-        h: next((idx for idx, c in enumerate(colorings) if is_isolated(s, c)), None)
-        for h, s in by_handle.items()
+        s: next((idx for idx, c in enumerate(colorings) if is_isolated(s, c)), None)
+        for s in sets
     }
-    # each coloring's share of the table: (values, hint handles), ascending
+    # each coloring's share of the table: (values, hint sets), ascending
     owned: dict = {}
-    for i, h in inst.hint_handles.items():
-        q, handles = owned.setdefault(owner_of[h], ({}, {}))
-        q[i], handles[i] = inst.q[i], h
+    for i, s in inst.hints.items():
+        q, hints = owned.setdefault(owner_of[s], ({}, {}))
+        q[i], hints[i] = inst.q[i], s
     solve_class = partial(solve_singleton, stats=stats)
     result = None
     for idx, coloring in enumerate(colorings):
         if idx not in owned:
             continue
-        q, handles = owned[idx]
-        masked = HintedExtendInstance(
-            inst.half_size, inst.universe, q, handles, inst.fns, inst.store
-        )
+        q, hints = owned[idx]
+        masked = HintedExtendInstance(inst.half_size, inst.universe, q, hints, inst.fns)
         # weights in no hint set are uncolored; any class works for them
         ordered = _color_classes(inst.universe, coloring)
         part = _chain_color_classes(masked, ordered, solve_class)
@@ -546,12 +485,11 @@ def solve(
     log_m = math.log2(4 * L + 2)
     if budget <= max(1, 2 * log_m):
         return solve_small_b(inst, budget, stats)
-    by_handle = _sets_by_handle(inst)
     num_colors = math.ceil(budget / log_m)
-    coloring = det_balls_and_bins(_coloring_sets(inst, by_handle), num_colors)
+    coloring = det_balls_and_bins(_coloring_sets(inst), num_colors)
     ordered = _color_classes(inst.universe, coloring)
     inner_budget = 1
-    for s in by_handle.values():
+    for s in set(inst.hints.values()):
         per: dict = {}
         for w in s:
             per[coloring[w]] = per.get(coloring[w], 0) + 1
@@ -637,7 +575,7 @@ def relaxed_check(
                 break
         if not ok:
             continue
-        hint = inst.hint_set(zv)
+        hint = inst.hints.get(zv)
         if hint is None or not set(xv) <= hint:
             errors.append(f"index {i}: support escapes the base hint set")
             continue
@@ -673,7 +611,7 @@ def relaxed_check(
                 got = by_total.get(i - z)
                 if got is None or qz + got[0] != best:
                     continue
-                hint = inst.hint_set(z)
+                hint = inst.hints[z]
                 for supp in got[1]:
                     if not supp <= hint:
                         escaped = True

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -93,7 +93,6 @@ from .hinted import (
     ConcaveProfitFn,
     ExtendStats,
     HintedExtendInstance,
-    SetStore,
 )
 from .partition import (
     PhaseSchedule,
@@ -148,19 +147,29 @@ class SolverConfig:
     path: "auto" resolves to the dense path, the pruned core fold, which
     wins at every practical scale under CPython; "hinted" forces the
     hint-propagating engine; other names raise ``ValueError`` when the
-    config is built.  ``verify`` cross-checks the final answer
-    against the capacity DP and raises ``VerificationError`` on mismatch.
+    config is built.  ``verify`` (a bool) cross-checks the final answer
+    against the capacity DP and raises ``VerificationError`` on mismatch;
+    ``verify_cell_budget`` (a nonnegative int, or None for no limit) caps
+    that DP's cells.  Other values of either raise ``ValueError`` when the
+    config is built.
     """
 
     constant: float = DEFAULT_CONSTANT
     engine: str = "auto"
     verify: bool = False
-    verify_cell_budget: int = 400_000_000
+    verify_cell_budget: int | None = 400_000_000
 
     def __post_init__(self):
         c = self.constant
         if isinstance(c, bool) or not isinstance(c, Real) or not 0 < c < math.inf:
             raise ValueError(f"constant must be a positive finite number, got {c!r}")
+        if not isinstance(self.verify, bool):
+            raise ValueError(f"verify must be a bool, got {self.verify!r}")
+        b = self.verify_cell_budget
+        if b is not None and (isinstance(b, bool) or not isinstance(b, Integral) or b < 0):
+            raise ValueError(
+                f"verify_cell_budget must be a nonnegative int or None, got {b!r}"
+            )
         self.resolved_engine()
 
     def resolved_engine(self) -> str:
@@ -470,11 +479,10 @@ def first_stage_hinted(
     """
     profits = primed.profits.tolist()
     universe = tuple(sorted(inner_weights))
-    store = SetStore()
     q = {0: 0}
-    # each entry's hint handles, per side: hints[+1] adds, hints[-1] removes
+    # each entry's hint sets, per side: hints[+1] adds, hints[-1] removes
     hints = {
-        d: {0: store.add(w for w in universe if rank_part.group(d, 1, w))}
+        d: {0: frozenset(w for w in universe if rank_part.group(d, 1, w))}
         for d in (+1, -1)
     }
 
@@ -489,7 +497,7 @@ def first_stage_hinted(
             }
             inst = HintedExtendInstance(
                 half, universe, _mirrored(q, direction),
-                _mirrored(hints[direction], direction), fns, store,
+                _mirrored(hints[direction], direction), fns,
             )
             sol = hinted.solve(inst, schedule.hint_budgets[phase], stats=ext_stats)
 
@@ -513,13 +521,13 @@ def first_stage_hinted(
                 if key not in survivors_of:
                     survivors = [w for w, cnt in xs.items() if whole.get(w) == cnt]
                     survivors_of[key] = (
-                        store.add(survivors) if len(survivors) <= next_budget else None
+                        frozenset(survivors) if len(survivors) <= next_budget else None
                     )
-                handle = survivors_of[key]
-                if handle is None:
+                hint = survivors_of[key]
+                if hint is None:
                     continue
                 new_q[i] = value
-                new_hints[direction][i] = handle
+                new_hints[direction][i] = hint
                 new_hints[-direction][i] = passthrough[direction * sol.base(j)]
             q, hints = new_q, new_hints
             if stats is not None:

@@ -237,14 +237,11 @@ def test_extension_algebra_composes(capfd):
         size = base.size
         keep_a = [rng.random() < 0.7 for _ in range(size)]
         keep_b = [rng.random() < 0.7 for _ in range(size)]
-        store = base.store
 
         def masked(keep):
             q = {i: v for i, v in base.q.items() if keep[i + base.half_size]}
-            hints = {i: base.hint_handles[i] for i in q}
-            out = HintedExtendInstance(
-                base.half_size, base.universe, q, hints, base.fns, store
-            )
+            hints = {i: base.hints[i] for i in q}
+            out = HintedExtendInstance(base.half_size, base.universe, q, hints, base.fns)
             out.validate()
             return out
 

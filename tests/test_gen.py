@@ -87,6 +87,9 @@ def test_parameter_validation():
     for bad in (4.0, True, False, "4"):
         with pytest.raises(ValueError, match="must be an integer"):
             generate_instance(bad, 8, 9, 0.5, 1)
+    for bad in ("0.5", None, True, False, 1j):
+        with pytest.raises(ValueError, match="t_frac must be a real number"):
+            generate_instance(4, 8, 9, bad, 1)
 
 
 # SHA-256 of format_instance(*generate_instance(*args)), recorded before the

@@ -15,7 +15,6 @@ from knapsolve.hinted import (
     ExtendStats,
     HintedExtendInstance,
     HintedExtendSolution,
-    SetStore,
     apply_update,
     compose,
     entrywise_max_instances,
@@ -29,7 +28,7 @@ from knapsolve.hinted import (
 )
 
 
-# build(half, {index: (q, hint set)}, fns, store=None); other indices are bottom
+# build(half, {index: (q, hint set)}, fns); other indices are bottom
 build = HintedExtendInstance.build
 
 
@@ -89,24 +88,13 @@ def test_profit_fn_validation():
         fn.value(-1)
 
 
-def test_set_store_interns_and_memoizes():
-    store = SetStore()
-    h1 = store.add({1, 2})
-    assert store.add({2, 1}) == h1
-    h2 = store.add({2})
-    assert store.get(store.intersect(h1, h2)) == frozenset({2})
-    assert store.get(store.subtract(h1, h2)) == frozenset({1})
-    assert store.intersect(h1, h2) == store.intersect(h1, h2)
-
-
 def test_build_validation():
     fn = ConcaveProfitFn([0, 1])
     with pytest.raises(ValueError):
         build(1, {2: (0, set())}, {})  # index past half_size
-    good = build(1, {0: (0, set())}, {2: fn})
-    stray = HintedExtendInstance(
-        1, good.universe, good.q, good.hint_handles, {2: fn, 3: fn}, good.store
-    )
+    good = build(1, {0: (0, {2})}, {2: fn})
+    assert good.hints == {0: frozenset({2})}
+    stray = HintedExtendInstance(1, good.universe, good.q, good.hints, {2: fn, 3: fn})
     with pytest.raises(ValueError):
         stray.validate()  # profit fn for a weight outside the universe
     with pytest.raises(ValueError):
@@ -118,11 +106,10 @@ def test_build_validation():
 
 
 def test_validate_refuses_malformed_tables():
-    store = SetStore()
-    h = store.add(set())
+    h = frozenset()
 
-    def table(q, handles, half=2):
-        return HintedExtendInstance(half, (), q, handles, {}, store)
+    def table(q, hints, half=2):
+        return HintedExtendInstance(half, (), q, hints, {})
 
     table({-2: 0, 2: 1}, {-2: h, 2: h}).validate()
     bad = [
@@ -132,6 +119,7 @@ def test_validate_refuses_malformed_tables():
         table({0: 0, 1: 0}, {0: h}),  # a finite entry without a hint set
         table({0: 0}, {0: h, 1: h}),  # a hint set on a bottom entry
         table({-1: 0, 1: 0}, {1: h, -1: h}),  # hint keys in another order
+        table({0: 0}, {0: set()}),  # a mutable hint set
     ]
     for inst in bad:
         with pytest.raises(ValueError):
@@ -306,7 +294,7 @@ def test_small_b_random_instances_pass_relaxed_check():
     rng = random.Random(5554)
     for _ in range(120):
         inst = random_instance(rng, max_half=4, max_universe=4, max_hint=3, max_cap=2)
-        budget = max((len(inst.hint_set(z) or ()) for z in inst.indices()), default=1)
+        budget = max((len(inst.hints.get(z, ())) for z in inst.indices()), default=1)
         budget = max(1, budget)
         sol = solve_small_b(inst, budget, stats=None)
         assert relaxed_check(inst, sol) == []
@@ -349,16 +337,48 @@ def test_solve_small_budget_path_delegates():
         assert relaxed_check(inst, sol) == []
 
 
+def test_solve_ignores_hint_set_identity():
+    # equal hint sets held as distinct objects, or as one shared object,
+    # give the same solution and the same work on both branches of solve
+    rng = random.Random(5563)
+    half = 4
+    universe = list(range(1, 10))
+    fns = {w: ConcaveProfitFn([0, 3 + w % 3, 4 + w % 3]) for w in universe}
+    pool = [rng.sample(universe, k) for k in (2, 3, 4, 4)]
+    entries = {
+        z: (rng.randint(-10, 10), set(rng.choice(pool)))
+        for z in range(-half, half + 1)
+        if z == 0 or rng.random() < 0.8
+    }
+    distinct = build(half, entries, fns)
+    canon: dict = {}
+    shared = HintedExtendInstance(
+        half, distinct.universe, distinct.q,
+        {i: canon.setdefault(s, s) for i, s in distinct.hints.items()}, distinct.fns,
+    )
+    assert len(set(map(id, distinct.hints.values()))) == len(distinct.hints)
+    assert len(set(map(id, shared.hints.values()))) == len(canon) < len(distinct.hints)
+    threshold = 2 * math.log2(4 * half + 2)
+    for budget in (4, 9):  # isolating colorings, then balls and bins first
+        assert (budget > threshold) == (budget == 9)
+        runs = []
+        for inst in (distinct, shared):
+            st = ExtendStats()
+            sol = solve(inst, budget, st)
+            runs.append((sol.r, sol.z, sol.x, st))
+        assert runs[0] == runs[1]
+        assert runs[0][3].matrix_evals > 0
+
+
 def test_restrict_to_universe_and_empty():
     rng = random.Random(5557)
     inst = random_instance(rng, max_universe=3, max_hint=2)
     same = restrict(inst, set(inst.universe))
     assert same.q == inst.q
-    for z in inst.indices():
-        assert same.hint_set(z) == inst.hint_set(z)
+    assert same.hints == inst.hints
     none = restrict(inst, set())
     assert none.universe == ()
-    assert all(h in (frozenset(), None) for h in map(none.hint_set, none.indices()))
+    assert set(none.hints.values()) <= {frozenset()}
     none.validate()
 
 
@@ -367,8 +387,7 @@ def test_restrict_single_weight():
     inst = build(3, {0: (0, {2, 3}), 1: (5, {3})}, fns)
     sub = restrict(inst, {3})
     assert sub.universe == (3,)
-    assert sub.hint_set(0) == {3}
-    assert sub.hint_set(1) == {3}
+    assert sub.hints == {0: {3}, 1: {3}}
     assert set(sub.fns) == {3}
     sub.validate()
 
@@ -379,27 +398,23 @@ def test_apply_update_consumes_hint_weights():
     sol = solve_singleton(restrict(inst, {2}))
     updated = apply_update(inst, {2}, sol)
     assert updated.q_at(2) == 1
-    assert updated.hint_set(2) == frozenset()
+    assert updated.hints[2] == frozenset()
     assert updated.universe == ()
     updated.validate()
 
 
-def test_apply_update_subtracts_once_per_hint_set(monkeypatch):
-    # five finite entries share two hint sets: two subtractions, and each
-    # entry inherits its own base's set minus the consumed weight
+def test_apply_update_subtracts_once_per_hint_set():
+    # five finite entries hold two distinct hint sets, each entry its own
+    # object: entries whose bases hold equal sets get one shared result, the
+    # base's set minus the consumed weight
     fns = {2: ConcaveProfitFn([0, 1]), 3: ConcaveProfitFn([0, 2])}
     entries = {z: (0, {2, 3} if z % 2 else {2}) for z in range(-2, 3)}
     inst = build(4, entries, fns)
-    sol = trivial_solution(inst)
-    calls = []
-    real = SetStore.subtract
-    monkeypatch.setattr(
-        SetStore, "subtract", lambda store, h, o: calls.append(h) or real(store, h, o)
-    )
-    updated = apply_update(inst, {2}, sol)
-    assert sorted(calls) == sorted(set(calls)) and len(calls) == 2
+    assert inst.hints[-1] is not inst.hints[1]
+    updated = apply_update(inst, {2}, trivial_solution(inst))
     for z in range(-2, 3):
-        assert updated.hint_set(z) == ({3} if z % 2 else set())
+        assert updated.hints[z] == ({3} if z % 2 else set())
+        assert updated.hints[z] is updated.hints[z % 2]
     updated.validate()
 
 
@@ -461,36 +476,30 @@ def test_composition_over_disjoint_weight_sets():
 
 
 def test_entrywise_max_instance_rules():
-    store = SetStore()
     fns = {2: ConcaveProfitFn([0, 1]), 3: ConcaveProfitFn([0, 1])}
-    a = build(2, {0: (5, {2, 3}), 1: (1, {2})}, fns, store=store)
-    b = build(2, {0: (5, {3}), -1: (2, {3})}, fns, store=store)
+    a = build(2, {0: (5, {2, 3}), 1: (1, {2})}, fns)
+    b = build(2, {0: (5, {3}), -1: (2, {3})}, fns)
     merged = entrywise_max_instances(a, b)
     assert merged.q_at(0) == 5
-    assert merged.hint_set(0) == {3}  # tie keeps the common floor
-    assert merged.q_at(1) == 1 and merged.hint_set(1) == {2}
-    assert merged.q_at(-1) == 2 and merged.hint_set(-1) == {3}
+    assert merged.hints[0] == {3}  # tie keeps the common floor
+    assert merged.q_at(1) == 1 and merged.hints[1] == {2}
+    assert merged.q_at(-1) == 2 and merged.hints[-1] == {3}
     merged.validate()
 
 
 def test_entrywise_max_instance_all_bottom_side():
-    store = SetStore()
     fns = {2: ConcaveProfitFn([0, 1])}
-    a = build(1, {0: (0, {2})}, fns, store=store)
-    empty = build(1, {}, fns, store=store)
+    a = build(1, {0: (0, {2})}, fns)
+    empty = build(1, {}, fns)
     merged = entrywise_max_instances(a, empty)
     assert merged.q == a.q
-    assert merged.hint_set(0) == a.hint_set(0)
+    assert merged.hints == a.hints
 
 
 def test_entrywise_max_instances_reject_mismatch():
-    s1, s2 = SetStore(), SetStore()
     fns = {2: ConcaveProfitFn([0, 1])}
-    a = build(1, {0: (0, {2})}, fns, store=s1)
-    b = build(1, {0: (0, {2})}, fns, store=s2)
-    with pytest.raises(ValueError):
-        entrywise_max_instances(a, b)
-    c = build(2, {0: (0, {2})}, fns, store=s1)
+    a = build(1, {0: (0, {2})}, fns)
+    c = build(2, {0: (0, {2})}, fns)
     with pytest.raises(ValueError):
         entrywise_max_instances(a, c)
 
@@ -548,7 +557,7 @@ def test_solvers_and_algebra_leave_their_inputs_unchanged():
         twin = HintedExtendInstance(
             inst.half_size, inst.universe,
             {i: v + i % 3 - 1 for i, v in inst.q.items()},
-            dict(inst.hint_handles), inst.fns, inst.store,
+            dict(inst.hints), inst.fns,
         )
         twin_before = frozen(twin)
         entrywise_max_instances(inst, twin)

@@ -55,7 +55,6 @@ def test_modules_define_only_the_live_building_blocks():
         "ExtendStats",
         "HintedExtendInstance",
         "HintedExtendSolution",
-        "SetStore",
         "apply_update",
         "compose",
         "entrywise_max_instances",
@@ -99,9 +98,8 @@ def test_hint_table_fields_are_pinned():
         "half_size",
         "universe",
         "q",
-        "hint_handles",
+        "hints",
         "fns",
-        "store",
     ]
     assert field_names(knapsolve.hinted.HintedExtendSolution) == [
         "half_size",

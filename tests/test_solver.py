@@ -87,6 +87,10 @@ def test_exhaustive_applies_normalize_input_rules():
         for solver in (solve_exhaustive, solve_bellman, solve_fast, solve_proximity_smawk):
             with pytest.raises(ValueError):
                 solver(items, capacity)
+    # a non-positive item gets the same text from every solver
+    for solver in (solve_exhaustive, solve_bellman, solve_fast, solve_proximity_smawk):
+        with pytest.raises(ValueError, match="item weights and profits must be >= 1"):
+            solver([(0, 5), (2, 4)], 2)
     # items that are not (weight, profit) pairs get one typed refusal
     for make in (
         lambda: [5],
@@ -328,6 +332,26 @@ def test_solver_config_rejects_bad_constant(constant):
     # refused when the config is built, not deep inside the hinted engine
     with pytest.raises(ValueError, match="constant must be a positive finite number"):
         SolverConfig(constant=constant, engine="hinted")
+
+
+@pytest.mark.parametrize("verify", ["no", 0, 1, None, np.bool_(True)])
+def test_solver_config_rejects_non_bool_verify(verify):
+    # "no" is truthy: read as given it would run the verification
+    with pytest.raises(ValueError, match="verify must be a bool"):
+        SolverConfig(verify=verify)
+
+
+@pytest.mark.parametrize("budget", ["10", 10.0, True, False, -1])
+def test_solver_config_rejects_bad_verify_cell_budget(budget):
+    # refused when the config is built, not once a verification runs
+    with pytest.raises(ValueError, match="verify_cell_budget must be a nonnegative int or None"):
+        SolverConfig(verify=True, verify_cell_budget=budget)
+
+
+def test_solver_config_accepts_its_documented_values():
+    for budget in (None, 0, 39, np.int64(39)):
+        assert SolverConfig(verify=True, verify_cell_budget=budget).verify_cell_budget == budget
+    assert SolverConfig(verify=False).verify is False
 
 
 def test_stats_populated_on_structured_path():
