@@ -44,7 +44,10 @@ def check_table_bytes(what: str, nbytes: int) -> None:
 
 def solve_bellman(raw_items, capacity, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
     """Maximum profit by the textbook capacity DP, one numpy pass per item."""
-    return _capacity_dp(normalize(raw_items, capacity), cell_budget, stats)
+    inst = normalize(raw_items, capacity)
+    if stats is not None:
+        stats.engine = "trivial" if inst.all_fit else "bellman"
+    return _capacity_dp(inst, cell_budget, stats)
 
 
 def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):

@@ -59,9 +59,8 @@ def _checked(convert, valid, wanted: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-# nan fails every compare, so these refuse it too
+# nan fails every compare, so this refuses it too
 _FRACTION = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
-_POSITIVE_REAL = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 
 
 def parse_instance_text(text: str):
@@ -123,7 +122,7 @@ def cmd_solve(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     items, capacity = parse_instance_text(text)
-    config = SolverConfig(constant=args.constant, engine=args.engine, verify=args.verify)
+    config = SolverConfig(engine=args.engine, verify=args.verify)
     stats = Stats()
     profit = _run_named_solver(args.solver, items, capacity, config, stats)
     print(profit)
@@ -175,7 +174,7 @@ def cmd_bench(args) -> int:
         if name not in SOLVER_NAMES:
             print(f"error: unknown solver {name!r}", file=sys.stderr)
             return 2
-    config = SolverConfig(constant=args.constant, engine=args.engine)
+    config = SolverConfig(engine=args.engine)
     rows = []
     times: dict[str, dict[int, list[int]]] = {name: {} for name in solvers}
     for w_max in wmax_values:
@@ -243,14 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("file", help="instance path, or - for stdin")
     p_solve.add_argument("--solver", choices=SOLVER_NAMES, default="fast")
-    p_solve.add_argument(
-        "--constant",
-        "--structural-constant",
-        dest="constant",
-        type=_POSITIVE_REAL,
-        default=2.0,
-        help="scale factor for all structural bounds (default 2)",
-    )
     p_solve.add_argument("--engine", choices=("auto", "dense", "hinted"), default="auto")
     p_solve.add_argument(
         "--verify", action="store_true", help="cross-check against the capacity DP"
@@ -277,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--pmax", type=_POSITIVE_INT, default=32)
     p_bench.add_argument("--t-frac", dest="t_frac", type=_FRACTION, default=0.5)
     p_bench.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
-    p_bench.add_argument("--constant", type=_POSITIVE_REAL, default=2.0)
     p_bench.add_argument("--engine", choices=("auto", "dense", "hinted"), default="auto")
     p_bench.add_argument("--out", default="bench.csv")
     p_bench.set_defaults(func=cmd_bench)

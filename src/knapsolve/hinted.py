@@ -134,9 +134,10 @@ class HintedExtendInstance:
         uni = set(self.universe)
         if set(self.fns) != uni:
             raise ValueError("profit functions must cover exactly the universe")
-        for w in self.universe:
-            if not isinstance(w, int) or w < 1:
-                raise ValueError("weights must be positive integers")
+        if not all(type(w) is int and w >= 1 for w in self.universe):
+            raise ValueError("weights must be positive integers")
+        if not all(type(p) is int for fn in self.fns.values() for p in fn.prefix):
+            raise ValueError("profit prefixes must be integers")
         keys = list(self.q)
         if keys != list(self.hints):
             raise ValueError("hint sets must exist exactly on finite entries")
@@ -144,8 +145,8 @@ class HintedExtendInstance:
             raise ValueError("table index outside [-half_size, half_size]")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("table indices must ascend")
-        if any(map(is_bottom, self.q.values())):
-            raise ValueError("the table holds finite entries only")
+        if not all(type(v) is int for v in self.q.values()):
+            raise ValueError("the table holds finite integer entries only")
         if not all(isinstance(s, frozenset) for s in self.hints.values()):
             raise ValueError("hint sets must be frozensets")
         for s in set(self.hints.values()):

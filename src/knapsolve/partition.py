@@ -26,6 +26,8 @@ import numpy as np
 
 from .core import GreedySplit, Instance
 
+DEFAULT_CONSTANT = 2.0  # C, the analysis constant: the hinted engine always runs at it
+
 
 @dataclass
 class WeightPartition:
@@ -39,13 +41,19 @@ class WeightPartition:
         return self.layers[0]
 
 
+def _phase_count(w_max: int) -> int:
+    return max(1, math.ceil(math.log2(2 * w_max + 1)))
+
+
 def _by_first_occurrence(weights) -> list[int]:
     """Distinct values of ``weights`` in the order they first occur."""
     values, first = np.unique(weights, return_index=True)
     return values[np.argsort(first)].tolist()
 
 
-def weight_partition(inst: Instance, split: GreedySplit, constant: float = 2.0) -> WeightPartition:
+def weight_partition(
+    inst: Instance, split: GreedySplit, constant: float = DEFAULT_CONSTANT
+) -> WeightPartition:
     """Partition the distinct weights into layers around the greedy break.
 
     The layer count s is the smallest s >= 1 with
@@ -110,7 +118,7 @@ class RankPartition:
 
 def rank_partition(inst: Instance, split: GreedySplit, inner_weights: set[int]) -> RankPartition:
     """Group the innermost layer's items by the dyadic block of their rank."""
-    k = max(1, math.ceil(math.log2(2 * inst.w_max + 1)))
+    k = _phase_count(inst.w_max)
     add_groups: list[dict[int, list[int]]] = [{} for _ in range(k)]
     remove_groups: list[dict[int, list[int]]] = [{} for _ in range(k)]
     for w in inner_weights:
@@ -165,7 +173,7 @@ def phase_schedule(w_max: int, constant: float, inner_support_size: int) -> Phas
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    k = max(1, math.ceil(math.log2(2 * w_max + 1)))
+    k = _phase_count(w_max)
     base = math.sqrt(w_max * math.log2(2 * w_max))
     item_bounds = [max(1, math.ceil(constant * (2 ** (j / 2)) * base)) for j in range(k + 1)]
     budgets = [0] + [

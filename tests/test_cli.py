@@ -145,9 +145,10 @@ def test_solve_stats_proximity_passes(tmp_path, capsys):
 
 
 def test_solve_stats_proximity_all_fit(tmp_path, capsys):
-    # every item fits, so proximity answers without folding, as solve_fast does
+    # every item fits, so proximity and bellman answer without folding, as
+    # solve_fast does
     path = write(tmp_path, "inst.txt", "3 10\n2 30\n3 40\n5 50\n")
-    for solver in ("fast", "proximity"):
+    for solver in ("fast", "proximity", "bellman"):
         assert main(["solve", path, "--solver", solver, "--stats"]) == 0
         captured = capsys.readouterr()
         assert captured.out.strip() == "120"
@@ -325,11 +326,18 @@ def test_bench_rejects_empty_lists(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solve_rejects_nonpositive_or_nonfinite_constant(tmp_path, capsys):
+def test_retired_constant_options_are_usage_errors(tmp_path, capsys):
+    # the hinted engine always runs at the analysis constant C = 2
     path = write(tmp_path, "inst.txt", SMALL)
-    for value in ("-1", "nan", "inf"):
-        assert usage_exit_code(["solve", path, "--engine", "hinted", "--constant", value]) == 2
-        assert one_error_line(capsys)
+    out = tmp_path / "bench.csv"
+    for argv in (
+        ["solve", path, "--engine", "hinted", "--constant", "2"],
+        ["solve", path, "--engine", "hinted", "--structural-constant", "2"],
+        ["bench", "--wmax-list", "8", "--out", str(out), "--constant", "2"],
+    ):
+        assert usage_exit_code(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_selftest_quick(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from knapsolve import SolverConfig, Stats, generate_instance, solve_fast
+from knapsolve import SolverConfig, Stats, generate_instance, solve_bellman, solve_fast
 from knapsolve.core import BOTTOM, is_bottom
 from knapsolve.hinted import (
     ConcaveProfitFn,
@@ -103,6 +103,12 @@ def test_build_validation():
         build(0, {0: (BOTTOM, set())}, {})  # hint on bottom
     with pytest.raises(ValueError):
         build(0, {0: (0, set())}, {0: ConcaveProfitFn([0])})  # weight 0
+    with pytest.raises(ValueError):
+        build(1, {0: (0, {True})}, {True: fn})  # a bool weight
+    with pytest.raises(ValueError):
+        build(1, {0: (0.5, {2})}, {2: fn})  # a float table value
+    with pytest.raises(ValueError):
+        build(1, {0: (0, {2})}, {2: ConcaveProfitFn([0, 1.5])})  # a float profit prefix
 
 
 def test_validate_refuses_malformed_tables():
@@ -258,6 +264,21 @@ def test_hinted_answers_and_counters_are_pinned(shape, pinned):
         stats.peak_table_cells, stats.best_index,
     )
     assert got[: len(pinned)] == pinned
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(32, 8, 32, 0.5, 1, "clustered")]
+    + [(4 * w, w, 10**6, 0.5, 4, "uniform") for w in (8, 12, 16)],
+    ids=repr,
+)
+def test_hinted_is_exact_where_a_quarter_constant_was_not(shape):
+    # at C = 0.25 the hinted engine answered these too low; at the fixed
+    # analysis constant it must match the capacity DP
+    items, capacity = generate_instance(*shape)
+    assert solve_fast(items, capacity, SolverConfig(engine="hinted")) == solve_bellman(
+        items, capacity
+    )
 
 
 def test_oracles_benchmark_hinted_calls_are_pinned():

@@ -75,7 +75,6 @@ def field_names(cls):
 def test_config_and_stats_fields_are_pinned():
     # a new knob or counter, or a retired one left behind, fails here
     assert field_names(knapsolve.SolverConfig) == [
-        "constant",
         "engine",
         "verify",
         "verify_cell_budget",
