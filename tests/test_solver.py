@@ -335,6 +335,14 @@ def test_solver_config_has_no_constant_knob():
         config.constant = 0.25
 
 
+@pytest.mark.parametrize("constant", [-1, 0, math.nan, math.inf])
+def test_solver_config_rejects_bad_constant(constant):
+    # refused when the config is built, not deep inside the hinted engine:
+    # the keyword is gone, so any constant, bad ones included, is refused
+    with pytest.raises(TypeError, match="constant"):
+        SolverConfig(constant=constant, engine="hinted")
+
+
 @pytest.mark.parametrize("verify", ["no", 0, 1, None, np.bool_(True)])
 def test_solver_config_rejects_non_bool_verify(verify):
     # "no" is truthy: read as given it would run the verification
