@@ -177,19 +177,17 @@ def solve_exhaustive(raw_items, capacity, with_subset=False):
         best_p.append(cur_p)
         best_m.append(cur_m)
 
+    # both halves hold the empty subset at weight 0 and every left weight is
+    # at most the capacity, so pos >= 0 and top ends >= 0
     top = -1
     top_mask = 0
     for w, p, m in left:
         pos = bisect_right(r_weights, capacity - w) - 1
-        if pos < 0:
-            continue
         cand = p + best_p[pos]
         if cand > top:
             top = cand
             top_mask = m | best_m[pos]
     if not with_subset:
-        return top if top >= 0 else 0
-    if top < 0:
-        return 0, frozenset()
+        return top
     chosen = frozenset(i for i in range(n) if top_mask >> i & 1)
     return top, chosen

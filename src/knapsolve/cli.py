@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import json
 import math
 import statistics
 import sys
@@ -36,7 +38,6 @@ from .solver import (
 )
 
 BENCH_HEADER = "instance_id,n,w_max,t,solver,profit,wall_time_ns,peak_table_cells"
-SOLVER_NAMES = ("fast", "bellman", "proximity", "exhaustive")
 
 
 class InstanceParseError(ValueError):
@@ -97,16 +98,19 @@ def format_instance(items, capacity: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_named_solver(name: str, items, capacity: int, config: SolverConfig, stats: Stats):
-    if name == "fast":
-        return solve_fast(items, capacity, config=config, stats=stats)
-    if name == "bellman":
-        return solve_bellman(items, capacity, stats=stats)
-    if name == "proximity":
-        return solve_proximity_smawk(items, capacity, stats=stats)
-    if name == "exhaustive":
-        return solve_exhaustive(items, capacity)
-    raise ValueError(f"unknown solver {name!r}")
+def _exhaustive(items, capacity, config, stats):
+    stats.engine = "exhaustive"  # the one solver that fills no Stats itself
+    return solve_exhaustive(items, capacity)
+
+
+# name -> solver(items, capacity, config, stats); each entry looks its
+# solver up when called, so a patched module name is the one that runs
+SOLVERS = {
+    "fast": lambda items, t, config, stats: solve_fast(items, t, config, stats),
+    "bellman": lambda items, t, config, stats: solve_bellman(items, t, stats=stats),
+    "proximity": lambda items, t, config, stats: solve_proximity_smawk(items, t, stats=stats),
+    "exhaustive": _exhaustive,
+}
 
 
 def cmd_solve(args) -> int:
@@ -124,25 +128,10 @@ def cmd_solve(args) -> int:
     items, capacity = parse_instance_text(text)
     config = SolverConfig(engine=args.engine, verify=args.verify)
     stats = Stats()
-    profit = _run_named_solver(args.solver, items, capacity, config, stats)
+    profit = SOLVERS[args.solver](items, capacity, config, stats)
     print(profit)
     if args.stats:
-        line = (
-            f"# engine={stats.engine or args.solver} "
-            f"peak_table_cells={stats.peak_table_cells} "
-            f"passes={stats.fold_passes} "
-            f"cells_pruned={stats.cells_pruned}"
-        )
-        if stats.engine == "dense":
-            line += f" core_sorted={stats.core_sorted}"
-        if stats.engine == "hinted":
-            ext = stats.extend
-            line += (
-                f" matrix_evals={ext.matrix_evals} "
-                f"ap_count={ext.ap_count} "
-                f"bucket_inserts={ext.bucket_inserts}"
-            )
-        print(line, file=sys.stderr)
+        print(json.dumps(dataclasses.asdict(stats)), file=sys.stderr)
     return 0
 
 
@@ -171,7 +160,7 @@ def cmd_bench(args) -> int:
             print(f"error: {option}: expected at least one value", file=sys.stderr)
             return 2
     for name in solvers:
-        if name not in SOLVER_NAMES:
+        if name not in SOLVERS:
             print(f"error: unknown solver {name!r}", file=sys.stderr)
             return 2
     config = SolverConfig(engine=args.engine)
@@ -189,7 +178,7 @@ def cmd_bench(args) -> int:
             for name in solvers:
                 stats = Stats()
                 t0 = time.perf_counter_ns()
-                profit = _run_named_solver(name, items, capacity, config, stats)
+                profit = SOLVERS[name](items, capacity, config, stats)
                 elapsed = time.perf_counter_ns() - t0
                 profits[name] = profit
                 rows.append(
@@ -241,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("file", help="instance path, or - for stdin")
-    p_solve.add_argument("--solver", choices=SOLVER_NAMES, default="fast")
+    p_solve.add_argument("--solver", choices=SOLVERS, default="fast")
     p_solve.add_argument("--engine", choices=("auto", "dense", "hinted"), default="auto")
     p_solve.add_argument(
         "--verify", action="store_true", help="cross-check against the capacity DP"

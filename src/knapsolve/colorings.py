@@ -60,14 +60,12 @@ def det_set_balancing(sets: list) -> dict:
     member_sets: dict = {e: [] for e in universe}
     plus_term = []
     minus_term = []
-    remaining = []
     for i, s in enumerate(sets):
         elems = set(s)
         for e in elems:
             member_sets[e].append(i)
         plus_term.append(scale * cosh_t ** len(elems))
         minus_term.append(scale * cosh_t ** len(elems))
-        remaining.append(len(elems))
 
     for e in universe:
         gain_plus = 0.0

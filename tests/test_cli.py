@@ -1,13 +1,23 @@
 """Command line interface: solve, gen, bench, selftest, exit codes."""
 
 import csv
+import dataclasses
 import io
+import json
 import subprocess
 import sys
 
 import pytest
 
-from knapsolve import generate_instance
+from knapsolve import (
+    SolverConfig,
+    Stats,
+    generate_instance,
+    solve_bellman,
+    solve_exhaustive,
+    solve_fast,
+    solve_proximity_smawk,
+)
 from knapsolve.cli import (
     BENCH_HEADER,
     InstanceParseError,
@@ -70,37 +80,70 @@ def test_solvers_agree_through_the_cli(tmp_path, capsys):
     assert set(outs) == {"70"}
 
 
+def stats_record(capsys):
+    """The one JSON line ``solve --stats`` wrote to stderr, as a dict."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.err.endswith("\n")
+    return captured.out, json.loads(lines[0])
+
+
+def library_record(text, solver, config=None):
+    """``asdict`` of the Stats the library call behind ``--solver`` fills."""
+    stats = Stats()
+    items, capacity = parse_instance_text(text)
+    if solver == "fast":
+        solve_fast(items, capacity, config, stats)
+    elif solver == "bellman":
+        solve_bellman(items, capacity, stats=stats)
+    elif solver == "proximity":
+        solve_proximity_smawk(items, capacity, stats=stats)
+    else:
+        # solve_exhaustive fills no Stats; the CLI names its engine
+        solve_exhaustive(items, capacity)
+        stats.engine = "exhaustive"
+    return dataclasses.asdict(stats)
+
+
 def test_solve_stats_go_to_stderr(tmp_path, capsys):
     path = write(tmp_path, "inst.txt", SMALL)
     assert main(["solve", path, "--stats"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.strip() == "70"
-    assert "engine=" in captured.err
-    assert "peak_table_cells=" in captured.err
+    out, record = stats_record(capsys)
+    assert out.strip() == "70"
+    assert record["engine"] == "dense"
+    assert "peak_table_cells" in record
     # three candidates folded, fewer than one prune's eight passes
-    assert "passes=3 cells_pruned=0" in captured.err
+    assert record["fold_passes"] == 3 and record["cells_pruned"] == 0
     # one band per side: the greedy side's lower key is sorted, each
     # side's top key is a tie group
-    assert captured.err.endswith(" core_sorted=1\n")
+    assert record["core_sorted"] == 1
+
+
+def test_solve_stats_record_for_every_solver(tmp_path, capsys):
+    # the line is the whole Stats record the library call fills, extend
+    # nested, and its engine names the path that ran; stdout is the answer
+    path = write(tmp_path, "inst.txt", SMALL)
+    runs = [("fast", engine, engine if engine != "auto" else "dense")
+            for engine in ("auto", "dense", "hinted")]
+    runs += [(solver, "auto", solver) for solver in ("bellman", "proximity", "exhaustive")]
+    for solver, engine, ran in runs:
+        assert main(["solve", path, "--stats", "--solver", solver, "--engine", engine]) == 0
+        out, record = stats_record(capsys)
+        assert out == "70\n"
+        assert record == library_record(SMALL, solver, SolverConfig(engine=engine))
+        assert record["engine"] == ran
 
 
 def test_solve_stats_hinted_counters(tmp_path, capsys):
-    # the hinted engine's line adds its extension counters to the dense fields
-    from knapsolve import SolverConfig, Stats, solve_fast
-
+    # the hinted engine's record carries its extension counters
     path = write(tmp_path, "inst.txt", SMALL)
     assert main(["solve", path, "--stats", "--engine", "hinted"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.strip() == "70"
-    stats = Stats()
-    solve_fast(*parse_instance_text(SMALL), SolverConfig(engine="hinted"), stats)
-    ext = stats.extend
-    assert captured.err == (
-        f"# engine=hinted peak_table_cells={stats.peak_table_cells} passes=0 "
-        f"cells_pruned=0 matrix_evals={ext.matrix_evals} "
-        f"ap_count={ext.ap_count} bucket_inserts={ext.bucket_inserts}\n"
-    )
-    assert ext.matrix_evals > 0
+    out, record = stats_record(capsys)
+    assert out.strip() == "70"
+    assert record == library_record(SMALL, "fast", SolverConfig(engine="hinted"))
+    assert record["engine"] == "hinted"
+    assert record["fold_passes"] == 0 and record["cells_pruned"] == 0
+    assert record["extend"]["matrix_evals"] > 0
 
 
 def test_solve_verify_flag(tmp_path, capsys):
@@ -139,9 +182,9 @@ def test_solve_stats_proximity_passes(tmp_path, capsys):
     # three weight classes of one candidate each on their side: one pass each
     path = write(tmp_path, "inst.txt", SMALL)
     assert main(["solve", path, "--solver", "proximity", "--stats"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.strip() == "70"
-    assert " passes=3 " in captured.err
+    out, record = stats_record(capsys)
+    assert out.strip() == "70"
+    assert record["fold_passes"] == 3
 
 
 def test_solve_stats_proximity_all_fit(tmp_path, capsys):
@@ -150,18 +193,40 @@ def test_solve_stats_proximity_all_fit(tmp_path, capsys):
     path = write(tmp_path, "inst.txt", "3 10\n2 30\n3 40\n5 50\n")
     for solver in ("fast", "proximity", "bellman"):
         assert main(["solve", path, "--solver", solver, "--stats"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.strip() == "120"
-        assert captured.err.startswith("# engine=trivial peak_table_cells=0 passes=0 ")
+        out, record = stats_record(capsys)
+        assert out.strip() == "120"
+        assert record["engine"] == "trivial"
+        assert record["peak_table_cells"] == 0 and record["fold_passes"] == 0
 
 
 def test_solve_stats_bellman_passes(tmp_path, capsys):
     # three distinct items: one chunk pass each
     path = write(tmp_path, "inst.txt", SMALL)
     assert main(["solve", path, "--solver", "bellman", "--stats"]) == 0
+    out, record = stats_record(capsys)
+    assert out.strip() == "70"
+    assert record["engine"] == "bellman"
+    assert record["peak_table_cells"] == 7 and record["fold_passes"] == 3
+
+
+def test_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):
+    import knapsolve.solver
+
+    structured = knapsolve.solver._solve_structured
+
+    def off_by_one(inst, config, stats):
+        return structured(inst, config, stats) + 1
+
+    monkeypatch.setattr(knapsolve.solver, "_solve_structured", off_by_one)
+    path = write(tmp_path, "inst.txt", SMALL)
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out == "71\n"
+    assert main(["solve", path, "--verify"]) == 1
     captured = capsys.readouterr()
-    assert captured.out.strip() == "70"
-    assert captured.err.startswith("# engine=bellman peak_table_cells=7 passes=3 ")
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failed: fast answer 71 disagrees with capacity DP 70\n"
+    )
 
 
 def test_solve_refuses_options_the_solver_ignores(tmp_path, capsys):
@@ -269,6 +334,25 @@ def test_bench_writes_csv_and_summary(tmp_path, capsys):
         assert int(rec[7]) >= 0  # peak cells
     for profits in by_instance.values():
         assert len(profits) == 1  # solvers agree per instance
+
+
+def test_bench_disagreement_exit_code(tmp_path, capsys, monkeypatch):
+    import knapsolve.cli
+
+    def off_by_one(items, capacity, stats=None):
+        return solve_bellman(items, capacity, stats=stats) + 1
+
+    monkeypatch.setattr(knapsolve.cli, "solve_bellman", off_by_one)
+    out = tmp_path / "bench.csv"
+    code = main(
+        ["bench", "--wmax-list", "8", "--solvers", "fast,bellman", "--out", str(out)]
+    )
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bench: solvers disagree on uniform-w8-n32-r0: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bench_rejects_bad_arguments(capsys):

@@ -772,14 +772,19 @@ def check_pruned(items, capacity, want=None):
     return stats.cells_pruned
 
 
-def perturbed_answer(items, capacity):
-    """The dense pipeline run on partitions built from the ``break_ties`` order."""
+def staged_answer(items, capacity, perturbed=False):
+    """The dense stage pipeline on ``stage_one_inputs``' partitions.
+
+    ``first_stage_dense`` folds the innermost layer and ``second_stage`` the
+    outer ones; returns the answer and the weight layers.
+    """
     inst = normalize(items, capacity)
-    profits, rank_part, schedule, split = stage_one_inputs(items, capacity, perturbed=True)
+    profits, rank_part, schedule, split = stage_one_inputs(items, capacity, perturbed)
     eng = first_stage_dense(profits, rank_part, schedule, None, cell_dtype(sum(profits)))
-    layers = weight_partition(break_ties(inst), split).layers
+    layers = weight_partition(break_ties(inst) if perturbed else inst, split).layers
     base = sum(p for i, p in enumerate(profits) if split.in_greedy[i])
-    return second_stage(eng, inst, split, schedule, layers, SolverConfig(), profits, base)
+    answer = second_stage(eng, inst, split, schedule, layers, SolverConfig(), profits, base)
+    return answer, layers
 
 
 def test_legacy_pipeline_on_perturbed_partitions():
@@ -788,7 +793,7 @@ def test_legacy_pipeline_on_perturbed_partitions():
     # and (5, 8) (efficiency 1.6) outside
     split = stage_one_inputs(items, 6, perturbed=True)[3]
     assert [items[i] for i in range(3) if split.in_greedy[i]] == [(2, 3)]
-    assert perturbed_answer(items, 6) == 8
+    assert staged_answer(items, 6, perturbed=True)[0] == 8
     # solve_fast orders by the original efficiencies
     split = stage_one_inputs(items, 6)[3]
     assert [items[i] for i in range(3) if split.in_greedy[i]] == [(5, 8)]
@@ -804,7 +809,16 @@ def test_legacy_pipeline_on_perturbed_partitions():
             continue
         want = solve_exhaustive(items, capacity)
         check_pruned(items, capacity, want)
-        assert perturbed_answer(items, capacity) == want
+        assert staged_answer(items, capacity, perturbed=True)[0] == want
+
+
+def test_second_stage_folds_an_outer_layer():
+    # at C = 2 a second weight layer needs w_max near 1024 with n about 4w;
+    # stage two then folds its 77 weights around stage one's 923
+    items, capacity = generate_instance(4096, 1024, 1000, 0.5, 1, "uniform")
+    answer, layers = staged_answer(items, capacity)
+    assert [len(layer) for layer in layers] == [923, 77]
+    assert answer == solve_bellman(items, capacity) == 1_646_931
 
 
 def test_pruning_on_equal_efficiencies():
