@@ -126,6 +126,8 @@ def _dp_cell_dtype(total_profit: int):
     Unlike the fold tables (``core.cell_dtype``) it keeps no bottom
     sentinels, so each integer width may run up to its own maximum.
     """
+    if total_profit <= np.iinfo(np.int16).max:
+        return np.int16
     if total_profit <= np.iinfo(np.int32).max:
         return np.int32
     if total_profit <= np.iinfo(np.int64).max:

@@ -3,12 +3,14 @@
 The central object is a table q over signed indices [-L, L] together with a
 hint set S[i] per finite entry: a set of item weights that are still allowed
 to extend entry i.  ``solve_singleton`` handles the case where every hint
-has at most one weight, by running SMAWK over each (weight, residue) group
-and merging the resulting winner rows with a bucket scan, so the work stays
-near-linear in table size plus hint count.  ``solve_small_b`` lifts that to
-hint sets of size <= b through isolating colorings, and ``solve`` handles
-arbitrary budgets by first splitting the weight universe with a
-balls-and-bins coloring.
+has at most one weight: it takes the row maxima of each (weight, residue)
+group, by SMAWK when the group's profit function takes more than
+``_SCAN_CAP`` items and by a direct scan of each row's few real entries
+otherwise, and merges the resulting winner rows with a bucket scan, so the
+work stays near-linear in table size plus hint count.  ``solve_small_b``
+lifts that to hint sets of size <= b through isolating colorings, and
+``solve`` handles arbitrary budgets by first splitting the weight universe
+with a balls-and-bins coloring.
 
 Outputs are "relaxed" solutions: entry i is guaranteed optimal only when
 every maximizer of i keeps its support inside S[z] for its base z; they are
@@ -188,23 +190,108 @@ def _value_spread(inst: HintedExtendInstance) -> int:
     return spread + fn_spread + 1
 
 
+# Groups whose profit function takes at most this many items are solved by
+# a direct scan; a row of such a group holds at most _SCAN_CAP + 1 real
+# entries, fewer than SMAWK spends on its continuation padding.
+_SCAN_CAP = 2
+
+
+def _smawk_ranges(cols, q, prefix, w, L, big):
+    """Each base's winning multiplicities in one (weight, residue) group, by SMAWK.
+
+    The group is one concave matrix: its columns are the bases ``cols``
+    (ascending, one residue modulo ``w``); its rows are the residue's
+    indices from cols[0] + w to cols[-1] + cap * w, at most ``L``, the only
+    ones where some column has x in [1, cap].  The rows outside hold only
+    continuation values, and a block of consecutive rows of a totally
+    monotone matrix keeps every row's leftmost maximum, so cutting them
+    changes no range.  Returns ([(base, x_lo, x_hi), ...] in column order,
+    entries evaluated).
+    """
+    cap = len(prefix) - 1
+    nrows = (min(L, cols[-1] + cap * w) - cols[0]) // w
+    # row ri is cols[0] + ri * w and every base shares the residue, so
+    # base cj (1-based, like ri) takes x = ri + off[cj] items
+    off = [0] + [(cols[0] - j) // w for j in cols]
+    qv = [0] + [q[j] for j in cols]
+    evals = 0
+
+    def value(ri, cj, _off=off, _qv=qv, _prefix=prefix, _cap=cap, _top=prefix[cap]):
+        nonlocal evals
+        evals += 1
+        x = ri + _off[cj]
+        # steep concave continuation outside [0, cap] keeps the matrix
+        # totally monotone; continuation values lose to any real one
+        if x < 0:
+            return _qv[cj] + x * big
+        if x > _cap:
+            return _qv[cj] + _top + (_cap - x) * big
+        return _qv[cj] + _prefix[x]
+
+    breakpoints = row_maxima(nrows, len(cols), value)
+    ranges = []
+    # base j wins rows lo..hi-1, so it extends by x in [lo, hi - 1] + off
+    for j, o, lo, hi in zip(cols, off[1:], breakpoints, breakpoints[1:]):
+        x_lo = max(lo + o, 1)
+        x_hi = min(hi - 1 + o, cap)
+        if x_lo <= x_hi:
+            ranges.append((j, x_lo, x_hi))
+    return ranges, evals
+
+
+def _scan_ranges(cols, q, prefix, w, L):
+    """``_smawk_ranges`` by a leftmost maximum over each live row's real entries.
+
+    A live row i = j + x * w (x in [1, cap], i <= L) holds a real entry
+    q[i - y * w] + prefix[y] for each base among i - y * w, y in [0, cap];
+    every other entry of the row is continuation, which loses strictly to
+    any real one, so SMAWK's leftmost maximum is the leftmost real one.
+    This is O(rows * cap) evaluations, short of SMAWK's bound only for long
+    profit functions.
+    """
+    cap = len(prefix) - 1
+    qv = {j: q[j] for j in cols}
+    get = qv.get
+    # (shift back to the base, its multiplicity, its profit), leftmost first
+    steps = [(y * w, y, prefix[y]) for y in range(cap, -1, -1)]
+    won: dict = {}  # base -> [x_lo, x_hi]
+    evals = 0
+    for i in sorted({j + x * w for j in cols for x in range(1, cap + 1)}):
+        if i > L:
+            break
+        best = None  # a live row holds at least the base that reaches it
+        for back, y, p in steps:
+            v = get(i - back)
+            if v is not None:
+                evals += 1
+                if best is None or v + p > best:
+                    best, best_y = v + p, y
+        if best_y:
+            k = i - best_y * w
+            if k in won:  # rows ascend, so its multiplicities do too
+                won[k][1] = best_y
+            else:
+                won[k] = [best_y, best_y]
+    return [(j, *won[j]) for j in cols if j in won], evals
+
+
 def solve_singleton(
     inst: HintedExtendInstance, stats: ExtendStats | None = None
 ) -> HintedExtendSolution:
     """Extend a table whose hint sets all have at most one weight.
 
     Candidates i = j + x*w for a hinted base j are grouped by weight and
-    residue; each group is one concave matrix whose row maxima come from a
-    single SMAWK pass.  Its columns are the group's bases j; its rows are
-    the residue's indices from cols[0] + w to cols[-1] + cap * w, the only
-    ones where some column has x in [1, cap].  The rows outside hold only
-    continuation values, and a block of consecutive rows of a totally
-    monotone matrix keeps every row's leftmost maximum, so cutting them
-    changes no progression.  Winner columns turn into arithmetic
-    progressions that a single left-to-right bucket scan merges: at each
-    index the best progression is applied (strict improvement only) and
-    advanced one step, the rest stay parked.  The work counters are added
-    into ``stats``.
+    residue; each group is one concave matrix, and each base's winning
+    multiplicities are the rows where it holds the row's leftmost maximum.
+    A group whose profit function takes more than ``_SCAN_CAP`` items gets
+    them from one SMAWK pass (``_smawk_ranges``); a shorter one from a
+    direct scan of each row's few real entries (``_scan_ranges``), which
+    gives the same ranges.  Winner columns turn into arithmetic
+    progressions, appended in column order, that a single left-to-right
+    bucket scan merges: at each index the best progression is applied
+    (strict improvement only) and advanced one step, the rest stay parked.
+    The work counters are added into ``stats``; ``matrix_evals`` counts
+    the entries either path evaluated.
     """
     L = inst.half_size
     q = inst.q
@@ -230,37 +317,18 @@ def solve_singleton(
     evals = aps = 0
 
     for (w, c), cols in sorted(bases_by_group.items()):
-        fn = inst.fns[w]
-        prefix, cap = fn.prefix, fn.cap
-        # only these rows give some column an x in [1, cap]
-        rows = range(cols[0] + w, min(L, cols[-1] + cap * w) + 1, w)
-        if not cap or not rows:
+        prefix = inst.fns[w].prefix
+        cap = len(prefix) - 1
+        # no live row: every base's first extension lies past L
+        if not cap or cols[0] + w > L:
             continue
-        # row ri is cols[0] + ri * w and every base shares the residue, so
-        # base cj (1-based, like ri) takes x = ri + off[cj] items
-        off = [0] + [(cols[0] - j) // w for j in cols]
-        qv = [0] + [q[j] for j in cols]
-
-        def value(ri, cj, _off=off, _qv=qv, _prefix=prefix, _cap=cap, _top=prefix[cap]):
-            nonlocal evals
-            evals += 1
-            x = ri + _off[cj]
-            # steep concave continuation outside [0, cap] keeps the matrix
-            # totally monotone; continuation values lose to any real one
-            if x < 0:
-                return _qv[cj] + x * big
-            if x > _cap:
-                return _qv[cj] + _top + (_cap - x) * big
-            return _qv[cj] + _prefix[x]
-
-        breakpoints = row_maxima(len(rows), len(cols), value)
-        # base j wins rows lo..hi-1, so it extends by x in [lo, hi - 1] + off
-        for j, o, lo, hi in zip(cols, off[1:], breakpoints, breakpoints[1:]):
-            x_lo = max(lo + o, 1)
-            x_hi = min(hi - 1 + o, cap)
-            if x_lo > x_hi:
-                continue
-            aps += 1
+        if cap <= _SCAN_CAP:
+            ranges, n = _scan_ranges(cols, q, prefix, w, L)
+        else:
+            ranges, n = _smawk_ranges(cols, q, prefix, w, L, big)
+        evals += n
+        aps += len(ranges)
+        for j, x_lo, x_hi in ranges:
             # a progression: [base, weight, next x, last x, q at base, prefix]
             buckets.setdefault(j + x_lo * w, []).append([j, w, x_lo, x_hi, q[j], prefix])
     inserts = aps
@@ -328,8 +396,9 @@ def apply_update(
     hints = {}
     # bases share few distinct hint sets: subtract once per set
     minus: dict = {}
+    base_of, hint_of = sol.z.get, inst.hints.get
     for i in sol.r:
-        src = inst.hints.get(sol.base(i))
+        src = hint_of(base_of(i, i))
         if src is None:
             raise ValueError("solution base lacks a hint set")
         s = minus.get(src)
@@ -360,23 +429,6 @@ def compose(
             own = merged
         xs[i] = own  # maps are never mutated, so outer's is shared
     return HintedExtendSolution(outer.half_size, outer.r, z, xs)
-
-
-def entrywise_max_instances(
-    a: HintedExtendInstance, b: HintedExtendInstance
-) -> HintedExtendInstance:
-    if a.half_size != b.half_size or a.universe != b.universe:
-        raise ValueError("instances disagree on shape")
-    q, hints = {}, {}
-    for i in sorted(a.q.keys() | b.q.keys()):
-        va, vb = a.q_at(i), b.q_at(i)
-        if va > vb:
-            q[i], hints[i] = va, a.hints[i]
-        elif vb > va:
-            q[i], hints[i] = vb, b.hints[i]
-        else:  # equal values: either base works, keep both options' floor
-            q[i], hints[i] = va, a.hints[i] & b.hints[i]
-    return HintedExtendInstance(a.half_size, a.universe, q, hints, a.fns)
 
 
 def entrywise_max_solutions(

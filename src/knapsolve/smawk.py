@@ -6,7 +6,9 @@ totally monotone: whenever a later column strictly beats an earlier column
 in some row, it also strictly beats it in every row below.  Matrices built
 from concave sequence convolutions have this property, including their
 bottom (-inf) padding; the hint-propagating engine's extension step calls
-it on such matrices.
+it on such matrices when their profit function takes more than two items.
+A shorter one holds at most three real entries per row, which the engine
+scans directly instead (``hinted._scan_ranges``).
 
 The output is compact: n + 1 breakpoints r_1 <= ... <= r_{n+1} with r_1 = 1
 and r_{n+1} = m + 1, such that column j is the leftmost maximum for all rows

@@ -90,6 +90,7 @@ from .core import (
     recover_profit,
 )
 from .hinted import (
+    NO_ITEMS,
     ConcaveProfitFn,
     ExtendStats,
     HintedExtendInstance,
@@ -511,9 +512,10 @@ def first_stage_hinted(
             new_q: dict = {}
             new_hints = {+1: {}, -1: {}}
             passthrough = hints[-direction]
+            base_of, mult_of = sol.z.get, sol.x.get
             for i, value in _mirrored(sol.r, direction).items():
                 j = direction * i  # the index in the solved table
-                xs = sol.mult(j)
+                xs = mult_of(j, NO_ITEMS)
                 key = id(xs)
                 if key not in survivors_of:
                     survivors = [w for w, cnt in xs.items() if whole.get(w) == cnt]
@@ -525,7 +527,7 @@ def first_stage_hinted(
                     continue
                 new_q[i] = value
                 new_hints[direction][i] = hint
-                new_hints[-direction][i] = passthrough[direction * sol.base(j)]
+                new_hints[-direction][i] = passthrough[direction * base_of(j, j)]
             q, hints = new_q, new_hints
             if stats is not None:
                 stats.note_table(2 * half + 1)
@@ -737,9 +739,12 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
 
     Uses a fixed difference table of half-size 2 * w_max^2 (optimal
     exchanges never move the index further) and folds every weight class
-    once per side, in ascending weight order, without layering, phases or
-    profit bounds, over the original profits.  Simpler object to audit than
-    the full pipeline, quadratically bigger table.
+    once per side, without layering, phases or profit bounds, over the
+    original profits.  Simpler object to audit than the full pipeline,
+    quadratically bigger table.  The classes go light at both ends, the
+    order ``baselines._capacity_dp`` gives its chunks: ascending weights
+    alternately to the front and the back.  On the benchmark's instances
+    the passes read about a tenth fewer cells than in ascending order.
 
     The fold keeps only cells that can still reach an index where an
     optimal exchange may end.  A finite entry at z is the gain of an
@@ -754,7 +759,8 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
     [slack - w_max + 1 - A, slack + R] is dropped.  Every path into
     (slack - w_max, slack] stays inside that window, so each final value
     there, the answer, its index and the pass count are those of the full
-    fold, on the same 4 * w_max^2 + 1 cells.  The window reads weights only.
+    fold, on the same 4 * w_max^2 + 1 cells.  The window reads weights only,
+    and only the weight still to fold, so it holds in any class order.
     """
     inst = normalize(raw_items, capacity)
     if inst.all_fit:
@@ -772,7 +778,8 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
     # candidate weight still to fold on each side: how far a cell may move
     rest = {d: sum(w * len(m) for w, m in side.items()) for d, side in sides}
     passes = 0
-    for w in sorted(split.add_candidates.keys() | split.remove_candidates.keys()):
+    ws = sorted(split.add_candidates.keys() | split.remove_candidates.keys())
+    for w in ws[::2] + ws[1::2][::-1]:
         for direction, side in sides:
             members = side.get(w)
             if members:

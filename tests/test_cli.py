@@ -256,10 +256,10 @@ def test_capacity_dp_fallback_refuses_before_allocating(tmp_path, capsys):
 
 
 def test_capacity_dp_row_budget_exit_code(tmp_path, capsys, monkeypatch):
-    # two int32 rows of 71 cells take 568 bytes, over the lowered budget
+    # two int16 rows of 71 cells take 284 bytes, over the lowered budget
     import knapsolve.baselines
 
-    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 567)
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 283)
     path = write(tmp_path, "short.txt", "2 70\n50 7\n60 9\n")
     for solver in ("fast", "bellman"):
         assert main(["solve", path, "--solver", solver]) == 3

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,15 @@ import pytest
 from knapsolve import SolverConfig, Stats, generate_instance, solve_bellman, solve_fast
 from knapsolve.core import BOTTOM, is_bottom
 from knapsolve.hinted import (
+    _SCAN_CAP,
     ConcaveProfitFn,
     ExtendStats,
     HintedExtendInstance,
     HintedExtendSolution,
+    _scan_ranges,
+    _smawk_ranges,
     apply_update,
     compose,
-    entrywise_max_instances,
     entrywise_max_solutions,
     relaxed_check,
     restrict,
@@ -216,41 +219,86 @@ def test_singleton_progression_bound():
         assert st.bucket_inserts <= st.ap_count + inst.size
 
 
+def test_short_groups_scan_gives_the_smawk_ranges():
+    # a group whose profit function takes at most _SCAN_CAP items skips
+    # SMAWK; the direct scan must give every base the same x-range as the
+    # breakpoints do, on sparse bases with gaps, tied rows, rows past L,
+    # bases that win their own row at x = 0, and entries of the residue
+    # that are no base of the group
+    rng = random.Random(2407)
+    seen = Counter()
+    for _ in range(600):
+        w = rng.randint(1, 4)
+        cap = rng.randint(1, _SCAN_CAP)
+        incs = sorted((rng.randint(-2, 3) for _ in range(cap)), reverse=True)
+        prefix = tuple(itertools.accumulate(incs, initial=0))
+        L = rng.randint(1, 20)
+        density = rng.choice((0.3, 0.7, 1.0))
+        residue = range(-L + rng.randrange(w), L + 1, w)
+        cols = [j for j in residue if rng.random() < density]
+        q = {j: rng.randint(-3, 3) for j in residue if j in cols or rng.random() < 0.3}
+        if not cols or cols[0] + w > L:
+            continue  # no live row: solve_singleton skips the group
+        big = max(q.values()) - min(q.values()) + max(prefix) - min(prefix) + 1
+        scan, evals = _scan_ranges(cols, q, prefix, w, L)
+        assert scan == _smawk_ranges(cols, q, prefix, w, L, big)[0]
+        # the row winners, tallied to show which cases the seeds reached
+        live = sorted({j + x * w for j in cols for x in range(1, cap + 1)})
+        real = 0
+        for i in live:
+            if i > L:
+                seen["rows past L"] += 1
+                continue
+            row = [(q[i - y * w] + prefix[y], y) for y in range(cap, -1, -1) if i - y * w in cols]
+            real += len(row)
+            top = max(v for v, _ in row)
+            winners = [y for v, y in row if v == top]
+            seen["tied rows"] += len(winners) > 1
+            seen["wins at x = 0"] += winners[0] == 0
+        assert evals == real
+        seen["gaps"] += any(b - a > w for a, b in zip(cols, cols[1:]))
+        seen["cap %d" % cap] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_singleton_row_band_keeps_output_and_cuts_evals():
     # SMAWK runs only over the rows where some base has x in [1, cap]; the
     # cut rows held continuation values, so the answer, the progressions and
     # the bucket scan are the same as with every row of the residue.  Before
-    # the cut this instance took 441,800 matrix evaluations; with it, 300,837
+    # the cut this instance took 441,800 matrix evaluations; with it, 300,837,
+    # and 67,402 once groups taking at most two items skipped SMAWK
     items, t = generate_instance(128, 32, 32, 0.5, 1, "uniform")
     stats = Stats()
     assert solve_fast(items, t, SolverConfig(engine="hinted"), stats) == 1785
     ext = stats.extend
     assert (ext.ap_count, ext.bucket_inserts) == (14232, 15000)
     assert stats.peak_table_cells == 20097
-    assert ext.matrix_evals == 300_837 < 441_800
+    assert ext.matrix_evals == 67_402 < 300_837
 
 
 # (answer, matrix_evals, ap_count, bucket_inserts, peak_table_cells) of the
 # hinted engine, recorded before the table passes skipped bottom slots; the
 # fourth and fifth are the `oracles` benchmark's hinted calls at seed 103.
+# matrix_evals was re-pinned, alone, when groups taking at most two items
+# began to skip SMAWK.
 # The entries after them add best_index and were recorded before the hint
 # tables became index-keyed dicts: w_max = 1 and 2, `clustered` at w = 32,
 # n = 4w^2 at w = 16, and a shape whose budget reaches the balls-and-bins
 # split (w = 24).
 HINTED_PINS = [
-    ((128, 32, 32, 0.5, 2, "uniform"), (1655, 277023, 11777, 12326, 20097)),
-    ((128, 32, 32, 0.5, 1, "hard-equal-weights"), (2023, 17136, 1962, 6122, 20097)),
-    ((96, 24, 1000, 0.3, 5, "clustered"), (30383, 44876, 3479, 4356, 8929)),
-    ((128, 32, 32, 0.5, 4575246633223535321, "uniform"), (1739, 299689, 12330, 13003, 20097)),
+    ((128, 32, 32, 0.5, 2, "uniform"), (1655, 62991, 11777, 12326, 20097)),
+    ((128, 32, 32, 0.5, 1, "hard-equal-weights"), (2023, 16730, 1962, 6122, 20097)),
+    ((96, 24, 1000, 0.3, 5, "clustered"), (30383, 21525, 3479, 4356, 8929)),
+    ((128, 32, 32, 0.5, 4575246633223535321, "uniform"), (1739, 65821, 12330, 13003, 20097)),
     (
         (128, 32, 32, 0.5, 18332398680674118316, "hard-equal-weights"),
-        (2018, 15540, 1856, 5807, 20097),
+        (2018, 15479, 1856, 5807, 20097),
     ),
-    ((16, 1, 32, 0.5, 1, "uniform"), (202, 3, 4, 4, 11, 0)),
-    ((32, 2, 32, 0.5, 1, "uniform"), (436, 86, 24, 30, 49, 0)),
-    ((128, 32, 32, 0.5, 1, "clustered"), (1695, 107203, 6636, 7954, 20097, 1)),
-    ((1024, 16, 32, 0.5, 1, "uniform"), (13307, 122269, 8186, 13194, 4609, 2)),
-    ((96, 24, 32, 0.5, 1, "uniform"), (1303, 118248, 6058, 6526, 8929, 14)),
+    ((16, 1, 32, 0.5, 1, "uniform"), (202, 6, 4, 4, 11, 0)),
+    ((32, 2, 32, 0.5, 1, "uniform"), (436, 59, 24, 30, 49, 0)),
+    ((128, 32, 32, 0.5, 1, "clustered"), (1695, 42133, 6636, 7954, 20097, 1)),
+    ((1024, 16, 32, 0.5, 1, "uniform"), (13307, 85783, 8186, 13194, 4609, 2)),
+    ((96, 24, 32, 0.5, 1, "uniform"), (1303, 29146, 6058, 6526, 8929, 14)),
 ]
 
 
@@ -285,7 +333,8 @@ def test_oracles_benchmark_hinted_calls_are_pinned():
     # the `oracles` benchmark's two hinted calls at seed 1 (uniform, then
     # hard-equal-weights, n = 128 at w = 32): answer, matrix_evals, ap_count,
     # bucket_inserts and peak_table_cells as the engine gave them before its
-    # SMAWK, colorings and table walks were rewritten
+    # SMAWK, colorings and table walks were rewritten; matrix_evals as it
+    # reads since groups taking at most two items skip SMAWK
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -299,7 +348,7 @@ def test_oracles_benchmark_hinted_calls_are_pinned():
             got.append(
                 (answer, ext.matrix_evals, ext.ap_count, ext.bucket_inserts, stats.peak_table_cells)
             )
-    assert got == [(1702, 268170, 11634, 12584, 20097), (2022, 17213, 2023, 5978, 20097)]
+    assert got == [(1702, 62881, 11634, 12584, 20097), (2022, 16801, 2023, 5978, 20097)]
 
 
 def test_small_b_budget_one_agrees_with_singleton():
@@ -496,35 +545,6 @@ def test_composition_over_disjoint_weight_sets():
         assert relaxed_check(target, composed) == []
 
 
-def test_entrywise_max_instance_rules():
-    fns = {2: ConcaveProfitFn([0, 1]), 3: ConcaveProfitFn([0, 1])}
-    a = build(2, {0: (5, {2, 3}), 1: (1, {2})}, fns)
-    b = build(2, {0: (5, {3}), -1: (2, {3})}, fns)
-    merged = entrywise_max_instances(a, b)
-    assert merged.q_at(0) == 5
-    assert merged.hints[0] == {3}  # tie keeps the common floor
-    assert merged.q_at(1) == 1 and merged.hints[1] == {2}
-    assert merged.q_at(-1) == 2 and merged.hints[-1] == {3}
-    merged.validate()
-
-
-def test_entrywise_max_instance_all_bottom_side():
-    fns = {2: ConcaveProfitFn([0, 1])}
-    a = build(1, {0: (0, {2})}, fns)
-    empty = build(1, {}, fns)
-    merged = entrywise_max_instances(a, empty)
-    assert merged.q == a.q
-    assert merged.hints == a.hints
-
-
-def test_entrywise_max_instances_reject_mismatch():
-    fns = {2: ConcaveProfitFn([0, 1])}
-    a = build(1, {0: (0, {2})}, fns)
-    c = build(2, {0: (0, {2})}, fns)
-    with pytest.raises(ValueError):
-        entrywise_max_instances(a, c)
-
-
 def test_entrywise_max_solutions_takes_pointwise_best():
     rng = random.Random(5560)
     for _ in range(60):
@@ -575,13 +595,6 @@ def test_solvers_and_algebra_leave_their_inputs_unchanged():
         outer_before = frozen(outer)
         compose(outer, inner)
         solve(inst, 9)  # past 2 * log2(4L + 2): the balls-and-bins split
-        twin = HintedExtendInstance(
-            inst.half_size, inst.universe,
-            {i: v + i % 3 - 1 for i, v in inst.q.items()},
-            dict(inst.hints), inst.fns,
-        )
-        twin_before = frozen(twin)
-        entrywise_max_instances(inst, twin)
         trivial = trivial_solution(inst)
         trivial_before = frozen(trivial)
         entrywise_max_solutions(inner, trivial)
@@ -590,7 +603,6 @@ def test_solvers_and_algebra_leave_their_inputs_unchanged():
         assert frozen(inner) == inner_before
         assert frozen(mid) == mid_before
         assert frozen(outer) == outer_before
-        assert frozen(twin) == twin_before
         assert frozen(trivial) == trivial_before
 
 

@@ -57,7 +57,6 @@ def test_modules_define_only_the_live_building_blocks():
         "HintedExtendSolution",
         "apply_update",
         "compose",
-        "entrywise_max_instances",
         "entrywise_max_solutions",
         "relaxed_check",
         "restrict",

@@ -215,7 +215,7 @@ def test_bellman_cell_budget():
 def test_capacity_dp_row_byte_budget(monkeypatch):
     # a few items under a huge capacity pass the cell budget with rows far
     # larger than memory; the capacity DP must refuse them before allocating.
-    # Both instances run at capacity 70: two int32 rows of 71 cells, 568 bytes
+    # Both instances run at capacity 70: two int16 rows of 71 cells, 284 bytes
     import knapsolve.baselines
 
     fallback = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
@@ -225,12 +225,12 @@ def test_capacity_dp_row_byte_budget(monkeypatch):
         lambda: solve_fast(fallback, 70),
         lambda: solve_fast(structured, 70, SolverConfig(verify=True)),
     )
-    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 567)
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 283)
     for call in calls:
-        with pytest.raises(BudgetExceededError, match="568 bytes, over the budget of 567"):
+        with pytest.raises(BudgetExceededError, match="284 bytes, over the budget of 283"):
             call()
     assert solve_fast(structured, 70) == solve_exhaustive(structured, 70)
-    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 568)
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 284)
     assert [call() for call in calls] == [9, 9, solve_exhaustive(structured, 70)]
 
 
@@ -322,6 +322,28 @@ def test_banded_capacity_dp_against_exhaustive():
         want = solve_exhaustive(items, t)
         assert solve_bellman(items, t) == want, (items, t)
         assert solve_fast(items, t, SolverConfig(verify=True)) == want, (items, t)
+
+
+@pytest.mark.parametrize("total, itemsize", [(32_767, 2), (32_768, 4)])
+def test_capacity_dp_int16_cells_at_their_limit(monkeypatch, total, itemsize):
+    # the capacity DP's cells lie in [0, total] with no sentinels, so int16
+    # holds totals up to its maximum; this answer is total - 1, where a cell
+    # one width too narrow would wrap
+    import knapsolve.baselines
+    from knapsolve.baselines import _dp_cell_dtype
+
+    assert np.dtype(_dp_cell_dtype(total)).itemsize == itemsize
+    rng = random.Random(total)
+    weights = [rng.randint(1, 9) for _ in range(11)]
+    profits = [total // 12 + rng.randint(-50, 50) for _ in range(10)]
+    items = list(zip(weights, profits + [total - 1 - sum(profits)])) + [(1, 1)]
+    t = sum(weights)  # every item but the (1, 1) fits
+    assert sum(normalize(items, t).profits.tolist()) == total
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 0)
+    with pytest.raises(BudgetExceededError, match=f"rows need {2 * (t + 1) * itemsize} bytes"):
+        solve_bellman(items, t)
+    monkeypatch.undo()
+    assert solve_bellman(items, t) == solve_exhaustive(items, t) == total - 1
 
 
 def test_solver_config_has_no_constant_knob():
