@@ -14,6 +14,12 @@ Three primitives, all derandomized with pessimistic estimators:
 
 All loops process elements and sets in sorted order, so outputs are fully
 deterministic functions of their inputs.
+
+Each takes the number of sets m as an optional argument (default: the
+length of the list), since its parameters depend on m.  An empty set adds
+nothing to any sum, estimator or check, so a caller whose m counts empty
+sets may pass only the nonempty ones, in their order, with m: the outputs,
+float sums included, are those of the full list.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ def _sorted_universe(sets) -> list:
     return sorted(universe)
 
 
-def det_set_balancing(sets: list) -> dict:
+def det_set_balancing(sets: list, m: int | None = None) -> dict:
     """Assign +1/-1 to every element so all sets have small discrepancy.
 
     With m sets of size at most b, every returned assignment satisfies
@@ -44,7 +50,8 @@ def det_set_balancing(sets: list) -> dict:
     """
     universe = _sorted_universe(sets)
     signs = {e: 1 for e in universe}
-    m = len(sets)
+    if m is None:
+        m = len(sets)
     if m == 0 or not universe:
         return signs
     b = max((len(set(s)) for s in sets), default=0)
@@ -60,10 +67,12 @@ def det_set_balancing(sets: list) -> dict:
     member_sets: dict = {e: [] for e in universe}
     plus_term = []
     minus_term = []
-    for i, s in enumerate(sets):
+    for s in sets:
         elems = set(s)
+        if not elems:
+            continue
         for e in elems:
-            member_sets[e].append(i)
+            member_sets[e].append(len(plus_term))
         plus_term.append(scale * cosh_t ** len(elems))
         minus_term.append(scale * cosh_t ** len(elems))
 
@@ -95,7 +104,9 @@ def balls_and_bins_bound(num_sets: int, beta: int) -> int:
     return max(1, math.ceil(beta * math.log2(max(2, 2 * num_sets))))
 
 
-def det_balls_and_bins(sets: list, num_colors: int, beta: int = 12) -> dict:
+def det_balls_and_bins(
+    sets: list, num_colors: int, beta: int = 12, m: int | None = None
+) -> dict:
     """Color the universe so every set meets every color class in few points.
 
     ``num_colors`` is rounded down to a power of two and the classes are
@@ -107,7 +118,8 @@ def det_balls_and_bins(sets: list, num_colors: int, beta: int = 12) -> dict:
     if num_colors < 1:
         raise ValueError("need at least one color")
     universe = _sorted_universe(sets)
-    m = len(sets)
+    if m is None:
+        m = len(sets)
     if m > 0:
         limit = num_colors * math.log2(2 * m)
         for s in sets:
@@ -120,8 +132,8 @@ def det_balls_and_bins(sets: list, num_colors: int, beta: int = 12) -> dict:
         next_parts: list[list] = []
         for part in parts:
             part_set = set(part)
-            restricted = [part_set & set(s) for s in sets]
-            signs = det_set_balancing(restricted)
+            restricted = [r for r in (part_set & set(s) for s in sets) if r]
+            signs = det_set_balancing(restricted, m)
             plus = [e for e in part if signs.get(e, 1) == 1]
             minus = [e for e in part if signs.get(e, 1) == -1]
             next_parts.append(plus)
@@ -151,7 +163,9 @@ def is_isolated(s, coloring: dict) -> bool:
     return len({coloring[e] for e in elems}) == len(elems)
 
 
-def det_isolating_colorings(sets: list, size_bound: int) -> list[dict]:
+def det_isolating_colorings(
+    sets: list, size_bound: int, m: int | None = None
+) -> list[dict]:
     """Colorings into size_bound^2 colors, jointly isolating every set.
 
     Every set must have at most ``size_bound`` elements.  Each round colors
@@ -164,7 +178,8 @@ def det_isolating_colorings(sets: list, size_bound: int) -> list[dict]:
     per copy: the estimator sums, and so the colorings, are those of the
     full list, and m (with the round cap) counts every copy.
     """
-    m = len(sets)
+    if m is None:
+        m = len(sets)
     copies = Counter(map(frozenset, sets))
     if any(len(s) > size_bound for s in copies):
         raise ValueError("set exceeds the declared size bound")

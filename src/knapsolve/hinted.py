@@ -6,11 +6,12 @@ to extend entry i.  ``solve_singleton`` handles the case where every hint
 has at most one weight: it takes the row maxima of each (weight, residue)
 group, by SMAWK when the group's profit function takes more than
 ``_SCAN_CAP`` items and by a direct scan of each row's few real entries
-otherwise, and merges the resulting winner rows with a bucket scan, so the
-work stays near-linear in table size plus hint count.  ``solve_small_b``
-lifts that to hint sets of size <= b through isolating colorings, and
-``solve`` handles arbitrary budgets by first splitting the weight universe
-with a balls-and-bins coloring.
+otherwise.  When the hint sets name one weight the row winners never
+meet and are applied in one vectorized pass; otherwise a bucket scan
+merges them, so the work stays near-linear in table size plus hint count.
+``solve_small_b`` lifts that to hint sets of size <= b through isolating
+colorings, and ``solve`` handles arbitrary budgets by first splitting the
+weight universe with a balls-and-bins coloring.
 
 Outputs are "relaxed" solutions: entry i is guaranteed optimal only when
 every maximizer of i keeps its support inside S[z] for its base z; they are
@@ -28,10 +29,10 @@ never mutated, so the algebra shares dicts and sets between tables
 instead of copying them, and ``solve_singleton`` copies ``q`` before its
 scan writes to it.  Each call works once per distinct hint set, grouping
 entries by set equality, so equal sets held as distinct objects give the
-same result as one shared object.  The colorings still see one set per
-index of the 2L + 1, since their parameters depend on that count: the
-finite entries' sets come first, padded with empty sets
-(``_coloring_sets``).
+same result as one shared object.  The colorings' parameters depend on
+the count m = 2L + 1 of sets the analysis colors, one per index, but an
+empty set changes nothing else: they get the nonempty hint sets in index
+order, with m passed on its own (``_coloring_sets``).
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from types import MappingProxyType
+
+import numpy as np
 
 from .colorings import (
     det_balls_and_bins,
@@ -94,6 +96,9 @@ class ExtendStats:
     matrix_evals: int = 0
     ap_count: int = 0
     bucket_inserts: int = 0
+    # solve_singleton calls, and those whose hint sets named one weight
+    singleton_calls: int = 0
+    one_weight_calls: int = 0
 
 
 @dataclass
@@ -190,10 +195,15 @@ def _value_spread(inst: HintedExtendInstance) -> int:
     return spread + fn_spread + 1
 
 
-# Groups whose profit function takes at most this many items are solved by
-# a direct scan; a row of such a group holds at most _SCAN_CAP + 1 real
-# entries, fewer than SMAWK spends on its continuation padding.
+# Groups whose profit function takes at most this many items get their row
+# winners from a direct scan; a row of such a group holds at most
+# _SCAN_CAP + 1 real entries, fewer than SMAWK spends on its continuation
+# padding.
 _SCAN_CAP = 2
+
+# Bottom of an int64 cell; cells stay int64 only while every value plus
+# prefix stays under half its magnitude, and are Python ints otherwise.
+_SENTINEL = -(1 << 62)
 
 
 def _smawk_ranges(cols, q, prefix, w, L, big):
@@ -239,40 +249,66 @@ def _smawk_ranges(cols, q, prefix, w, L, big):
     return ranges, evals
 
 
-def _scan_ranges(cols, q, prefix, w, L):
-    """``_smawk_ranges`` by a leftmost maximum over each live row's real entries.
+def _row_winners(bases, values, prefix, w, L, bottom):
+    """Each live row's leftmost maximum over the bases of one weight, scanned.
 
-    A live row i = j + x * w (x in [1, cap], i <= L) holds a real entry
-    q[i - y * w] + prefix[y] for each base among i - y * w, y in [0, cap];
-    every other entry of the row is continuation, which loses strictly to
-    any real one, so SMAWK's leftmost maximum is the leftmost real one.
-    This is O(rows * cap) evaluations, short of SMAWK's bound only for long
-    profit functions.
+    ``bases`` holds the weight's bases ascending, every residue at once, and
+    ``values`` their table values.  A live row i = j + x * w (x in [1, cap],
+    i <= L) holds a real entry q[i - y * w] + prefix[y] for each base among
+    i - y * w, y in [0, cap]; every other entry of the row is continuation,
+    which loses strictly to any real one, so SMAWK's leftmost maximum is the
+    leftmost real one.  This is O(rows * cap) evaluations, short of SMAWK's
+    bound only for long profit functions.  Returns the rows whose winner
+    extends its base (x >= 1), ascending, with that base's position in
+    ``bases``, its x and its value, and the real entries evaluated.
     """
     cap = len(prefix) - 1
-    qv = {j: q[j] for j in cols}
-    get = qv.get
-    # (shift back to the base, its multiplicity, its profit), leftmost first
-    steps = [(y * w, y, prefix[y]) for y in range(cap, -1, -1)]
-    won: dict = {}  # base -> [x_lo, x_hi]
+    rows = np.sort(np.concatenate([bases + x * w for x in range(1, cap + 1)]))
+    rows = rows[: np.searchsorted(rows, L, side="right")]
+    rows = rows[np.diff(rows, prepend=L + 1) != 0]  # two bases may reach one row
+    best = np.full(rows.size, bottom, dtype=values.dtype)
+    best_x = np.zeros(rows.size, np.int64)
+    best_at = np.zeros(rows.size, np.int64)
     evals = 0
-    for i in sorted({j + x * w for j in cols for x in range(1, cap + 1)}):
-        if i > L:
-            break
-        best = None  # a live row holds at least the base that reaches it
-        for back, y, p in steps:
-            v = get(i - back)
-            if v is not None:
-                evals += 1
-                if best is None or v + p > best:
-                    best, best_y = v + p, y
-        if best_y:
-            k = i - best_y * w
-            if k in won:  # rows ascend, so its multiplicities do too
-                won[k][1] = best_y
-            else:
-                won[k] = [best_y, best_y]
-    return [(j, *won[j]) for j in cols if j in won], evals
+    # leftmost first: the base furthest back wins a tie
+    for y in range(cap, -1, -1):
+        src = rows - y * w
+        at = np.searchsorted(bases, src).clip(max=bases.size - 1)
+        hit = bases[at] == src
+        evals += int(np.count_nonzero(hit))
+        val = values[at] + prefix[y]
+        won = np.greater(val, best, out=np.zeros(rows.size, bool), where=hit)
+        np.copyto(best, val, where=won)
+        best_x[won] = y
+        best_at[won] = at[won]
+    ext = best_x > 0
+    return rows[ext], best_at[ext], best_x[ext], best[ext], evals
+
+
+def _smawk_winners(bases, values, q, prefix, w, L, big):
+    """``_row_winners`` for a long profit function: one SMAWK pass per residue."""
+    cols_of: dict = {}
+    for j in bases.tolist():
+        cols_of.setdefault(j % w, []).append(j)
+    ranges, evals = [], 0
+    for cols in cols_of.values():
+        if cols[0] + w <= L:  # else every first extension lies past L
+            got, n = _smawk_ranges(cols, q, prefix, w, L, big)
+            ranges += got
+            evals += n
+    # each range (base, x_lo, x_hi) expands to its rows, x ascending
+    col_at = {j: k for k, j in enumerate(bases.tolist())}
+    at = np.array([col_at[j] for j, _, _ in ranges], np.int64)
+    x_lo = np.array([lo for _, lo, _ in ranges], np.int64)
+    counts = np.array([hi + 1 for _, _, hi in ranges], np.int64) - x_lo
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(at.size), counts)
+    x = np.arange(owner.size) - (first - x_lo)[owner]
+    at = at[owner]
+    rows = bases[at] + x * w
+    order = np.argsort(rows)
+    at, x = at[order], x[order]
+    return rows[order], at, x, values[at] + np.array(prefix, values.dtype)[x], evals
 
 
 def solve_singleton(
@@ -283,15 +319,25 @@ def solve_singleton(
     Candidates i = j + x*w for a hinted base j are grouped by weight and
     residue; each group is one concave matrix, and each base's winning
     multiplicities are the rows where it holds the row's leftmost maximum.
-    A group whose profit function takes more than ``_SCAN_CAP`` items gets
-    them from one SMAWK pass (``_smawk_ranges``); a shorter one from a
-    direct scan of each row's few real entries (``_scan_ranges``), which
-    gives the same ranges.  Winner columns turn into arithmetic
-    progressions, appended in column order, that a single left-to-right
-    bucket scan merges: at each index the best progression is applied
-    (strict improvement only) and advanced one step, the rest stay parked.
-    The work counters are added into ``stats``; ``matrix_evals`` counts
-    the entries either path evaluated.
+    A weight whose profit function takes more than ``_SCAN_CAP`` items gets
+    its winners from one SMAWK pass per residue (``_smawk_winners``); a
+    shorter one from a direct scan of each row's few real entries, every
+    residue at once (``_row_winners``), which finds the same winners.
+
+    Two paths apply the winners.  When every hint set names the same weight
+    w, each (w, residue) group covers the rows of its own residue, and the
+    rows a group's bases win are disjoint, since each row has one leftmost
+    maximum.  So no two winners meet on a row, and every winner is applied,
+    in one vectorized pass, exactly where it strictly beats q[i].  When the
+    hint sets name several weights, winners of different weights meet, and
+    each base's winning rows become an arithmetic progression; the
+    progressions, appended in ascending weight order, are merged by one
+    left-to-right bucket scan.  At each index the best progression is
+    applied (strict improvement only) and advanced one step; the losers are
+    dropped, which is the paper's pruning.  Both paths add the same counters
+    into ``stats``: ``matrix_evals`` the entries evaluated, ``ap_count`` the
+    bases that win a row (one progression each), ``bucket_inserts`` the
+    progression steps, which in the one-weight pass are the winning rows.
     """
     L = inst.half_size
     q = inst.q
@@ -300,38 +346,90 @@ def solve_singleton(
     for s in set(hints.values()):
         if len(s) > 1:
             raise ValueError("solve_singleton needs hint sets of size <= 1")
-        if s:
-            (weight_of[s],) = s
-    bases_by_group: dict[tuple[int, int], list[int]] = {}
-    for j, s in hints.items():
-        w = weight_of.get(s)
-        if w is not None:
-            bases_by_group.setdefault((w, j % w), []).append(j)
-
-    if not bases_by_group:
+        weight_of[s] = next(iter(s), 0)
+    weights = sorted(set(weight_of.values()) - {0})
+    if stats is not None:
+        stats.singleton_calls += 1
+        stats.one_weight_calls += len(weights) == 1
+    if not weights:
         return trivial_solution(inst)
 
-    big = _value_spread(inst)
+    keys = np.fromiter(q, np.int64, len(q))
+    weight_at = np.fromiter(map(weight_of.__getitem__, hints.values()), np.int64, len(q))
+    magnitude = max(-min(q.values()), max(q.values())) + max(
+        abs(p) for w in weights for p in inst.fns[w].prefix
+    )
+    if magnitude < -_SENTINEL >> 1:
+        cells, bottom = np.fromiter(q.values(), np.int64, len(q)), _SENTINEL
+    else:
+        cells, bottom = np.array(list(q.values()), dtype=object), BOTTOM
+    evals = aps = 0
+    winners = []  # per weight: (w, prefix, rows, bases, x, values)
+    for w in weights:
+        prefix = inst.fns[w].prefix
+        if len(prefix) == 1:  # takes no item
+            continue
+        mine = weight_at == w
+        bases, values = keys[mine], cells[mine]
+        if len(prefix) - 1 <= _SCAN_CAP:
+            rows, at, x, val, n = _row_winners(bases, values, prefix, w, L, bottom)
+        else:
+            big = _value_spread(inst)
+            rows, at, x, val, n = _smawk_winners(bases, values, q, prefix, w, L, big)
+        evals += n
+        aps += int(np.count_nonzero(np.bincount(at)))  # bases that win a row
+        winners.append((w, prefix, rows, bases[at], x, val))
+
+    if len(weights) > 1:
+        r, z, xs, inserts = _merge_progressions(q, winners)
+    elif winners:
+        ((w, _, rows, bases, x, val),) = winners
+        r, z, xs = _apply_winners(q, keys, cells, w, rows, bases, x, val)
+        inserts = rows.size
+    else:
+        r, z, xs, inserts = q, {}, {}, 0
+    if stats is not None:
+        stats.matrix_evals += evals
+        stats.ap_count += aps
+        stats.bucket_inserts += inserts
+    if len(r) > len(q):  # new entries went in after the old ones
+        r = dict(sorted(r.items()))
+    return HintedExtendSolution(L, r, z, xs)
+
+
+def _apply_winners(q, keys, cells, w, rows, bases, x, values):
+    """(r, z, x) with every winner applied where it strictly beats q, at once."""
+    at = np.searchsorted(keys, rows).clip(max=keys.size - 1)
+    held = keys[at] == rows
+    better = ~held
+    np.greater(values, cells[at], out=better, where=held)
+    rows = rows[better].tolist()
+    # the input table is shared, never written: the winners go into a copy
+    r = dict(q)
+    r.update(zip(rows, values[better].tolist()))
+    # multiplicity maps are never mutated, so one per x serves every entry
+    maps = [{w: k} for k in range(int(x.max(initial=0)) + 1)]
+    xs = dict(zip(rows, map(maps.__getitem__, x[better].tolist())))
+    return r, dict(zip(rows, bases[better].tolist())), xs
+
+
+def _merge_progressions(q, winners):
+    """(r, z, x, bucket inserts) of the bucket scan over the winners' progressions."""
     # index -> progressions parked there; ``pending`` heaps the occupied indices
     buckets: dict[int, list] = {}
-    evals = aps = 0
-
-    for (w, c), cols in sorted(bases_by_group.items()):
-        prefix = inst.fns[w].prefix
-        cap = len(prefix) - 1
-        # no live row: every base's first extension lies past L
-        if not cap or cols[0] + w > L:
-            continue
-        if cap <= _SCAN_CAP:
-            ranges, n = _scan_ranges(cols, q, prefix, w, L)
-        else:
-            ranges, n = _smawk_ranges(cols, q, prefix, w, L, big)
-        evals += n
-        aps += len(ranges)
-        for j, x_lo, x_hi in ranges:
+    # a bucket's first progression wins its ties: weights go in ascending
+    for w, prefix, rows, bases, x, _ in winners:
+        # a base's winning rows ascend in x without a gap: one progression
+        first: dict = {}  # base -> [its first row, x_lo, x_hi]
+        for i, j, k in zip(rows.tolist(), bases.tolist(), x.tolist()):
+            if j in first:
+                first[j][2] = k
+            else:
+                first[j] = [i, k, k]
+        for j, (i, x_lo, x_hi) in first.items():
             # a progression: [base, weight, next x, last x, q at base, prefix]
-            buckets.setdefault(j + x_lo * w, []).append([j, w, x_lo, x_hi, q[j], prefix])
-    inserts = aps
+            buckets.setdefault(i, []).append([j, w, x_lo, x_hi, q[j], prefix])
+    inserts = sum(map(len, buckets.values()))
 
     # the input table is shared, never written: the scan fills a copy
     r = dict(q)
@@ -352,7 +450,7 @@ def solve_singleton(
             r[i] = best_val
             z[i] = best[0]
             xs[i] = {best[1]: best[2]}
-        # only the winning progression moves on; losers stay parked
+        # only the winning progression moves on; the losers are dropped
         if best[2] < best[3]:
             best[2] += 1
             nxt = i + best[1]
@@ -361,13 +459,7 @@ def solve_singleton(
                 heapq.heappush(pending, nxt)
             buckets[nxt].append(best)
             inserts += 1
-    if stats is not None:
-        stats.matrix_evals += evals
-        stats.ap_count += aps
-        stats.bucket_inserts += inserts
-    if len(r) > len(q):  # new entries went in after the old ones
-        r = dict(sorted(r.items()))
-    return HintedExtendSolution(L, r, z, xs)
+    return r, z, xs, inserts
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +543,15 @@ def entrywise_max_solutions(
 
 
 def _coloring_sets(inst: HintedExtendInstance) -> list:
-    """One set per table index: the hint sets in index order, then empty sets.
+    """The nonempty hint sets, in index order, for the colorings.
 
-    The colorings' parameters depend on the number of sets m (the set
-    balancing's t and lambda, the rounds cap of the isolating colorings),
-    and the analysis colors one set per index of the 2L + 1, a bottom entry
-    holding the empty set.  An empty set changes nothing else, so the
-    padding goes at the end.
+    The analysis colors one set per index of the 2L + 1, a bottom entry or
+    an entry with no hint holding the empty set, and the colorings'
+    parameters depend on that count m (the set balancing's t and lambda,
+    the rounds cap of the isolating colorings).  An empty set changes
+    nothing else, so the callers pass m = ``inst.size`` on its own.
     """
-    sets = list(inst.hints.values())
-    sets.extend(repeat(frozenset(), inst.size - len(sets)))
-    return sets
+    return [s for s in inst.hints.values() if s]
 
 
 def _color_classes(universe, coloring) -> list[list[int]]:
@@ -499,7 +589,7 @@ def solve_small_b(
         raise ValueError("hint set exceeds the declared budget")
     if largest <= 1:
         return solve_singleton(inst, stats)
-    colorings = det_isolating_colorings(_coloring_sets(inst), budget)
+    colorings = det_isolating_colorings(_coloring_sets(inst), budget, inst.size)
     # entries with equal hint sets share an owner
     owner_of = {
         s: next((idx for idx, c in enumerate(colorings) if is_isolated(s, c)), None)
@@ -539,7 +629,7 @@ def solve(
     if budget <= max(1, 2 * log_m):
         return solve_small_b(inst, budget, stats)
     num_colors = math.ceil(budget / log_m)
-    coloring = det_balls_and_bins(_coloring_sets(inst), num_colors)
+    coloring = det_balls_and_bins(_coloring_sets(inst), num_colors, m=inst.size)
     ordered = _color_classes(inst.universe, coloring)
     inner_budget = 1
     for s in set(inst.hints.values()):

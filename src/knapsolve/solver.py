@@ -471,9 +471,13 @@ def first_stage_hinted(
     hint set exceeds the next budget are deleted.  The table is a dict of
     finite entries keyed by index, so it grows with the phase half-size
     without moving; the remove side is solved on the table mirrored to
-    index -i.  The finished table is returned as a fold engine over the
-    perturbed profits, for stage two.  ``config`` is not read; it stays in
-    the signature because callers pass the arguments positionally.
+    index -i.  The phases stop at the first one where every hint set of
+    both sides is empty: each later phase would extend nothing and keep
+    every entry with empty hint sets, so the table is final.  The finished
+    table is returned as a fold engine over the perturbed profits, at the
+    last phase's half-size, for stage two; that size is the peak the stats
+    record.  ``config`` is not read; it stays in the signature because
+    callers pass the arguments positionally.
     """
     profits = primed.profits.tolist()
     universe = tuple(sorted(inner_weights))
@@ -486,6 +490,8 @@ def first_stage_hinted(
 
     ext_stats = stats.extend if stats is not None else None
     for phase in range(1, schedule.phase_count + 1):
+        if not any(hints[+1].values()) and not any(hints[-1].values()):
+            break
         half = schedule.table_half_sizes[phase]
         for direction in (+1, -1):
             groups = {w: rank_part.group(direction, phase, w) for w in universe}
@@ -529,9 +535,10 @@ def first_stage_hinted(
                 new_hints[direction][i] = hint
                 new_hints[-direction][i] = passthrough[direction * base_of(j, j)]
             q, hints = new_q, new_hints
-            if stats is not None:
-                stats.note_table(2 * half + 1)
 
+    half = schedule.table_half_sizes[schedule.phase_count]
+    if stats is not None:
+        stats.note_table(2 * half + 1)
     eng = _DenseFold(half, cell_dtype(sum(profits)), stats)
     eng.arr[half] = eng.sentinel
     slots = [i + half for i in q]

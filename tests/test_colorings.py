@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -237,3 +238,88 @@ def test_isolating_only_empty_and_singleton_sets():
     sets = [frozenset()] * 1000 + [frozenset({5})] * 1000 + [frozenset({2})]
     got = det_isolating_colorings(sets, 3)
     assert got == per_set_isolating_colorings(sets, 3) == [{2: 0, 5: 0}]
+
+
+def outcome(f, *args, **kwargs):
+    """``f``'s result, or the type of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (ColoringError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_padding_changes_nothing(sets, size_bound, num_colors):
+    # each coloring of the full list equals the coloring of its nonempty
+    # sets, in order, with m counting every set
+    m = len(sets)
+    nonempty = [s for s in sets if s]
+    assert det_set_balancing(nonempty, m) == det_set_balancing(sets)
+    assert outcome(det_balls_and_bins, nonempty, num_colors, m=m) == outcome(
+        det_balls_and_bins, sets, num_colors
+    )
+    assert det_isolating_colorings(nonempty, size_bound, m) == det_isolating_colorings(
+        sets, size_bound
+    )
+
+
+def test_colorings_ignore_empty_sets_given_m():
+    rng = random.Random(2512)
+    for _ in range(60):
+        universe = list(range(rng.randint(1, 40)))
+        b = rng.randint(1, min(6, len(universe)))
+        sets = [
+            frozenset(rng.sample(universe, rng.randint(1, b)))
+            for _ in range(rng.randint(1, 60))
+        ]
+        for _ in range(rng.randint(0, 200)):  # empty sets among them
+            sets.insert(rng.randint(0, len(sets)), frozenset())
+        assert_padding_changes_nothing(sets, b, rng.randint(1, 8))
+
+
+def test_colorings_ignore_empty_sets_among_two_repeated_sets():
+    # copies of two sets tie the set balancing's gain sums up to rounding,
+    # so any change to the summing order would show
+    rng = random.Random(2513)
+    for _ in range(30):
+        universe = list(range(rng.randint(4, 24)))
+        pair = [frozenset(rng.sample(universe, rng.randint(2, 4))) for _ in range(2)]
+        sets = [pair[0]] * rng.randint(1, 1500) + [pair[1]] * rng.randint(1, 1500)
+        sets += [frozenset()] * rng.randint(0, 3000)
+        rng.shuffle(sets)
+        assert_padding_changes_nothing(sets, 4, rng.choice((2, 3, 4)))
+
+
+def test_colorings_of_stage_one_tables_ignore_their_padding(monkeypatch):
+    # the tables stage one hands the hint-set solver, padded to 2L + 1 sets
+    # the way the analysis colors them, against _coloring_sets with m = 2L + 1
+    from knapsolve import SolverConfig, generate_instance, hinted, solve_fast
+
+    tables = []
+    real = hinted.solve
+
+    def solve(inst, budget, stats):
+        tables.append((inst, budget))
+        return real(inst, budget, stats)
+
+    monkeypatch.setattr(hinted, "solve", solve)
+    solve_fast(*generate_instance(96, 24, 32, 0.5, 1, "uniform"), SolverConfig(engine="hinted"))
+    checked = Counter()
+    for inst, budget in tables:
+        sets = hinted._coloring_sets(inst)
+        if not sets:
+            continue
+        padded = list(inst.hints.values()) + [frozenset()] * (inst.size - len(inst.hints))
+        assert sets == [s for s in padded if s]
+        largest = max(map(len, sets))
+        assert det_isolating_colorings(sets, largest, inst.size) == det_isolating_colorings(
+            padded, largest
+        )
+        log_m = math.log2(4 * inst.half_size + 2)
+        if budget > max(1, 2 * log_m):  # the balls-and-bins split
+            num_colors = math.ceil(budget / log_m)
+            assert det_balls_and_bins(sets, num_colors, m=inst.size) == det_balls_and_bins(
+                padded, num_colors
+            )
+            checked["balls and bins"] += 1
+        checked["isolating"] += 1
+    assert checked["balls and bins"] >= 1 and checked["isolating"] >= 4, checked

@@ -7,18 +7,22 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from knapsolve import SolverConfig, Stats, generate_instance, solve_bellman, solve_fast
 from knapsolve.core import BOTTOM, is_bottom
+from knapsolve import hinted
 from knapsolve.hinted import (
     _SCAN_CAP,
+    _SENTINEL,
     ConcaveProfitFn,
     ExtendStats,
     HintedExtendInstance,
     HintedExtendSolution,
-    _scan_ranges,
+    _row_winners,
     _smawk_ranges,
+    _value_spread,
     apply_update,
     compose,
     entrywise_max_solutions,
@@ -219,6 +223,17 @@ def test_singleton_progression_bound():
         assert st.bucket_inserts <= st.ap_count + inst.size
 
 
+def scan_ranges(cols, q, prefix, w, L):
+    """``_row_winners`` on one group, read as ``_smawk_ranges`` gives them."""
+    bases = np.array(cols, np.int64)
+    values = np.array([q[j] for j in cols], np.int64)
+    _, at, x, _, evals = _row_winners(bases, values, prefix, w, L, _SENTINEL)
+    won: dict = {}
+    for j, k in zip(bases[at].tolist(), x.tolist()):
+        won.setdefault(j, [k, k])[1] = k
+    return [(j, *won[j]) for j in cols if j in won], evals
+
+
 def test_short_groups_scan_gives_the_smawk_ranges():
     # a group whose profit function takes at most _SCAN_CAP items skips
     # SMAWK; the direct scan must give every base the same x-range as the
@@ -240,7 +255,7 @@ def test_short_groups_scan_gives_the_smawk_ranges():
         if not cols or cols[0] + w > L:
             continue  # no live row: solve_singleton skips the group
         big = max(q.values()) - min(q.values()) + max(prefix) - min(prefix) + 1
-        scan, evals = _scan_ranges(cols, q, prefix, w, L)
+        scan, evals = scan_ranges(cols, q, prefix, w, L)
         assert scan == _smawk_ranges(cols, q, prefix, w, L, big)[0]
         # the row winners, tallied to show which cases the seeds reached
         live = sorted({j + x * w for j in cols for x in range(1, cap + 1)})
@@ -259,6 +274,175 @@ def test_short_groups_scan_gives_the_smawk_ranges():
         seen["gaps"] += any(b - a > w for a, b in zip(cols, cols[1:]))
         seen["cap %d" % cap] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def reference_scan_ranges(cols, q, prefix, w, L):
+    """Each base's winning x-range in one group, by a scan of every live row."""
+    cap = len(prefix) - 1
+    qv = {j: q[j] for j in cols}
+    won: dict = {}
+    evals = 0
+    for i in sorted({j + x * w for j in cols for x in range(1, cap + 1)}):
+        if i > L:
+            break
+        row = [(qv[i - y * w] + prefix[y], y) for y in range(cap, -1, -1) if i - y * w in qv]
+        evals += len(row)
+        top = max(v for v, _ in row)
+        y = next(y for v, y in row if v == top)  # the leftmost maximum
+        if y:
+            won.setdefault(i - y * w, [y, y])[1] = y
+    return [(j, *won[j]) for j in cols if j in won], evals
+
+
+def reference_singleton(inst):
+    """``solve_singleton`` as a progression-heap scan over every table.
+
+    Each (weight, residue) group's ranges become progressions, appended in
+    group order; a left-to-right bucket scan applies each index's best
+    progression where it strictly improves and advances only that one.
+    Returns the solution, (matrix_evals, ap_count, bucket_inserts) and the
+    number of bucket cells where progressions met.
+    """
+    L, q = inst.half_size, inst.q
+    groups: dict = {}
+    for j, s in inst.hints.items():
+        for w in s:
+            groups.setdefault((w, j % w), []).append(j)
+    buckets: dict = {}
+    evals = aps = met = 0
+    for (w, _), cols in sorted(groups.items()):
+        prefix = inst.fns[w].prefix
+        cap = len(prefix) - 1
+        if not cap or cols[0] + w > L:
+            continue
+        if cap <= _SCAN_CAP:
+            ranges, n = reference_scan_ranges(cols, q, prefix, w, L)
+        else:
+            ranges, n = _smawk_ranges(cols, q, prefix, w, L, _value_spread(inst))
+        evals += n
+        aps += len(ranges)
+        for j, x_lo, x_hi in ranges:
+            buckets.setdefault(j + x_lo * w, []).append([j, w, x_lo, x_hi, prefix])
+    inserts = aps
+    r, z, xs = dict(q), {}, {}
+    while buckets:
+        i = min(buckets)
+        cell = buckets.pop(i)
+        met += len(cell) > 1
+        best, best_val = None, BOTTOM
+        for ap in cell:
+            val = q[ap[0]] + ap[4][ap[2]]
+            if val > best_val:
+                best, best_val = ap, val
+        if best_val > r.get(i, BOTTOM):
+            r[i], z[i], xs[i] = best_val, best[0], {best[1]: best[2]}
+        if best[2] < best[3]:
+            best[2] += 1
+            buckets.setdefault(i + best[1], []).append(best)
+            inserts += 1
+    r = dict(sorted(r.items()))
+    return HintedExtendSolution(L, r, z, xs), (evals, aps, inserts), met
+
+
+def one_weight_table(rng, w, cap, offset):
+    """A seeded table whose hint sets name w or nothing, values shifted by offset."""
+    L = rng.randint(1, 24)
+    spread = rng.choice((1, 3, 40))  # a narrow spread makes ties
+    incs = sorted((rng.randint(-spread, spread) for _ in range(cap)), reverse=True)
+    fns = {w: ConcaveProfitFn(itertools.accumulate(incs, initial=0))}
+    if rng.random() < 0.3:  # a weight that no entry may take
+        fns[w + 1] = ConcaveProfitFn([0, 5])
+    density = rng.choice((0.2, 0.6, 1.0))
+    entries = {
+        i: (offset + rng.randint(-spread, spread), {w} if rng.random() < 0.7 else set())
+        for i in range(-L, L + 1)
+        if rng.random() < density
+    }
+    return build(L, entries or {0: (offset, {w})}, fns)
+
+
+def test_one_weight_pass_matches_the_heap_scan():
+    # when every hint set names one weight the winners are applied in one
+    # pass; the heap scan must agree on values, key order, witnesses and
+    # every counter, at each profit-function length and past int64
+    rng = random.Random(2510)
+    seen = Counter()
+    for k in range(900):
+        w = rng.randint(1, 5)
+        cap = (1, 2, rng.randint(3, 5))[k % 3]
+        offset = rng.choice((0, 0, 1 << 70, -(1 << 64)))
+        inst = one_weight_table(rng, w, cap, offset)
+        st = ExtendStats()
+        sol = solve_singleton(inst, st)
+        want, counters, met = reference_singleton(inst)
+        assert list(sol.r.items()) == list(want.r.items())
+        assert (sol.z, sol.x) == (want.z, want.x)
+        assert (st.matrix_evals, st.ap_count, st.bucket_inserts) == counters
+        hinted_bases = [j for j, s in inst.hints.items() if s]
+        assert (st.singleton_calls, st.one_weight_calls) == (1, int(bool(hinted_bases)))
+        assert met == 0
+        # the cases the seeds reached
+        seen["cap %s" % ("> 2" if cap > 2 else cap)] += 1
+        seen["past int64"] += abs(offset) > 1 << 63
+        seen["no hint"] += len(hinted_bases) < len(inst.q)
+        seen["sparse bases"] += any(b - a > w for a, b in zip(hinted_bases, hinted_bases[1:]))
+        seen["rows past L"] += any(j + cap * w > inst.half_size for j in hinted_bases)
+        prefix = inst.fns[w].prefix
+        for i in range(-inst.half_size, inst.half_size + 1):
+            row = [
+                (inst.q[i - y * w] + prefix[y], y) for y in range(cap, -1, -1)
+                if inst.hints.get(i - y * w)
+            ]
+            if len(row) > 1:
+                top = max(v for v, _ in row)
+                seen["tied rows"] += sum(v == top for v, _ in row) > 1
+                seen["wins its own row"] += next(y for v, y in row if v == top) == 0
+    assert min(seen.values()) >= 30, seen
+
+
+def test_tables_of_several_weights_keep_the_heap(monkeypatch):
+    # winners of different weights meet on a row, so the bucket scan
+    # decides; it must agree with the reference, and the one-weight
+    # tables must not reach it
+    merges = []
+    real = hinted._merge_progressions
+    monkeypatch.setattr(
+        hinted, "_merge_progressions", lambda *a: merges.append(1) or real(*a)
+    )
+    fns = {1: ConcaveProfitFn([0, 3, 5, 6]), 2: ConcaveProfitFn([0, 7, 9])}
+    inst = build(8, {0: (0, {1}), 1: (0, {2}), 2: (1, set())}, fns)
+    st = ExtendStats()
+    sol = solve_singleton(inst, st)
+    want, counters, met = reference_singleton(inst)
+    assert met > 0 and merges == [1]
+    assert list(sol.r.items()) == list(want.r.items())
+    assert (sol.z, sol.x) == (want.z, want.x)
+    assert (st.matrix_evals, st.ap_count, st.bucket_inserts) == counters
+    assert (st.singleton_calls, st.one_weight_calls) == (1, 0)
+    # random tables of one or two weights, both paths
+    rng = random.Random(2511)
+    kinds = Counter()
+    for _ in range(300):
+        inst = random_instance(rng, max_half=8, max_universe=3, max_hint=1, max_cap=4)
+        del merges[:]
+        sol = solve_singleton(inst)
+        want, _, _ = reference_singleton(inst)
+        assert list(sol.r.items()) == list(want.r.items())
+        assert (sol.z, sol.x) == (want.z, want.x)
+        several = len({w for s in inst.hints.values() for w in s}) > 1
+        assert len(merges) == several
+        kinds[several] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+@pytest.mark.parametrize("p_max", [2**50, 2**62], ids=["2^50", "2^62"])
+def test_hinted_is_exact_when_perturbed_values_pass_int64(p_max):
+    # tie-breaking perturbs the profits past int64 here: the one-weight
+    # pass must hold its cells as Python ints, not wrap or overflow
+    items, capacity = generate_instance(32, 8, p_max, 0.5, 1, "uniform")
+    assert solve_fast(items, capacity, SolverConfig(engine="hinted")) == solve_bellman(
+        items, capacity
+    )
 
 
 def test_singleton_row_band_keeps_output_and_cuts_evals():
@@ -349,6 +533,23 @@ def test_oracles_benchmark_hinted_calls_are_pinned():
                 (answer, ext.matrix_evals, ext.ap_count, ext.bucket_inserts, stats.peak_table_cells)
             )
     assert got == [(1702, 62881, 11634, 12584, 20097), (2022, 16801, 2023, 5978, 20097)]
+
+
+def test_oracles_hinted_calls_take_the_one_weight_pass():
+    # the isolating colorings give each weight its own class, so nearly
+    # every solve_singleton call of the `oracles` seed-1 hinted calls sees
+    # one weight; stage one stops once every hint set is empty
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    calls, _ = workloads.build("oracles", 1)
+    got = []
+    for call in calls:
+        if call.spec.kind == "hinted":
+            stats = Stats()
+            solve_fast(call.items, call.capacity, SolverConfig(engine="hinted"), stats)
+            got.append((stats.extend.one_weight_calls, stats.extend.singleton_calls))
+    assert got == [(80, 81), (29, 29)]
 
 
 def test_small_b_budget_one_agrees_with_singleton():
