@@ -18,21 +18,26 @@ every maximizer of i keeps its support inside S[z] for its base z; they are
 always feasible, support-disciplined, and never below the trivial value
 q[i].  ``relaxed_check`` verifies exactly this contract by enumeration.
 
-Tables are sparse.  An instance holds its finite entries only, as dicts
-keyed by the signed index i: ``q`` maps i to its value and ``hints`` maps
-the same keys to frozensets of weights.  A solution's ``r`` holds its
-finite values the same way, and ``z`` and ``x`` hold the base and the
-multiplicities only of the entries that extend a base.  Absent keys read
+Tables are sparse.  An instance holds its finite entries only, as arrays
+in ascending index order: ``keys`` the signed indices i, ``values`` their
+values (int64 while every magnitude stays under 2^61, Python ints in an
+object array past that), and ``codes`` one small int per entry into
+``sets``, the tuple of the table's distinct hint sets, each held by some
+entry.  A solution holds its finite entries the same way: ``keys``,
+``values``, ``bases`` (an entry that extends nothing is its own base) and
+``codes`` into ``maps``, its tuple of multiplicity maps.  Absent keys read
 as bottom, no hint set, base i and no items.  Keys ascend: the SMAWK
 columns and the colorings' inputs follow index order.  A built table is
-never mutated, so the algebra shares dicts and sets between tables
-instead of copying them, and ``solve_singleton`` copies ``q`` before its
-scan writes to it.  Each call works once per distinct hint set, grouping
-entries by set equality, so equal sets held as distinct objects give the
-same result as one shared object.  The colorings' parameters depend on
-the count m = 2L + 1 of sets the analysis colors, one per index, but an
-empty set changes nothing else: they get the nonempty hint sets in index
-order, with m passed on its own (``_coloring_sets``).
+never mutated, so the algebra shares arrays, sets and maps between tables
+instead of copying them.  Each step of the algebra (``restrict``,
+``apply_update``, ``compose``, ``entrywise_max_solutions``) works once per
+distinct hint set or map and moves the entries with numpy gathers, so its
+Python work is O(distinct sets + distinct maps); equal sets held as distinct
+objects are merged into one code when a table is made, and give the same
+result as one shared object.  The colorings' parameters depend on the
+count m = 2L + 1 of sets the analysis colors, one per index, but an empty
+set changes nothing else: they get the nonempty hint sets in index order,
+with m passed on its own (``_coloring_sets``).
 """
 
 from __future__ import annotations
@@ -101,31 +106,79 @@ class ExtendStats:
     one_weight_calls: int = 0
 
 
+# Values stay int64 while every magnitude, plus the profits added to it,
+# stays under half the int64 bottom sentinel's; past that they are Python ints.
+_SENTINEL = -(1 << 62)
+_VALUE_CAP = -_SENTINEL >> 1
+
+
+def _cells(values: np.ndarray, extra: int = 0) -> np.ndarray:
+    """``values`` as int64 while |value| + ``extra`` stays under ``_VALUE_CAP``, else as ints."""
+    fits = not values.size or max(-int(values.min()), int(values.max())) + extra < _VALUE_CAP
+    return values.astype(np.int64 if fits else object, copy=False)
+
+
+def _distinct(sets, codes: np.ndarray):
+    """(``sets`` made distinct and each held by a code, ``codes`` remapped to them).
+
+    An unheld set is dropped.  Codes that already point at distinct held
+    sets come back unchanged.
+    """
+    held = np.bincount(codes, minlength=len(sets)).astype(bool).tolist()
+    first: dict = {}
+    remap = [first.setdefault(s, len(first)) if h else -1 for s, h in zip(sets, held)]
+    if len(first) == len(sets):
+        return tuple(sets), codes
+    return tuple(first), np.array(remap, np.intp)[codes]
+
+
+def _position(keys: np.ndarray, index: int):
+    """The position of ``index`` in the ascending ``keys``, or None."""
+    k = int(np.searchsorted(keys, index))
+    return k if k < keys.size and keys[k] == index else None
+
+
 @dataclass
 class HintedExtendInstance:
     """A table over [-half_size, half_size]: its finite entries and hint sets.
 
-    ``q`` maps index to value and ``hints`` maps the same indices, in the
-    same ascending order, to the frozenset of weights each entry may still
-    extend with.  ``universe`` is the sorted weights ``fns`` covers.
+    ``keys`` (int64, ascending) and ``values`` hold the finite entries;
+    entry k may still extend with the weights of ``sets[codes[k]]``, a
+    frozenset.  ``sets`` holds each distinct hint set once, and every one
+    of them is some entry's.  ``universe`` is the sorted weights ``fns``
+    covers.
     """
 
     half_size: int
     universe: tuple
-    q: dict
-    hints: dict
+    keys: np.ndarray
+    values: np.ndarray
+    sets: tuple
+    codes: np.ndarray
     fns: dict
 
     @classmethod
     def build(cls, half_size, entries, fns):
         """Construct from ``{index: (value, hint set)}``, in any key order."""
-        q, hints = {}, {}
-        for i in sorted(entries):
-            q[i], hint = entries[i]
-            hints[i] = frozenset(hint)
-        inst = cls(half_size, tuple(sorted(fns)), q, hints, dict(fns))
+        keys = sorted(entries)
+        values = [entries[i][0] for i in keys]
+        if not all(type(i) is int for i in keys):
+            raise ValueError("table indices must be integers")
+        if not all(type(v) is int for v in values):
+            raise ValueError("the table holds finite integer entries only")
+        inst = cls.from_arrays(
+            half_size, tuple(sorted(fns)), np.array(keys, np.int64),
+            _cells(np.array(values, dtype=object)),
+            [frozenset(entries[i][1]) for i in keys], np.arange(len(keys)), dict(fns),
+        )
         inst.validate()
         return inst
+
+    @classmethod
+    def from_arrays(cls, half_size, universe, keys, values, sets, codes, fns):
+        """Entry k holds ``sets[codes[k]]``; equal sets merge and unheld ones drop."""
+        sets, codes = _distinct(sets, codes)
+        return cls(half_size, universe, keys, values, sets, codes, fns)
 
     @property
     def size(self) -> int:
@@ -135,7 +188,18 @@ class HintedExtendInstance:
         return range(-self.half_size, self.half_size + 1)
 
     def q_at(self, index: int):
-        return self.q.get(index, BOTTOM)
+        k = _position(self.keys, index)
+        return BOTTOM if k is None else int(self.values[k])
+
+    def hint_at(self, index: int):
+        """The hint set of entry ``index``, or None for a bottom entry."""
+        k = _position(self.keys, index)
+        return None if k is None else self.sets[self.codes[k]]
+
+    def entries(self) -> dict:
+        """``{index: (value, hint set)}``, ascending: what ``build`` takes."""
+        hints = map(self.sets.__getitem__, self.codes.tolist())
+        return dict(zip(self.keys.tolist(), zip(self.values.tolist(), hints)))
 
     def validate(self) -> None:
         uni = set(self.universe)
@@ -145,52 +209,88 @@ class HintedExtendInstance:
             raise ValueError("weights must be positive integers")
         if not all(type(p) is int for fn in self.fns.values() for p in fn.prefix):
             raise ValueError("profit prefixes must be integers")
-        keys = list(self.q)
-        if keys != list(self.hints):
+        keys, values, codes = self.keys, self.values, self.codes
+        if keys.dtype != np.int64 or keys.ndim != 1:
+            raise ValueError("table indices must be an int64 vector")
+        if values.shape != keys.shape or codes.shape != keys.shape:
             raise ValueError("hint sets must exist exactly on finite entries")
-        if keys and (keys[0] < -self.half_size or keys[-1] > self.half_size):
+        if keys.size and (keys[0] < -self.half_size or keys[-1] > self.half_size):
             raise ValueError("table index outside [-half_size, half_size]")
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("table indices must ascend")
-        if not all(type(v) is int for v in self.q.values()):
+        if values.dtype != np.int64 and not (
+            values.dtype == object and all(type(v) is int for v in values)
+        ):
             raise ValueError("the table holds finite integer entries only")
-        if not all(isinstance(s, frozenset) for s in self.hints.values()):
+        if not all(isinstance(s, frozenset) for s in self.sets):
             raise ValueError("hint sets must be frozensets")
-        for s in set(self.hints.values()):
+        if len(set(self.sets)) < len(self.sets):
+            raise ValueError("hint sets must be distinct")
+        if codes.dtype.kind != "i" or (
+            codes.size and (codes.min() < 0 or codes.max() >= len(self.sets))
+        ):
+            raise ValueError("hint codes must point into the hint sets")
+        if not np.bincount(codes, minlength=len(self.sets)).all():
+            raise ValueError("every hint set must be some entry's")
+        for s in self.sets:
             if not s <= uni:
                 raise ValueError("hint sets must stay inside the universe")
 
 
 @dataclass
 class HintedExtendSolution:
-    """Extended values ``r`` (finite entries, ascending) and their witnesses.
+    """Extended values (finite entries, ascending ``keys``) and their witnesses.
 
-    ``z`` and ``x`` map each entry that extends a base to that base and to
-    its multiplicities; every other entry is its own base and adds nothing.
+    Entry k extends base ``bases[k]`` by the multiplicities
+    ``maps[codes[k]]``; an entry that extends nothing is its own base and
+    adds ``NO_ITEMS``.
     """
 
     half_size: int
-    r: dict
-    z: dict
-    x: dict
+    keys: np.ndarray
+    values: np.ndarray
+    bases: np.ndarray
+    maps: tuple
+    codes: np.ndarray
+
+    @classmethod
+    def build(cls, half_size, entries):
+        """Construct from ``{index: (value, base, multiplicities)}``, in any key order."""
+        keys = sorted(entries)
+        values, bases, maps = zip(*map(entries.__getitem__, keys)) if keys else ((), (), ())
+        return cls(
+            half_size, np.array(keys, np.int64), _cells(np.array(values, dtype=object)),
+            np.array(bases, np.int64), maps, np.arange(len(keys)),
+        )
+
+    def entries(self) -> dict:
+        """``{index: (value, base, multiplicities)}``, ascending: what ``build`` takes."""
+        maps = map(self.maps.__getitem__, self.codes.tolist())
+        return dict(zip(self.keys.tolist(), zip(self.values.tolist(), self.bases.tolist(), maps)))
 
     def value(self, index: int):
-        return self.r.get(index, BOTTOM)
+        k = _position(self.keys, index)
+        return BOTTOM if k is None else int(self.values[k])
 
     def base(self, index: int) -> int:
-        return self.z.get(index, index)
+        k = _position(self.keys, index)
+        return index if k is None else int(self.bases[k])
 
     def mult(self, index: int):
-        return self.x.get(index, NO_ITEMS)
+        k = _position(self.keys, index)
+        return NO_ITEMS if k is None else self.maps[self.codes[k]]
 
 
 def trivial_solution(inst: HintedExtendInstance) -> HintedExtendSolution:
-    return HintedExtendSolution(inst.half_size, inst.q, {}, {})
+    return HintedExtendSolution(
+        inst.half_size, inst.keys, inst.values, inst.keys, (NO_ITEMS,),
+        np.zeros(inst.keys.size, np.intp),
+    )
 
 
 def _value_spread(inst: HintedExtendInstance) -> int:
-    values = inst.q.values()
-    spread = (max(values) - min(values)) if values else 0
+    values = inst.values
+    spread = int(values.max()) - int(values.min()) if values.size else 0
     fn_spread = max((fn.spread() for fn in inst.fns.values()), default=0)
     return spread + fn_spread + 1
 
@@ -200,10 +300,6 @@ def _value_spread(inst: HintedExtendInstance) -> int:
 # _SCAN_CAP + 1 real entries, fewer than SMAWK spends on its continuation
 # padding.
 _SCAN_CAP = 2
-
-# Bottom of an int64 cell; cells stay int64 only while every value plus
-# prefix stays under half its magnitude, and are Python ints otherwise.
-_SENTINEL = -(1 << 62)
 
 
 def _smawk_ranges(cols, q, prefix, w, L, big):
@@ -285,10 +381,11 @@ def _row_winners(bases, values, prefix, w, L, bottom):
     return rows[ext], best_at[ext], best_x[ext], best[ext], evals
 
 
-def _smawk_winners(bases, values, q, prefix, w, L, big):
+def _smawk_winners(bases, values, prefix, w, L, big):
     """``_row_winners`` for a long profit function: one SMAWK pass per residue."""
+    q = dict(zip(bases.tolist(), values.tolist()))
     cols_of: dict = {}
-    for j in bases.tolist():
+    for j in q:
         cols_of.setdefault(j % w, []).append(j)
     ranges, evals = [], 0
     for cols in cols_of.values():
@@ -297,7 +394,7 @@ def _smawk_winners(bases, values, q, prefix, w, L, big):
             ranges += got
             evals += n
     # each range (base, x_lo, x_hi) expands to its rows, x ascending
-    col_at = {j: k for k, j in enumerate(bases.tolist())}
+    col_at = {j: k for k, j in enumerate(q)}
     at = np.array([col_at[j] for j, _, _ in ranges], np.int64)
     x_lo = np.array([lo for _, lo, _ in ranges], np.int64)
     counts = np.array([hi + 1 for _, _, hi in ranges], np.int64) - x_lo
@@ -324,47 +421,39 @@ def solve_singleton(
     shorter one from a direct scan of each row's few real entries, every
     residue at once (``_row_winners``), which finds the same winners.
 
-    Two paths apply the winners.  When every hint set names the same weight
-    w, each (w, residue) group covers the rows of its own residue, and the
-    rows a group's bases win are disjoint, since each row has one leftmost
-    maximum.  So no two winners meet on a row, and every winner is applied,
-    in one vectorized pass, exactly where it strictly beats q[i].  When the
-    hint sets name several weights, winners of different weights meet, and
-    each base's winning rows become an arithmetic progression; the
-    progressions, appended in ascending weight order, are merged by one
-    left-to-right bucket scan.  At each index the best progression is
-    applied (strict improvement only) and advanced one step; the losers are
-    dropped, which is the paper's pruning.  Both paths add the same counters
+    Two paths pick each row's winner.  When every hint set names the same
+    weight w, each (w, residue) group covers the rows of its own residue,
+    and the rows a group's bases win are disjoint, since each row has one
+    leftmost maximum.  So no two winners meet on a row, and the row
+    winners are the candidates as they are.  When the hint sets name
+    several weights, winners of different weights meet, and each base's
+    winning rows become an arithmetic progression; the progressions,
+    appended in ascending weight order, are merged by one left-to-right
+    bucket scan, which at each index takes the best progression and
+    advances only that one; the losers are dropped, which is the paper's
+    pruning.  Either way each candidate is applied, in one vectorized pass,
+    exactly where it strictly beats q[i].  Both paths add the same counters
     into ``stats``: ``matrix_evals`` the entries evaluated, ``ap_count`` the
     bases that win a row (one progression each), ``bucket_inserts`` the
     progression steps, which in the one-weight pass are the winning rows.
     """
     L = inst.half_size
-    q = inst.q
-    hints = inst.hints
-    weight_of = {}
-    for s in set(hints.values()):
-        if len(s) > 1:
-            raise ValueError("solve_singleton needs hint sets of size <= 1")
-        weight_of[s] = next(iter(s), 0)
-    weights = sorted(set(weight_of.values()) - {0})
+    if any(len(s) > 1 for s in inst.sets):
+        raise ValueError("solve_singleton needs hint sets of size <= 1")
+    weight_of = [next(iter(s), 0) for s in inst.sets]
+    weights = sorted(set(weight_of) - {0})
     if stats is not None:
         stats.singleton_calls += 1
         stats.one_weight_calls += len(weights) == 1
     if not weights:
         return trivial_solution(inst)
 
-    keys = np.fromiter(q, np.int64, len(q))
-    weight_at = np.fromiter(map(weight_of.__getitem__, hints.values()), np.int64, len(q))
-    magnitude = max(-min(q.values()), max(q.values())) + max(
-        abs(p) for w in weights for p in inst.fns[w].prefix
-    )
-    if magnitude < -_SENTINEL >> 1:
-        cells, bottom = np.fromiter(q.values(), np.int64, len(q)), _SENTINEL
-    else:
-        cells, bottom = np.array(list(q.values()), dtype=object), BOTTOM
+    keys = inst.keys
+    weight_at = np.array(weight_of, np.int64)[inst.codes]
+    cells = _cells(inst.values, max(abs(p) for w in weights for p in inst.fns[w].prefix))
+    bottom = _SENTINEL if cells.dtype == np.int64 else BOTTOM
     evals = aps = 0
-    winners = []  # per weight: (w, prefix, rows, bases, x, values)
+    winners = []  # per weight: (w, prefix, rows, bases, x, values, q at bases)
     for w in weights:
         prefix = inst.fns[w].prefix
         if len(prefix) == 1:  # takes no item
@@ -375,65 +464,78 @@ def solve_singleton(
             rows, at, x, val, n = _row_winners(bases, values, prefix, w, L, bottom)
         else:
             big = _value_spread(inst)
-            rows, at, x, val, n = _smawk_winners(bases, values, q, prefix, w, L, big)
+            rows, at, x, val, n = _smawk_winners(bases, values, prefix, w, L, big)
         evals += n
         aps += int(np.count_nonzero(np.bincount(at)))  # bases that win a row
-        winners.append((w, prefix, rows, bases[at], x, val))
+        winners.append((w, prefix, rows, bases[at], x, val, values[at]))
 
     if len(weights) > 1:
-        r, z, xs, inserts = _merge_progressions(q, winners)
+        rows, bases, codes, maps, val, inserts = _merge_progressions(winners, cells.dtype)
     elif winners:
-        ((w, _, rows, bases, x, val),) = winners
-        r, z, xs = _apply_winners(q, keys, cells, w, rows, bases, x, val)
+        ((w, _, rows, bases, codes, val, _),) = winners
+        # the code of x items of w is x
+        maps = (NO_ITEMS,) + tuple({w: k} for k in range(1, int(codes.max(initial=0)) + 1))
         inserts = rows.size
-    else:
-        r, z, xs, inserts = q, {}, {}, 0
+    else:  # the one hinted weight takes no item
+        return trivial_solution(inst)
     if stats is not None:
         stats.matrix_evals += evals
         stats.ap_count += aps
         stats.bucket_inserts += inserts
-    if len(r) > len(q):  # new entries went in after the old ones
-        r = dict(sorted(r.items()))
-    return HintedExtendSolution(L, r, z, xs)
+    return _apply_winners(inst, cells, rows, bases, codes, maps, val)
 
 
-def _apply_winners(q, keys, cells, w, rows, bases, x, values):
-    """(r, z, x) with every winner applied where it strictly beats q, at once."""
-    at = np.searchsorted(keys, rows).clip(max=keys.size - 1)
-    held = keys[at] == rows
-    better = ~held
-    np.greater(values, cells[at], out=better, where=held)
-    rows = rows[better].tolist()
-    # the input table is shared, never written: the winners go into a copy
-    r = dict(q)
-    r.update(zip(rows, values[better].tolist()))
-    # multiplicity maps are never mutated, so one per x serves every entry
-    maps = [{w: k} for k in range(int(x.max(initial=0)) + 1)]
-    xs = dict(zip(rows, map(maps.__getitem__, x[better].tolist())))
-    return r, dict(zip(rows, bases[better].tolist())), xs
+def _apply_winners(inst, cells, rows, bases, codes, maps, values):
+    """The solution with each candidate applied where it strictly beats q, at once.
+
+    ``rows`` ascend, each once; candidate k extends ``bases[k]`` by
+    ``maps[codes[k]]`` to ``values[k]``.
+    """
+    keys = inst.keys
+    at = np.searchsorted(keys, rows)
+    near = at.clip(max=keys.size - 1)
+    new = keys[near] != rows
+    better = new.copy()
+    np.greater(values, cells[near], out=better, where=~new)
+    # the input arrays are shared, never written: the winners go into copies,
+    # each row after the new rows below it
+    out_keys = np.insert(keys, at[new], rows[new])
+    pos = (at + np.cumsum(new) - new)[better]
+    out_values = np.insert(cells, at[new], values[new])
+    out_values[pos] = values[better]
+    out_bases = out_keys.copy()
+    out_bases[pos] = bases[better]
+    out_codes = np.zeros(out_keys.size, np.intp)
+    out_codes[pos] = codes[better]
+    return HintedExtendSolution(inst.half_size, out_keys, out_values, out_bases, maps, out_codes)
 
 
-def _merge_progressions(q, winners):
-    """(r, z, x, bucket inserts) of the bucket scan over the winners' progressions."""
+def _merge_progressions(winners, dtype):
+    """The bucket scan over the winners' progressions.
+
+    Returns each index the scan reaches, ascending, with its best
+    progression's base, map code, maps and value, and the bucket inserts.
+    """
     # index -> progressions parked there; ``pending`` heaps the occupied indices
     buckets: dict[int, list] = {}
     # a bucket's first progression wins its ties: weights go in ascending
-    for w, prefix, rows, bases, x, _ in winners:
+    for w, prefix, rows, bases, x, _, at_base in winners:
         # a base's winning rows ascend in x without a gap: one progression
-        first: dict = {}  # base -> [its first row, x_lo, x_hi]
-        for i, j, k in zip(rows.tolist(), bases.tolist(), x.tolist()):
+        first: dict = {}  # base -> [its first row, x_lo, x_hi, q at base]
+        for i, j, k, v in zip(rows.tolist(), bases.tolist(), x.tolist(), at_base.tolist()):
             if j in first:
                 first[j][2] = k
             else:
-                first[j] = [i, k, k]
-        for j, (i, x_lo, x_hi) in first.items():
+                first[j] = [i, k, k, v]
+        for j, (i, x_lo, x_hi, v) in first.items():
             # a progression: [base, weight, next x, last x, q at base, prefix]
-            buckets.setdefault(i, []).append([j, w, x_lo, x_hi, q[j], prefix])
+            buckets.setdefault(i, []).append([j, w, x_lo, x_hi, v, prefix])
     inserts = sum(map(len, buckets.values()))
 
-    # the input table is shared, never written: the scan fills a copy
-    r = dict(q)
-    z, xs = {}, {}
+    # each index is reached once, so q there is all a winner must beat
+    out = []
+    code_of = {}
+    maps = [NO_ITEMS]
     pending = list(buckets)
     heapq.heapify(pending)
     while pending:
@@ -446,10 +548,11 @@ def _merge_progressions(q, winners):
             if val > best_val:
                 best_val = val
                 best = ap
-        if best_val > r.get(i, BOTTOM):
-            r[i] = best_val
-            z[i] = best[0]
-            xs[i] = {best[1]: best[2]}
+        key = (best[1], best[2])
+        if key not in code_of:
+            code_of[key] = len(maps)
+            maps.append({best[1]: best[2]})
+        out.append((i, best[0], code_of[key], best_val))
         # only the winning progression moves on; the losers are dropped
         if best[2] < best[3]:
             best[2] += 1
@@ -459,7 +562,11 @@ def _merge_progressions(q, winners):
                 heapq.heappush(pending, nxt)
             buckets[nxt].append(best)
             inserts += 1
-    return r, z, xs, inserts
+    rows, bases, codes, values = zip(*out) if out else ((), (), (), ())
+    return (
+        np.array(rows, np.int64), np.array(bases, np.int64), np.array(codes, np.intp),
+        tuple(maps), np.array(values, dtype), inserts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +576,12 @@ def _merge_progressions(q, winners):
 def restrict(inst: HintedExtendInstance, subset) -> HintedExtendInstance:
     """Keep only the weights in ``subset``: hints and profit fns shrink."""
     vset = frozenset(subset) & set(inst.universe)
-    # one intersection per distinct hint set
-    shrunk = {s: s & vset for s in set(inst.hints.values())}
-    hints = {i: shrunk[s] for i, s in inst.hints.items()}
     fns = {w: fn for w, fn in inst.fns.items() if w in vset}
-    return HintedExtendInstance(inst.half_size, tuple(sorted(vset)), inst.q, hints, fns)
+    # one intersection per distinct hint set; sets that become equal merge
+    return HintedExtendInstance.from_arrays(
+        inst.half_size, tuple(sorted(vset)), inst.keys, inst.values,
+        tuple(s & vset for s in inst.sets), inst.codes, fns,
+    )
 
 
 def apply_update(
@@ -485,21 +593,28 @@ def apply_update(
     weights, so later stages can keep extending without reusing them.
     """
     vset = frozenset(subset)
-    hints = {}
-    # bases share few distinct hint sets: subtract once per set
-    minus: dict = {}
-    base_of, hint_of = sol.z.get, inst.hints.get
-    for i in sol.r:
-        src = hint_of(base_of(i, i))
-        if src is None:
-            raise ValueError("solution base lacks a hint set")
-        s = minus.get(src)
-        if s is None:
-            s = minus[src] = src - vset
-        hints[i] = s
+    at = np.searchsorted(inst.keys, sol.bases)
+    if at.size and (at.max() >= inst.keys.size or np.any(inst.keys[at] != sol.bases)):
+        raise ValueError("solution base lacks a hint set")
     universe = tuple(w for w in inst.universe if w not in vset)
     fns = {w: fn for w, fn in inst.fns.items() if w not in vset}
-    return HintedExtendInstance(inst.half_size, universe, sol.r, hints, fns)
+    # one subtraction per distinct hint set, gathered at each entry's base
+    return HintedExtendInstance.from_arrays(
+        inst.half_size, universe, sol.keys, sol.values,
+        tuple(s - vset for s in inst.sets), inst.codes[at], fns,
+    )
+
+
+def _merged(own, below):
+    """The multiplicities of ``below`` and then ``own`` added up; maps are never mutated."""
+    if not below:
+        return own
+    if not own:
+        return below
+    merged = dict(below)
+    for w, cnt in own.items():
+        merged[w] = merged.get(w, 0) + cnt
+    return merged
 
 
 def compose(
@@ -508,19 +623,19 @@ def compose(
     """Chain outer (solved on inner's updated table) through inner."""
     if outer.half_size != inner.half_size:
         raise ValueError("solutions live on different tables")
-    # an entry outer left alone keeps inner's extension, and every entry
-    # inner extended is finite in outer, so it is one of outer's entries
-    z, xs = dict(inner.z), dict(inner.x)
-    for i, mid in outer.z.items():
-        z[i] = inner.base(mid)
-        own, below = outer.x[i], inner.x.get(mid)
-        if below:
-            merged = dict(below)
-            for w, cnt in own.items():
-                merged[w] = merged.get(w, 0) + cnt
-            own = merged
-        xs[i] = own  # maps are never mutated, so outer's is shared
-    return HintedExtendSolution(outer.half_size, outer.r, z, xs)
+    # outer's bases are entries of inner's updated table, whose keys are
+    # inner's: an entry outer left alone is its own base and keeps inner's
+    # extension
+    mid = np.searchsorted(inner.keys, outer.bases)
+    if mid.size and (mid.max() >= inner.keys.size or np.any(inner.keys[mid] != outer.bases)):
+        raise ValueError("outer's bases must be entries of inner")
+    k = len(inner.maps)
+    # one merge per distinct (outer map, inner map) pair
+    pairs, codes = np.unique(outer.codes * k + inner.codes[mid], return_inverse=True)
+    maps = tuple(_merged(outer.maps[p // k], inner.maps[p % k]) for p in pairs.tolist())
+    return HintedExtendSolution(
+        outer.half_size, outer.keys, outer.values, inner.bases[mid], maps, codes
+    )
 
 
 def entrywise_max_solutions(
@@ -528,14 +643,25 @@ def entrywise_max_solutions(
 ) -> HintedExtendSolution:
     if a.half_size != b.half_size:
         raise ValueError("solutions disagree on shape")
-    r, z, xs = {}, {}, {}
-    # b wins ties; multiplicity maps are never mutated, so they are shared
-    for i in sorted(a.r.keys() | b.r.keys()):
-        src = a if a.value(i) > b.value(i) else b
-        r[i] = src.r[i]
-        if i in src.z:
-            z[i], xs[i] = src.z[i], src.x[i]
-    return HintedExtendSolution(a.half_size, r, z, xs)
+    if not a.keys.size:
+        return b
+    if not b.keys.size:
+        return a
+    keys = np.union1d(a.keys, b.keys)
+    at_a = np.searchsorted(a.keys, keys).clip(max=a.keys.size - 1)
+    at_b = np.searchsorted(b.keys, keys).clip(max=b.keys.size - 1)
+    va, vb = a.values[at_a], b.values[at_b]
+    if va.dtype != vb.dtype:
+        va, vb = va.astype(object), vb.astype(object)
+    in_b = b.keys[at_b] == keys
+    # b wins ties, and every entry a lacks
+    take_a = a.keys[at_a] == keys
+    take_a &= ~in_b | (va > vb)
+    return HintedExtendSolution(
+        a.half_size, keys, np.where(take_a, va, vb),
+        np.where(take_a, a.bases[at_a], b.bases[at_b]), a.maps + b.maps,
+        np.where(take_a, a.codes[at_a], b.codes[at_b] + len(a.maps)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +677,10 @@ def _coloring_sets(inst: HintedExtendInstance) -> list:
     the rounds cap of the isolating colorings).  An empty set changes
     nothing else, so the callers pass m = ``inst.size`` on its own.
     """
-    return [s for s in inst.hints.values() if s]
+    codes = inst.codes
+    if not all(inst.sets):
+        codes = codes[np.array(list(map(bool, inst.sets)))[codes]]
+    return list(map(inst.sets.__getitem__, codes.tolist()))
 
 
 def _color_classes(universe, coloring) -> list[list[int]]:
@@ -583,32 +712,29 @@ def solve_small_b(
     single weight, so the singleton solver applies class by class and the
     per-coloring results are folded with an entrywise maximum.
     """
-    sets = set(inst.hints.values())
-    largest = max(map(len, sets), default=0)
+    largest = max(map(len, inst.sets), default=0)
     if largest > budget:
         raise ValueError("hint set exceeds the declared budget")
     if largest <= 1:
         return solve_singleton(inst, stats)
     colorings = det_isolating_colorings(_coloring_sets(inst), budget, inst.size)
-    # entries with equal hint sets share an owner
-    owner_of = {
-        s: next((idx for idx, c in enumerate(colorings) if is_isolated(s, c)), None)
-        for s in sets
-    }
-    # each coloring's share of the table: (values, hint sets), ascending
-    owned: dict = {}
-    for i, s in inst.hints.items():
-        q, hints = owned.setdefault(owner_of[s], ({}, {}))
-        q[i], hints[i] = inst.q[i], s
+    # entries with equal hint sets share an owner; an entry whose set no
+    # coloring isolates (-1) is owned by none
+    owner = [
+        next((idx for idx, c in enumerate(colorings) if is_isolated(s, c)), -1)
+        for s in inst.sets
+    ]
+    owner_at = np.array(owner, np.intp)[inst.codes]
     solve_class = partial(solve_singleton, stats=stats)
     result = None
-    for idx, coloring in enumerate(colorings):
-        if idx not in owned:
-            continue
-        q, hints = owned[idx]
-        masked = HintedExtendInstance(inst.half_size, inst.universe, q, hints, inst.fns)
+    for idx in sorted(set(owner) - {-1}):
+        mine = owner_at == idx  # this coloring's share of the table
+        masked = HintedExtendInstance.from_arrays(
+            inst.half_size, inst.universe, inst.keys[mine], inst.values[mine],
+            inst.sets, inst.codes[mine], inst.fns,
+        )
         # weights in no hint set are uncolored; any class works for them
-        ordered = _color_classes(inst.universe, coloring)
+        ordered = _color_classes(inst.universe, colorings[idx])
         part = _chain_color_classes(masked, ordered, solve_class)
         result = part if result is None else entrywise_max_solutions(result, part)
     return trivial_solution(inst) if result is None else result
@@ -632,7 +758,7 @@ def solve(
     coloring = det_balls_and_bins(_coloring_sets(inst), num_colors, m=inst.size)
     ordered = _color_classes(inst.universe, coloring)
     inner_budget = 1
-    for s in set(inst.hints.values()):
+    for s in inst.sets:
         per: dict = {}
         for w in s:
             per[coloring[w]] = per.get(coloring[w], 0) + 1
@@ -718,7 +844,7 @@ def relaxed_check(
                 break
         if not ok:
             continue
-        hint = inst.hints.get(zv)
+        hint = inst.hint_at(zv)
         if hint is None or not set(xv) <= hint:
             errors.append(f"index {i}: support escapes the base hint set")
             continue
@@ -729,9 +855,10 @@ def relaxed_check(
         if rv < inst.q_at(i):
             errors.append(f"index {i}: below the trivial value")
 
+    table = list(zip(inst.keys.tolist(), inst.values.tolist()))
     for i in inst.indices():
         best = None
-        for z, qz in inst.q.items():
+        for z, qz in table:
             if z > i:
                 continue
             got = by_total.get(i - z)
@@ -748,13 +875,13 @@ def relaxed_check(
         if is_bottom(rv) or rv < best:
             # relaxed clause: fine if some maximizer escapes its hint set
             escaped = False
-            for z, qz in inst.q.items():
+            for z, qz in table:
                 if z > i:
                     continue
                 got = by_total.get(i - z)
                 if got is None or qz + got[0] != best:
                     continue
-                hint = inst.hints[z]
+                hint = inst.hint_at(z)
                 for supp in got[1]:
                     if not supp <= hint:
                         escaped = True

@@ -90,7 +90,6 @@ from .core import (
     recover_profit,
 )
 from .hinted import (
-    NO_ITEMS,
     ConcaveProfitFn,
     ExtendStats,
     HintedExtendInstance,
@@ -446,11 +445,19 @@ def first_stage_dense(
     return eng
 
 
-def _mirrored(table: dict, direction: int) -> dict:
-    """``table`` re-keyed by direction * i, keys still ascending."""
+def _mirrored(direction: int, keys, *columns):
+    """The table re-keyed by direction * i, keys still ascending, and its columns to match."""
     if direction > 0:
-        return table
-    return {-i: v for i, v in reversed(table.items())}
+        return (keys, *columns)
+    return (-keys[::-1], *(c[::-1] for c in columns))
+
+
+# Bytes per entry of a stage-one table: the table's four arrays and the
+# instances and solutions one side's solve holds at once.  Their numpy
+# arrays measured 212-216 bytes per entry of the largest table, on return
+# from each step of the algebra (`uniform`, n = 4w, w = 32-128); the rest
+# is headroom for the scratch inside a step.
+_STAGE_ONE_ENTRY_BYTES = 256
 
 
 def first_stage_hinted(
@@ -468,29 +475,42 @@ def first_stage_hinted(
     when the entry consumed the whole phase group and the class continues
     into the next phase (optimal exchanges use rank prefixes, so a partial
     or skipped group ends the class for that entry).  Entries whose new
-    hint set exceeds the next budget are deleted.  The table is a dict of
-    finite entries keyed by index, so it grows with the phase half-size
-    without moving; the remove side is solved on the table mirrored to
-    index -i.  The phases stop at the first one where every hint set of
-    both sides is empty: each later phase would extend nothing and keep
-    every entry with empty hint sets, so the table is final.  The finished
-    table is returned as a fold engine over the perturbed profits, at the
-    last phase's half-size, for stage two; that size is the peak the stats
-    record.  ``config`` is not read; it stays in the signature because
-    callers pass the arguments positionally.
+    hint set exceeds the next budget are deleted.  The table is its finite
+    entries as arrays in index order (the indices, the values, and per side
+    a code per entry into that side's distinct hint sets), so it grows with
+    the phase half-size without moving, and the carry-over from one side to
+    the next is array work: the survivors are found once per distinct
+    multiplicity map, the other side's codes are gathered at each entry's
+    base, and the remove side is solved on the table mirrored to index -i,
+    negated and reversed.  The phases stop at the first one where every
+    hint set of both sides is empty: each later phase would extend nothing
+    and keep every entry with empty hint sets, so the table is final.  The
+    finished table is returned as a fold engine over the perturbed profits,
+    at the last phase's half-size, for stage two; that size is the peak the
+    stats record.  Before any table exists, the last phase's table (at
+    ``_STAGE_ONE_ENTRY_BYTES`` per entry) and the stage-two fold table are
+    checked against ``baselines.TABLE_BYTE_BUDGET``, and a call past it is
+    refused with ``BudgetExceededError``.  ``config`` is not read; it stays
+    in the signature because callers pass the arguments positionally.
     """
     profits = primed.profits.tolist()
+    last = schedule.table_half_sizes[schedule.phase_count]
+    dtype = cell_dtype(sum(profits))
+    fold_half = max(last, schedule.stage_two_size(1))
+    check_table_bytes("fold table needs", (2 * fold_half + 1) * np.dtype(dtype).itemsize)
+    check_table_bytes("hinted stage one needs", (2 * last + 1) * _STAGE_ONE_ENTRY_BYTES)
+
     universe = tuple(sorted(inner_weights))
-    q = {0: 0}
-    # each entry's hint sets, per side: hints[+1] adds, hints[-1] removes
-    hints = {
-        d: {0: frozenset(w for w in universe if rank_part.group(d, 1, w))}
-        for d in (+1, -1)
-    }
+    keys = np.zeros(1, np.int64)
+    values = np.zeros(1, np.int64)
+    # per side, the distinct hint sets and each entry's code into them:
+    # +1 adds, -1 removes
+    sets = {d: (frozenset(w for w in universe if rank_part.group(d, 1, w)),) for d in (+1, -1)}
+    codes = {d: np.zeros(1, np.intp) for d in (+1, -1)}
 
     ext_stats = stats.extend if stats is not None else None
     for phase in range(1, schedule.phase_count + 1):
-        if not any(hints[+1].values()) and not any(hints[-1].values()):
+        if not any(sets[+1]) and not any(sets[-1]):
             break
         half = schedule.table_half_sizes[phase]
         for direction in (+1, -1):
@@ -499,9 +519,11 @@ def first_stage_hinted(
                 w: ConcaveProfitFn(_prefix_profits(profits, g, direction))
                 for w, g in groups.items()
             }
+            keys_m, values_m, mine, other = _mirrored(
+                direction, keys, values, codes[direction], codes[-direction]
+            )
             inst = HintedExtendInstance(
-                half, universe, _mirrored(q, direction),
-                _mirrored(hints[direction], direction), fns,
+                half, universe, keys_m, values_m, sets[direction], mine, fns
             )
             sol = hinted.solve(inst, schedule.hint_budgets[phase], stats=ext_stats)
 
@@ -512,38 +534,29 @@ def first_stage_hinted(
                 if rank_part.group(direction, phase + 1, w)
             }
             next_budget = schedule.hint_budgets[phase + 1]
-            # entries share multiplicity maps, so each map is read once;
-            # None marks an over-budget hint set, which is dropped entirely
-            survivors_of: dict = {}
-            new_q: dict = {}
-            new_hints = {+1: {}, -1: {}}
-            passthrough = hints[-direction]
-            base_of, mult_of = sol.z.get, sol.x.get
-            for i, value in _mirrored(sol.r, direction).items():
-                j = direction * i  # the index in the solved table
-                xs = mult_of(j, NO_ITEMS)
-                key = id(xs)
-                if key not in survivors_of:
-                    survivors = [w for w, cnt in xs.items() if whole.get(w) == cnt]
-                    survivors_of[key] = (
-                        frozenset(survivors) if len(survivors) <= next_budget else None
-                    )
-                hint = survivors_of[key]
-                if hint is None:
-                    continue
-                new_q[i] = value
-                new_hints[direction][i] = hint
-                new_hints[-direction][i] = passthrough[direction * base_of(j, j)]
-            q, hints = new_q, new_hints
+            # once per multiplicity map; an entry whose new hint set is over
+            # budget is dropped entirely, and the set is not kept: at w = 256
+            # keeping them raised peak RSS by about 95 MB
+            survivors, fits = [], []
+            for xs in sol.maps:
+                s = frozenset(w for w, cnt in xs.items() if whole.get(w) == cnt)
+                fits.append(len(s) <= next_budget)
+                survivors.append(s if fits[-1] else frozenset())
+            keep = np.array(fits, bool)[sol.codes]
+            # the other side's hint set follows the entry's base
+            at = np.searchsorted(keys_m, sol.bases[keep])
+            keys, values, mine, other = _mirrored(
+                direction, sol.keys[keep], sol.values[keep], sol.codes[keep], other[at]
+            )
+            sets[direction], codes[direction] = hinted._distinct(survivors, mine)
+            sets[-direction], codes[-direction] = hinted._distinct(sets[-direction], other)
 
-    half = schedule.table_half_sizes[schedule.phase_count]
     if stats is not None:
-        stats.note_table(2 * half + 1)
-    eng = _DenseFold(half, cell_dtype(sum(profits)), stats)
-    eng.arr[half] = eng.sentinel
-    slots = [i + half for i in q]
-    eng.arr[slots] = list(q.values())
-    eng.lo, eng.hi = (slots[0], slots[-1] + 1) if slots else (half, half)
+        stats.note_table(2 * last + 1)
+    eng = _DenseFold(last, dtype, stats)
+    eng.arr[last] = eng.sentinel
+    eng.arr[keys + last] = values
+    eng.lo, eng.hi = (int(keys[0]) + last, int(keys[-1]) + last + 1) if keys.size else (last, last)
     return eng
 
 

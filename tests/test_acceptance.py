@@ -238,11 +238,8 @@ def test_extension_algebra_composes(capfd):
         keep_b = [rng.random() < 0.7 for _ in range(size)]
 
         def masked(keep):
-            q = {i: v for i, v in base.q.items() if keep[i + base.half_size]}
-            hints = {i: base.hints[i] for i in q}
-            out = HintedExtendInstance(base.half_size, base.universe, q, hints, base.fns)
-            out.validate()
-            return out
+            entries = {i: e for i, e in base.entries().items() if keep[i + base.half_size]}
+            return HintedExtendInstance.build(base.half_size, entries, base.fns)
 
         ka, kb = masked(keep_a), masked(keep_b)
         # both sides copy base's entries, so their entrywise maximum is base

@@ -283,6 +283,16 @@ def test_fold_table_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "15"
 
 
+
+def test_hinted_budget_exit_code(tmp_path, capsys):
+    # n = 4w at w = 4096: the hinted engine's fold table would be 3.9 GB,
+    # refused from the schedule before stage one runs
+    items, capacity = generate_instance(4 * 4096, 4096, 32, 0.5, 1, "uniform")
+    path = write(tmp_path, "wide.txt", format_instance(items, capacity))
+    assert main(["solve", path, "--engine", "hinted"]) == 3
+    assert "refused: fold table needs 3871473672 bytes" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic_and_round_trips(tmp_path, capsys):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"

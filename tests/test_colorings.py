@@ -308,7 +308,8 @@ def test_colorings_of_stage_one_tables_ignore_their_padding(monkeypatch):
         sets = hinted._coloring_sets(inst)
         if not sets:
             continue
-        padded = list(inst.hints.values()) + [frozenset()] * (inst.size - len(inst.hints))
+        held = [s for _, s in inst.entries().values()]
+        padded = held + [frozenset()] * (inst.size - len(held))
         assert sets == [s for s in padded if s]
         largest = max(map(len, sets))
         assert det_isolating_colorings(sets, largest, inst.size) == det_isolating_colorings(

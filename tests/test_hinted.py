@@ -100,8 +100,10 @@ def test_build_validation():
     with pytest.raises(ValueError):
         build(1, {2: (0, set())}, {})  # index past half_size
     good = build(1, {0: (0, {2})}, {2: fn})
-    assert good.hints == {0: frozenset({2})}
-    stray = HintedExtendInstance(1, good.universe, good.q, good.hints, {2: fn, 3: fn})
+    assert good.entries() == {0: (0, frozenset({2}))}
+    stray = HintedExtendInstance(
+        1, good.universe, good.keys, good.values, good.sets, good.codes, {2: fn, 3: fn}
+    )
     with pytest.raises(ValueError):
         stray.validate()  # profit fn for a weight outside the universe
     with pytest.raises(ValueError):
@@ -120,19 +122,31 @@ def test_build_validation():
 
 def test_validate_refuses_malformed_tables():
     h = frozenset()
+    fns = {1: ConcaveProfitFn([0, 1])}
 
-    def table(q, hints, half=2):
-        return HintedExtendInstance(half, (), q, hints, {})
+    def table(keys, codes, sets=(h,), values=None, half=2):
+        keys = np.array(keys, np.int64)
+        values = np.zeros(keys.size, np.int64) if values is None else np.array(values)
+        return HintedExtendInstance(half, (1,), keys, values, sets, np.array(codes, np.intp), fns)
 
-    table({-2: 0, 2: 1}, {-2: h, 2: h}).validate()
+    table([-2, 2], [0, 0]).validate()
+    wide = np.array([0, 1 << 70], object)
+    table([-2, 2], [1, 0], sets=(h, frozenset({1})), values=wide).validate()
     bad = [
-        table({-3: 0}, {-3: h}),  # index past -half_size
-        table({3: 0}, {3: h}),  # index past half_size
-        table({1: 0, -1: 0}, {1: h, -1: h}),  # keys out of order
-        table({0: 0, 1: 0}, {0: h}),  # a finite entry without a hint set
-        table({0: 0}, {0: h, 1: h}),  # a hint set on a bottom entry
-        table({-1: 0, 1: 0}, {1: h, -1: h}),  # hint keys in another order
-        table({0: 0}, {0: set()}),  # a mutable hint set
+        table([-3], [0]),  # index past -half_size
+        table([3], [0]),  # index past half_size
+        table([1, -1], [0, 0]),  # keys out of order
+        table([1, 1], [0, 0]),  # a key twice
+        table([0, 1], [0]),  # a finite entry without a hint set
+        table([0], [0, 0]),  # a hint set on a bottom entry
+        table([-1, 1], [0, 1]),  # a code past the hint sets
+        table([-1, 1], [0, -1]),  # a negative code
+        table([0], [0], sets=(set(),)),  # a mutable hint set
+        table([0], [0], sets=(h, frozenset())),  # one hint set twice
+        table([0], [0], sets=(h, frozenset({1}))),  # a hint set no entry holds
+        table([0], [0], sets=(frozenset({2}),)),  # a hint set outside the universe
+        table([0], [0], values=[0.5]),  # a float value
+        table([0], [0], values=np.array([True], object)),  # a bool value
     ]
     for inst in bad:
         with pytest.raises(ValueError):
@@ -294,6 +308,16 @@ def reference_scan_ranges(cols, q, prefix, w, L):
     return [(j, *won[j]) for j in cols if j in won], evals
 
 
+def values_of(table):
+    """The finite values of an instance or a solution, keyed by index, ascending."""
+    return {i: entry[0] for i, entry in table.entries().items()}
+
+
+def columns(inst):
+    """The table's values and hint sets, each a dict keyed by index, ascending."""
+    return values_of(inst), {i: s for i, (_, s) in inst.entries().items()}
+
+
 def reference_singleton(inst):
     """``solve_singleton`` as a progression-heap scan over every table.
 
@@ -303,9 +327,10 @@ def reference_singleton(inst):
     Returns the solution, (matrix_evals, ap_count, bucket_inserts) and the
     number of bucket cells where progressions met.
     """
-    L, q = inst.half_size, inst.q
+    L = inst.half_size
+    q, hints = columns(inst)
     groups: dict = {}
-    for j, s in inst.hints.items():
+    for j, s in hints.items():
         for w in s:
             groups.setdefault((w, j % w), []).append(j)
     buckets: dict = {}
@@ -340,8 +365,8 @@ def reference_singleton(inst):
             best[2] += 1
             buckets.setdefault(i + best[1], []).append(best)
             inserts += 1
-    r = dict(sorted(r.items()))
-    return HintedExtendSolution(L, r, z, xs), (evals, aps, inserts), met
+    sol = HintedExtendSolution.build(L, {i: (v, z.get(i, i), xs.get(i, {})) for i, v in r.items()})
+    return sol, (evals, aps, inserts), met
 
 
 def one_weight_table(rng, w, cap, offset):
@@ -375,23 +400,23 @@ def test_one_weight_pass_matches_the_heap_scan():
         st = ExtendStats()
         sol = solve_singleton(inst, st)
         want, counters, met = reference_singleton(inst)
-        assert list(sol.r.items()) == list(want.r.items())
-        assert (sol.z, sol.x) == (want.z, want.x)
+        assert list(sol.entries().items()) == list(want.entries().items())
         assert (st.matrix_evals, st.ap_count, st.bucket_inserts) == counters
-        hinted_bases = [j for j, s in inst.hints.items() if s]
+        q, hints = columns(inst)
+        hinted_bases = [j for j, s in hints.items() if s]
         assert (st.singleton_calls, st.one_weight_calls) == (1, int(bool(hinted_bases)))
         assert met == 0
         # the cases the seeds reached
         seen["cap %s" % ("> 2" if cap > 2 else cap)] += 1
         seen["past int64"] += abs(offset) > 1 << 63
-        seen["no hint"] += len(hinted_bases) < len(inst.q)
+        seen["no hint"] += len(hinted_bases) < len(q)
         seen["sparse bases"] += any(b - a > w for a, b in zip(hinted_bases, hinted_bases[1:]))
         seen["rows past L"] += any(j + cap * w > inst.half_size for j in hinted_bases)
         prefix = inst.fns[w].prefix
         for i in range(-inst.half_size, inst.half_size + 1):
             row = [
-                (inst.q[i - y * w] + prefix[y], y) for y in range(cap, -1, -1)
-                if inst.hints.get(i - y * w)
+                (q[i - y * w] + prefix[y], y) for y in range(cap, -1, -1)
+                if hints.get(i - y * w)
             ]
             if len(row) > 1:
                 top = max(v for v, _ in row)
@@ -415,8 +440,7 @@ def test_tables_of_several_weights_keep_the_heap(monkeypatch):
     sol = solve_singleton(inst, st)
     want, counters, met = reference_singleton(inst)
     assert met > 0 and merges == [1]
-    assert list(sol.r.items()) == list(want.r.items())
-    assert (sol.z, sol.x) == (want.z, want.x)
+    assert list(sol.entries().items()) == list(want.entries().items())
     assert (st.matrix_evals, st.ap_count, st.bucket_inserts) == counters
     assert (st.singleton_calls, st.one_weight_calls) == (1, 0)
     # random tables of one or two weights, both paths
@@ -427,9 +451,8 @@ def test_tables_of_several_weights_keep_the_heap(monkeypatch):
         del merges[:]
         sol = solve_singleton(inst)
         want, _, _ = reference_singleton(inst)
-        assert list(sol.r.items()) == list(want.r.items())
-        assert (sol.z, sol.x) == (want.z, want.x)
-        several = len({w for s in inst.hints.values() for w in s}) > 1
+        assert list(sol.entries().items()) == list(want.entries().items())
+        several = len({w for s in columns(inst)[1].values() for w in s}) > 1
         assert len(merges) == several
         kinds[several] += 1
     assert min(kinds.values()) >= 50, kinds
@@ -513,16 +536,14 @@ def test_hinted_is_exact_where_a_quarter_constant_was_not(shape):
     )
 
 
-def test_oracles_benchmark_hinted_calls_are_pinned():
-    # the `oracles` benchmark's two hinted calls at seed 1 (uniform, then
-    # hard-equal-weights, n = 128 at w = 32): answer, matrix_evals, ap_count,
-    # bucket_inserts and peak_table_cells as the engine gave them before its
-    # SMAWK, colorings and table walks were rewritten; matrix_evals as it
-    # reads since groups taking at most two items skip SMAWK
+def oracles_hinted_calls(seed):
+    """(answer, matrix_evals, ap_count, bucket_inserts, peak_table_cells) of
+    the `oracles` benchmark's two hinted calls at ``seed`` (uniform, then
+    hard-equal-weights, n = 128 at w = 32)."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
-    calls, _ = workloads.build("oracles", 1)
+    calls, _ = workloads.build("oracles", seed)
     got = []
     for call in calls:
         if call.spec.kind == "hinted":
@@ -532,7 +553,23 @@ def test_oracles_benchmark_hinted_calls_are_pinned():
             got.append(
                 (answer, ext.matrix_evals, ext.ap_count, ext.bucket_inserts, stats.peak_table_cells)
             )
-    assert got == [(1702, 62881, 11634, 12584, 20097), (2022, 16801, 2023, 5978, 20097)]
+    return got
+
+
+def test_oracles_benchmark_hinted_calls_are_pinned():
+    # seed 1, as the engine gave them before its SMAWK, colorings and table
+    # walks were rewritten; matrix_evals as it reads since groups taking at
+    # most two items skip SMAWK
+    assert oracles_hinted_calls(1) == [
+        (1702, 62881, 11634, 12584, 20097), (2022, 16801, 2023, 5978, 20097)
+    ]
+
+
+def test_oracles_benchmark_hinted_calls_at_seed_103_are_pinned():
+    # seed 103, as the engine gave them while its tables were still dicts
+    assert oracles_hinted_calls(103) == [
+        (1739, 65821, 12330, 13003, 20097), (2018, 15479, 1856, 5807, 20097)
+    ]
 
 
 def test_oracles_hinted_calls_take_the_one_weight_pass():
@@ -558,14 +595,14 @@ def test_small_b_budget_one_agrees_with_singleton():
         inst = random_instance(rng, max_hint=1)
         a = solve_singleton(inst)
         b = solve_small_b(inst, 1)
-        assert a.r == b.r
+        assert values_of(a) == values_of(b)
 
 
 def test_small_b_random_instances_pass_relaxed_check():
     rng = random.Random(5554)
     for _ in range(120):
         inst = random_instance(rng, max_half=4, max_universe=4, max_hint=3, max_cap=2)
-        budget = max((len(inst.hints.get(z, ())) for z in inst.indices()), default=1)
+        budget = max((len(inst.hint_at(z) or ()) for z in inst.indices()), default=1)
         budget = max(1, budget)
         sol = solve_small_b(inst, budget, stats=None)
         assert relaxed_check(inst, sol) == []
@@ -621,14 +658,14 @@ def test_solve_ignores_hint_set_identity():
         for z in range(-half, half + 1)
         if z == 0 or rng.random() < 0.8
     }
-    distinct = build(half, entries, fns)
-    canon: dict = {}
-    shared = HintedExtendInstance(
-        half, distinct.universe, distinct.q,
-        {i: canon.setdefault(s, s) for i, s in distinct.hints.items()}, distinct.fns,
+    shared = build(half, entries, fns)
+    # one set object per entry, equal sets included; the table merges them
+    own = tuple(frozenset(s) for _, s in entries.values())
+    distinct = HintedExtendInstance.from_arrays(
+        half, shared.universe, shared.keys, shared.values, own, np.arange(len(own)), fns
     )
-    assert len(set(map(id, distinct.hints.values()))) == len(distinct.hints)
-    assert len(set(map(id, shared.hints.values()))) == len(canon) < len(distinct.hints)
+    assert len(set(map(id, own))) == len(own)
+    assert distinct.sets == shared.sets and len(shared.sets) < len(own)
     threshold = 2 * math.log2(4 * half + 2)
     for budget in (4, 9):  # isolating colorings, then balls and bins first
         assert (budget > threshold) == (budget == 9)
@@ -636,20 +673,20 @@ def test_solve_ignores_hint_set_identity():
         for inst in (distinct, shared):
             st = ExtendStats()
             sol = solve(inst, budget, st)
-            runs.append((sol.r, sol.z, sol.x, st))
+            runs.append((sol.entries(), st))
         assert runs[0] == runs[1]
-        assert runs[0][3].matrix_evals > 0
+        assert runs[0][1].matrix_evals > 0
 
 
 def test_restrict_to_universe_and_empty():
     rng = random.Random(5557)
     inst = random_instance(rng, max_universe=3, max_hint=2)
     same = restrict(inst, set(inst.universe))
-    assert same.q == inst.q
-    assert same.hints == inst.hints
+    assert same.entries() == inst.entries()
     none = restrict(inst, set())
     assert none.universe == ()
-    assert set(none.hints.values()) <= {frozenset()}
+    assert values_of(none) == values_of(inst)
+    assert set(columns(none)[1].values()) <= {frozenset()}
     none.validate()
 
 
@@ -658,7 +695,7 @@ def test_restrict_single_weight():
     inst = build(3, {0: (0, {2, 3}), 1: (5, {3})}, fns)
     sub = restrict(inst, {3})
     assert sub.universe == (3,)
-    assert sub.hints == {0: {3}, 1: {3}}
+    assert columns(sub)[1] == {0: {3}, 1: {3}}
     assert set(sub.fns) == {3}
     sub.validate()
 
@@ -669,7 +706,7 @@ def test_apply_update_consumes_hint_weights():
     sol = solve_singleton(restrict(inst, {2}))
     updated = apply_update(inst, {2}, sol)
     assert updated.q_at(2) == 1
-    assert updated.hints[2] == frozenset()
+    assert updated.hint_at(2) == frozenset()
     assert updated.universe == ()
     updated.validate()
 
@@ -679,19 +716,22 @@ def test_apply_update_subtracts_once_per_hint_set():
     # object: entries whose bases hold equal sets get one shared result, the
     # base's set minus the consumed weight
     fns = {2: ConcaveProfitFn([0, 1]), 3: ConcaveProfitFn([0, 2])}
-    entries = {z: (0, {2, 3} if z % 2 else {2}) for z in range(-2, 3)}
-    inst = build(4, entries, fns)
-    assert inst.hints[-1] is not inst.hints[1]
+    own = tuple(frozenset({2, 3} if z % 2 else {2}) for z in range(-2, 3))
+    inst = HintedExtendInstance.from_arrays(
+        4, (2, 3), np.arange(-2, 3), np.zeros(5, np.int64), own, np.arange(5), fns
+    )
+    assert len(set(map(id, own))) == 5 and len(inst.sets) == 2
+    inst.validate()
     updated = apply_update(inst, {2}, trivial_solution(inst))
     for z in range(-2, 3):
-        assert updated.hints[z] == ({3} if z % 2 else set())
-        assert updated.hints[z] is updated.hints[z % 2]
+        assert updated.hint_at(z) == ({3} if z % 2 else set())
+        assert updated.hint_at(z) is updated.hint_at(z % 2)
     updated.validate()
 
 
 def test_apply_update_requires_hinted_bases():
     inst = build(1, {0: (0, set())}, {})
-    bad = HintedExtendSolution(1, {-1: 7}, {}, {})  # entry -1 is its own base
+    bad = HintedExtendSolution.build(1, {-1: (7, -1, {})})  # entry -1 is its own base
     with pytest.raises(ValueError):
         apply_update(inst, set(), bad)
 
@@ -702,10 +742,10 @@ def test_compose_with_trivial_sides():
     sol = solve_singleton(inst)
     ident = trivial_solution(inst)
     left = compose(sol, ident)  # inner did nothing
-    assert left.r == sol.r and left.x == sol.x
+    assert left.entries() == sol.entries()
     updated = apply_update(inst, set(inst.universe), sol)
     right = compose(trivial_solution(updated), sol)  # outer did nothing
-    assert right.r == sol.r
+    assert values_of(right) == values_of(sol)
     for i in inst.indices():
         if not is_bottom(right.value(i)):
             assert right.base(i) == sol.base(i)
@@ -764,17 +804,22 @@ def test_entrywise_max_solutions_takes_pointwise_best():
 
 
 def frozen(*tables):
-    """Every dict field of the given instances and solutions, items in order."""
-    return [
-        (name, list(value.items()))
-        for table in tables
-        for name, value in vars(table).items()
-        if isinstance(value, dict)
-    ]
+    """Every field of the given instances and solutions: arrays, dicts and tuples as lists."""
+
+    def snap(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, dict):
+            return list(value.items())
+        if isinstance(value, tuple):
+            return [snap(v) for v in value]
+        return value
+
+    return [(name, snap(value)) for table in tables for name, value in vars(table).items()]
 
 
 def test_solvers_and_algebra_leave_their_inputs_unchanged():
-    # tables share their dicts instead of copying them, so no step may
+    # tables share their arrays instead of copying them, so no step may
     # write into a table it was given
     rng = random.Random(5561)
     done = 0
@@ -811,10 +856,12 @@ def test_relaxed_check_flags_wrong_solutions():
     inst = build(3, {0: (0, {2})}, {2: ConcaveProfitFn([0, 1])})
     sol = solve_singleton(inst)
     # claim more profit than any extension can reach
-    forged = HintedExtendSolution(3, {**sol.r, 2: 99}, sol.z, sol.x)
+    forged = HintedExtendSolution.build(3, {**sol.entries(), 2: (99, sol.base(2), sol.mult(2))})
     assert relaxed_check(inst, forged) != []
     # weight bookkeeping must match the index shift
-    shifted = HintedExtendSolution(3, sol.r, sol.z, {**sol.x, 2: {2: 2}})
+    shifted = HintedExtendSolution.build(
+        3, {**sol.entries(), 2: (sol.value(2), sol.base(2), {2: 2})}
+    )
     assert relaxed_check(inst, shifted) != []
 
 

@@ -90,18 +90,23 @@ def test_config_and_stats_fields_are_pinned():
 
 
 def test_hint_table_fields_are_pinned():
-    # the sparse tables hold no per-slot list or counter field: a dropped
-    # one coming back fails here
+    # the sparse tables hold their finite entries as arrays, one code per
+    # entry into the table's distinct hint sets or multiplicity maps, and no
+    # per-slot list or counter field: a dropped one coming back fails here
     assert field_names(knapsolve.hinted.HintedExtendInstance) == [
         "half_size",
         "universe",
-        "q",
-        "hints",
+        "keys",
+        "values",
+        "sets",
+        "codes",
         "fns",
     ]
     assert field_names(knapsolve.hinted.HintedExtendSolution) == [
         "half_size",
-        "r",
-        "z",
-        "x",
+        "keys",
+        "values",
+        "bases",
+        "maps",
+        "codes",
     ]

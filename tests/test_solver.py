@@ -1117,6 +1117,28 @@ def test_fold_table_byte_budget(monkeypatch):
     assert solve_fast(items, capacity) == want == solve_exhaustive(items, capacity)
 
 
+
+@pytest.mark.parametrize(
+    "w, refusal",
+    [(4096, "fold table needs 3871473672 bytes"), (1024, "hinted stage one needs 7122452736 bytes")],
+)
+def test_hinted_budget_refuses_before_stage_one(monkeypatch, w, refusal):
+    # n = 4w.  At w = 4096 the stage-two fold table is 3.9 GB of int64
+    # cells; at w = 1024 it fits, but the schedule's last stage-one table
+    # has 27.8M entries at 256 bytes each.  Both are refused from the
+    # schedule, before stage one builds a table or solves one
+    import knapsolve.solver
+
+    def built(*args, **kwargs):
+        raise AssertionError("a table was built before the budget check")
+
+    monkeypatch.setattr(knapsolve.solver, "_DenseFold", built)
+    monkeypatch.setattr(knapsolve.solver.hinted, "solve", built)
+    items, capacity = generate_instance(4 * w, w, 32, 0.5, 1, "uniform")
+    with pytest.raises(BudgetExceededError, match=f"{refusal}, over the budget of {2 << 30}"):
+        solve_fast(items, capacity, SolverConfig(engine="hinted"))
+
+
 # --- proximity's window against its unwindowed fold ----------------------
 
 
