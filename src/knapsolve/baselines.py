@@ -86,7 +86,7 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
     dtype = _dp_cell_dtype(int(inst.profits.sum()))
     check_table_bytes("table rows need", 2 * (t + 1) * np.dtype(dtype).itemsize)
     if stats is not None:
-        stats.note_table(t + 1)
+        stats.note_table(t + 1, np.dtype(dtype).itemsize)
     chunks = []
     for (w, p), k in Counter(zip(inst.weights.tolist(), inst.profits.tolist())).items():
         c = 1

@@ -14,12 +14,14 @@ other path orders the original items by exact efficiency, ties by index.
 
 This module also provides the greedy prefix split (the solution all exchange
 arguments are phrased against), per-weight-class rank orders, and the
-cell-width rule the fold tables follow.  The split is ``LazyCore``: it finds
-the break by weighted selection on integer efficiency keys, in O(n), and
-sorts each side of the break one key band at a time, only as far as the
-core fold reads it.  Each side ranks its items in the order its walk meets
-them, so a per-weight counter picks the candidates.  ``greedy_split`` is
-the same core read to its end.
+cell-width rule by profit total (``cell_dtype``), which the hinted engine's
+tables follow and the dense folds fall back to past int32; those folds size
+their cells from their own value bounds (``solver.fold_cells``).  The split
+is ``LazyCore``: it finds the break by weighted selection on integer
+efficiency keys, in O(n), and sorts each side of the break one key band at
+a time, only as far as the core fold reads it.  Each side ranks its items
+in the order its walk meets them, so a per-weight counter picks the
+candidates.  ``greedy_split`` is the same core read to its end.
 """
 
 from __future__ import annotations
@@ -58,7 +60,12 @@ def cell_dtype(total_profit: int):
     """Narrowest table cell type for values of magnitude up to ``total_profit``.
 
     int32 and int64 keep proportional headroom for drifted bottom sentinels;
-    past int64 range cells are Python ints in an object array.
+    past int64 range cells are Python ints in an object array.  The cells
+    are unshifted (a value is stored as itself), so the rule holds for any
+    table whose values, drift and steps the profit total bounds: the hinted
+    engine's, whose stage one writes raw values.  The core fold and
+    proximity size shifted cells from their own value range instead
+    (``solver.fold_cells``), and take this rule only past int32.
     """
     if total_profit > INT64_VALUE_CAP:
         return object

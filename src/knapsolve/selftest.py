@@ -1,13 +1,13 @@
 """Built-in differential check, run via ``knapsolve selftest``.
 
 Every solver in ``SOLVERS`` must return ``solve_exhaustive``'s answer on
-seeded small instances: uniformly random ones, and tie-heavy ones whose
-greedy order is full of equal efficiencies, among them small versions of
+seeded small instances: uniformly random ones, tie-heavy ones whose greedy
+order is full of equal efficiencies, among them small versions of
 Pisinger's hard families (even weights, p = 3w + {0, 1}, spanner
-multiples).  Each instance is solved at capacity 0, at its total weight
-minus one and at a random capacity.  The test suite checks the same table,
-so a field install can prove the solvers the tests prove, without the
-development test tree.
+multiples), and large-profit ones whose folds take each cell width.  Each
+instance is solved at capacity 0, at its total weight minus one and at a
+random capacity.  The test suite checks the same table, so a field install
+can prove the solvers the tests prove, without the development test tree.
 """
 
 from __future__ import annotations
@@ -74,9 +74,23 @@ def tie_heavy_items(rng, shape):
     return [(1, rng.randint(1, 4)) for _ in range(n)]  # w_max = 1
 
 
+# Profit totals the magnitude suite draws around: a fold's cells hold about
+# 1.5 times the total, so these cross the int16 range (shifted int16 or
+# int32 cells), sit past 2^27 (shifted int32) and past 2^32 (int64).
+MAGNITUDES = (1 << 16, 1 << 28, 1 << 33)
+
+
+def magnitude_items(rng, scale):
+    """A small instance whose profit total is 0.5 to 0.8 times ``scale``."""
+    n = rng.randint(2, 14)
+    share = int(scale * rng.uniform(0.5, 0.8)) // n
+    return [(rng.randint(1, 10), share + rng.randint(-share // 10, share // 10)) for _ in range(n)]
+
+
 SUITES = (
     ("random", lambda rng, k: random_items(rng)),
     ("tie-heavy", lambda rng, k: tie_heavy_items(rng, TIE_SHAPES[k % len(TIE_SHAPES)])),
+    ("magnitude", lambda rng, k: magnitude_items(rng, MAGNITUDES[k % len(MAGNITUDES)])),
 )
 
 

@@ -24,6 +24,9 @@ item is one vectorized shift-max pass over the table's live span, the cells
 between its outermost finite entries.  The table starts at half-size
 max(w_max, slack + 1) and doubles before a pass would reach past it, up to
 2 * w_max^2, which every partial sum of an optimal exchange stays within.
+Its cells are sized from the values the fold can hold (``fold_cells``):
+exchange gains in [-greedy profit, add-side profit], shifted into int16 or
+int32 while that range, the drift of bottom sentinels and p_max fit.
 
 Every eight passes the fold prunes (Pisinger's minknap reduction, with
 rates that tighten as the core grows).  LB is the best entry at z <= slack
@@ -70,6 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +117,10 @@ class Stats:
     """Work counters a solve populates when passed in."""
 
     # cells of the largest table the solve built: each fold engine records
-    # its own size, the capacity DP its row, the hinted stage one its span
+    # its own size, the capacity DP its row
     peak_table_cells: int = 0
+    # bytes per cell of that table (8 for object cells, which hold pointers)
+    cell_bytes: int = 0
     # item passes the dense path's core fold ran before it stopped, the
     # shift passes of solve_proximity_smawk's class fold, or the chunk passes
     # of the capacity DP (solve_bellman and the fallback; verify passes none)
@@ -131,9 +137,10 @@ class Stats:
     # items the dense path's lazy core placed in sorted key bands
     core_sorted: int = 0
 
-    def note_table(self, cells: int) -> None:
+    def note_table(self, cells: int, cell_bytes: int) -> None:
         if cells > self.peak_table_cells:
             self.peak_table_cells = cells
+            self.cell_bytes = cell_bytes
 
 
 @dataclass
@@ -183,15 +190,58 @@ def _prefix_profits(profits, members, sign: int) -> list[int]:
     return out
 
 
-# (sentinel, threshold) per cell type: bottom is written as the sentinel and
-# read as any value at or below the threshold, which leaves room for drift.
-# int32 cells (profit totals within INT32_VALUE_CAP) halve the memory traffic
-# that bounds the fold at large table sizes.
-_BOTTOMS = {
-    np.dtype(np.int32): (-(1 << 30), -(1 << 29)),
-    np.dtype(np.int64): (NEG_SENTINEL, NEG_THRESHOLD),
-    np.dtype(object): (BOTTOM, BOTTOM),
+class FoldCells(NamedTuple):
+    """A fold table's cell type and layout.
+
+    A finite value v is stored as v + ``origin``; bottom is written as
+    ``sentinel`` and read as any cell at or below ``threshold``, which
+    leaves room for drift.
+    """
+
+    dtype: np.dtype
+    sentinel: int
+    threshold: int
+    origin: int
+
+
+# the unshifted layouts of cell_dtype's widths, for tables whose values are
+# bounded only by a profit total: int32 cells (totals within INT32_VALUE_CAP)
+# keep the same proportional headroom as int64
+_UNSHIFTED = {
+    np.dtype(np.int32): FoldCells(np.dtype(np.int32), -(1 << 30), -(1 << 29), 0),
+    np.dtype(np.int64): FoldCells(np.dtype(np.int64), NEG_SENTINEL, NEG_THRESHOLD, 0),
+    np.dtype(object): FoldCells(np.dtype(object), BOTTOM, BOTTOM, 0),
 }
+
+# the types fold_cells shifts, narrowest first, with their widths in bits
+_SHIFTED = ((np.dtype(np.int16), 16), (np.dtype(np.int32), 32))
+
+
+def fold_cells(low: int, high: int, drift: int, step: int) -> FoldCells:
+    """The narrowest cells for a fold whose finite values lie in [low, high].
+
+    ``low`` <= 0 <= ``high`` bound every finite value a pass reads or
+    writes; ``drift`` bounds how far a bottom can climb, the add-side profit
+    folded onto it; ``step`` is the largest |gain| of one remove-side pass.
+    The layout puts the sentinel ``step`` above the type's minimum, so a
+    remove pass lowers a bottom no further than the minimum, and in-place
+    maximum keeps every written cell at or above the sentinel.  Bottoms then
+    climb to at most threshold = sentinel + drift, and with origin =
+    threshold + 1 - low every finite value is stored in [threshold + 1,
+    threshold + 1 + high - low].  So int16 holds the table when
+    step + drift + (high - low) + 1 <= 2^16 - 1 and int32 when that sum is
+    at most 2^32 - 1.  Past that the cells are ``cell_dtype(high - low)``
+    with origin 0, as for a profit total of high - low.  In the folds that
+    call this, drift <= high and step <= -low, so every gain fits the type.
+    """
+    need = step + drift + (high - low) + 1
+    for dtype, bits in _SHIFTED:
+        if need < 1 << bits:
+            sentinel = step - (1 << bits - 1)
+            threshold = sentinel + drift
+            return FoldCells(dtype, sentinel, threshold, threshold + 1 - low)
+    return _UNSHIFTED[np.dtype(cell_dtype(high - low))]
+
 
 # scratch tile (cells); 1 MiB keeps the shift buffer cache resident so a
 # pass streams three arrays through memory instead of five
@@ -237,32 +287,36 @@ class _DenseFold:
     Bottom sentinels inside the span drift upward by the positive
     increments folded onto them and never drift down (in-place maximum only
     raises cells).  A run's chunk gains sum to the run's total, so that
-    climb is at most the add-side profit total, which
-    ``cell_dtype`` keeps at or under the cap, far below the bottom threshold.
+    climb is at most the add-side profit total, which the layout leaves
+    room for below the bottom threshold.
 
-    ``dtype`` may be int64 (default), int32 (for instances whose profit
-    total fits INT32_VALUE_CAP, with proportionally scaled sentinels), or
-    ``object`` (plain ints and float bottom, for totals past int64 range).
-    A table past ``baselines.TABLE_BYTE_BUDGET`` is refused with
-    ``BudgetExceededError`` before it is allocated.  With ``stats`` the
-    engine records its own size there when it is built and on each resize.
+    ``cells`` is a ``FoldCells`` layout, as ``fold_cells`` sizes it from the
+    fold's own value bounds: int16 or int32 cells shifted by an origin,
+    which index 0 starts at and ``window_best`` subtracts.  It may also be a
+    bare type, int64 (default), int32 or ``object``, taken unshifted, as
+    ``cell_dtype`` picks it from a profit total.  A table past
+    ``baselines.TABLE_BYTE_BUDGET`` is refused with ``BudgetExceededError``
+    before it is allocated.  With ``stats`` the engine records its own size
+    and cell width there when it is built and on each resize.
     """
 
-    __slots__ = ("arr", "tmp", "half", "lo", "hi", "sentinel", "threshold", "stats")
+    __slots__ = ("arr", "tmp", "half", "lo", "hi", "sentinel", "threshold", "origin", "stats")
 
-    def __init__(self, half: int, dtype=np.int64, stats: Stats | None = None):
+    def __init__(self, half: int, cells=np.int64, stats: Stats | None = None):
+        if not isinstance(cells, FoldCells):
+            cells = _UNSHIFTED[np.dtype(cells)]
         size = 2 * half + 1
-        check_table_bytes("fold table needs", size * np.dtype(dtype).itemsize)
-        self.sentinel, self.threshold = _BOTTOMS[np.dtype(dtype)]
-        self.arr = np.full(size, self.sentinel, dtype=dtype)
-        self.arr[half] = 0
+        check_table_bytes("fold table needs", size * cells.dtype.itemsize)
+        _, self.sentinel, self.threshold, self.origin = cells
+        self.arr = np.full(size, self.sentinel, dtype=cells.dtype)
+        self.arr[half] = self.origin
         self.tmp = np.empty(min(size, _TILE), dtype=self.arr.dtype)
         self.half = half
         self.lo = half
         self.hi = half + 1
         self.stats = stats
         if stats is not None:
-            stats.note_table(size)
+            stats.note_table(size, self.arr.itemsize)
 
     def resize(self, new_half: int) -> None:
         """Re-center the table at half-size ``new_half``, keeping index z at z.
@@ -286,7 +340,7 @@ class _DenseFold:
         self.lo, self.hi = lo, hi
         self.half = new_half
         if self.stats is not None:
-            self.stats.note_table(size)
+            self.stats.note_table(size, arr.itemsize)
 
     def update(self, weight: int, prefix, direction: int) -> int:
         """Fold one class: q[z] = max over x of q[z - direction*x*weight] + prefix[x].
@@ -380,13 +434,16 @@ class _DenseFold:
             reach = gain // w + 2
             fits = arr.dtype != object and 2 * gain + 4 * w < 1 << 62
             k, wide, ramp, dead_tile = scratch[np.int64 if fits else object]
-            # LB >= 0, so this holds for int64 cells on int64 tiles and for
-            # object cells, whose bottom is -inf
+            # LB >= 0 is stored at or above the origin, above the threshold,
+            # so this holds for integer cells on int64 tiles and for object
+            # cells, whose bottom is -inf
             bottoms_clip = lb + 1 - self.threshold > reach
             for off in range(start, stop, k.size):
                 m = min(k.size, stop - off)
                 seg = arr[off : off + m]
-                t = np.subtract(seg, lb + 1, out=wide[:m])
+                # in the tile type: on shifted narrow cells the difference
+                # may not fit the cell type
+                t = np.subtract(seg, lb + 1, out=wide[:m], dtype=wide.dtype)
                 t.clip(-reach, reach, out=t)
                 if not bottoms_clip:  # a bottom sentinel may lie above -reach
                     bottom = np.less_equal(seg, self.threshold, out=dead_tile[:m])
@@ -412,7 +469,7 @@ class _DenseFold:
         pos = int(window.argmax())  # object arrays too: first maximum wins
         if window[pos] <= self.threshold:
             return BOTTOM, None
-        return int(window[pos]), pos - self.half
+        return int(window[pos]) - self.origin, pos - self.half
 
 
 def first_stage_dense(
@@ -551,8 +608,6 @@ def first_stage_hinted(
             sets[direction], codes[direction] = hinted._distinct(survivors, mine)
             sets[-direction], codes[-direction] = hinted._distinct(sets[-direction], other)
 
-    if stats is not None:
-        stats.note_table(2 * last + 1)
     eng = _DenseFold(last, dtype, stats)
     eng.arr[last] = eng.sentinel
     eng.arr[keys + last] = values
@@ -664,10 +719,13 @@ def _core_fold(inst: Instance, core: LazyCore, stats: Stats | None = None) -> in
         g = math.gcd(g, int(np.gcd.reduce(inst.weights)))
     s_g = g * (slack // g)
     cap = 2 * inst.w_max * inst.w_max
-    dtype = cell_dtype(int(inst.profits.sum()))
+    # exchange values lie in [-greedy profit, add-side profit]; a remove
+    # pass gains at least -p_max
+    gained = int(inst.profits.sum()) - core.greedy_profit
+    cells = fold_cells(-core.greedy_profit, gained, gained, int(inst.profits.max()))
     scratch = _CutScratch(2 * cap + 1)
 
-    eng = _DenseFold(min(cap, max(inst.w_max, slack + 1)), dtype, stats)
+    eng = _DenseFold(min(cap, max(inst.w_max, slack + 1)), cells, stats)
     i = j = passes = 0
     while True:
         more_adds = i < len(aw) or adding.load()
@@ -781,6 +839,14 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
     there, the answer, its index and the pass count are those of the full
     fold, on the same 4 * w_max^2 + 1 cells.  The window reads weights only,
     and only the weight still to fold, so it holds in any class order.
+
+    The cells are sized by ``fold_cells`` from the fold's own values: every
+    entry is an exchange over the candidates, so it lies in [-P_R, P_A],
+    with P_A and P_R the candidate profit of the add and the remove side; a
+    bottom climbs by at most P_A, and a remove pass loses at most one
+    class's candidate profit.  When those sum under 2^16, the table is
+    int16, on which the fold's add-then-max runs about twice as fast as on
+    int32.
     """
     inst = normalize(raw_items, capacity)
     if inst.all_fit:
@@ -792,9 +858,14 @@ def solve_proximity_smawk(raw_items, capacity, stats: Stats | None = None) -> in
     if stats is not None:
         stats.engine = "proximity"
     profits = inst.profits.tolist()
-    eng = _DenseFold(half, cell_dtype(sum(profits)), stats)
-    slack = inst.capacity - split.greedy_weight
     sides = ((+1, split.add_candidates), (-1, split.remove_candidates))
+    # exchange values lie in [-removable profit, addable profit]; a remove
+    # chunk gains at least minus its class's total
+    totals = {d: [sum(profits[i] for i in m) for m in side.values()] for d, side in sides}
+    addable = sum(totals[+1])
+    cells = fold_cells(-sum(totals[-1]), addable, addable, max(totals[-1], default=0))
+    eng = _DenseFold(half, cells, stats)
+    slack = inst.capacity - split.greedy_weight
     # candidate weight still to fold on each side: how far a cell may move
     rest = {d: sum(w * len(m) for w, m in side.items()) for d, side in sides}
     passes = 0

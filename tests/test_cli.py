@@ -159,9 +159,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_budget_error_exit_code(tmp_path, capsys):
-    path = write(tmp_path, "wide.txt", "2 15000\n15000 5\n15000 9\n")
+    # proximity's table: 2.3e9 int16 cells, 4.6 GB
+    path = write(tmp_path, "wide.txt", "2 24000\n24000 5\n24000 9\n")
     assert main(["solve", path, "--solver", "proximity"]) == 3
-    assert "refused:" in capsys.readouterr().err
+    cells = 2 * (2 * 24000**2) + 1
+    assert f"refused: fold table needs {2 * cells} bytes" in capsys.readouterr().err
 
 
 def test_unexpected_exception_exit_code(tmp_path, capsys, monkeypatch):
@@ -267,18 +269,21 @@ def test_capacity_dp_row_budget_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_fold_table_budget_exit_code(tmp_path, capsys, monkeypatch):
-    # the core fold's first table has half-size 5: 11 int32 cells of 4
-    # bytes; it grows to 41 cells
+    # the core fold's first table has half-size 5: 11 int16 cells of 2
+    # bytes (its values lie in [-9, 18]); it grows to 41 cells
     import knapsolve.baselines
 
-    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 43)
     path = write(tmp_path, "fold.txt", "4 9\n5 9\n5 8\n4 6\n3 4\n")
+    assert main(["solve", path, "--stats"]) == 0
+    record = stats_record(capsys)[1]
+    assert (record["peak_table_cells"], record["cell_bytes"]) == (41, 2)
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 21)
     assert main(["solve", path]) == 3
-    assert "refused: fold table needs 44 bytes, over the budget of 43" in capsys.readouterr().err
-    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 163)
+    assert "refused: fold table needs 22 bytes, over the budget of 21" in capsys.readouterr().err
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 81)
     assert main(["solve", path]) == 3
-    assert "fold table needs 164 bytes" in capsys.readouterr().err
-    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 164)
+    assert "fold table needs 82 bytes" in capsys.readouterr().err
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 82)
     assert main(["solve", path]) == 0
     assert capsys.readouterr().out.strip() == "15"
 
@@ -444,6 +449,7 @@ def test_selftest_full_run(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "ok random (300 checks)",
         "ok tie-heavy (300 checks)",
+        "ok magnitude (300 checks)",
     ]
 
 
@@ -458,7 +464,7 @@ def test_selftest_reports_a_wrong_solver(capsys, monkeypatch):
     monkeypatch.setattr(knapsolve.selftest, "SOLVERS", tuple(solvers.items()))
     assert main(["selftest", "--quick"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert all(line.startswith("FAIL ") and "proximity gave" in line for line in lines)
 
 

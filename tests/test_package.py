@@ -80,6 +80,7 @@ def test_config_and_stats_fields_are_pinned():
     ]
     assert field_names(knapsolve.Stats) == [
         "peak_table_cells",
+        "cell_bytes",
         "fold_passes",
         "engine",
         "extend",

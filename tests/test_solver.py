@@ -34,6 +34,7 @@ from knapsolve.solver import (
     _CutScratch,
     _DenseFold,
     first_stage_dense,
+    fold_cells,
     second_stage,
 )
 
@@ -182,6 +183,24 @@ def test_tie_heavy_differential_sweep():
     assert checked == 150 * len(TIE_SHAPES) + 6
 
 
+def test_selftest_magnitudes_take_every_cell_width():
+    # the selftest's magnitude suite: the core fold and proximity each run
+    # on shifted int16, shifted int32 and int64 cells, and agree with
+    # enumeration
+    from knapsolve.selftest import SUITES, _cases
+
+    make = dict(SUITES)["magnitude"]
+    widths = {solver: set() for solver in (solve_fast, solve_proximity_smawk)}
+    for items, capacity in _cases(make, random.Random(20240817), 100):
+        want = solve_exhaustive(items, capacity)
+        for solver, seen in widths.items():
+            stats = Stats()
+            assert solver(items, capacity, stats=stats) == want, (items, capacity)
+            if stats.engine in ("dense", "proximity"):
+                seen.add(stats.cell_bytes)
+    assert all(seen == {2, 4, 8} for seen in widths.values()), widths
+
+
 def test_verify_mode_cross_checks():
     rng = random.Random(321323)
     for _ in range(30):
@@ -202,9 +221,11 @@ def test_engine_name_is_validated_when_the_config_is_built():
 
 
 def test_proximity_table_budget():
-    # 9e8 int32 cells, 3.6 GB: over the fold table's byte budget
-    with pytest.raises(BudgetExceededError, match="fold table needs"):
-        solve_proximity_smawk([(15000, 5), (15000, 9)], 15000)
+    # 2.3e9 cells of int16 (the fold's values lie in [-9, 9]), 4.6 GB: over
+    # the fold table's byte budget even at the narrowest width
+    cells = 2 * (2 * 24000**2) + 1
+    with pytest.raises(BudgetExceededError, match=f"fold table needs {2 * cells} bytes"):
+        solve_proximity_smawk([(24000, 5), (24000, 9)], 24000)
 
 
 def test_bellman_cell_budget():
@@ -270,20 +291,51 @@ def test_huge_profits_use_exact_arithmetic():
     assert solve_proximity_smawk(items, 6) == want
 
 
-def test_profit_totals_straddling_narrow_table_cap():
-    # totals just under the cap take int32 tables, just over take int64;
-    # answers must not depend on which width was picked
-    from knapsolve.core import INT32_VALUE_CAP
+def fold_widths(items, capacity):
+    """Bytes per cell the rule of ``fold_cells`` gives the core fold and proximity.
 
+    step + drift + (high - low) + 1 from each fold's bounds: the core fold's
+    values lie in [-greedy profit, add-side profit] with a remove step of
+    p_max, proximity's over the candidates with a remove step of the
+    largest remove-side class total.
+    """
+    inst = normalize(items, capacity)
+    split = greedy_split(inst)
+    profits = inst.profits.tolist()
+    total, greedy = sum(profits), split.greedy_profit
+    core = max(profits) + 2 * (total - greedy) + greedy + 1
+    sums = [
+        [sum(profits[i] for i in m) for m in side.values()]
+        for side in (split.add_candidates, split.remove_candidates)
+    ]
+    proximity = max(sums[1], default=0) + 2 * sum(sums[0]) + sum(sums[1]) + 1
+    return tuple(2 if need < 1 << 16 else 4 if need < 1 << 32 else 8 for need in (core, proximity))
+
+
+def test_profit_totals_straddling_narrow_table_cap():
+    # a fold's cells hold step + drift + (high - low) + 1 values: int16 up
+    # to 2^16 - 1, int32 up to 2^32 - 1, about 1.5 times the profit total
+    # at half the total weight.  Totals on both sides of each limit take
+    # both widths, and answers must not depend on which width was picked
     rng = random.Random(4242)
     n = 12
-    for bump in (-100, -1, 0, 1, 100):
-        base = (INT32_VALUE_CAP + bump) // n
-        items = [(rng.randint(1, 9), base + rng.randint(0, 5)) for _ in range(n)]
-        cap = sum(w for w, _ in items) // 2
-        want = solve_exhaustive(items, cap)
-        assert solve_fast(items, cap) == want
-        assert solve_bellman(items, cap) == want
+    for limit, widths in ((1 << 16, {2, 4}), (1 << 32, {4, 8})):
+        seen = set()
+        for trial in range(60):
+            total = int(limit * rng.uniform(0.55, 0.8))
+            items = [
+                (rng.randint(1, 9), total // n + rng.randint(-total // 50, total // 50))
+                for _ in range(n)
+            ]
+            cap = sum(w for w, _ in items) // 2
+            want = solve_bellman(items, cap)
+            assert want == solve_exhaustive(items, cap)
+            fast, prox = Stats(), Stats()
+            assert solve_fast(items, cap, stats=fast) == want
+            assert solve_proximity_smawk(items, cap, stats=prox) == want
+            assert (fast.cell_bytes, prox.cell_bytes) == fold_widths(items, cap)
+            seen |= {fast.cell_bytes, prox.cell_bytes}
+        assert seen == widths, limit
 
 
 def test_banded_capacity_dp_against_exhaustive():
@@ -443,7 +495,7 @@ def finite_cells(eng):
     else:
         slots = np.flatnonzero(eng.arr > eng.threshold).tolist()
     assert all(eng.lo <= k < eng.hi for k in slots)
-    return {k - eng.half: int(eng.arr[k]) for k in slots}
+    return {k - eng.half: int(eng.arr[k]) - eng.origin for k in slots}
 
 
 def fold_reference(cells, half, weight, prefix, direction):
@@ -554,6 +606,81 @@ def test_int32_fold_at_profit_cap_keeps_bottom_cells():
     assert finite_cells(eng) == want
     assert all(z % 2 == 0 for z in want)
     assert eng.window_best(half) == window_reference(want, half)
+
+
+def full_range_bounds(dtype, step):
+    """(low, high, drift, step) of a fold by weight 2 that fills ``dtype`` exactly.
+
+    Ten removes of gain -step and three adds of gain g: drift = high = 3g
+    and low = -10 step, with step + drift + (high - low) + 1 = 2^bits - 1.
+    """
+    span = 1 << np.dtype(dtype).itemsize * 8
+    g = (span - 2 - 11 * step) // 6
+    assert 11 * step + 6 * g + 1 == span - 1
+    return -10 * step, 3 * g, 3 * g, step
+
+
+@pytest.mark.parametrize("dtype, step", [(np.int16, 1000), (np.int32, 1 << 20)])
+def test_shifted_fold_at_the_edges_of_its_cells(dtype, step):
+    # the bounds fill the cell type exactly: a remove pass lowers an
+    # unclimbed bottom to the type's minimum, bottoms at odd indices climb by
+    # exactly the drift to the threshold, and the best finite value is
+    # stored at the type's maximum.  Every bottom must still read as bottom
+    # and no finite value may wrap
+    low, high, drift, step = bounds = full_range_bounds(dtype, step)
+    cells = fold_cells(*bounds)
+    info = np.iinfo(dtype)
+    assert cells.dtype == dtype and cells.sentinel - step == info.min
+    assert cells.threshold == cells.sentinel + drift and cells.origin + high == info.max
+    half, g = 40, drift // 3
+    eng = _DenseFold(half, cells)
+    want = {0: 0}
+    passes = [(-1, [0, -step])] * 5 + [(+1, [0, g])] * 3 + [(-1, [0, -step])] * 5
+    for direction, prefix in passes:
+        eng.update(2, prefix, direction)
+        want = fold_reference(want, half, 2, prefix, direction)
+        assert eng.arr.min() >= cells.sentinel
+    assert finite_cells(eng) == want
+    assert all(z % 2 == 0 for z in want) and max(want.values()) == high
+    assert min(want.values()) == low
+    # odd cells are bottom; those with three odd cells below them took every add
+    bottoms = eng.arr[1::2]
+    assert bottoms.max() == cells.threshold and int(eng.arr.max()) == info.max
+    for slack in (-half, -1, 0, half):
+        assert eng.window_best(slack) == window_reference(want, slack)
+
+
+def test_fold_cells_widths_at_their_limits():
+    # int16 up to step + drift + (high - low) + 1 = 2^16 - 1, int32 up to
+    # 2^32 - 1, then cell_dtype of the value range, origin 0
+    for need, dtype in (
+        ((1 << 16) - 1, np.int16), (1 << 16, np.int32),
+        ((1 << 32) - 1, np.int32), (1 << 32, np.int64),
+    ):
+        step, drift = 7, need // 4
+        low = -(need // 2)
+        high = need - 1 - step - drift + low
+        cells = fold_cells(low, high, drift, step)
+        assert cells.dtype == dtype, need
+        if dtype != np.int64:
+            # the best value is stored need - 1 above the type's minimum
+            info = np.iinfo(dtype)
+            assert cells.sentinel - step == info.min and cells.origin + high == info.min + need
+        else:
+            assert cells.origin == 0
+    assert fold_cells(-1, INT64_VALUE_CAP, 0, 1).dtype == object
+    # never wider than cell_dtype of a profit total, which bounds high - low,
+    # the drift and the step; the fallback is cell_dtype(high - low) itself
+    rng = random.Random(4343)
+    for _ in range(2000):
+        total = rng.choice((rng.randint(1, 1 << 18), rng.randint(1, 1 << 34), 1 << rng.randint(1, 70)))
+        low = -rng.randint(0, total)
+        high = rng.randint(0, total + low)
+        step, drift = rng.randint(0, -low), rng.randint(0, high)
+        cells = fold_cells(low, high, drift, step)
+        assert cells.dtype.itemsize <= np.dtype(cell_dtype(total)).itemsize
+        if cells.dtype.itemsize > 4:
+            assert cells.dtype == np.dtype(cell_dtype(high - low)) and cells.origin == 0
 
 
 # run lengths the binary chunks must cover: every length up to 9, and the
@@ -884,15 +1011,22 @@ def test_pruning_with_unit_weights():
 
 
 def test_pruning_across_cell_widths():
+    # the core fold's cells hold about 1.5 times the profit total here:
+    # int16, shifted int32 on either side of INT32_VALUE_CAP and up to 2^31,
+    # int64 past 2^32, and object cells (8 bytes a pointer) past
+    # INT64_VALUE_CAP
     rng = random.Random(816)
     n = 80
-    for total, dtype in (
-        (INT32_VALUE_CAP - 1, np.int32),
-        (INT32_VALUE_CAP, np.int32),
-        (INT32_VALUE_CAP + 1, np.int64),
-        (1 << 40, np.int64),
-        (INT64_VALUE_CAP, np.int64),
-        (INT64_VALUE_CAP + 1, object),
+    for total, cell_bytes in (
+        (1 << 14, 2),
+        (INT32_VALUE_CAP - 1, 4),
+        (INT32_VALUE_CAP, 4),
+        (INT32_VALUE_CAP + 1, 4),
+        (1 << 31, 4),
+        (1 << 32, 8),
+        (1 << 40, 8),
+        (INT64_VALUE_CAP, 8),
+        (INT64_VALUE_CAP + 1, 8),
     ):
         for _ in range(3):
             weights = [rng.randint(1, 20) for _ in range(n)]
@@ -900,9 +1034,10 @@ def test_pruning_across_cell_widths():
             items = list(zip(weights, profits + [total - sum(profits)]))
             assert sum(p for _, p in items) == total
             capacity = sum(weights) // 2
-            assert cell_dtype(total) == dtype
+            stats = Stats()
+            assert solve_fast(items, capacity, stats=stats) == solve_bellman(items, capacity)
             # the core fold prunes at every cell width
-            assert check_pruned(items, capacity, solve_bellman(items, capacity)) > 0
+            assert stats.cell_bytes == cell_bytes and stats.cells_pruned > 0
 
 
 def test_pruning_removes_cells_at_scale():
@@ -1090,6 +1225,25 @@ def test_proximity_folds_runs_in_chunks():
     assert got == solve_fast(call.items, call.capacity)
 
 
+def test_core_fold_passes_on_shifted_int16_cells():
+    # the benchmark's pmax-32 hard-equal-weights verify instance at seed 1
+    # folds on shifted int16 cells and stops after 40 passes; taking the
+    # cut's q[z] - (LB + 1) in the cell type wraps there and runs 528
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    calls, _ = workloads.build("oracles", 1)
+    (call,) = (
+        c for c in calls
+        if c.spec.kind == "fast-verify" and c.spec.p_max == 32
+        and c.spec.family == "hard-equal-weights"
+    )
+    stats = Stats()
+    assert solve_fast(call.items, call.capacity, SolverConfig(verify=True), stats) == 20164
+    assert (stats.cell_bytes, stats.fold_passes, stats.peak_table_cells) == (2, 40, 20481)
+    assert (stats.best_index, stats.cells_pruned) == (190, 12370)
+
+
 def test_fold_table_byte_budget(monkeypatch):
     # every fold table is refused before allocation past the byte budget:
     # the core fold's first table and its growth, proximity's fixed table
@@ -1097,14 +1251,18 @@ def test_fold_table_byte_budget(monkeypatch):
     import knapsolve.baselines
 
     items, capacity = [(5, k) for k in range(1, 20)] + [(1, 1)] * 4, 40
-    stats = Stats()
+    stats, prox = Stats(), Stats()
     want = solve_fast(items, capacity, stats=stats)
-    first = 2 * 5 + 1  # half-size max(w_max, slack + 1) = 5, int32 cells
-    assert stats.peak_table_cells > first
+    assert solve_proximity_smawk(items, capacity, stats=prox) == want
+    first = 2 * 5 + 1  # half-size max(w_max, slack + 1) = 5
+    assert stats.peak_table_cells > first and prox.peak_table_cells == 4 * 25 + 1
+    # both folds' values fit int16 cells, and each byte count is the width
+    # that ran
+    assert stats.cell_bytes == prox.cell_bytes == 2
     for nbytes, call in (
-        (4 * first, lambda: solve_fast(items, capacity)),
-        (4 * stats.peak_table_cells, lambda: solve_fast(items, capacity)),
-        (4 * (4 * 25 + 1), lambda: solve_proximity_smawk(items, capacity)),
+        (2 * first, lambda: solve_fast(items, capacity)),
+        (2 * stats.peak_table_cells, lambda: solve_fast(items, capacity)),
+        (2 * prox.peak_table_cells, lambda: solve_proximity_smawk(items, capacity)),
     ):
         monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", nbytes - 1)
         with pytest.raises(BudgetExceededError, match=f"fold table needs {nbytes} bytes"):
@@ -1113,7 +1271,7 @@ def test_fold_table_byte_budget(monkeypatch):
     monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 0)
     with pytest.raises(BudgetExceededError, match="fold table needs [0-9]+ bytes"):
         solve_fast(items, capacity, SolverConfig(engine="hinted"))
-    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 4 * stats.peak_table_cells)
+    monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 2 * stats.peak_table_cells)
     assert solve_fast(items, capacity) == want == solve_exhaustive(items, capacity)
 
 
