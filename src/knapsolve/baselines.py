@@ -6,7 +6,8 @@ updates only the capacities the answer dp[t] can still read (Toth 1980).
 Runs of identical items are folded as binary chunks (Kellerer, Pferschy and
 Pisinger 2004, ch. 7) in weight order, light chunks at both ends, so at
 t = half the total weight it touches about n * t / 3 cells.  Its cells
-take the narrowest integer width their profit total fits.  It refuses
+take the width ``core.fold_cells`` gives every table here, from its values'
+range [0, profit total] and its largest chunk profit.  It refuses
 instances whose n * (t + 1) table would exceed an explicit cell budget, or
 whose two rows would exceed ``TABLE_BYTE_BUDGET``, instead of thrashing.
 ``solve_exhaustive`` is exact for up to 40 items and can also report a
@@ -21,7 +22,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import Instance, _columns, _integer, normalize
+from .core import Instance, _columns, _integer, fold_cells, normalize
 
 DEFAULT_CELL_BUDGET = 600_000_000_000
 # bytes one solver table may take: the capacity DP's two rows, or a fold
@@ -74,6 +75,13 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
     uniformly spread weights and t half the total weight the band covers
     about n * t / 3 cells, against n * t / 2 in input order.  With
     ``stats`` the chunk passes go to ``fold_passes``.
+
+    The cells hold values in [0, profit total] and no bottom; one pass adds
+    at most the largest kept chunk's profit, the ``drift`` the row layout is
+    sized with (``core.fold_cells``), so each value v is stored as v plus
+    the layout's origin.  The cell budget is checked first, then the chunk
+    list is built (O(n), no table) and the rows' bytes are checked against
+    ``TABLE_BYTE_BUDGET``, both before any row is allocated.
     """
     if inst.all_fit:
         return inst.total_profit
@@ -83,10 +91,6 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
         raise BudgetExceededError(
             f"table needs {cells} cells, over the budget of {cell_budget}"
         )
-    dtype = _dp_cell_dtype(int(inst.profits.sum()))
-    check_table_bytes("table rows need", 2 * (t + 1) * np.dtype(dtype).itemsize)
-    if stats is not None:
-        stats.note_table(t + 1, np.dtype(dtype).itemsize)
     chunks = []
     for (w, p), k in Counter(zip(inst.weights.tolist(), inst.profits.tolist())).items():
         c = 1
@@ -98,41 +102,29 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
             c *= 2
     chunks.sort()
     chunks = chunks[::2] + chunks[1::2][::-1]
+    layout = fold_cells(0, int(inst.profits.sum()), max(p for _, p in chunks), 0)
+    check_table_bytes("table rows need", 2 * (t + 1) * layout.dtype.itemsize)
     if stats is not None:
+        stats.note_table(t + 1, layout.dtype.itemsize)
         stats.fold_passes = len(chunks)
     after = sum(w for w, _ in chunks)
     if after <= t:
         return sum(p for _, p in chunks)
-    dp = np.zeros(t + 1, dtype=dtype)
-    tmp = np.empty(t + 1, dtype=dtype)
+    dp = np.full(t + 1, layout.origin, dtype=layout.dtype)
+    tmp = np.empty(t + 1, dtype=layout.dtype)
     below, gained = 0, 0
     for w, p in chunks:
         after -= w
         lo = max(w, t - after)
         hi = min(t, below + w)
-        dp[below + 1 : hi + 1] = gained
+        dp[below + 1 : hi + 1] = gained + layout.origin
         # temp copy keeps this a 0-1 update: sources predate the writes
         span = hi - lo + 1
         np.add(dp[lo - w : hi - w + 1], p, out=tmp[:span])
         np.maximum(dp[lo : hi + 1], tmp[:span], out=dp[lo : hi + 1])
         below += w
         gained += p
-    return int(dp[t])
-
-
-def _dp_cell_dtype(total_profit: int):
-    """Narrowest cell type for the capacity DP, whose cells lie in [0, total_profit].
-
-    Unlike the fold tables (``core.cell_dtype``) it keeps no bottom
-    sentinels, so each integer width may run up to its own maximum.
-    """
-    if total_profit <= np.iinfo(np.int16).max:
-        return np.int16
-    if total_profit <= np.iinfo(np.int32).max:
-        return np.int32
-    if total_profit <= np.iinfo(np.int64).max:
-        return np.int64
-    return object
+    return int(dp[t]) - layout.origin
 
 
 def _half_profiles(items, capacity):

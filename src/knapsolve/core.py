@@ -5,7 +5,7 @@ in this package work on a normalized view of the instance: items that cannot
 fit are dropped and trivially-feasible instances are answered directly.  The
 normalized instance holds weights and profits as two 1-D numpy arrays, int64
 while their totals fit ``INT64_VALUE_CAP`` and Python ints in object arrays
-past it (the rule ``cell_dtype`` applies to fold tables), so preprocessing
+past it (the bound ``cell_dtype`` applies to table cells), so preprocessing
 is a few array passes with no per-item Python objects.  The hint-propagating
 engine further perturbs hard instances so that all item efficiencies and
 profits are pairwise distinct; the perturbation is invertible on totals, so
@@ -13,10 +13,11 @@ optimal profits of the original instance can be recovered exactly.  Every
 other path orders the original items by exact efficiency, ties by index.
 
 This module also provides the greedy prefix split (the solution all exchange
-arguments are phrased against), per-weight-class rank orders, and the
-cell-width rule by profit total (``cell_dtype``), which the hinted engine's
-tables follow and the dense folds fall back to past int32; those folds size
-their cells from their own value bounds (``solver.fold_cells``).  The split
+arguments are phrased against), per-weight-class rank orders, and the one
+cell-width rule every table follows (``fold_cells``): the capacity DP, the
+core fold, proximity and the hinted engine's hand-off table each pass the
+bounds of their own values and get shifted int16 or int32 cells where those
+fit, and ``cell_dtype`` of the values' magnitude past that.  The split
 is ``LazyCore``: it finds the break by weighted selection on integer
 efficiency keys, in O(n), and sorts each side of the break one key band at
 a time, only as far as the core fold reads it.  Each side ranks its items
@@ -57,21 +58,71 @@ def is_bottom(value) -> bool:
 
 
 def cell_dtype(total_profit: int):
-    """Narrowest table cell type for values of magnitude up to ``total_profit``.
+    """Unshifted cell type for values, drifts and steps of magnitude up to ``total_profit``.
 
     int32 and int64 keep proportional headroom for drifted bottom sentinels;
-    past int64 range cells are Python ints in an object array.  The cells
-    are unshifted (a value is stored as itself), so the rule holds for any
-    table whose values, drift and steps the profit total bounds: the hinted
-    engine's, whose stage one writes raw values.  The core fold and
-    proximity size shifted cells from their own value range instead
-    (``solver.fold_cells``), and take this rule only past int32.
+    past int64 range cells are Python ints in an object array.  A value is
+    stored as itself.  In the package only ``fold_cells`` calls it, as its
+    fallback past int32.
     """
     if total_profit > INT64_VALUE_CAP:
         return object
     if total_profit <= INT32_VALUE_CAP:
         return np.int32
     return np.int64
+
+
+class FoldCells(NamedTuple):
+    """A table's cell type and layout.
+
+    A finite value v is stored as v + ``origin``; bottom is written as
+    ``sentinel`` and read as any cell at or below ``threshold``, which
+    leaves room for drift.
+    """
+
+    dtype: np.dtype
+    sentinel: int
+    threshold: int
+    origin: int
+
+
+# the unshifted layouts of cell_dtype's widths: int32 cells (magnitudes
+# within INT32_VALUE_CAP) keep the same proportional headroom as int64
+_UNSHIFTED = {
+    np.dtype(np.int32): FoldCells(np.dtype(np.int32), -(1 << 30), -(1 << 29), 0),
+    np.dtype(np.int64): FoldCells(np.dtype(np.int64), NEG_SENTINEL, NEG_THRESHOLD, 0),
+    np.dtype(object): FoldCells(np.dtype(object), BOTTOM, BOTTOM, 0),
+}
+
+# the types fold_cells shifts, narrowest first, with their widths in bits
+_SHIFTED = ((np.dtype(np.int16), 16), (np.dtype(np.int32), 32))
+
+
+def fold_cells(low: int, high: int, drift: int, step: int) -> FoldCells:
+    """The narrowest cells for a table whose finite values lie in [low, high].
+
+    ``low`` <= 0 <= ``high`` bound every finite value a pass reads or
+    writes; ``drift`` bounds how far a bottom can climb, the add-side profit
+    folded onto it; ``step`` is the largest |gain| of one remove-side pass.
+    The callers keep drift <= high and step <= -low.  The layout puts the
+    sentinel ``step`` above the type's minimum, so a remove pass lowers a
+    bottom no further than the minimum, and in-place maximum keeps every
+    written cell at or above the sentinel.  Bottoms then climb to at most
+    threshold = sentinel + drift, and with origin = threshold + 1 - low
+    every finite value is stored in [threshold + 1, threshold + 1 + high -
+    low].  So int16 holds the table when step + drift + (high - low) + 1 <=
+    2^16 - 1 and int32 when that sum is at most 2^32 - 1; every gain, at
+    most max(drift, step), fits the type.  Past that the cells are
+    ``cell_dtype(max(high, -low))`` with origin 0: under the callers' bounds
+    that magnitude bounds every value, drift and step.
+    """
+    need = step + drift + (high - low) + 1
+    for dtype, bits in _SHIFTED:
+        if need < 1 << bits:
+            sentinel = step - (1 << bits - 1)
+            threshold = sentinel + drift
+            return FoldCells(dtype, sentinel, threshold, threshold + 1 - low)
+    return _UNSHIFTED[np.dtype(cell_dtype(max(high, -low)))]
 
 
 def _fitted(values: np.ndarray) -> np.ndarray:

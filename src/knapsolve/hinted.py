@@ -55,7 +55,7 @@ from .colorings import (
     det_isolating_colorings,
     is_isolated,
 )
-from .core import BOTTOM, is_bottom
+from .core import BOTTOM, NEG_SENTINEL, NEG_THRESHOLD, is_bottom
 from .smawk import row_maxima
 
 # The multiplicity map of every entry no extension touched; read-only, so
@@ -106,15 +106,12 @@ class ExtendStats:
     one_weight_calls: int = 0
 
 
-# Values stay int64 while every magnitude, plus the profits added to it,
-# stays under half the int64 bottom sentinel's; past that they are Python ints.
-_SENTINEL = -(1 << 62)
-_VALUE_CAP = -_SENTINEL >> 1
-
-
 def _cells(values: np.ndarray, extra: int = 0) -> np.ndarray:
-    """``values`` as int64 while |value| + ``extra`` stays under ``_VALUE_CAP``, else as ints."""
-    fits = not values.size or max(-int(values.min()), int(values.max())) + extra < _VALUE_CAP
+    """``values`` as int64 while |value| + ``extra`` stays under ``-NEG_THRESHOLD``, else as ints.
+
+    That cap is half the magnitude of the int64 bottom, ``NEG_SENTINEL``.
+    """
+    fits = not values.size or max(-int(values.min()), int(values.max())) + extra < -NEG_THRESHOLD
     return values.astype(np.int64 if fits else object, copy=False)
 
 
@@ -451,7 +448,7 @@ def solve_singleton(
     keys = inst.keys
     weight_at = np.array(weight_of, np.int64)[inst.codes]
     cells = _cells(inst.values, max(abs(p) for w in weights for p in inst.fns[w].prefix))
-    bottom = _SENTINEL if cells.dtype == np.int64 else BOTTOM
+    bottom = NEG_SENTINEL if cells.dtype == np.int64 else BOTTOM
     evals = aps = 0
     winners = []  # per weight: (w, prefix, rows, bases, x, values, q at bases)
     for w in weights:

@@ -24,9 +24,10 @@ item is one vectorized shift-max pass over the table's live span, the cells
 between its outermost finite entries.  The table starts at half-size
 max(w_max, slack + 1) and doubles before a pass would reach past it, up to
 2 * w_max^2, which every partial sum of an optimal exchange stays within.
-Its cells are sized from the values the fold can hold (``fold_cells``):
-exchange gains in [-greedy profit, add-side profit], shifted into int16 or
-int32 while that range, the drift of bottom sentinels and p_max fit.
+Its cells are sized from the values the fold can hold by ``core.fold_cells``,
+the one width rule of every table here: exchange gains in [-greedy profit,
+add-side profit], shifted into int16 or int32 while that range, the drift
+of bottom sentinels and p_max fit.
 
 Every eight passes the fold prunes (Pisinger's minknap reduction, with
 rates that tighten as the core grows).  LB is the best entry at z <= slack
@@ -55,7 +56,8 @@ the original total recovered at the end.  It is the instrumented reference.
 half-size 2 * w_max^2, with no profit bound: the simplest reference.  After
 each class side it keeps only the cells the sides still to fold can carry
 into (slack - w_max, slack], where every optimal exchange ends.  All of them
-fold through ``_DenseFold``, which refuses a table past
+fold through ``_DenseFold``, each in the cells ``core.fold_cells`` gives its
+own value bounds, and it refuses a table past
 ``baselines.TABLE_BYTE_BUDGET`` before allocating it.  A class side is one
 bounded item whose prefix profits are concave; ``_DenseFold.update`` folds
 each run of k equal increments (k identical items) as 0-1 chunks of 1, 2,
@@ -73,21 +75,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 
 from . import hinted
 from .baselines import _capacity_dp, check_table_bytes
 from .core import (
+    _UNSHIFTED,
     BOTTOM,
-    NEG_SENTINEL,
-    NEG_THRESHOLD,
+    FoldCells,
     GreedySplit,
     Instance,
     LazyCore,
     break_ties,
-    cell_dtype,
+    fold_cells,
     greedy_split,
     is_bottom,
     normalize,
@@ -190,59 +191,6 @@ def _prefix_profits(profits, members, sign: int) -> list[int]:
     return out
 
 
-class FoldCells(NamedTuple):
-    """A fold table's cell type and layout.
-
-    A finite value v is stored as v + ``origin``; bottom is written as
-    ``sentinel`` and read as any cell at or below ``threshold``, which
-    leaves room for drift.
-    """
-
-    dtype: np.dtype
-    sentinel: int
-    threshold: int
-    origin: int
-
-
-# the unshifted layouts of cell_dtype's widths, for tables whose values are
-# bounded only by a profit total: int32 cells (totals within INT32_VALUE_CAP)
-# keep the same proportional headroom as int64
-_UNSHIFTED = {
-    np.dtype(np.int32): FoldCells(np.dtype(np.int32), -(1 << 30), -(1 << 29), 0),
-    np.dtype(np.int64): FoldCells(np.dtype(np.int64), NEG_SENTINEL, NEG_THRESHOLD, 0),
-    np.dtype(object): FoldCells(np.dtype(object), BOTTOM, BOTTOM, 0),
-}
-
-# the types fold_cells shifts, narrowest first, with their widths in bits
-_SHIFTED = ((np.dtype(np.int16), 16), (np.dtype(np.int32), 32))
-
-
-def fold_cells(low: int, high: int, drift: int, step: int) -> FoldCells:
-    """The narrowest cells for a fold whose finite values lie in [low, high].
-
-    ``low`` <= 0 <= ``high`` bound every finite value a pass reads or
-    writes; ``drift`` bounds how far a bottom can climb, the add-side profit
-    folded onto it; ``step`` is the largest |gain| of one remove-side pass.
-    The layout puts the sentinel ``step`` above the type's minimum, so a
-    remove pass lowers a bottom no further than the minimum, and in-place
-    maximum keeps every written cell at or above the sentinel.  Bottoms then
-    climb to at most threshold = sentinel + drift, and with origin =
-    threshold + 1 - low every finite value is stored in [threshold + 1,
-    threshold + 1 + high - low].  So int16 holds the table when
-    step + drift + (high - low) + 1 <= 2^16 - 1 and int32 when that sum is
-    at most 2^32 - 1.  Past that the cells are ``cell_dtype(high - low)``
-    with origin 0, as for a profit total of high - low.  In the folds that
-    call this, drift <= high and step <= -low, so every gain fits the type.
-    """
-    need = step + drift + (high - low) + 1
-    for dtype, bits in _SHIFTED:
-        if need < 1 << bits:
-            sentinel = step - (1 << bits - 1)
-            threshold = sentinel + drift
-            return FoldCells(dtype, sentinel, threshold, threshold + 1 - low)
-    return _UNSHIFTED[np.dtype(cell_dtype(high - low))]
-
-
 # scratch tile (cells); 1 MiB keeps the shift buffer cache resident so a
 # pass streams three arrays through memory instead of five
 _TILE = 1 << 17
@@ -290,11 +238,10 @@ class _DenseFold:
     climb is at most the add-side profit total, which the layout leaves
     room for below the bottom threshold.
 
-    ``cells`` is a ``FoldCells`` layout, as ``fold_cells`` sizes it from the
-    fold's own value bounds: int16 or int32 cells shifted by an origin,
-    which index 0 starts at and ``window_best`` subtracts.  It may also be a
-    bare type, int64 (default), int32 or ``object``, taken unshifted, as
-    ``cell_dtype`` picks it from a profit total.  A table past
+    ``cells`` is a ``FoldCells`` layout, as ``core.fold_cells`` sizes it
+    from the fold's own value bounds: int16 or int32 cells shifted by an
+    origin, which index 0 starts at and ``window_best`` subtracts, or
+    unshifted int64 or ``object`` cells past that.  A table past
     ``baselines.TABLE_BYTE_BUDGET`` is refused with ``BudgetExceededError``
     before it is allocated.  With ``stats`` the engine records its own size
     and cell width there when it is built and on each resize.
@@ -302,9 +249,7 @@ class _DenseFold:
 
     __slots__ = ("arr", "tmp", "half", "lo", "hi", "sentinel", "threshold", "origin", "stats")
 
-    def __init__(self, half: int, cells=np.int64, stats: Stats | None = None):
-        if not isinstance(cells, FoldCells):
-            cells = _UNSHIFTED[np.dtype(cells)]
+    def __init__(self, half: int, cells: FoldCells, stats: Stats | None = None):
         size = 2 * half + 1
         check_table_bytes("fold table needs", size * cells.dtype.itemsize)
         _, self.sentinel, self.threshold, self.origin = cells
@@ -444,7 +389,9 @@ class _DenseFold:
                 # in the tile type: on shifted narrow cells the difference
                 # may not fit the cell type
                 t = np.subtract(seg, lb + 1, out=wide[:m], dtype=wide.dtype)
-                t.clip(-reach, reach, out=t)
+                # the two ufuncs skip ndarray.clip's Python-level wrapper
+                np.minimum(t, reach, out=t)
+                np.maximum(t, -reach, out=t)
                 if not bottoms_clip:  # a bottom sentinel may lie above -reach
                     bottom = np.less_equal(seg, self.threshold, out=dead_tile[:m])
                     np.copyto(t, -reach, where=bottom)
@@ -485,8 +432,9 @@ def first_stage_dense(
     the live engine so stage two can keep folding without a table copy.
     No solve path calls it: the dense path runs the core fold
     (``_core_fold``), and only the benchmark's staged mirror calls this.
+    ``dtype`` (int32, int64 or ``object``) picks an unshifted layout.
     """
-    eng = _DenseFold(schedule.table_half_sizes[0], dtype, stats)
+    eng = _DenseFold(schedule.table_half_sizes[0], _UNSHIFTED[np.dtype(dtype)], stats)
     last_phase = 0
     for j in range(1, schedule.phase_count + 1):
         if rank_part.phase_items(+1, j) or rank_part.phase_items(-1, j):
@@ -544,7 +492,9 @@ def first_stage_hinted(
     and keep every entry with empty hint sets, so the table is final.  The
     finished table is returned as a fold engine over the perturbed profits,
     at the last phase's half-size, for stage two; that size is the peak the
-    stats record.  Before any table exists, the last phase's table (at
+    stats record.  Its cells are ``core.fold_cells``' for values in [-P', P'],
+    with P' the perturbed profit total, which also bounds how far a bottom
+    climbs and what one remove pass loses.  Before any table exists, the last phase's table (at
     ``_STAGE_ONE_ENTRY_BYTES`` per entry) and the stage-two fold table are
     checked against ``baselines.TABLE_BYTE_BUDGET``, and a call past it is
     refused with ``BudgetExceededError``.  ``config`` is not read; it stays
@@ -552,9 +502,10 @@ def first_stage_hinted(
     """
     profits = primed.profits.tolist()
     last = schedule.table_half_sizes[schedule.phase_count]
-    dtype = cell_dtype(sum(profits))
+    total = sum(profits)
+    cells = fold_cells(-total, total, total, total)
     fold_half = max(last, schedule.stage_two_size(1))
-    check_table_bytes("fold table needs", (2 * fold_half + 1) * np.dtype(dtype).itemsize)
+    check_table_bytes("fold table needs", (2 * fold_half + 1) * cells.dtype.itemsize)
     check_table_bytes("hinted stage one needs", (2 * last + 1) * _STAGE_ONE_ENTRY_BYTES)
 
     universe = tuple(sorted(inner_weights))
@@ -608,9 +559,9 @@ def first_stage_hinted(
             sets[direction], codes[direction] = hinted._distinct(survivors, mine)
             sets[-direction], codes[-direction] = hinted._distinct(sets[-direction], other)
 
-    eng = _DenseFold(last, dtype, stats)
+    eng = _DenseFold(last, cells, stats)
     eng.arr[last] = eng.sentinel
-    eng.arr[keys + last] = values
+    eng.arr[keys + last] = values + eng.origin
     eng.lo, eng.hi = (int(keys[0]) + last, int(keys[-1]) + last + 1) if keys.size else (last, last)
     return eng
 

@@ -10,12 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knapsolve import SolverConfig, Stats, generate_instance, solve_bellman, solve_fast
-from knapsolve.core import BOTTOM, is_bottom
+from knapsolve import (
+    SolverConfig,
+    Stats,
+    break_ties,
+    generate_instance,
+    normalize,
+    solve_bellman,
+    solve_fast,
+)
+from knapsolve.core import BOTTOM, NEG_SENTINEL, is_bottom
 from knapsolve import hinted
 from knapsolve.hinted import (
     _SCAN_CAP,
-    _SENTINEL,
     ConcaveProfitFn,
     ExtendStats,
     HintedExtendInstance,
@@ -241,7 +248,7 @@ def scan_ranges(cols, q, prefix, w, L):
     """``_row_winners`` on one group, read as ``_smawk_ranges`` gives them."""
     bases = np.array(cols, np.int64)
     values = np.array([q[j] for j in cols], np.int64)
-    _, at, x, _, evals = _row_winners(bases, values, prefix, w, L, _SENTINEL)
+    _, at, x, _, evals = _row_winners(bases, values, prefix, w, L, NEG_SENTINEL)
     won: dict = {}
     for j, k in zip(bases[at].tolist(), x.tolist()):
         won.setdefault(j, [k, k])[1] = k
@@ -481,6 +488,18 @@ def test_singleton_row_band_keeps_output_and_cuts_evals():
     assert (ext.ap_count, ext.bucket_inserts) == (14232, 15000)
     assert stats.peak_table_cells == 20097
     assert ext.matrix_evals == 67_402 < 300_837
+    # the hand-off table holds values in [-P', P'], with the perturbed
+    # profit total P' = 577,688,960: shifted int32, as 4 P' + 1 < 2^32
+    assert stats.cell_bytes == 4
+
+
+def test_hinted_hand_off_cells_past_int32():
+    # P' = 5,246,625,336 is past 2^32, so the hand-off table is int64
+    items, t = generate_instance(96, 24, 1000, 0.3, 5, "clustered")
+    assert break_ties(normalize(items, t)).profits.sum() > 1 << 32
+    stats = Stats()
+    assert solve_fast(items, t, SolverConfig(engine="hinted"), stats) == 30383
+    assert stats.cell_bytes == 8
 
 
 # (answer, matrix_evals, ap_count, bucket_inserts, peak_table_cells) of the

@@ -39,12 +39,14 @@ def test_no_public_name_outside_all():
 def test_modules_define_only_the_live_building_blocks():
     assert defined_in(knapsolve.smawk) == {"row_maxima"}
     assert defined_in(knapsolve.core) == {
+        "FoldCells",
         "GreedySplit",
         "Instance",
         "Item",
         "LazyCore",
         "break_ties",
         "cell_dtype",
+        "fold_cells",
         "greedy_split",
         "is_bottom",
         "normalize",

@@ -26,7 +26,7 @@ from knapsolve import (
     solve_proximity_smawk,
     weight_partition,
 )
-from knapsolve.core import INT32_VALUE_CAP, INT64_VALUE_CAP, cell_dtype
+from knapsolve.core import _UNSHIFTED, INT32_VALUE_CAP, INT64_VALUE_CAP, cell_dtype, fold_cells
 from knapsolve.partition import DEFAULT_CONSTANT
 from knapsolve.selftest import SOLVERS, TIE_SHAPES, tie_heavy_items
 from knapsolve.solver import (
@@ -34,7 +34,6 @@ from knapsolve.solver import (
     _CutScratch,
     _DenseFold,
     first_stage_dense,
-    fold_cells,
     second_stage,
 )
 
@@ -184,19 +183,19 @@ def test_tie_heavy_differential_sweep():
 
 
 def test_selftest_magnitudes_take_every_cell_width():
-    # the selftest's magnitude suite: the core fold and proximity each run
-    # on shifted int16, shifted int32 and int64 cells, and agree with
-    # enumeration
+    # the selftest's magnitude suite: the core fold, proximity and the
+    # capacity DP each run on shifted int16, shifted int32 and int64 cells,
+    # and agree with enumeration
     from knapsolve.selftest import SUITES, _cases
 
     make = dict(SUITES)["magnitude"]
-    widths = {solver: set() for solver in (solve_fast, solve_proximity_smawk)}
+    widths = {solver: set() for solver in (solve_fast, solve_proximity_smawk, solve_bellman)}
     for items, capacity in _cases(make, random.Random(20240817), 100):
         want = solve_exhaustive(items, capacity)
         for solver, seen in widths.items():
             stats = Stats()
             assert solver(items, capacity, stats=stats) == want, (items, capacity)
-            if stats.engine in ("dense", "proximity"):
+            if stats.engine in ("dense", "proximity", "bellman"):
                 seen.add(stats.cell_bytes)
     assert all(seen == {2, 4, 8} for seen in widths.values()), widths
 
@@ -339,12 +338,11 @@ def test_profit_totals_straddling_narrow_table_cap():
 
 
 def test_banded_capacity_dp_against_exhaustive():
-    # the capacity DP updates only the cells dp[t] can still read, in cells
-    # as narrow as the profit total allows; every edge of the band and each
-    # cell width must agree with enumeration, through solve_bellman and
-    # through solve_fast's verify check
-    from knapsolve.baselines import _dp_cell_dtype
-
+    # the capacity DP updates only the cells dp[t] can still read, in the
+    # cells fold_cells gives values in [0, total] raised by at most the
+    # largest chunk per pass; every edge of the band and each cell width
+    # must agree with enumeration, through solve_bellman and through
+    # solve_fast's verify check
     rng = random.Random(9191)
     cases = []
     for _ in range(120):
@@ -358,9 +356,12 @@ def test_banded_capacity_dp_against_exhaustive():
         cases.append(([(w, rng.randint(1, 30))], rng.randint(0, 2 * w)))
         heavy = [(rng.randint(10, 20), rng.randint(1, 30)) for _ in range(3)]
         cases.append((heavy + random_items(rng, n_max=8, w_max=9), 9))
-    int32_max = (1 << 31) - 1
-    for total, dtype in ((int32_max, np.int32), (int32_max + 1, np.int64), ((1 << 63) + 5, object)):
-        assert _dp_cell_dtype(total) == dtype
+    # shifted int16 below 2^16 - 1 with the largest chunk, shifted int32
+    # below 2^32 - 1, then int64 up to INT64_VALUE_CAP and object cells
+    # (8 bytes a pointer) past it
+    for total, cell_bytes in (
+        (30_000, 2), (60_000, 4), ((1 << 31) - 1, 4), (1 << 31, 4), (1 << 60, 8), ((1 << 63) + 5, 8)
+    ):
         for _ in range(10):
             n = rng.randint(2, 12)
             weights = [rng.randint(1, 9) for _ in range(n)]
@@ -369,6 +370,9 @@ def test_banded_capacity_dp_against_exhaustive():
             t = rng.randint(max(weights), sum(weights) - 1)
             # every item fits alone, so the DP's total is the whole total
             assert sum(normalize(items, t).profits.tolist()) == total
+            stats = Stats()
+            solve_bellman(items, t, stats=stats)
+            assert stats.cell_bytes == cell_bytes, (items, t)
             cases.append((items, t))
     for items, t in cases:
         want = solve_exhaustive(items, t)
@@ -376,21 +380,26 @@ def test_banded_capacity_dp_against_exhaustive():
         assert solve_fast(items, t, SolverConfig(verify=True)) == want, (items, t)
 
 
-@pytest.mark.parametrize("total, itemsize", [(32_767, 2), (32_768, 4)])
-def test_capacity_dp_int16_cells_at_their_limit(monkeypatch, total, itemsize):
-    # the capacity DP's cells lie in [0, total] with no sentinels, so int16
-    # holds totals up to its maximum; this answer is total - 1, where a cell
-    # one width too narrow would wrap
+@pytest.mark.parametrize("need, itemsize", [(65_535, 2), (65_536, 4)])
+def test_capacity_dp_int16_cells_at_their_limit(monkeypatch, need, itemsize):
+    # the capacity DP's cells lie in [0, total] with no sentinels, and one
+    # pass adds at most the largest chunk, so int16 holds the rows while
+    # total + largest chunk + 1 <= 2^16 - 1; this answer is total - 1, where
+    # a cell one width too narrow would wrap
     import knapsolve.baselines
-    from knapsolve.baselines import _dp_cell_dtype
 
-    assert np.dtype(_dp_cell_dtype(total)).itemsize == itemsize
-    rng = random.Random(total)
+    rng = random.Random(need)
+    largest = 8000
     weights = [rng.randint(1, 9) for _ in range(11)]
-    profits = [total // 12 + rng.randint(-50, 50) for _ in range(10)]
-    items = list(zip(weights, profits + [total - 1 - sum(profits)])) + [(1, 1)]
+    # ten distinct profits below the largest: every chunk is one item
+    rest = need - 2 - 2 * largest
+    profits = [rest // 10 + d for d in rng.sample(range(-50, 51), 9)]
+    profits += [rest - sum(profits), largest]
+    items = list(zip(weights, profits)) + [(1, 1)]
     t = sum(weights)  # every item but the (1, 1) fits
-    assert sum(normalize(items, t).profits.tolist()) == total
+    total = sum(normalize(items, t).profits.tolist())
+    assert len(set(items)) == len(items) and max(profits) == largest
+    assert total + largest + 1 == need
     monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 0)
     with pytest.raises(BudgetExceededError, match=f"rows need {2 * (t + 1) * itemsize} bytes"):
         solve_bellman(items, t)
@@ -480,6 +489,11 @@ def test_repeat_runs_are_deterministic():
 CELL_TYPES = [(np.int32, 1), (np.int64, 1 << 36), (object, 1 << 70)]
 
 
+def unshifted_fold(half, dtype, stats=None):
+    """A fold engine on ``dtype``'s unshifted layout, as ``first_stage_dense`` builds it."""
+    return _DenseFold(half, _UNSHIFTED[np.dtype(dtype)], stats)
+
+
 def concave_prefix(rng, cap, scale):
     incs = sorted((rng.randint(-40, 40) * scale for _ in range(cap)), reverse=True)
     out = [0]
@@ -524,7 +538,7 @@ def check_window(eng, cells, rng):
 
 def filled_fold(rng, half, dtype, scale, density=0.3):
     """An engine whose live span is the whole table, with random finite cells."""
-    eng = _DenseFold(half, dtype)
+    eng = unshifted_fold(half, dtype)
     eng.arr[half] = eng.sentinel
     cells = {}
     for k in range(2 * half + 1):
@@ -539,7 +553,7 @@ def test_dense_fold_update_matches_enumeration():
     for dtype, scale in CELL_TYPES:
         for _ in range(40):
             half = rng.randint(1, 40)
-            eng = _DenseFold(half, dtype)
+            eng = unshifted_fold(half, dtype)
             want = {0: 0}
             for _ in range(rng.randint(1, 8)):
                 weight = rng.randint(1, half + 3)
@@ -556,7 +570,7 @@ def test_dense_fold_resize_both_ways():
     for dtype, scale in CELL_TYPES:
         for _ in range(30):
             half = rng.randint(1, 30)
-            eng = _DenseFold(half, dtype)
+            eng = unshifted_fold(half, dtype)
             want = {0: 0}
             for _ in range(6):
                 new_half = rng.randint(1, 2 * half + 5)
@@ -597,7 +611,7 @@ def test_int32_fold_at_profit_cap_keeps_bottom_cells():
     # climb under int32 cells; odd indices stay bottom under even weights
     # and must still read as bottom
     half, weight, gain = 9, 2, 1 << 20
-    eng = _DenseFold(half, np.int32)
+    eng = unshifted_fold(half, np.int32)
     want = {0: 0}
     for _ in range(INT32_VALUE_CAP // gain):
         for direction, prefix in ((+1, [0, gain]), (-1, [0, -gain])):
@@ -652,7 +666,7 @@ def test_shifted_fold_at_the_edges_of_its_cells(dtype, step):
 
 def test_fold_cells_widths_at_their_limits():
     # int16 up to step + drift + (high - low) + 1 = 2^16 - 1, int32 up to
-    # 2^32 - 1, then cell_dtype of the value range, origin 0
+    # 2^32 - 1, then cell_dtype of the values' magnitude, origin 0
     for need, dtype in (
         ((1 << 16) - 1, np.int16), (1 << 16, np.int32),
         ((1 << 32) - 1, np.int32), (1 << 32, np.int64),
@@ -668,9 +682,11 @@ def test_fold_cells_widths_at_their_limits():
             assert cells.sentinel - step == info.min and cells.origin + high == info.min + need
         else:
             assert cells.origin == 0
-    assert fold_cells(-1, INT64_VALUE_CAP, 0, 1).dtype == object
+    # the magnitude, not the range: int64 holds values up to INT64_VALUE_CAP
+    assert fold_cells(-1, INT64_VALUE_CAP, 0, 1).dtype == np.int64
+    assert fold_cells(-1, INT64_VALUE_CAP + 1, 0, 1).dtype == object
     # never wider than cell_dtype of a profit total, which bounds high - low,
-    # the drift and the step; the fallback is cell_dtype(high - low) itself
+    # the drift and the step; the fallback is cell_dtype(max(high, -low))
     rng = random.Random(4343)
     for _ in range(2000):
         total = rng.choice((rng.randint(1, 1 << 18), rng.randint(1, 1 << 34), 1 << rng.randint(1, 70)))
@@ -680,7 +696,7 @@ def test_fold_cells_widths_at_their_limits():
         cells = fold_cells(low, high, drift, step)
         assert cells.dtype.itemsize <= np.dtype(cell_dtype(total)).itemsize
         if cells.dtype.itemsize > 4:
-            assert cells.dtype == np.dtype(cell_dtype(high - low)) and cells.origin == 0
+            assert cells.dtype == np.dtype(cell_dtype(max(high, -low))) and cells.origin == 0
 
 
 # run lengths the binary chunks must cover: every length up to 9, and the
@@ -707,7 +723,7 @@ def test_dense_fold_update_folds_runs():
                 for direction in (+1, -1):
                     weight = rng.randint(1, 5)
                     half = weight * sum(lengths) + rng.randint(1, 5)
-                    eng = _DenseFold(half, dtype)
+                    eng = unshifted_fold(half, dtype)
                     want = {0: 0}
                     for _ in range(2):
                         prefix = run_prefix(rng, lengths, scale)
@@ -764,7 +780,7 @@ def test_int32_fold_at_profit_cap_keeps_bottom_cells_with_runs():
     # chunk gains several increments at once, and the add-side total is
     # still exactly INT32_VALUE_CAP
     half, weight, gain, run = 40, 2, 1 << 20, 16
-    eng = _DenseFold(half, np.int32)
+    eng = unshifted_fold(half, np.int32)
     want = {0: 0}
     for _ in range(INT32_VALUE_CAP // (gain * run)):
         for direction in (+1, -1):
@@ -851,7 +867,7 @@ def test_dense_fold_cut_matches_reference():
     for dtype, scale, rate_scale in cases + [(np.int64, 1 << 48, 1 << 52)]:
         for _ in range(150):
             half = rng.randint(2, 40)
-            eng = _DenseFold(half, dtype)
+            eng = unshifted_fold(half, dtype)
             want = {0: 0}
             for _ in range(rng.randint(1, 8)):
                 weight = rng.randint(1, half)
@@ -880,7 +896,7 @@ def test_dense_fold_cut_across_tiles():
         for g, removes_left in ((1, True), (3, False)):
             slack, add, remove = random_bound(rng, half, scale)
             slope = (Fraction(*add[::-1]) + Fraction(*remove[::-1])) / 2
-            eng = _DenseFold(half, dtype)
+            eng = unshifted_fold(half, dtype)
             eng.arr[half] = eng.sentinel
             want = {}
             for k in range(0, 2 * half + 1, 3):
@@ -1311,7 +1327,7 @@ def proximity_reference(items, capacity):
     split = greedy_split(inst)
     profits = inst.profits.tolist()
     stats = Stats()
-    eng = _DenseFold(2 * inst.w_max * inst.w_max, cell_dtype(sum(profits)), stats)
+    eng = unshifted_fold(2 * inst.w_max * inst.w_max, cell_dtype(sum(profits)), stats)
     passes = 0
     for w in sorted(split.add_candidates.keys() | split.remove_candidates.keys()):
         for direction, side in ((+1, split.add_candidates), (-1, split.remove_candidates)):
