@@ -12,14 +12,17 @@ Three primitives, all derandomized with pessimistic estimators:
   at least one of them (collision-counting estimator, exact integer
   arithmetic).
 
-All loops process elements and sets in sorted order, so outputs are fully
-deterministic functions of their inputs.
+All loops process elements in sorted order, so outputs are fully
+deterministic functions of their inputs.  Copies of one set share every
+step, so each works once per distinct nonempty set, weighted by its copy
+count (``_copies``): work follows the distinct sets, and the outputs are
+those of tracking every copy on its own in exact arithmetic.
 
 Each takes the number of sets m as an optional argument (default: the
 length of the list), since its parameters depend on m.  An empty set adds
 nothing to any sum, estimator or check, so a caller whose m counts empty
-sets may pass only the nonempty ones, in their order, with m: the outputs,
-float sums included, are those of the full list.
+sets may pass only the nonempty ones with m: the outputs are those of the
+full list.
 """
 
 from __future__ import annotations
@@ -39,64 +42,65 @@ def _sorted_universe(sets) -> list:
     return sorted(universe)
 
 
+def _copies(sets) -> Counter:
+    """The copy count of every distinct nonempty set, in first-seen order."""
+    copies = Counter(map(frozenset, sets))
+    copies.pop(frozenset(), None)
+    return copies
+
+
+def _balance(copies: Counter, m: int) -> dict:
+    """``det_set_balancing`` of the sets ``copies`` counts, m sets in all."""
+    universe = _sorted_universe(copies)
+    signs = dict.fromkeys(universe, 1)
+    if m == 0 or not universe:
+        return signs
+    t = math.sqrt(math.log(2 * m) / max(map(len, copies)))
+    cosh_t = math.cosh(t)
+    member_sets: dict = {e: [] for e in universe}
+    rho, sigma, count = [], [], []  # undecided elements, signed sum, copies
+    for i, (s, n) in enumerate(copies.items()):
+        for e in s:
+            member_sets[e].append(i)
+        rho.append(len(s))
+        sigma.append(0)
+        count.append(n)
+    for e in universe:
+        # copies at (rho, sigma) and (rho, -sigma) cancel; sigma = 0 adds 0
+        net: dict = {}
+        for i in member_sets[e]:
+            if sigma[i]:
+                key = (rho[i], abs(sigma[i]))
+                net[key] = net.get(key, 0) + (count[i] if sigma[i] > 0 else -count[i])
+        total = math.fsum(
+            n * cosh_t**r * math.sinh(t * s) for (r, s), n in net.items() if n
+        )
+        sign = 1 if total <= 0 else -1
+        signs[e] = sign
+        for i in member_sets[e]:
+            rho[i] -= 1
+            sigma[i] += sign
+    return signs
+
+
 def det_set_balancing(sets: list, m: int | None = None) -> dict:
     """Assign +1/-1 to every element so all sets have small discrepancy.
 
     With m sets of size at most b, every returned assignment satisfies
-    |sum of signs over S_i| <= 2 * sqrt(b * ln(2m)) up to floating point
-    slack (callers assert the relaxed bound 4 * sqrt(b * ln(2m))).  Greedy
-    choice per element, minimizing the exponential moment potential
-    sum_i cosh(t * sigma_i) * cosh(t)^rho_i scaled by exp(-t * lambda).
+    |sum of signs over S_i| <= 2 * sqrt(b * ln(2m)) (callers assert the
+    relaxed bound 4 * sqrt(b * ln(2m))), with t = sqrt(ln(2m) / b).
+    Greedy choice per element, minimizing the potential
+    sum_i cosh(t * sigma_i) * cosh(t)^rho_i, where rho_i counts the
+    undecided elements of S_i and sigma_i is its signed sum so far: the
+    element is signed +1 exactly when
+    sum_i cosh(t)^rho_i * sinh(t * sigma_i) <= 0 over the sets holding it,
+    an empty sum included.  rho and sigma are integers kept once per
+    distinct set; the copy counts are netted per (rho, |sigma|), so terms
+    that cancel are never formed and a mathematical tie always signs +1.
+    Each nonzero net term is evaluated afresh and the terms are summed by
+    ``math.fsum``, so the order of the sets does not matter.
     """
-    universe = _sorted_universe(sets)
-    signs = {e: 1 for e in universe}
-    if m is None:
-        m = len(sets)
-    if m == 0 or not universe:
-        return signs
-    b = max((len(set(s)) for s in sets), default=0)
-    if b == 0:
-        return signs
-    t = math.sqrt(math.log(2 * m) / b)
-    lam = 2.0 * math.sqrt(b * math.log(2 * m))
-    scale = math.exp(-t * lam)
-    cosh_t = math.cosh(t)
-    e_plus = math.exp(t)
-    e_minus = math.exp(-t)
-
-    member_sets: dict = {e: [] for e in universe}
-    plus_term = []
-    minus_term = []
-    for s in sets:
-        elems = set(s)
-        if not elems:
-            continue
-        for e in elems:
-            member_sets[e].append(len(plus_term))
-        plus_term.append(scale * cosh_t ** len(elems))
-        minus_term.append(scale * cosh_t ** len(elems))
-
-    for e in universe:
-        gain_plus = 0.0
-        gain_minus = 0.0
-        for i in member_sets[e]:
-            # new terms if rho decreases and sigma moves by +/- 1
-            p_up = plus_term[i] * e_plus / cosh_t
-            p_dn = plus_term[i] * e_minus / cosh_t
-            m_up = minus_term[i] * e_minus / cosh_t
-            m_dn = minus_term[i] * e_plus / cosh_t
-            gain_plus += p_up + m_up
-            gain_minus += p_dn + m_dn
-        sign = 1 if gain_plus <= gain_minus else -1
-        signs[e] = sign
-        for i in member_sets[e]:
-            if sign == 1:
-                plus_term[i] *= e_plus / cosh_t
-                minus_term[i] *= e_minus / cosh_t
-            else:
-                plus_term[i] *= e_minus / cosh_t
-                minus_term[i] *= e_plus / cosh_t
-    return signs
+    return _balance(_copies(sets), len(sets) if m is None else m)
 
 
 def balls_and_bins_bound(num_sets: int, beta: int) -> int:
@@ -110,51 +114,45 @@ def det_balls_and_bins(
     """Color the universe so every set meets every color class in few points.
 
     ``num_colors`` is rounded down to a power of two and the classes are
-    produced by repeated halving with ``det_set_balancing``.  Requires
-    |S_i| <= num_colors * log2(2m); guarantees (and checks, raising
+    produced by repeated halving with set balancing, each part's restricted
+    distinct sets carrying the copy counts of the sets they come from.
+    Requires |S_i| <= num_colors * log2(2m); guarantees (and checks, raising
     ``ColoringError`` otherwise) that every set meets every color class in
-    at most beta * log2(2m) elements.
+    at most beta * log2(2m) elements.  Both checks run once per distinct set.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")
-    universe = _sorted_universe(sets)
+    copies = _copies(sets)
     if m is None:
         m = len(sets)
     if m > 0:
         limit = num_colors * math.log2(2 * m)
-        for s in sets:
-            if len(set(s)) > limit:
-                raise ValueError("set larger than num_colors * log2(2m)")
+        if any(len(s) > limit for s in copies):
+            raise ValueError("set larger than num_colors * log2(2m)")
     levels = num_colors.bit_length() - 1  # round colors down to a power of two
 
-    parts: list[list] = [universe]
+    parts: list[list] = [_sorted_universe(copies)]
     for _ in range(levels):
         next_parts: list[list] = []
         for part in parts:
-            part_set = set(part)
-            restricted = [r for r in (part_set & set(s) for s in sets) if r]
-            signs = det_set_balancing(restricted, m)
-            plus = [e for e in part if signs.get(e, 1) == 1]
-            minus = [e for e in part if signs.get(e, 1) == -1]
-            next_parts.append(plus)
-            next_parts.append(minus)
+            part_set = frozenset(part)
+            restricted: Counter = Counter()
+            for s, n in copies.items():
+                if r := s & part_set:
+                    restricted[r] += n
+            signs = _balance(restricted, m)
+            next_parts.append([e for e in part if signs.get(e, 1) == 1])
+            next_parts.append([e for e in part if signs.get(e, 1) == -1])
         parts = next_parts
 
-    coloring = {}
-    for color, part in enumerate(parts):
-        for e in part:
-            coloring[e] = color
-
+    coloring = {e: color for color, part in enumerate(parts) for e in part}
     bound = balls_and_bins_bound(m, beta)
-    for s in sets:
-        per_color: dict[int, int] = {}
-        for e in set(s):
-            c = coloring[e]
-            per_color[c] = per_color.get(c, 0) + 1
-            if per_color[c] > bound:
-                raise ColoringError(
-                    f"balls-and-bins bound {bound} exceeded for color {c}"
-                )
+    for s in copies:
+        color, load = Counter(map(coloring.__getitem__, s)).most_common(1)[0]
+        if load > bound:
+            raise ColoringError(
+                f"balls-and-bins bound {bound} exceeded for color {color}"
+            )
     return coloring
 
 
@@ -173,14 +171,12 @@ def det_isolating_colorings(
     sets below half by the collision estimator
     p(x) = (2x(s - x) + (s - x)(s - x - 1)) / (2 b^2)  (exact integers,
     scaled by 2 b^2), so at most log2(2m) rounds are needed; the list is as
-    short as the inputs allow.  Copies of one set share every step of a
-    round, so each distinct set is tracked once and its penalty counts once
-    per copy: the estimator sums, and so the colorings, are those of the
-    full list, and m (with the round cap) counts every copy.
+    short as the inputs allow.  A distinct set's penalty counts once per
+    copy, and m (with the round cap) counts every copy.
     """
     if m is None:
         m = len(sets)
-    copies = Counter(map(frozenset, sets))
+    copies = _copies(sets)
     if any(len(s) > size_bound for s in copies):
         raise ValueError("set exceeds the declared size bound")
     universe = _sorted_universe(copies)

@@ -670,9 +670,9 @@ def _coloring_sets(inst: HintedExtendInstance) -> list:
 
     The analysis colors one set per index of the 2L + 1, a bottom entry or
     an entry with no hint holding the empty set, and the colorings'
-    parameters depend on that count m (the set balancing's t and lambda,
-    the rounds cap of the isolating colorings).  An empty set changes
-    nothing else, so the callers pass m = ``inst.size`` on its own.
+    parameters depend on that count m (set balancing's t, the split's
+    bounds, the isolating rounds cap).  An empty set changes nothing
+    else, so the callers pass m = ``inst.size`` on its own.
     """
     codes = inst.codes
     if not all(inst.sets):

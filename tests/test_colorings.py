@@ -277,8 +277,8 @@ def test_colorings_ignore_empty_sets_given_m():
 
 
 def test_colorings_ignore_empty_sets_among_two_repeated_sets():
-    # copies of two sets tie the set balancing's gain sums up to rounding,
-    # so any change to the summing order would show
+    # copies of two sets meet at opposite signed sums, where set balancing
+    # nets their terms to zero
     rng = random.Random(2513)
     for _ in range(30):
         universe = list(range(rng.randint(4, 24)))
@@ -324,3 +324,47 @@ def test_colorings_of_stage_one_tables_ignore_their_padding(monkeypatch):
             checked["balls and bins"] += 1
         checked["isolating"] += 1
     assert checked["balls and bins"] >= 1 and checked["isolating"] >= 4, checked
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 12, 13, 32, 40])
+def test_set_balancing_alternates_on_one_set(k):
+    # one set at sigma = 0 has an empty sum, so +1, and at sigma = 1 a
+    # positive one, so -1: an exact rule alternates from the smallest element
+    elems = range(100, 100 + 2 * k)
+    signs = det_set_balancing([set(elems)])
+    assert [signs[e] for e in elems] == [1, -1] * k
+
+
+def test_colorings_ignore_copies_given_m():
+    # giving every set k copies, with m unchanged, changes no coloring
+    rng = random.Random(3030)
+    for _ in range(200):
+        universe = list(range(rng.randint(2, 40)))
+        b = rng.randint(1, min(8, len(universe)))
+        sets = [
+            frozenset(rng.sample(universe, rng.randint(1, b)))
+            for _ in range(rng.randint(1, 30))
+        ]
+        m = len(sets)
+        k = rng.randint(2, 5)
+        copied = [s for s in sets for _ in range(k)]
+        num_colors = rng.randint(1, 8)
+        assert det_set_balancing(copied, m) == det_set_balancing(sets)
+        assert outcome(det_balls_and_bins, copied, num_colors, m=m) == outcome(
+            det_balls_and_bins, sets, num_colors
+        )
+
+
+def test_set_balancing_breaks_an_exact_tie_to_plus():
+    # D = {0, 1} signs 0 to +1 and so 1 to -1; A signs 2 to +1.  At 3,
+    # A is at sigma = +1 and B at sigma = -1 with equal rho and equal
+    # copies, so their terms cancel and 3 is signed +1
+    for extra in range(30):
+        rest = set(range(4, 4 + extra))
+        a = frozenset({2, 3} | rest)
+        b = frozenset({1, 3} | rest)
+        for copies in (1, 2, 3, 5):
+            for d_copies in (1, 2):
+                sets = [frozenset({0, 1})] * d_copies + [a, b] * copies
+                signs = det_set_balancing(sets)
+                assert [signs[e] for e in range(4)] == [1, -1, 1, 1], (extra, copies)
