@@ -12,17 +12,15 @@ Three primitives, all derandomized with pessimistic estimators:
   at least one of them (collision-counting estimator, exact integer
   arithmetic).
 
-All loops process elements in sorted order, so outputs are fully
-deterministic functions of their inputs.  Copies of one set share every
-step, so each works once per distinct nonempty set, weighted by its copy
-count (``_copies``): work follows the distinct sets, and the outputs are
-those of tracking every copy on its own in exact arithmetic.
-
-Each takes the number of sets m as an optional argument (default: the
-length of the list), since its parameters depend on m.  An empty set adds
-nothing to any sum, estimator or check, so a caller whose m counts empty
-sets may pass only the nonempty ones with m: the outputs are those of the
-full list.
+Each takes its sets as one multiset: a mapping from each distinct
+frozenset to its copy count, the empty set's count included.  The number
+of sets m, on which their parameters depend, is the total count.  Copies
+of one set share every step, so each works once per distinct set,
+weighted by its count: the outputs are those of tracking every copy on its
+own in exact arithmetic, whatever the order of the mapping.  An empty set
+adds nothing to any sum, estimator or check, so it counts only in m.  All
+loops process elements in sorted order, so outputs are fully deterministic
+functions of their inputs.
 """
 
 from __future__ import annotations
@@ -42,14 +40,7 @@ def _sorted_universe(sets) -> list:
     return sorted(universe)
 
 
-def _copies(sets) -> Counter:
-    """The copy count of every distinct nonempty set, in first-seen order."""
-    copies = Counter(map(frozenset, sets))
-    copies.pop(frozenset(), None)
-    return copies
-
-
-def _balance(copies: Counter, m: int) -> dict:
+def _balance(copies: dict, m: int) -> dict:
     """``det_set_balancing`` of the sets ``copies`` counts, m sets in all."""
     universe = _sorted_universe(copies)
     signs = dict.fromkeys(universe, 1)
@@ -83,7 +74,7 @@ def _balance(copies: Counter, m: int) -> dict:
     return signs
 
 
-def det_set_balancing(sets: list, m: int | None = None) -> dict:
+def det_set_balancing(copies: dict) -> dict:
     """Assign +1/-1 to every element so all sets have small discrepancy.
 
     With m sets of size at most b, every returned assignment satisfies
@@ -100,17 +91,20 @@ def det_set_balancing(sets: list, m: int | None = None) -> dict:
     Each nonzero net term is evaluated afresh and the terms are summed by
     ``math.fsum``, so the order of the sets does not matter.
     """
-    return _balance(_copies(sets), len(sets) if m is None else m)
+    return _balance(copies, sum(copies.values()))
 
 
-def balls_and_bins_bound(num_sets: int, beta: int) -> int:
+# The balls-and-bins load factor: a set meets a color class in at most
+# BALLS_AND_BINS_BETA * log2(2m) elements.
+BALLS_AND_BINS_BETA = 12
+
+
+def balls_and_bins_bound(num_sets: int) -> int:
     """Largest per-(set, color) intersection ``det_balls_and_bins`` allows."""
-    return max(1, math.ceil(beta * math.log2(max(2, 2 * num_sets))))
+    return math.ceil(BALLS_AND_BINS_BETA * math.log2(max(2, 2 * num_sets)))
 
 
-def det_balls_and_bins(
-    sets: list, num_colors: int, beta: int = 12, m: int | None = None
-) -> dict:
+def det_balls_and_bins(copies: dict, num_colors: int) -> dict:
     """Color the universe so every set meets every color class in few points.
 
     ``num_colors`` is rounded down to a power of two and the classes are
@@ -118,13 +112,12 @@ def det_balls_and_bins(
     distinct sets carrying the copy counts of the sets they come from.
     Requires |S_i| <= num_colors * log2(2m); guarantees (and checks, raising
     ``ColoringError`` otherwise) that every set meets every color class in
-    at most beta * log2(2m) elements.  Both checks run once per distinct set.
+    at most ``balls_and_bins_bound(m)`` elements.  Both checks run once per
+    distinct set.
     """
     if num_colors < 1:
         raise ValueError("need at least one color")
-    copies = _copies(sets)
-    if m is None:
-        m = len(sets)
+    m = sum(copies.values())
     if m > 0:
         limit = num_colors * math.log2(2 * m)
         if any(len(s) > limit for s in copies):
@@ -146,8 +139,8 @@ def det_balls_and_bins(
         parts = next_parts
 
     coloring = {e: color for color, part in enumerate(parts) for e in part}
-    bound = balls_and_bins_bound(m, beta)
-    for s in copies:
+    bound = balls_and_bins_bound(m)
+    for s in filter(None, copies):
         color, load = Counter(map(coloring.__getitem__, s)).most_common(1)[0]
         if load > bound:
             raise ColoringError(
@@ -161,9 +154,7 @@ def is_isolated(s, coloring: dict) -> bool:
     return len({coloring[e] for e in elems}) == len(elems)
 
 
-def det_isolating_colorings(
-    sets: list, size_bound: int, m: int | None = None
-) -> list[dict]:
+def det_isolating_colorings(copies: dict, size_bound: int) -> list[dict]:
     """Colorings into size_bound^2 colors, jointly isolating every set.
 
     Every set must have at most ``size_bound`` elements.  Each round colors
@@ -174,9 +165,7 @@ def det_isolating_colorings(
     short as the inputs allow.  A distinct set's penalty counts once per
     copy, and m (with the round cap) counts every copy.
     """
-    if m is None:
-        m = len(sets)
-    copies = _copies(sets)
+    m = sum(copies.values())
     if any(len(s) > size_bound for s in copies):
         raise ValueError("set exceeds the declared size bound")
     universe = _sorted_universe(copies)

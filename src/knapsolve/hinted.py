@@ -34,10 +34,10 @@ instead of copying them.  Each step of the algebra (``restrict``,
 distinct hint set or map and moves the entries with numpy gathers, so its
 Python work is O(distinct sets + distinct maps); equal sets held as distinct
 objects are merged into one code when a table is made, and give the same
-result as one shared object.  The colorings' parameters depend on the
-count m = 2L + 1 of sets the analysis colors, one per index, but an empty
-set changes nothing else: they get the nonempty hint sets in index order,
-with m passed on its own (``_coloring_sets``).
+result as one shared object.  The colorings take a table's hint sets as
+one multiset (``_hint_copies``), ``sets`` counted by ``np.bincount(codes)``,
+with the empty set counted up to the 2L + 1 sets the analysis colors, one
+per index: the colorings' parameters depend on that total m.
 """
 
 from __future__ import annotations
@@ -665,19 +665,12 @@ def entrywise_max_solutions(
 # general budgets
 
 
-def _coloring_sets(inst: HintedExtendInstance) -> list:
-    """The nonempty hint sets, in index order, for the colorings.
-
-    The analysis colors one set per index of the 2L + 1, a bottom entry or
-    an entry with no hint holding the empty set, and the colorings'
-    parameters depend on that count m (set balancing's t, the split's
-    bounds, the isolating rounds cap).  An empty set changes nothing
-    else, so the callers pass m = ``inst.size`` on its own.
-    """
-    codes = inst.codes
-    if not all(inst.sets):
-        codes = codes[np.array(list(map(bool, inst.sets)))[codes]]
-    return list(map(inst.sets.__getitem__, codes.tolist()))
+def _hint_copies(inst: HintedExtendInstance) -> dict:
+    """The colorings' multiset: each distinct hint set with its count over
+    the 2L + 1 indices, a bottom entry holding the empty set."""
+    copies = dict(zip(inst.sets, np.bincount(inst.codes).tolist()))
+    copies[frozenset()] = copies.get(frozenset(), 0) + inst.size - inst.keys.size
+    return copies
 
 
 def _color_classes(universe, coloring) -> list[list[int]]:
@@ -714,7 +707,7 @@ def solve_small_b(
         raise ValueError("hint set exceeds the declared budget")
     if largest <= 1:
         return solve_singleton(inst, stats)
-    colorings = det_isolating_colorings(_coloring_sets(inst), budget, inst.size)
+    colorings = det_isolating_colorings(_hint_copies(inst), budget)
     # entries with equal hint sets share an owner; an entry whose set no
     # coloring isolates (-1) is owned by none
     owner = [
@@ -752,7 +745,7 @@ def solve(
     if budget <= max(1, 2 * log_m):
         return solve_small_b(inst, budget, stats)
     num_colors = math.ceil(budget / log_m)
-    coloring = det_balls_and_bins(_coloring_sets(inst), num_colors, m=inst.size)
+    coloring = det_balls_and_bins(_hint_copies(inst), num_colors)
     ordered = _color_classes(inst.universe, coloring)
     inner_budget = 1
     for s in inst.sets:

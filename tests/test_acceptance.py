@@ -44,6 +44,7 @@ from knapsolve.hinted import (
     solve_singleton,
     solve_small_b,
 )
+from test_colorings import multiset
 
 # single fitted constant for the row-maxima evaluation budget; the measured
 # maximum over the frozen suite below is 9.73, seen at square shapes where
@@ -266,7 +267,7 @@ def test_coloring_guarantees(capfd):
         sets = [
             set(rng.sample(uni, rng.randint(1, min(10, len(uni))))) for _ in range(m)
         ]
-        signs = det_set_balancing(sets)
+        signs = det_set_balancing(multiset(sets))
         b = max(len(s) for s in sets)
         bound = 4 * math.sqrt(b * math.log(2 * m))
         for s in sets:
@@ -282,8 +283,8 @@ def test_coloring_guarantees(capfd):
         sets = [
             set(rng.sample(uni, rng.randint(1, min(limit, 20)))) for _ in range(m)
         ]
-        coloring = det_balls_and_bins(sets, num_colors, beta=12)
-        cap = balls_and_bins_bound(m, 12)
+        coloring = det_balls_and_bins(multiset(sets), num_colors)
+        cap = balls_and_bins_bound(m)
         for s in sets:
             per = {}
             for e in s:
@@ -298,7 +299,7 @@ def test_coloring_guarantees(capfd):
         b = rng.randint(1, 4)
         uni = list(range(30))
         sets = [set(rng.sample(uni, rng.randint(1, b))) for _ in range(m)]
-        colorings = det_isolating_colorings(sets, b)
+        colorings = det_isolating_colorings(multiset(sets), b)
         if len(colorings) > max(1, math.ceil(math.log2(2 * m))):
             rounds_fail += 1
         for s in sets:

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 
 import knapsolve
+import knapsolve.colorings
 import knapsolve.core
 import knapsolve.hinted
 import knapsolve.smawk
@@ -67,6 +68,26 @@ def test_modules_define_only_the_live_building_blocks():
         "solve_small_b",
         "trivial_solution",
     }
+    assert defined_in(knapsolve.colorings) == {
+        "ColoringError",
+        "balls_and_bins_bound",
+        "det_balls_and_bins",
+        "det_isolating_colorings",
+        "det_set_balancing",
+        "is_isolated",
+    }
+
+
+def test_colorings_take_no_defaulted_parameter():
+    # each coloring takes one multiset of sets and its one size argument; a
+    # retired knob (m, beta) coming back as a default fails here
+    for coloring in (
+        knapsolve.colorings.det_set_balancing,
+        knapsolve.colorings.det_balls_and_bins,
+        knapsolve.colorings.det_isolating_colorings,
+    ):
+        params = inspect.signature(coloring).parameters.values()
+        assert all(p.default is p.empty for p in params), coloring
 
 
 def field_names(cls):

@@ -1294,13 +1294,19 @@ def test_fold_table_byte_budget(monkeypatch):
 
 @pytest.mark.parametrize(
     "w, refusal",
-    [(4096, "fold table needs 3871473672 bytes"), (1024, "hinted stage one needs 7122452736 bytes")],
+    [
+        (4096, "fold table needs 3871473672 bytes"),
+        (1024, "hinted stage one needs 7122452736 bytes"),
+        (595, "hinted stage one needs 2149844736 bytes"),
+    ],
 )
 def test_hinted_budget_refuses_before_stage_one(monkeypatch, w, refusal):
     # n = 4w.  At w = 4096 the stage-two fold table is 3.9 GB of int64
     # cells; at w = 1024 it fits, but the schedule's last stage-one table
     # has 27.8M entries at 256 bytes each.  Both are refused from the
-    # schedule, before stage one builds a table or solves one
+    # schedule, before stage one builds a table or solves one.  w = 595 is
+    # the first refused size: at 594 the last stage-one table needs
+    # 2144406784 bytes, inside the budget
     import knapsolve.solver
 
     def built(*args, **kwargs):
