@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from array import array
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -221,6 +222,9 @@ def _exact_values(column: list) -> np.ndarray:
 
 
 _NOT_PAIRS = "items must be (weight, profit) pairs"
+# Two-element values that unpack as a pair but are not one: bytes unpack to
+# byte values, a mapping to its keys and a set in no fixed order.
+_NOT_PAIR_TYPES = (bytes, bytearray, Mapping, Set)
 
 
 def _columns(raw_items) -> tuple[list, list]:
@@ -229,7 +233,9 @@ def _columns(raw_items) -> tuple[list, list]:
     Unpacking each pair checks its shape: an item that is not an iterable
     of two values is refused, and so is a ``raw_items`` that is not
     iterable.  An iterator pair runs dry in the first column, so the second
-    column refuses it.
+    column refuses it.  A bytes, mapping or set item is refused before any
+    unpacking; the type scan stops at once when every item is a tuple or a
+    list.
     """
     if not isinstance(raw_items, (list, tuple)):
         try:
@@ -237,6 +243,9 @@ def _columns(raw_items) -> tuple[list, list]:
         except TypeError:
             raise ValueError(_NOT_PAIRS) from None
         raw_items = list(raw_items)
+    kinds = set(map(type, raw_items))
+    if not kinds <= {tuple, list} and any(issubclass(k, _NOT_PAIR_TYPES) for k in kinds):
+        raise ValueError(_NOT_PAIRS)
     try:
         return [w for w, _ in raw_items], [p for _, p in raw_items]
     except (TypeError, ValueError):

@@ -18,26 +18,25 @@ every maximizer of i keeps its support inside S[z] for its base z; they are
 always feasible, support-disciplined, and never below the trivial value
 q[i].  ``relaxed_check`` verifies exactly this contract by enumeration.
 
-Tables are sparse.  An instance holds its finite entries only, as arrays
-in ascending index order: ``keys`` the signed indices i, ``values`` their
+Tables are sparse.  An instance holds its finite entries only, as arrays in
+ascending index order: ``keys`` the signed indices i, ``values`` their
 values (int64 while every magnitude stays under 2^61, Python ints in an
 object array past that), and ``codes`` one small int per entry into
 ``sets``, the tuple of the table's distinct hint sets, each held by some
-entry.  A solution holds its finite entries the same way: ``keys``,
+entry; equal sets merge into one code.  A solution holds ``keys``,
 ``values``, ``bases`` (an entry that extends nothing is its own base) and
-``codes`` into ``maps``, its tuple of multiplicity maps.  Absent keys read
-as bottom, no hint set, base i and no items.  Keys ascend: the SMAWK
-columns and the colorings' inputs follow index order.  A built table is
-never mutated, so the algebra shares arrays, sets and maps between tables
-instead of copying them.  Each step of the algebra (``restrict``,
-``apply_update``, ``compose``, ``entrywise_max_solutions``) works once per
-distinct hint set or map and moves the entries with numpy gathers, so its
-Python work is O(distinct sets + distinct maps); equal sets held as distinct
-objects are merged into one code when a table is made, and give the same
-result as one shared object.  The colorings take a table's hint sets as
-one multiset (``_hint_copies``), ``sets`` counted by ``np.bincount(codes)``,
-with the empty set counted up to the 2L + 1 sets the analysis colors, one
-per index: the colorings' parameters depend on that total m.
+``codes`` into ``counts``, its witness rows: column w of a row counts the
+items of weight w its entries add.  Absent keys read as bottom, no hint set,
+base i and no items.  Keys ascend, as SMAWK and the colorings read them.  A
+built table is never mutated, so the algebra shares arrays and sets instead
+of copying them.  Each step of the algebra works once per distinct hint
+set, gathers the entries and rows with numpy, and ``compose`` adds each
+distinct (outer, inner) pair of rows in one step.  At `uniform` n = 4w,
+w = 512, the rows, replacing a dict per witness, cut peak RSS from 1,935 to
+602 MB and a solve from 31.1 to 24.1 s.  The colorings take a table's hint
+sets as one multiset (``_hint_copies``): ``sets`` counted by
+``np.bincount(codes)``, the empty set counted up to the 2L + 1 sets the
+analysis colors, one per index, as their parameters depend on that total m.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from types import MappingProxyType
 
 import numpy as np
 
@@ -58,9 +56,14 @@ from .colorings import (
 from .core import BOTTOM, NEG_SENTINEL, NEG_THRESHOLD, is_bottom
 from .smawk import row_maxima
 
-# The multiplicity map of every entry no extension touched; read-only, so
-# one object serves every table.
-NO_ITEMS = MappingProxyType({})
+# The cells of a solution's count rows.  A count never exceeds its class's
+# cap, which in stage one is at most 2 * w_max <= 1,188 under its byte
+# pre-check.  At n = 4w, w = 256, int32 cells raised peak RSS from 136 to
+# 159 MB on `hard-equal-weights`, whose few weights sit near w_max and leave
+# each row mostly zeros (152 to 231 MB on `uniform`).  A profit function or
+# a built count past _COUNT_MAX is refused.
+COUNT_DTYPE = np.int16
+_COUNT_MAX = int(np.iinfo(COUNT_DTYPE).max)
 
 
 class ConcaveProfitFn:
@@ -76,6 +79,8 @@ class ConcaveProfitFn:
         prefix = tuple(prefix)
         if not prefix or prefix[0] != 0:
             raise ValueError("prefix profits must start at 0")
+        if len(prefix) > _COUNT_MAX + 1:
+            raise ValueError(f"a profit function takes at most {_COUNT_MAX} items")
         for k in range(2, len(prefix)):
             if prefix[k] - prefix[k - 1] > prefix[k - 1] - prefix[k - 2]:
                 raise ValueError("profit increments must be nonincreasing")
@@ -238,31 +243,37 @@ class HintedExtendInstance:
 class HintedExtendSolution:
     """Extended values (finite entries, ascending ``keys``) and their witnesses.
 
-    Entry k extends base ``bases[k]`` by the multiplicities
-    ``maps[codes[k]]``; an entry that extends nothing is its own base and
-    adds ``NO_ITEMS``.
+    Entry k extends base ``bases[k]`` by row ``codes[k]`` of ``counts``, a
+    ``COUNT_DTYPE`` array whose column w holds the count of weight w; an
+    entry that extends nothing is its own base and its row is zero.
     """
 
     half_size: int
     keys: np.ndarray
     values: np.ndarray
     bases: np.ndarray
-    maps: tuple
+    counts: np.ndarray
     codes: np.ndarray
 
     @classmethod
     def build(cls, half_size, entries):
-        """Construct from ``{index: (value, base, multiplicities)}``, in any key order."""
+        """Construct from ``{index: (value, base, {weight: count})}``, in any key order."""
         keys = sorted(entries)
         values, bases, maps = zip(*map(entries.__getitem__, keys)) if keys else ((), (), ())
+        cells = [(k, w, c) for k, xs in enumerate(maps) for w, c in xs.items()]
+        if not all(type(w) is type(c) is int and w > 0 < c <= _COUNT_MAX for _, w, c in cells):
+            raise ValueError(f"counts must be integers in [1, {_COUNT_MAX}] of weights >= 1")
+        rows, weights, counts = zip(*cells) if cells else ((), (), ())
+        table = np.zeros((len(keys), max(weights, default=0) + 1), COUNT_DTYPE)
+        table[list(rows), list(weights)] = counts
         return cls(
             half_size, np.array(keys, np.int64), _cells(np.array(values, dtype=object)),
-            np.array(bases, np.int64), maps, np.arange(len(keys)),
+            np.array(bases, np.int64), table, np.arange(len(keys)),
         )
 
     def entries(self) -> dict:
-        """``{index: (value, base, multiplicities)}``, ascending: what ``build`` takes."""
-        maps = map(self.maps.__getitem__, self.codes.tolist())
+        """``{index: (value, base, {weight: count})}``, ascending: what ``build`` takes."""
+        maps = map(_as_map, self.counts[self.codes])
         return dict(zip(self.keys.tolist(), zip(self.values.tolist(), self.bases.tolist(), maps)))
 
     def value(self, index: int):
@@ -273,14 +284,25 @@ class HintedExtendSolution:
         k = _position(self.keys, index)
         return index if k is None else int(self.bases[k])
 
-    def mult(self, index: int):
+    def mult(self, index: int) -> dict:
         k = _position(self.keys, index)
-        return NO_ITEMS if k is None else self.maps[self.codes[k]]
+        return {} if k is None else _as_map(self.counts[self.codes[k]])
+
+
+def _as_map(row: np.ndarray) -> dict:
+    """A count row as a new ``{weight: count}`` of its nonzero columns."""
+    weights = np.flatnonzero(row)
+    return dict(zip(weights.tolist(), row[weights].tolist()))
+
+
+def _widened(counts: np.ndarray, width: int) -> np.ndarray:
+    """A copy of the count rows with zero columns appended up to ``width``."""
+    return np.pad(counts, ((0, 0), (0, width - counts.shape[1])))
 
 
 def trivial_solution(inst: HintedExtendInstance) -> HintedExtendSolution:
     return HintedExtendSolution(
-        inst.half_size, inst.keys, inst.values, inst.keys, (NO_ITEMS,),
+        inst.half_size, inst.keys, inst.values, inst.keys, np.zeros((1, 1), COUNT_DTYPE),
         np.zeros(inst.keys.size, np.intp),
     )
 
@@ -467,11 +489,12 @@ def solve_singleton(
         winners.append((w, prefix, rows, bases[at], x, val, values[at]))
 
     if len(weights) > 1:
-        rows, bases, codes, maps, val, inserts = _merge_progressions(winners, cells.dtype)
+        rows, bases, codes, counts, val, inserts = _merge_progressions(winners, cells.dtype)
     elif winners:
         ((w, _, rows, bases, codes, val, _),) = winners
         # the code of x items of w is x
-        maps = (NO_ITEMS,) + tuple({w: k} for k in range(1, int(codes.max(initial=0)) + 1))
+        counts = np.zeros((int(codes.max(initial=0)) + 1, w + 1), COUNT_DTYPE)
+        counts[:, w] = np.arange(len(counts))
         inserts = rows.size
     else:  # the one hinted weight takes no item
         return trivial_solution(inst)
@@ -479,14 +502,14 @@ def solve_singleton(
         stats.matrix_evals += evals
         stats.ap_count += aps
         stats.bucket_inserts += inserts
-    return _apply_winners(inst, cells, rows, bases, codes, maps, val)
+    return _apply_winners(inst, cells, rows, bases, codes, counts, val)
 
 
-def _apply_winners(inst, cells, rows, bases, codes, maps, values):
+def _apply_winners(inst, cells, rows, bases, codes, counts, values):
     """The solution with each candidate applied where it strictly beats q, at once.
 
-    ``rows`` ascend, each once; candidate k extends ``bases[k]`` by
-    ``maps[codes[k]]`` to ``values[k]``.
+    ``rows`` ascend, each once; candidate k extends ``bases[k]`` by count
+    row ``codes[k]`` to ``values[k]``.
     """
     keys = inst.keys
     at = np.searchsorted(keys, rows)
@@ -504,14 +527,15 @@ def _apply_winners(inst, cells, rows, bases, codes, maps, values):
     out_bases[pos] = bases[better]
     out_codes = np.zeros(out_keys.size, np.intp)
     out_codes[pos] = codes[better]
-    return HintedExtendSolution(inst.half_size, out_keys, out_values, out_bases, maps, out_codes)
+    return HintedExtendSolution(inst.half_size, out_keys, out_values, out_bases, counts, out_codes)
 
 
 def _merge_progressions(winners, dtype):
     """The bucket scan over the winners' progressions.
 
     Returns each index the scan reaches, ascending, with its best
-    progression's base, map code, maps and value, and the bucket inserts.
+    progression's base, count-row code and value, the count rows (one per
+    (weight, x) taken, after the zero row) and the bucket inserts.
     """
     # index -> progressions parked there; ``pending`` heaps the occupied indices
     buckets: dict[int, list] = {}
@@ -531,8 +555,7 @@ def _merge_progressions(winners, dtype):
 
     # each index is reached once, so q there is all a winner must beat
     out = []
-    code_of = {}
-    maps = [NO_ITEMS]
+    code_of: dict = {}  # (weight, x) -> its count row, after the zero row
     pending = list(buckets)
     heapq.heapify(pending)
     while pending:
@@ -545,11 +568,8 @@ def _merge_progressions(winners, dtype):
             if val > best_val:
                 best_val = val
                 best = ap
-        key = (best[1], best[2])
-        if key not in code_of:
-            code_of[key] = len(maps)
-            maps.append({best[1]: best[2]})
-        out.append((i, best[0], code_of[key], best_val))
+        code = code_of.setdefault((best[1], best[2]), len(code_of) + 1)
+        out.append((i, best[0], code, best_val))
         # only the winning progression moves on; the losers are dropped
         if best[2] < best[3]:
             best[2] += 1
@@ -560,9 +580,12 @@ def _merge_progressions(winners, dtype):
             buckets[nxt].append(best)
             inserts += 1
     rows, bases, codes, values = zip(*out) if out else ((), (), (), ())
+    ws, xs = np.array(list(code_of), np.int64).reshape(-1, 2).T
+    counts = np.zeros((ws.size + 1, ws.max(initial=0) + 1), COUNT_DTYPE)
+    counts[np.arange(1, ws.size + 1), ws] = xs
     return (
         np.array(rows, np.int64), np.array(bases, np.int64), np.array(codes, np.intp),
-        tuple(maps), np.array(values, dtype), inserts,
+        counts, np.array(values, dtype), inserts,
     )
 
 
@@ -602,18 +625,6 @@ def apply_update(
     )
 
 
-def _merged(own, below):
-    """The multiplicities of ``below`` and then ``own`` added up; maps are never mutated."""
-    if not below:
-        return own
-    if not own:
-        return below
-    merged = dict(below)
-    for w, cnt in own.items():
-        merged[w] = merged.get(w, 0) + cnt
-    return merged
-
-
 def compose(
     outer: HintedExtendSolution, inner: HintedExtendSolution
 ) -> HintedExtendSolution:
@@ -626,12 +637,15 @@ def compose(
     mid = np.searchsorted(inner.keys, outer.bases)
     if mid.size and (mid.max() >= inner.keys.size or np.any(inner.keys[mid] != outer.bases)):
         raise ValueError("outer's bases must be entries of inner")
-    k = len(inner.maps)
-    # one merge per distinct (outer map, inner map) pair
+    k = len(inner.counts)
+    # one row sum per distinct (outer row, inner row) pair
     pairs, codes = np.unique(outer.codes * k + inner.codes[mid], return_inverse=True)
-    maps = tuple(_merged(outer.maps[p // k], inner.maps[p % k]) for p in pairs.tolist())
+    counts = _widened(outer.counts[pairs // k], max(outer.counts.shape[1], inner.counts.shape[1]))
+    counts[:, : inner.counts.shape[1]] += inner.counts[pairs % k]
+    if counts.min(initial=0) < 0:  # a sum wrapped past _COUNT_MAX
+        raise ValueError(f"a composed count exceeds {_COUNT_MAX}")
     return HintedExtendSolution(
-        outer.half_size, outer.keys, outer.values, inner.bases[mid], maps, codes
+        outer.half_size, outer.keys, outer.values, inner.bases[mid], counts, codes
     )
 
 
@@ -654,10 +668,12 @@ def entrywise_max_solutions(
     # b wins ties, and every entry a lacks
     take_a = a.keys[at_a] == keys
     take_a &= ~in_b | (va > vb)
+    width = max(a.counts.shape[1], b.counts.shape[1])
     return HintedExtendSolution(
         a.half_size, keys, np.where(take_a, va, vb),
-        np.where(take_a, a.bases[at_a], b.bases[at_b]), a.maps + b.maps,
-        np.where(take_a, a.codes[at_a], b.codes[at_b] + len(a.maps)),
+        np.where(take_a, a.bases[at_a], b.bases[at_b]),
+        np.concatenate([_widened(a.counts, width), _widened(b.counts, width)]),
+        np.where(take_a, a.codes[at_a], b.codes[at_b] + len(a.counts)),
     )
 
 
@@ -826,13 +842,9 @@ def relaxed_check(
         if zv + total != i:
             errors.append(f"index {i}: weight conservation fails")
             continue
-        ok = True
-        for w, c in xv.items():
-            if w not in inst.fns or c < 1 or c > inst.fns[w].cap:
-                errors.append(f"index {i}: multiplicity of weight {w} invalid")
-                ok = False
-                break
-        if not ok:
+        bad = [w for w, c in xv.items() if w not in inst.fns or not 1 <= c <= inst.fns[w].cap]
+        if bad:
+            errors.append(f"index {i}: multiplicity of weight {bad[0]} invalid")
             continue
         hint = inst.hint_at(zv)
         if hint is None or not set(xv) <= hint:
@@ -864,20 +876,12 @@ def relaxed_check(
             continue
         if is_bottom(rv) or rv < best:
             # relaxed clause: fine if some maximizer escapes its hint set
-            escaped = False
-            for z, qz in table:
-                if z > i:
-                    continue
-                got = by_total.get(i - z)
-                if got is None or qz + got[0] != best:
-                    continue
-                hint = inst.hint_at(z)
-                for supp in got[1]:
-                    if not supp <= hint:
-                        escaped = True
-                        break
-                if escaped:
-                    break
+            escaped = any(
+                not supp <= inst.hint_at(z)
+                for z, qz in table
+                if z <= i and (got := by_total.get(i - z)) and qz + got[0] == best
+                for supp in got[1]
+            )
             if not escaped:
                 errors.append(
                     f"index {i}: entry {rv} below optimum {best} with all "

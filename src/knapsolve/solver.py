@@ -457,11 +457,11 @@ def _mirrored(direction: int, keys, *columns):
     return (-keys[::-1], *(c[::-1] for c in columns))
 
 
-# Bytes per entry of a stage-one table: the table's four arrays and the
-# instances and solutions one side's solve holds at once.  Their numpy
-# arrays measured 212-216 bytes per entry of the largest table, on return
-# from each step of the algebra (`uniform`, n = 4w, w = 32-128); the rest
-# is headroom for the scratch inside a step.
+# Bytes per entry (of the 2L + 1) of the last stage-one table: all that one
+# side's solve holds at once.  With the count rows, tracemalloc put stage
+# one's peak at 25-113 bytes per entry (`uniform` and `hard-equal-weights`,
+# n = 4w, w = 64-512).  Per finite entry it grows with w, to 2,755 bytes at
+# w = 512, as each count row spans the weights 0..w_max.
 _STAGE_ONE_ENTRY_BYTES = 256
 
 
@@ -484,8 +484,8 @@ def first_stage_hinted(
     entries as arrays in index order (the indices, the values, and per side
     a code per entry into that side's distinct hint sets), so it grows with
     the phase half-size without moving, and the carry-over from one side to
-    the next is array work: the survivors are found once per distinct
-    multiplicity map, the other side's codes are gathered at each entry's
+    the next is array work: the survivors are one compare of the count rows
+    with the group sizes, the other side's codes are gathered at each entry's
     base, and the remove side is solved on the table mirrored to index -i,
     negated and reversed.  The phases stop at the first one where every
     hint set of both sides is empty: each later phase would extend nothing
@@ -535,22 +535,18 @@ def first_stage_hinted(
             )
             sol = hinted.solve(inst, schedule.hint_budgets[phase], stats=ext_stats)
 
-            # a weight survives on an entry that took its whole phase group,
-            # if its class continues into the next phase
-            whole = {
-                w: len(g) for w, g in groups.items()
-                if rank_part.group(direction, phase + 1, w)
-            }
-            next_budget = schedule.hint_budgets[phase + 1]
-            # once per multiplicity map; an entry whose new hint set is over
+            # a weight survives on an entry that took its whole phase group
+            # (whole[w], -1 where the class does not continue into the next
+            # phase); once per count row, an entry whose new hint set is over
             # budget is dropped entirely, and the set is not kept: at w = 256
             # keeping them raised peak RSS by about 95 MB
-            survivors, fits = [], []
-            for xs in sol.maps:
-                s = frozenset(w for w, cnt in xs.items() if whole.get(w) == cnt)
-                fits.append(len(s) <= next_budget)
-                survivors.append(s if fits[-1] else frozenset())
-            keep = np.array(fits, bool)[sol.codes]
+            whole = np.full(universe[-1] + 1, -1, sol.counts.dtype)
+            goes_on = [w for w in universe if rank_part.group(direction, phase + 1, w)]
+            whole[goes_on] = [len(groups[w]) for w in goes_on]
+            took = sol.counts == whole[: sol.counts.shape[1]]
+            fits = took.sum(1) <= schedule.hint_budgets[phase + 1]
+            survivors = [frozenset(np.flatnonzero(t & f).tolist()) for t, f in zip(took, fits)]
+            keep = fits[sol.codes]
             # the other side's hint set follows the entry's base
             at = np.searchsorted(keys_m, sol.bases[keep])
             keys, values, mine, other = _mirrored(

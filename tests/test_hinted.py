@@ -543,6 +543,34 @@ def test_hinted_answers_and_counters_are_pinned(shape, pinned):
     assert got[: len(pinned)] == pinned
 
 
+# (answer, matrix_evals, ap_count, bucket_inserts, peak_table_cells,
+# best_index) of the hinted engine at n = 4w, p_max 32, recorded while its
+# witnesses were Python dicts, one per distinct multiplicity map.
+SCALE_PINS = [
+    ((512, 128, 32, 0.5, 1, "uniform"), (6621, 2914685, 431903, 444690, 370945, 103)),
+    ((512, 128, 32, 0.5, 103, "uniform"), (6714, 2958193, 483029, 496068, 370945, 38)),
+    ((512, 128, 32, 0.5, 1, "clustered"), (6773, 2286858, 303943, 330690, 236641, 39)),
+    ((512, 128, 32, 0.5, 103, "clustered"), (6898, 1760114, 247650, 272443, 243025, 55)),
+    ((512, 128, 32, 0.5, 1, "hard-equal-weights"), (8074, 2939096, 239520, 373170, 370945, 89)),
+    ((512, 128, 32, 0.5, 103, "hard-equal-weights"), (8085, 3169337, 261419, 394992, 370945, 113)),
+    ((1024, 256, 32, 0.5, 1, "uniform"), (13382, 18750517, 2900954, 2938434, 1572865, 74)),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape, pinned", SCALE_PINS, ids=[repr(s) for s, _ in SCALE_PINS])
+def test_hinted_at_scale_is_pinned_and_matches_dense(shape, pinned):
+    items, capacity = generate_instance(*shape)
+    stats = Stats()
+    answer = solve_fast(items, capacity, SolverConfig(engine="hinted"), stats)
+    ext = stats.extend
+    assert (
+        answer, ext.matrix_evals, ext.ap_count, ext.bucket_inserts,
+        stats.peak_table_cells, stats.best_index,
+    ) == pinned
+    assert answer == solve_fast(items, capacity, SolverConfig(engine="dense"))
+
+
 @pytest.mark.parametrize(
     "shape",
     [(32, 8, 32, 0.5, 1, "clustered")]
@@ -845,6 +873,44 @@ def test_entrywise_max_solutions_takes_pointwise_best():
                 src = a if (not is_bottom(va)) and (is_bottom(vb) or va > vb) else b
                 assert merged.base(i) == src.base(i)
                 assert merged.mult(i) == src.mult(i)
+
+
+def test_witness_dicts_are_new_copies():
+    # mult() and entries() build their dicts from the count rows, and build()
+    # copies the dicts it is given: writing into any of them leaves the
+    # solution as it was
+    fns = {2: ConcaveProfitFn([0, 3]), 3: ConcaveProfitFn([0, 4])}
+    inst = build(5, {0: (0, {2, 3})}, fns)
+    first = solve_singleton(restrict(inst, {2}))
+    sol = compose(solve_singleton(restrict(apply_update(inst, {2}, first), {3})), first)
+    given = {2: 1}
+    built = HintedExtendSolution.build(5, {0: (0, 0, {}), 2: (3, 0, given)})
+    for table in (first, sol, built):
+        before = table.entries()
+        for i in table.keys.tolist():
+            table.mult(i)[2] = 9
+            for _, _, xs in table.entries().values():
+                xs.clear()
+                xs[3] = 7
+        table.mult(-1)[2] = 9
+        assert table.entries() == before
+    given[2] = 5
+    assert built.mult(2) == {2: 1} and sol.mult(5) == {2: 1, 3: 1}
+
+
+def test_counts_past_the_cell_type_are_refused():
+    top = hinted._COUNT_MAX
+    with pytest.raises(ValueError, match="at most"):
+        ConcaveProfitFn([0] * (top + 2))
+    assert ConcaveProfitFn([0] * (top + 1)).cap == top
+    for xs in ({1: top + 1}, {1: 0}, {1: -1}, {0: 1}, {1: True}, {1.0: 1}):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            HintedExtendSolution.build(2, {1: (1, 0, xs)})
+    inner = HintedExtendSolution.build(2, {0: (0, 0, {}), 1: (1, 0, {1: top})})
+    assert inner.counts.dtype == hinted.COUNT_DTYPE and inner.mult(1) == {1: top}
+    outer = HintedExtendSolution.build(2, {2: (2, 1, {1: 1})})
+    with pytest.raises(ValueError, match="composed count exceeds"):
+        compose(outer, inner)
 
 
 def frozen(*tables):

@@ -17,12 +17,7 @@ import pytest
 
 from knapsolve.core import BOTTOM
 from knapsolve import hinted
-from knapsolve.hinted import (
-    NO_ITEMS,
-    ConcaveProfitFn,
-    HintedExtendInstance,
-    HintedExtendSolution,
-)
+from knapsolve.hinted import ConcaveProfitFn, HintedExtendInstance, HintedExtendSolution
 
 
 @dataclass
@@ -162,7 +157,7 @@ def random_solution(rng, half, base_keys, universe, offset):
         if pool and others and (i not in base_keys or rng.random() < 0.5):
             entries[i] = (value(rng, offset), rng.choice(others), rng.choice(pool))
         elif i in base_keys:
-            entries[i] = (value(rng, offset), i, NO_ITEMS)
+            entries[i] = (value(rng, offset), i, {})
     return HintedExtendSolution.build(half, entries)
 
 
@@ -211,13 +206,13 @@ def test_array_algebra_matches_the_dict_tables(seed):
         seen["distinct objects"] += not shared and len(inst.sets) < len(keys)
         seen["past int64"] += inst.values.dtype == object
         seen["mixed cells"] += sol.values.dtype != b.values.dtype
-        seen["merged maps"] += any(len(m) > 1 for m in got.maps)
+        seen["merged maps"] += bool((np.count_nonzero(got.counts, axis=1) > 1).any())
     assert min(seen.values()) >= 5, seen
 
 
 def test_array_algebra_refuses_foreign_bases():
     inst = HintedExtendInstance.build(2, {0: (0, {1})}, {1: ConcaveProfitFn([0, 1])})
-    stray = HintedExtendSolution.build(2, {0: (0, 0, NO_ITEMS), 1: (1, -1, {1: 1})})
+    stray = HintedExtendSolution.build(2, {0: (0, 0, {}), 1: (1, -1, {1: 1})})
     with pytest.raises(ValueError):
         hinted.apply_update(inst, {1}, stray)
     with pytest.raises(ValueError):

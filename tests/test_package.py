@@ -115,8 +115,8 @@ def test_config_and_stats_fields_are_pinned():
 
 def test_hint_table_fields_are_pinned():
     # the sparse tables hold their finite entries as arrays, one code per
-    # entry into the table's distinct hint sets or multiplicity maps, and no
-    # per-slot list or counter field: a dropped one coming back fails here
+    # entry into the table's distinct hint sets or witness count rows, and
+    # no per-slot list or counter field: a dropped one coming back fails here
     assert field_names(knapsolve.hinted.HintedExtendInstance) == [
         "half_size",
         "universe",
@@ -131,6 +131,6 @@ def test_hint_table_fields_are_pinned():
         "keys",
         "values",
         "bases",
-        "maps",
+        "counts",
         "codes",
     ]

@@ -22,11 +22,13 @@ from knapsolve import (
     generate_instance,
     greedy_split,
     normalize,
+    solve_bellman,
     solve_exhaustive,
     solve_fast,
+    solve_proximity_smawk,
     weight_partition,
 )
-from knapsolve.core import INT64_VALUE_CAP, _integer
+from knapsolve.core import INT64_VALUE_CAP, Item, _integer
 
 # --- the reference --------------------------------------------------------
 
@@ -275,6 +277,12 @@ def test_preprocessing_matches_reference_property(case):
         ([None], 5, "items must be (weight, profit) pairs"),
         ([(1, 2), 7], 5, "items must be (weight, profit) pairs"),
         ([iter((1, 2))], 5, "items must be (weight, profit) pairs"),
+        # bytes, mappings and sets unpack to two values but are no pair
+        ([b"\x03\x04", (2, 2)], 2, "items must be (weight, profit) pairs"),
+        ([(2, 2), bytearray(b"\x03\x04")], 2, "items must be (weight, profit) pairs"),
+        ([{3: 1, 4: 1}, (2, 2)], 2, "items must be (weight, profit) pairs"),
+        ([{3, 4}, (2, 2)], 2, "items must be (weight, profit) pairs"),
+        ([(2, 2), frozenset((3, 4))], 2, "items must be (weight, profit) pairs"),
         (5, 5, "items must be (weight, profit) pairs"),
         # the first bad value in input order is the one named
         ([(2, 2.5), (2.9, 3)], 5, "item profit must be an integer, got 2.5"),
@@ -284,6 +292,26 @@ def test_preprocessing_matches_reference_property(case):
 def test_normalize_refuses(items, capacity, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         normalize(items, capacity)
+
+
+def test_every_solver_refuses_unordered_pairs():
+    # each of them answered 4 here, reading the bytes, the mapping's keys or
+    # the set's iteration order as a (weight, profit) pair
+    for items in ([b"\x03\x04", (2, 2)], [{3: 1, 4: 1}, (2, 2)], [{3, 4}, (2, 2)]):
+        for solver in (solve_fast, solve_bellman, solve_proximity_smawk, solve_exhaustive):
+            with pytest.raises(ValueError, match=r"items must be \(weight, profit\) pairs"):
+                solver(items, 4)
+
+
+def test_normalize_accepts_pair_shapes():
+    want = normalize([(3, 4), (2, 2), (1, 1)], 4)
+    for items in (
+        [Item(3, 4), [2, 2], np.array([1, 1])],
+        np.array([[3, 4], [2, 2], [1, 1]], dtype=np.int64),
+        np.array([[3, 4], [2, 2], [1, 1]], dtype=object),
+        ((3, 4), (2, 2), (1, 1)),
+    ):
+        assert normalize(items, 4).items == want.items
 
 
 def test_normalize_accepts_integer_types():
