@@ -10,6 +10,10 @@ take the width ``core.fold_cells`` gives every table here, from its values'
 range [0, profit total] and its largest chunk profit.  It refuses
 instances whose n * (t + 1) table would exceed an explicit cell budget, or
 whose two rows would exceed ``TABLE_BYTE_BUDGET``, instead of thrashing.
+``reduced_capacity_dp`` is ``solve_fast``'s ``verify`` check: under the
+same refusals it runs that DP only on the items that an LP bound around
+the greedy break, held against the answer under test, cannot fix (Dembo
+and Hammer 1980), and it returns the exact optimum whatever the answer.
 ``solve_exhaustive`` is exact for up to 40 items and can also report a
 witness subset, which the property tests use to validate solution
 structure, not just values.
@@ -22,7 +26,15 @@ from collections import Counter
 
 import numpy as np
 
-from .core import Instance, _columns, _integer, fold_cells, normalize
+from .core import (
+    INT64_VALUE_CAP,
+    Instance,
+    _columns,
+    _efficiency_keys,
+    _integer,
+    fold_cells,
+    normalize,
+)
 
 DEFAULT_CELL_BUDGET = 600_000_000_000
 # bytes one solver table may take: the capacity DP's two rows, or a fold
@@ -85,14 +97,31 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
     """
     if inst.all_fit:
         return inst.total_profit
+    chunks, layout = _checked_rows(inst, cell_budget)
+    if stats is not None:
+        stats.note_table(inst.capacity + 1, layout.dtype.itemsize)
+        stats.fold_passes = len(chunks)
+    return _banded(chunks, inst.capacity, layout)
+
+
+def _checked_rows(inst: Instance, cell_budget):
+    """The capacity DP's chunks and row layout, refused past either budget."""
     t = inst.capacity
     cells = inst.n * (t + 1)
     if cell_budget is not None and cells > cell_budget:
         raise BudgetExceededError(
             f"table needs {cells} cells, over the budget of {cell_budget}"
         )
+    chunks = _chunks(inst.weights, inst.profits, t)
+    layout = _row_cells(inst.profits, chunks)
+    check_table_bytes("table rows need", 2 * (t + 1) * layout.dtype.itemsize)
+    return chunks, layout
+
+
+def _chunks(weights: np.ndarray, profits: np.ndarray, t: int) -> list[tuple[int, int]]:
+    """The binary chunks of the items' runs that fit ``t``."""
     chunks = []
-    for (w, p), k in Counter(zip(inst.weights.tolist(), inst.profits.tolist())).items():
+    for (w, p), k in Counter(zip(weights.tolist(), profits.tolist())).items():
         c = 1
         while k:
             c = min(c, k)
@@ -100,16 +129,21 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
                 chunks.append((c * w, c * p))
             k -= c
             c *= 2
-    chunks.sort()
-    chunks = chunks[::2] + chunks[1::2][::-1]
-    layout = fold_cells(0, int(inst.profits.sum()), max(p for _, p in chunks), 0)
-    check_table_bytes("table rows need", 2 * (t + 1) * layout.dtype.itemsize)
-    if stats is not None:
-        stats.note_table(t + 1, layout.dtype.itemsize)
-        stats.fold_passes = len(chunks)
+    return chunks
+
+
+def _row_cells(profits: np.ndarray, chunks):
+    """Cells for sums of ``profits``, one chunk's profit added per pass."""
+    return fold_cells(0, int(profits.sum()), max((p for _, p in chunks), default=0), 0)
+
+
+def _banded(chunks, t: int, layout) -> int:
+    """The best profit of chunks of total weight at most ``t``, by the banded fold."""
     after = sum(w for w, _ in chunks)
     if after <= t:
         return sum(p for _, p in chunks)
+    chunks = sorted(chunks)
+    chunks = chunks[::2] + chunks[1::2][::-1]
     dp = np.full(t + 1, layout.origin, dtype=layout.dtype)
     tmp = np.empty(t + 1, dtype=layout.dtype)
     below, gained = 0, 0
@@ -125,6 +159,92 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
         below += w
         gained += p
     return int(dp[t]) - layout.origin
+
+
+def reduced_capacity_dp(inst: Instance, bound: int, cell_budget=DEFAULT_CELL_BUDGET) -> int:
+    """The optimum of ``inst``, by the capacity DP over the items ``bound`` leaves free.
+
+    ``solve_fast``'s ``verify`` check, with ``bound`` the answer under
+    test.  It is the reduction of Dembo and Hammer (1980; Kellerer,
+    Pferschy and Pisinger 2004, *Knapsack Problems*): fix every item
+    whose flip away from the greedy solution provably costs more than the
+    gap to the bound.
+
+    Take the greedy prefix G in exact efficiency order, its break item b
+    (the first item that does not fit) and the residual c = t - W(G), and
+    let r_i = p_i w_b - p_b w_i.  The sign check asks, in exact integers,
+    that r_i >= 0 on G and r_i <= 0 off it.  Then for every feasible 0-1
+    solution x, since p_b / w_b >= 0 and W(x) <= t,
+
+        w_b P(x) = sum_i r_i x_i + p_b W(x)
+                 <= sum_i r_i x_i + p_b t
+                 =  w_b P(G) + p_b c - sum over flipped i of |r_i|,
+
+    where i is flipped when x_i differs from its greedy value (1 on G, 0
+    off it): the sum of r_i over G is w_b P(G) - p_b W(G), an item
+    flipped out of G takes its r_i >= 0 from that sum and one flipped in
+    adds its r_i <= 0.  So a solution that flips an item with
+    w_b P(G) + p_b c - |r_i| < bound * w_b is worth less than ``bound``.
+    The reduction fixes every such item at its greedy value, and runs the
+    banded DP on the free ones at capacity t - W(fixed items of G), adding
+    the fixed items' profit.  Its result R is the value of a feasible
+    solution, so R <= OPT.  When bound <= OPT, an optimal solution flips
+    no fixed item and is among the solutions the DP searches, so R = OPT.
+    When R < bound, therefore bound > OPT, and the reduction runs again
+    with R as its bound, which is at most OPT: that run returns OPT.  Runs
+    of identical items share r_i, so each run is fixed or free whole.
+
+    The cell budget on n (t + 1) and the rows' byte check are those of the
+    unreduced table, both before any allocation.  When the sign check
+    fails, or an r_i or a profit could pass int64 (object columns
+    included), the unreduced DP answers.
+    """
+    if inst.all_fit:
+        return inst.total_profit
+    chunks, layout = _checked_rows(inst, cell_budget)
+    gaps = _exchange_gaps(inst)
+    if gaps is None:
+        return _banded(chunks, inst.capacity, layout)
+    best = _reduced(inst, gaps, bound)
+    return best if best >= bound else _reduced(inst, gaps, best)
+
+
+def _exchange_gaps(inst: Instance):
+    """(G as a mask, each |r_i|, w_b P(G) + p_b c, w_b) of the reduction, or None.
+
+    None when a product could pass int64 or the sign check fails.  The
+    order comes from ``core._efficiency_keys``; the sign check makes the
+    bound independent of it.
+    """
+    weights, profits = inst.weights, inst.profits
+    if weights.dtype == object or profits.dtype == object:
+        return None
+    order = np.argsort(-_efficiency_keys(inst), kind="stable")
+    filled = np.cumsum(weights[order])
+    k = int(np.searchsorted(filled, inst.capacity, side="right"))
+    w_b, p_b = int(weights[order[k]]), int(profits[order[k]])
+    if max(int(profits.max()) * w_b, p_b * inst.w_max) > INT64_VALUE_CAP:
+        return None
+    greedy = np.zeros(inst.n, bool)
+    greedy[order[:k]] = True
+    r = profits * w_b - weights * p_b
+    if (r[greedy] < 0).any() or (r[~greedy] > 0).any():
+        return None
+    room = inst.capacity - (int(filled[k - 1]) if k else 0)
+    return greedy, np.abs(r), w_b * int(profits[greedy].sum()) + p_b * room, w_b
+
+
+def _reduced(inst: Instance, gaps, bound: int) -> int:
+    """The capacity DP with every item fixed whose flip costs more than ``bound`` allows."""
+    greedy, gap, top, w_b = gaps
+    # |r_i| <= INT64_VALUE_CAP, so clipping the slack keeps the compare in int64
+    slack = max(-1, min(top - bound * w_b, INT64_VALUE_CAP))
+    free = gap <= slack
+    fixed = greedy & ~free
+    t = inst.capacity - int(inst.weights[fixed].sum())
+    weights, profits = inst.weights[free], inst.profits[free]
+    chunks = _chunks(weights, profits, t)
+    return int(inst.profits[fixed].sum()) + _banded(chunks, t, _row_cells(profits, chunks))
 
 
 def _half_profiles(items, capacity):

@@ -23,6 +23,7 @@ SOLVERS = (
     ("dense", solve_fast),
     ("hinted", lambda items, t: solve_fast(items, t, SolverConfig(engine="hinted"))),
     ("proximity", solve_proximity_smawk),
+    ("verify", lambda items, t: solve_fast(items, t, SolverConfig(verify=True))),
 )
 
 TIE_SHAPES = (

@@ -79,7 +79,7 @@ from numbers import Integral
 import numpy as np
 
 from . import hinted
-from .baselines import _capacity_dp, check_table_bytes
+from .baselines import _capacity_dp, check_table_bytes, reduced_capacity_dp
 from .core import (
     _UNSHIFTED,
     BOTTOM,
@@ -152,10 +152,13 @@ class SolverConfig:
     core fold, which wins at every practical scale under CPython; "hinted"
     forces the hint-propagating engine, whose bounds always use the analysis
     constant ``partition.DEFAULT_CONSTANT``.  ``verify`` (a bool)
-    cross-checks the final answer against the capacity DP and raises
-    ``VerificationError`` on mismatch; ``verify_cell_budget`` (a nonnegative
-    int, or None for no limit) caps that DP's cells.  Other values of any
-    field raise ``ValueError`` when the config is built.
+    cross-checks the final answer against the exact optimum of
+    ``baselines.reduced_capacity_dp``, the capacity DP over the items the
+    answer leaves free, and raises ``VerificationError`` on mismatch;
+    ``verify_cell_budget`` (a nonnegative int, or None for no limit) caps
+    the cells of the unreduced n (t + 1) table, checked before the
+    reduction.  Other values of any field raise ``ValueError`` when the
+    config is built.
     """
 
     engine: str = "auto"
@@ -545,7 +548,10 @@ def first_stage_hinted(
             whole[goes_on] = [len(groups[w]) for w in goes_on]
             took = sol.counts == whole[: sol.counts.shape[1]]
             fits = took.sum(1) <= schedule.hint_budgets[phase + 1]
-            survivors = [frozenset(np.flatnonzero(t & f).tolist()) for t, f in zip(took, fits)]
+            rows, cols = np.nonzero(took & fits[:, None])
+            ends = np.searchsorted(rows, np.arange(1, len(took) + 1)).tolist()
+            cols = cols.tolist()
+            survivors = [frozenset(cols[a:b]) for a, b in zip([0] + ends, ends)]
             keep = fits[sol.codes]
             # the other side's hint set follows the entry's base
             at = np.searchsorted(keys_m, sol.bases[keep])
@@ -716,8 +722,8 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
     Falls back to the capacity DP when the largest weight exceeds n^2 (the
     table there is smaller than any exchange structure would be); that DP
     refuses with ``BudgetExceededError`` past its default cell budget.  With
-    ``config.verify`` the answer is recomputed by the capacity DP and must
-    agree.
+    ``config.verify`` the answer must equal the optimum that
+    ``baselines.reduced_capacity_dp`` computes with it as the bound.
     """
     config = config or SolverConfig()
     inst = normalize(raw_items, capacity)
@@ -732,7 +738,7 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
     else:
         answer = _solve_structured(inst, config, stats)
     if config.verify:
-        ref = _capacity_dp(inst, cell_budget=config.verify_cell_budget)
+        ref = reduced_capacity_dp(inst, answer, config.verify_cell_budget)
         if ref != answer:
             raise VerificationError(
                 f"fast answer {answer} disagrees with capacity DP {ref}"

@@ -1527,3 +1527,152 @@ def test_capacity_dp_passes_on_equal_weights():
     got = solve_bellman(call.items, call.capacity, stats=stats)
     assert 0 < stats.fold_passes <= call.spec.n // 4
     assert got == solve_fast(call.items, call.capacity)
+
+
+# --- the verify check: the capacity DP over the items a bound leaves free ---
+
+
+def reduction_cases(rng):
+    """Random, tie-heavy, duplicate-run and large-profit instances, three capacities each."""
+    from knapsolve.selftest import MAGNITUDES, magnitude_items
+
+    makers = [lambda: random_items(rng)]
+    makers += [lambda shape=shape: tie_heavy_items(rng, shape) for shape in TIE_SHAPES]
+    makers += [lambda scale=scale: magnitude_items(rng, scale) for scale in MAGNITUDES]
+
+    def runs():
+        items = []
+        while len(items) < 14:
+            items += [(rng.randint(1, 8), rng.randint(1, 20))] * rng.randint(1, 6)
+        return items[: rng.randint(2, 16)]
+
+    makers.append(runs)
+    for trial in range(150 * len(makers)):
+        items = makers[trial % len(makers)]()
+        total = sum(w for w, _ in items)
+        for capacity in (0, total - 1, rng.randint(0, total)):
+            yield items, capacity
+
+
+def test_reduced_capacity_dp_returns_the_optimum_for_any_bound():
+    # answers below, at and above the optimum: each call returns exhaustive
+    # search's optimum, and at the optimum a third of the cases fix items
+    from knapsolve.baselines import _exchange_gaps, reduced_capacity_dp
+
+    cases = reduced = 0
+    for items, capacity in reduction_cases(random.Random(3303)):
+        want = solve_exhaustive(items, capacity)
+        inst = normalize(items, capacity)
+        gaps = None if inst.all_fit else _exchange_gaps(inst)
+        for bound in (want - 3, want - 1, want, want + 1, want + 2, 0):
+            assert reduced_capacity_dp(inst, bound) == want, (items, capacity, bound)
+        if gaps is not None:
+            greedy, gap, top, w_b = gaps
+            reduced += bool((gap > top - want * w_b).any())
+        cases += 1
+    assert cases == 3 * 150 * 12 and reduced > cases // 4
+
+
+def test_reduced_capacity_dp_reruns_when_a_bound_above_the_optimum_misses_it(monkeypatch):
+    # greedy takes (2, 16), breaks at (8, 28) with 6 left: under the bound
+    # 29 > OPT = 28 both other items are fixed and the first pass reads 16;
+    # the second pass, bounded by 16, frees all three and finds 28
+    import knapsolve.baselines
+    from knapsolve.baselines import _exchange_gaps, _reduced, reduced_capacity_dp
+
+    inst = normalize([(8, 28), (6, 6), (2, 16)], 8)
+    assert _reduced(inst, _exchange_gaps(inst), 29) == 16
+    bounds = []
+
+    def spy(inst, gaps, bound):
+        bounds.append(bound)
+        return _reduced(inst, gaps, bound)
+
+    monkeypatch.setattr(knapsolve.baselines, "_reduced", spy)
+    assert reduced_capacity_dp(inst, 29) == 28
+    assert bounds == [29, 16]
+
+
+def test_reduced_capacity_dp_falls_back_without_the_sign_check(monkeypatch):
+    # an efficiency order that fails the sign check, and profits past int64,
+    # both run the unreduced DP and still return the optimum
+    import knapsolve.baselines
+    from knapsolve.baselines import _exchange_gaps, reduced_capacity_dp
+    from knapsolve.core import _efficiency_keys
+
+    monkeypatch.setattr(knapsolve.baselines, "_efficiency_keys", lambda inst: -_efficiency_keys(inst))
+    rng = random.Random(4404)
+    fell_back = 0
+    for _ in range(200):
+        items = random_items(rng)
+        total = sum(w for w, _ in items)
+        capacity = rng.randint(0, total)
+        want = solve_exhaustive(items, capacity)
+        inst = normalize(items, capacity)
+        if not inst.all_fit:
+            fell_back += _exchange_gaps(inst) is None
+        for bound in (want - 1, want, want + 1):
+            assert reduced_capacity_dp(inst, bound) == want, (items, capacity)
+    assert fell_back > 100
+    big = 1 << 62
+    items = [(3, big), (2, 5), (4, big + 7), (5, 9)]
+    inst = normalize(items, 6)
+    assert inst.profits.dtype == object and _exchange_gaps(inst) is None
+    assert reduced_capacity_dp(inst, 0) == solve_exhaustive(items, 6) == big + 12
+
+
+def test_verify_reduction_free_items_on_the_benchmark(monkeypatch):
+    # the six seed-1 `oracles` verify calls: the unreduced chunk list, for
+    # the budget checks, then one DP over the items the answer leaves free
+    import knapsolve.baselines
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    chunked = []
+    chunks = knapsolve.baselines._chunks
+
+    def spy(weights, profits, t):
+        chunked.append(weights.size)
+        return chunks(weights, profits, t)
+
+    monkeypatch.setattr(knapsolve.baselines, "_chunks", spy)
+    calls, _ = workloads.build("oracles", 1)
+    free = []
+    for call in calls:
+        if call.spec.kind == "fast-verify":
+            chunked.clear()
+            solve_fast(call.items, call.capacity, SolverConfig(verify=True))
+            assert chunked[0] == call.spec.n and len(chunked) == 2
+            free.append(chunked[1])
+    assert free == [20, 39, 131, 20, 14, 102]
+
+
+def test_verify_refuses_past_its_budget_before_allocating(monkeypatch):
+    # w = 1024, n = 4096: the verify DP needs about 4.3e9 cells against the
+    # default 4e8, and refuses before its chunk list, the reduction or a row
+    import tracemalloc
+
+    import knapsolve.baselines
+    from knapsolve.baselines import reduced_capacity_dp
+
+    def untouched(*args):
+        raise AssertionError("ran past the cell budget")
+
+    for name in ("_chunks", "_exchange_gaps", "_banded"):
+        monkeypatch.setattr(knapsolve.baselines, name, untouched)
+    items, capacity = generate_instance(4096, 1024, 32, 0.5, 1, "uniform")
+    cells = 4096 * (capacity + 1)
+    assert cells > SolverConfig().verify_cell_budget
+    message = f"table needs {cells} cells, over the budget of 400000000"
+    with pytest.raises(BudgetExceededError, match=message):
+        solve_fast(items, capacity, SolverConfig(verify=True))
+    inst = normalize(items, capacity)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=message):
+            reduced_capacity_dp(inst, 0, 400_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
