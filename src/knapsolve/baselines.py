@@ -10,10 +10,11 @@ take the width ``core.fold_cells`` gives every table here, from its values'
 range [0, profit total] and its largest chunk profit.  It refuses
 instances whose n * (t + 1) table would exceed an explicit cell budget, or
 whose two rows would exceed ``TABLE_BYTE_BUDGET``, instead of thrashing.
-``reduced_capacity_dp`` is ``solve_fast``'s ``verify`` check: under the
-same refusals it runs that DP only on the items that an LP bound around
-the greedy break, held against the answer under test, cannot fix (Dembo
-and Hammer 1980), and it returns the exact optimum whatever the answer.
+``reduced_capacity_dp`` is ``solve_fast``'s ``verify`` check: it runs
+that DP only on the items that an LP bound around the greedy break, held
+against the answer under test, cannot fix (Dembo and Hammer 1980), and it
+returns the exact optimum whatever the answer.  Its cell budget and byte
+check apply to that reduced table.
 ``solve_exhaustive`` is exact for up to 40 items and can also report a
 witness subset, which the property tests use to validate solution
 structure, not just values.
@@ -60,11 +61,13 @@ def solve_bellman(raw_items, capacity, cell_budget=DEFAULT_CELL_BUDGET, stats=No
     inst = normalize(raw_items, capacity)
     if stats is not None:
         stats.engine = "trivial" if inst.all_fit else "bellman"
-    return _capacity_dp(inst, cell_budget, stats)
+    if inst.all_fit:
+        return inst.total_profit
+    return _capacity_dp(inst.weights, inst.profits, inst.capacity, cell_budget, stats)
 
 
-def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
-    """``solve_bellman`` on an instance ``normalize`` already built.
+def _capacity_dp(weights: np.ndarray, profits: np.ndarray, t: int, cell_budget, stats=None) -> int:
+    """The best profit of the items in these columns with total weight at most ``t``.
 
     Each run of k identical (weight, profit) items is folded as 0-1 chunks
     of 1, 2, 4, ... copies plus the remainder (the binary reduction of a
@@ -91,31 +94,23 @@ def _capacity_dp(inst: Instance, cell_budget=DEFAULT_CELL_BUDGET, stats=None):
     The cells hold values in [0, profit total] and no bottom; one pass adds
     at most the largest kept chunk's profit, the ``drift`` the row layout is
     sized with (``core.fold_cells``), so each value v is stored as v plus
-    the layout's origin.  The cell budget is checked first, then the chunk
-    list is built (O(n), no table) and the rows' bytes are checked against
+    the layout's origin.  The n (t + 1) cells of this table are checked
+    against ``cell_budget`` (None for no limit) first, then the chunk list
+    is built (O(n), no table) and the rows' bytes are checked against
     ``TABLE_BYTE_BUDGET``, both before any row is allocated.
     """
-    if inst.all_fit:
-        return inst.total_profit
-    chunks, layout = _checked_rows(inst, cell_budget)
-    if stats is not None:
-        stats.note_table(inst.capacity + 1, layout.dtype.itemsize)
-        stats.fold_passes = len(chunks)
-    return _banded(chunks, inst.capacity, layout)
-
-
-def _checked_rows(inst: Instance, cell_budget):
-    """The capacity DP's chunks and row layout, refused past either budget."""
-    t = inst.capacity
-    cells = inst.n * (t + 1)
+    cells = len(weights) * (t + 1)
     if cell_budget is not None and cells > cell_budget:
         raise BudgetExceededError(
             f"table needs {cells} cells, over the budget of {cell_budget}"
         )
-    chunks = _chunks(inst.weights, inst.profits, t)
-    layout = _row_cells(inst.profits, chunks)
+    chunks = _chunks(weights, profits, t)
+    layout = fold_cells(0, int(profits.sum()), max((p for _, p in chunks), default=0), 0)
     check_table_bytes("table rows need", 2 * (t + 1) * layout.dtype.itemsize)
-    return chunks, layout
+    if stats is not None:
+        stats.note_table(t + 1, layout.dtype.itemsize)
+        stats.fold_passes = len(chunks)
+    return _banded(chunks, t, layout)
 
 
 def _chunks(weights: np.ndarray, profits: np.ndarray, t: int) -> list[tuple[int, int]]:
@@ -130,11 +125,6 @@ def _chunks(weights: np.ndarray, profits: np.ndarray, t: int) -> list[tuple[int,
             k -= c
             c *= 2
     return chunks
-
-
-def _row_cells(profits: np.ndarray, chunks):
-    """Cells for sums of ``profits``, one chunk's profit added per pass."""
-    return fold_cells(0, int(profits.sum()), max((p for _, p in chunks), default=0), 0)
 
 
 def _banded(chunks, t: int, layout) -> int:
@@ -194,19 +184,19 @@ def reduced_capacity_dp(inst: Instance, bound: int, cell_budget=DEFAULT_CELL_BUD
     with R as its bound, which is at most OPT: that run returns OPT.  Runs
     of identical items share r_i, so each run is fixed or free whole.
 
-    The cell budget on n (t + 1) and the rows' byte check are those of the
-    unreduced table, both before any allocation.  When the sign check
-    fails, or an r_i or a profit could pass int64 (object columns
-    included), the unreduced DP answers.
+    When the sign check fails, or an r_i or a profit could pass int64
+    (object columns included), the DP runs on all the items instead.  Each
+    pass checks ``cell_budget`` and the rows' bytes on the table it is
+    about to run, the free items' cells at the reduced capacity, after the
+    O(n) reduction and before any row is allocated.
     """
     if inst.all_fit:
         return inst.total_profit
-    chunks, layout = _checked_rows(inst, cell_budget)
     gaps = _exchange_gaps(inst)
     if gaps is None:
-        return _banded(chunks, inst.capacity, layout)
-    best = _reduced(inst, gaps, bound)
-    return best if best >= bound else _reduced(inst, gaps, best)
+        return _capacity_dp(inst.weights, inst.profits, inst.capacity, cell_budget)
+    best = _reduced(inst, gaps, bound, cell_budget)
+    return best if best >= bound else _reduced(inst, gaps, best, cell_budget)
 
 
 def _exchange_gaps(inst: Instance):
@@ -234,7 +224,7 @@ def _exchange_gaps(inst: Instance):
     return greedy, np.abs(r), w_b * int(profits[greedy].sum()) + p_b * room, w_b
 
 
-def _reduced(inst: Instance, gaps, bound: int) -> int:
+def _reduced(inst: Instance, gaps, bound: int, cell_budget) -> int:
     """The capacity DP with every item fixed whose flip costs more than ``bound`` allows."""
     greedy, gap, top, w_b = gaps
     # |r_i| <= INT64_VALUE_CAP, so clipping the slack keeps the compare in int64
@@ -242,9 +232,8 @@ def _reduced(inst: Instance, gaps, bound: int) -> int:
     free = gap <= slack
     fixed = greedy & ~free
     t = inst.capacity - int(inst.weights[fixed].sum())
-    weights, profits = inst.weights[free], inst.profits[free]
-    chunks = _chunks(weights, profits, t)
-    return int(inst.profits[fixed].sum()) + _banded(chunks, t, _row_cells(profits, chunks))
+    best = _capacity_dp(inst.weights[free], inst.profits[free], t, cell_budget)
+    return int(inst.profits[fixed].sum()) + best
 
 
 def _half_profiles(items, capacity):

@@ -79,7 +79,12 @@ from numbers import Integral
 import numpy as np
 
 from . import hinted
-from .baselines import _capacity_dp, check_table_bytes, reduced_capacity_dp
+from .baselines import (
+    DEFAULT_CELL_BUDGET,
+    _capacity_dp,
+    check_table_bytes,
+    reduced_capacity_dp,
+)
 from .core import (
     _UNSHIFTED,
     BOTTOM,
@@ -156,8 +161,9 @@ class SolverConfig:
     ``baselines.reduced_capacity_dp``, the capacity DP over the items the
     answer leaves free, and raises ``VerificationError`` on mismatch;
     ``verify_cell_budget`` (a nonnegative int, or None for no limit) caps
-    the cells of the unreduced n (t + 1) table, checked before the
-    reduction.  Other values of any field raise ``ValueError`` when the
+    the cells of the table that check runs, the free items' cells at the
+    reduced capacity, checked after the O(n) reduction and before any row
+    is allocated.  Other values of any field raise ``ValueError`` when the
     config is built.
     """
 
@@ -734,7 +740,9 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
     if inst.w_max > inst.n * inst.n:
         if stats is not None:
             stats.engine = "bellman-fallback"
-        answer = _capacity_dp(inst, stats=stats)
+        answer = _capacity_dp(
+            inst.weights, inst.profits, inst.capacity, DEFAULT_CELL_BUDGET, stats
+        )
     else:
         answer = _solve_structured(inst, config, stats)
     if config.verify:

@@ -152,6 +152,19 @@ def test_solve_verify_flag(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "70"
 
 
+def test_solve_verify_at_w_1024(tmp_path, capsys):
+    # n = 4096 at w = 1024: verify answers on uniform items and refuses the
+    # table that hard-equal-weights leaves free at its answer
+    items, capacity = generate_instance(4096, 1024, 32, 0.5, 1, "uniform")
+    path = write(tmp_path, "uniform.txt", format_instance(items, capacity))
+    assert main(["solve", path, "--verify"]) == 0
+    assert capsys.readouterr().out.strip() == str(solve_fast(items, capacity))
+    items, capacity = generate_instance(4096, 1024, 32, 0.5, 1, "hard-equal-weights")
+    path = write(tmp_path, "equal.txt", format_instance(items, capacity))
+    assert main(["solve", path, "--verify"]) == 3
+    assert "refused: table needs 3467335685 cells" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "2 oops\n1 1\n1 1\n")
     assert main(["solve", path]) == 2

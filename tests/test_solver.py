@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knapsolve import (
     BOTTOM,
@@ -235,11 +237,13 @@ def test_bellman_cell_budget():
 def test_capacity_dp_row_byte_budget(monkeypatch):
     # a few items under a huge capacity pass the cell budget with rows far
     # larger than memory; the capacity DP must refuse them before allocating.
-    # Both instances run at capacity 70: two int16 rows of 71 cells, 284 bytes
+    # Every table runs at capacity 70: two int16 rows of 71 cells, 284 bytes.
+    # The structured items share one efficiency, so the verify check's
+    # reduction fixes none of them and its table is the unreduced one
     import knapsolve.baselines
 
     fallback = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
-    structured = [(5, k) for k in range(1, 20)]
+    structured = [(5, 7)] * 19
     calls = (
         lambda: solve_bellman(fallback, 70),
         lambda: solve_fast(fallback, 70),
@@ -274,8 +278,11 @@ def test_capacity_dp_paths_normalize_once(monkeypatch):
         calls.clear()
         got = solve_fast(items, capacity, SolverConfig(verify=True))
         assert got == solve_exhaustive(items, capacity) and len(calls) == 1
-    with pytest.raises(BudgetExceededError, match="table needs 40 cells, over the budget of 39"):
-        solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=39))
+    # the verify check's budget is on its reduced table: at the answer 14,
+    # (5, 9) is fixed in and the other three items are free at t = 4
+    with pytest.raises(BudgetExceededError, match="table needs 15 cells, over the budget of 14"):
+        solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=14))
+    assert solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=15)) == 14
     with pytest.raises(BudgetExceededError, match="over the budget of"):
         solve_fast([(1 << 40, 7), ((1 << 40) + 1, 9)], 1 << 41)
 
@@ -1581,16 +1588,71 @@ def test_reduced_capacity_dp_reruns_when_a_bound_above_the_optimum_misses_it(mon
     from knapsolve.baselines import _exchange_gaps, _reduced, reduced_capacity_dp
 
     inst = normalize([(8, 28), (6, 6), (2, 16)], 8)
-    assert _reduced(inst, _exchange_gaps(inst), 29) == 16
+    assert _reduced(inst, _exchange_gaps(inst), 29, None) == 16
     bounds = []
 
-    def spy(inst, gaps, bound):
+    def spy(inst, gaps, bound, cell_budget):
         bounds.append(bound)
-        return _reduced(inst, gaps, bound)
+        return _reduced(inst, gaps, bound, cell_budget)
 
     monkeypatch.setattr(knapsolve.baselines, "_reduced", spy)
     assert reduced_capacity_dp(inst, 29) == 28
     assert bounds == [29, 16]
+
+
+def test_reduced_capacity_dp_checks_each_pass_under_its_own_budget():
+    # the instance above: the first pass, bounded by 29, has one free item at
+    # t = 6 (7 cells); the second, bounded by 16, all three at t = 8 (27)
+    from knapsolve.baselines import reduced_capacity_dp
+
+    inst = normalize([(8, 28), (6, 6), (2, 16)], 8)
+    for budget in range(27):
+        cells = 7 if budget < 7 else 27
+        message = f"table needs {cells} cells, over the budget of {budget}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            reduced_capacity_dp(inst, 29, budget)
+    assert reduced_capacity_dp(inst, 29, 27) == 28
+
+
+@st.composite
+def budgeted_reductions(draw):
+    """A small instance, a bound within 2 of its optimum and a cell budget up to n (t + 1)."""
+    pairs = st.tuples(st.integers(1, 9), st.integers(1, 12))
+    items = draw(st.lists(pairs, min_size=1, max_size=9))
+    capacity = draw(st.integers(0, sum(w for w, _ in items)))
+    want = solve_exhaustive(items, capacity)
+    bound = want + draw(st.integers(-2, 2))
+    budget = draw(st.integers(0, len(items) * (capacity + 1)))
+    return items, capacity, want, bound, budget
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(budgeted_reductions())
+def test_reduced_capacity_dp_answers_or_refuses_on_its_pass_tables(case):
+    # unbudgeted, the DP passes record the cells of their tables; budgeted,
+    # the check returns the optimum unless one of those tables exceeds it
+    import knapsolve.baselines
+    from knapsolve.baselines import reduced_capacity_dp
+
+    items, capacity, want, bound, budget = case
+    inst = normalize(items, capacity)
+    capacity_dp = knapsolve.baselines._capacity_dp
+    tables = []
+
+    def spy(weights, profits, t, cell_budget, stats=None):
+        tables.append(len(weights) * (t + 1))
+        return capacity_dp(weights, profits, t, cell_budget, stats)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knapsolve.baselines, "_capacity_dp", spy)
+        assert reduced_capacity_dp(inst, bound, None) == want
+    over = [cells for cells in tables if cells > budget]
+    if over:
+        message = f"table needs {over[0]} cells, over the budget of {budget}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            reduced_capacity_dp(inst, bound, budget)
+    else:
+        assert reduced_capacity_dp(inst, bound, budget) == want
 
 
 def test_reduced_capacity_dp_falls_back_without_the_sign_check(monkeypatch):
@@ -1622,8 +1684,8 @@ def test_reduced_capacity_dp_falls_back_without_the_sign_check(monkeypatch):
 
 
 def test_verify_reduction_free_items_on_the_benchmark(monkeypatch):
-    # the six seed-1 `oracles` verify calls: the unreduced chunk list, for
-    # the budget checks, then one DP over the items the answer leaves free
+    # the six seed-1 `oracles` verify calls: one chunk list each, for the
+    # one DP over the items the answer leaves free
     import knapsolve.baselines
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -1643,36 +1705,50 @@ def test_verify_reduction_free_items_on_the_benchmark(monkeypatch):
         if call.spec.kind == "fast-verify":
             chunked.clear()
             solve_fast(call.items, call.capacity, SolverConfig(verify=True))
-            assert chunked[0] == call.spec.n and len(chunked) == 2
-            free.append(chunked[1])
+            assert len(chunked) == 1
+            free.append(chunked[0])
     assert free == [20, 39, 131, 20, 14, 102]
 
 
+@pytest.mark.parametrize(
+    "family, p_max", [("uniform", 32), ("clustered", 32), ("uniform", 10**6)]
+)
+def test_verify_at_w_1024(family, p_max):
+    # n = 4096 at w = 1024: the unreduced n (t + 1) table is past the
+    # default budget of 4e8 cells, the table the answer leaves free within it
+    items, capacity = generate_instance(4096, 1024, p_max, 0.5, 1, family)
+    assert 4096 * (capacity + 1) > SolverConfig().verify_cell_budget
+    assert solve_fast(items, capacity, SolverConfig(verify=True)) == solve_fast(items, capacity)
+
+
 def test_verify_refuses_past_its_budget_before_allocating(monkeypatch):
-    # w = 1024, n = 4096: the verify DP needs about 4.3e9 cells against the
-    # default 4e8, and refuses before its chunk list, the reduction or a row
+    # hard-equal-weights at w = 1024, n = 4096, p_max 32: at the answer the
+    # reduction leaves a table of 3,467,335,685 cells against the default
+    # 4e8, and the check refuses it before its chunk list or a row.  The
+    # reduction's O(n) arrays come first (about 170 KB); the refused rows
+    # would take gigabytes, so the traced peak is held under 1 MB
     import tracemalloc
 
     import knapsolve.baselines
     from knapsolve.baselines import reduced_capacity_dp
 
+    items, capacity = generate_instance(4096, 1024, 32, 0.5, 1, "hard-equal-weights")
+    answer = solve_fast(items, capacity)
+
     def untouched(*args):
         raise AssertionError("ran past the cell budget")
 
-    for name in ("_chunks", "_exchange_gaps", "_banded"):
+    for name in ("_chunks", "_banded"):
         monkeypatch.setattr(knapsolve.baselines, name, untouched)
-    items, capacity = generate_instance(4096, 1024, 32, 0.5, 1, "uniform")
-    cells = 4096 * (capacity + 1)
-    assert cells > SolverConfig().verify_cell_budget
-    message = f"table needs {cells} cells, over the budget of 400000000"
+    message = "table needs 3467335685 cells, over the budget of 400000000"
     with pytest.raises(BudgetExceededError, match=message):
         solve_fast(items, capacity, SolverConfig(verify=True))
     inst = normalize(items, capacity)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match=message):
-            reduced_capacity_dp(inst, 0, 400_000_000)
+            reduced_capacity_dp(inst, answer, 400_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 16
+    assert peak < 1 << 20
