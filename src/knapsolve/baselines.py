@@ -11,10 +11,11 @@ range [0, profit total] and its largest chunk profit.  It refuses
 instances whose n * (t + 1) table would exceed an explicit cell budget, or
 whose two rows would exceed ``TABLE_BYTE_BUDGET``, instead of thrashing.
 ``reduced_capacity_dp`` is ``solve_fast``'s ``verify`` check: it runs
-that DP only on the items that an LP bound around the greedy break, held
-against the answer under test, cannot fix (Dembo and Hammer 1980), and it
-returns the exact optimum whatever the answer.  Its cell budget and byte
-check apply to that reduced table.
+that DP only on the items that an LP bound around ``core.LazyCore``'s
+greedy break, held against the answer under test, cannot fix (Dembo and
+Hammer 1980), or on all of them when its sign or W(G) <= t check fails.
+It returns the exact optimum at every magnitude, whatever the answer.
+Its cell budget and byte check apply to the table it runs.
 ``solve_exhaustive`` is exact for up to 40 items and can also report a
 witness subset, which the property tests use to validate solution
 structure, not just values.
@@ -30,8 +31,8 @@ import numpy as np
 from .core import (
     INT64_VALUE_CAP,
     Instance,
+    LazyCore,
     _columns,
-    _efficiency_keys,
     _integer,
     fold_cells,
     normalize,
@@ -184,11 +185,11 @@ def reduced_capacity_dp(inst: Instance, bound: int, cell_budget=DEFAULT_CELL_BUD
     with R as its bound, which is at most OPT: that run returns OPT.  Runs
     of identical items share r_i, so each run is fixed or free whole.
 
-    When the sign check fails, or an r_i or a profit could pass int64
-    (object columns included), the DP runs on all the items instead.  Each
-    pass checks ``cell_budget`` and the rows' bytes on the table it is
-    about to run, the free items' cells at the reduced capacity, after the
-    O(n) reduction and before any row is allocated.
+    G and b come from ``core.LazyCore``; the bound needs only the sign
+    check and W(G) <= t (so every pass's capacity is >= 0), and when either
+    fails the DP runs on all the items.  Each pass checks ``cell_budget``
+    and the rows' bytes on the table it is about to run, the free items'
+    cells at the reduced capacity, after the O(n) reduction and before any row.
     """
     if inst.all_fit:
         return inst.total_profit
@@ -202,33 +203,27 @@ def reduced_capacity_dp(inst: Instance, bound: int, cell_budget=DEFAULT_CELL_BUD
 def _exchange_gaps(inst: Instance):
     """(G as a mask, each |r_i|, w_b P(G) + p_b c, w_b) of the reduction, or None.
 
-    None when a product could pass int64 or the sign check fails.  The
-    order comes from ``core._efficiency_keys``; the sign check makes the
-    bound independent of it.
+    G and b are ``core.LazyCore``'s.  None when the sign check or W(G) <= t
+    fails: a wrong G costs the reduction, never the answer.  The r_i are
+    Python ints when a product could pass int64.
     """
+    core = LazyCore(inst)
     weights, profits = inst.weights, inst.profits
-    if weights.dtype == object or profits.dtype == object:
-        return None
-    order = np.argsort(-_efficiency_keys(inst), kind="stable")
-    filled = np.cumsum(weights[order])
-    k = int(np.searchsorted(filled, inst.capacity, side="right"))
-    w_b, p_b = int(weights[order[k]]), int(profits[order[k]])
+    w_b, p_b = int(weights[core.break_item]), int(profits[core.break_item])
     if max(int(profits.max()) * w_b, p_b * inst.w_max) > INT64_VALUE_CAP:
+        weights, profits = weights.astype(object), profits.astype(object)
+    r, greedy = profits * w_b - weights * p_b, core.in_greedy
+    if core.greedy_weight > inst.capacity or (r[greedy] < 0).any() or (r[~greedy] > 0).any():
         return None
-    greedy = np.zeros(inst.n, bool)
-    greedy[order[:k]] = True
-    r = profits * w_b - weights * p_b
-    if (r[greedy] < 0).any() or (r[~greedy] > 0).any():
-        return None
-    room = inst.capacity - (int(filled[k - 1]) if k else 0)
-    return greedy, np.abs(r), w_b * int(profits[greedy].sum()) + p_b * room, w_b
+    top = w_b * core.greedy_profit + p_b * (inst.capacity - core.greedy_weight)
+    return greedy, np.abs(r), top, w_b
 
 
 def _reduced(inst: Instance, gaps, bound: int, cell_budget) -> int:
     """The capacity DP with every item fixed whose flip costs more than ``bound`` allows."""
     greedy, gap, top, w_b = gaps
-    # |r_i| <= INT64_VALUE_CAP, so clipping the slack keeps the compare in int64
-    slack = max(-1, min(top - bound * w_b, INT64_VALUE_CAP))
+    # the largest gap already frees every item: clipping there keeps the gaps' dtype
+    slack = max(-1, min(top - bound * w_b, int(gap.max())))
     free = gap <= slack
     fixed = greedy & ~free
     t = inst.capacity - int(inst.weights[fixed].sum())

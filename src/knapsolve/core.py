@@ -589,7 +589,8 @@ class LazyCore:
     (``_select_break``), in O(n): the greedy solution is every item with a
     key above the break key, then the break key's items by index while they
     fit.  ``in_greedy``, ``greedy_weight`` and ``greedy_profit`` describe
-    it.  ``add`` walks the items outside it (key descending, ties by
+    it, and ``break_item`` is the first item of the order that does not
+    fit.  ``add`` walks the items outside it (key descending, ties by
     ascending index), ``remove`` the items inside it (key ascending, ties by
     descending index): the order the core fold meets them.
 
@@ -613,6 +614,7 @@ class LazyCore:
         self.in_greedy = keys > pivot
         self.in_greedy[tie[:taken]] = True
         self.greedy_weight = int(reach[taken - 1]) if taken else above
+        self.break_item = int(tie[taken])
         self.greedy_profit = int(np.dot(inst.profits, self.in_greedy))
         outside = np.flatnonzero(~self.in_greedy)
         inside = np.flatnonzero(self.in_greedy)[::-1]

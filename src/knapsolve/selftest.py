@@ -4,7 +4,8 @@ Every solver in ``SOLVERS`` must return ``solve_exhaustive``'s answer on
 seeded small instances: uniformly random ones, tie-heavy ones whose greedy
 order is full of equal efficiencies, among them small versions of
 Pisinger's hard families (even weights, p = 3w + {0, 1}, spanner
-multiples), and large-profit ones whose folds take each cell width.  Each
+multiples), and large-profit ones whose folds take each cell width, up to
+object columns past int64.  Each
 instance is solved at capacity 0, at its total weight minus one and at a
 random capacity.  The test suite checks the same table, so a field install
 can prove the solvers the tests prove, without the development test tree.
@@ -77,8 +78,8 @@ def tie_heavy_items(rng, shape):
 
 # Profit totals the magnitude suite draws around: a fold's cells hold about
 # 1.5 times the total, so these cross the int16 range (shifted int16 or
-# int32 cells), sit past 2^27 (shifted int32) and past 2^32 (int64).
-MAGNITUDES = (1 << 16, 1 << 28, 1 << 33)
+# int32 cells), sit past 2^27 (shifted int32), 2^32 (int64) and 2^63 (object).
+MAGNITUDES = (1 << 16, 1 << 28, 1 << 33, 1 << 70)
 
 
 def magnitude_items(rng, scale):

@@ -28,7 +28,7 @@ from knapsolve import (
     solve_proximity_smawk,
     weight_partition,
 )
-from knapsolve.core import INT64_VALUE_CAP, Item, _integer
+from knapsolve.core import INT64_VALUE_CAP, Item, LazyCore, _integer
 
 # --- the reference --------------------------------------------------------
 
@@ -129,6 +129,7 @@ def check_against_reference(raw_items, capacity, perturbed=False, constant=2.0):
     for name, value in want.items():
         got = getattr(split, name)
         assert (got.tolist() if name in ("order", "in_greedy") else got) == value, name
+    assert LazyCore(inst).break_item == split.order[split.break_index]
     for side in (split.add_candidates, split.remove_candidates):
         assert all(type(v) is int for members in side.values() for v in members)
 
@@ -171,6 +172,12 @@ def test_layer_windows_cut_inside_the_order():
             if family == "uniform":
                 assert part.layer_count >= 2
                 assert len(part.layers[0]) < len(set(inst.weights.tolist()))
+
+
+def test_sampled_pivots_match_reference():
+    # past 4 * 1024 items the break selection draws its pivots from a sample
+    items, capacity = generate_instance(5000, 64, 1000, 0.5, 7, "hard-equal-weights")
+    check_against_reference(items, capacity)
 
 
 def test_object_keys_with_int64_profits():

@@ -1553,7 +1553,11 @@ def reduction_cases(rng):
             items += [(rng.randint(1, 8), rng.randint(1, 20))] * rng.randint(1, 6)
         return items[: rng.randint(2, 16)]
 
-    makers.append(runs)
+    def wide_products():
+        # int64 columns whose products p_i w_b pass INT64_VALUE_CAP
+        return [(rng.randint(1, 100), rng.randint(1 << 54, 1 << 55)) for _ in range(rng.randint(2, 12))]
+
+    makers += [runs, wide_products]
     for trial in range(150 * len(makers)):
         items = makers[trial % len(makers)]()
         total = sum(w for w, _ in items)
@@ -1566,7 +1570,7 @@ def test_reduced_capacity_dp_returns_the_optimum_for_any_bound():
     # search's optimum, and at the optimum a third of the cases fix items
     from knapsolve.baselines import _exchange_gaps, reduced_capacity_dp
 
-    cases = reduced = 0
+    cases = reduced = wide = 0
     for items, capacity in reduction_cases(random.Random(3303)):
         want = solve_exhaustive(items, capacity)
         inst = normalize(items, capacity)
@@ -1576,8 +1580,9 @@ def test_reduced_capacity_dp_returns_the_optimum_for_any_bound():
         if gaps is not None:
             greedy, gap, top, w_b = gaps
             reduced += bool((gap > top - want * w_b).any())
+            wide += gap.dtype == object and inst.profits.dtype == np.int64
         cases += 1
-    assert cases == 3 * 150 * 12 and reduced > cases // 4
+    assert cases == 3 * 150 * 14 and reduced > cases // 4 and wide > 150
 
 
 def test_reduced_capacity_dp_reruns_when_a_bound_above_the_optimum_misses_it(monkeypatch):
@@ -1656,13 +1661,15 @@ def test_reduced_capacity_dp_answers_or_refuses_on_its_pass_tables(case):
 
 
 def test_reduced_capacity_dp_falls_back_without_the_sign_check(monkeypatch):
-    # an efficiency order that fails the sign check, and profits past int64,
-    # both run the unreduced DP and still return the optimum
+    # an efficiency order that fails the sign check, and a stubbed G heavier
+    # than t, both run the unreduced DP and still return the optimum;
+    # profits past int64 are reduced like any others
     import knapsolve.baselines
-    from knapsolve.baselines import _exchange_gaps, reduced_capacity_dp
+    import knapsolve.core
+    from knapsolve.baselines import _exchange_gaps, _reduced, reduced_capacity_dp
     from knapsolve.core import _efficiency_keys
 
-    monkeypatch.setattr(knapsolve.baselines, "_efficiency_keys", lambda inst: -_efficiency_keys(inst))
+    monkeypatch.setattr(knapsolve.core, "_efficiency_keys", lambda inst: -_efficiency_keys(inst))
     rng = random.Random(4404)
     fell_back = 0
     for _ in range(200):
@@ -1676,11 +1683,38 @@ def test_reduced_capacity_dp_falls_back_without_the_sign_check(monkeypatch):
         for bound in (want - 1, want, want + 1):
             assert reduced_capacity_dp(inst, bound) == want, (items, capacity)
     assert fell_back > 100
+    monkeypatch.undo()
+
+    class HeavyG:
+        # every item in G: equal efficiencies pass the sign check, but the
+        # fixed items of G would leave a pass a negative capacity
+        def __init__(self, inst):
+            self.in_greedy = np.ones(inst.n, bool)
+            self.greedy_weight = int(inst.weights.sum())
+            self.greedy_profit = int(inst.profits.sum())
+            self.break_item = 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knapsolve.baselines, "LazyCore", HeavyG)
+        inst = normalize([(2, 4), (3, 6), (4, 8)], 5)
+        assert _exchange_gaps(inst) is None
+        for bound in (9, 10, 11):
+            assert reduced_capacity_dp(inst, bound) == 10
+
     big = 1 << 62
     items = [(3, big), (2, 5), (4, big + 7), (5, 9)]
     inst = normalize(items, 6)
-    assert inst.profits.dtype == object and _exchange_gaps(inst) is None
-    assert reduced_capacity_dp(inst, 0) == solve_exhaustive(items, 6) == big + 12
+    want = solve_exhaustive(items, 6)
+    assert want == big + 12 and inst.profits.dtype == object
+    gaps = _exchange_gaps(inst)
+    greedy, gap, top, w_b = gaps
+    # at the optimum only (5, 9) is fixed; a slack clipped to the int64
+    # range would also fix (3, big) and (2, 5), and miss the optimum
+    assert gap.dtype == object and top - want * w_b > INT64_VALUE_CAP
+    assert (gap > top - want * w_b).tolist() == [False, False, False, True]
+    assert _reduced(inst, gaps, want, None) == want
+    for bound in (0, want - 1, want, want + 1):
+        assert reduced_capacity_dp(inst, bound) == want
 
 
 def test_verify_reduction_free_items_on_the_benchmark(monkeypatch):
@@ -1711,14 +1745,19 @@ def test_verify_reduction_free_items_on_the_benchmark(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "family, p_max", [("uniform", 32), ("clustered", 32), ("uniform", 10**6)]
+    "family, p_max, shift",
+    [("uniform", 32, 0), ("clustered", 32, 0), ("uniform", 10**6, 0), ("uniform", 10**6, 62)],
+    ids=["uniform-32", "clustered-32", "uniform-1000000", "uniform-1000000-shift62"],
 )
-def test_verify_at_w_1024(family, p_max):
+def test_verify_at_w_1024(family, p_max, shift):
     # n = 4096 at w = 1024: the unreduced n (t + 1) table is past the
-    # default budget of 4e8 cells, the table the answer leaves free within it
+    # default budget of 4e8 cells, the table the answer leaves free within
+    # it, also with every profit times 2^62 (object columns)
     items, capacity = generate_instance(4096, 1024, p_max, 0.5, 1, family)
     assert 4096 * (capacity + 1) > SolverConfig().verify_cell_budget
-    assert solve_fast(items, capacity, SolverConfig(verify=True)) == solve_fast(items, capacity)
+    answer = solve_fast(items, capacity)
+    scaled = [(w, p << shift) for w, p in items]
+    assert solve_fast(scaled, capacity, SolverConfig(verify=True)) == answer << shift
 
 
 def test_verify_refuses_past_its_budget_before_allocating(monkeypatch):
