@@ -5,17 +5,19 @@ capacity-indexed table, vectorized over capacities and banded: each item
 updates only the capacities the answer dp[t] can still read (Toth 1980).
 Runs of identical items are folded as binary chunks (Kellerer, Pferschy and
 Pisinger 2004, ch. 7) in weight order, light chunks at both ends, so at
-t = half the total weight it touches about n * t / 3 cells.  Its cells
-take the width ``core.fold_cells`` gives every table here, from its values'
-range [0, profit total] and its largest chunk profit.  It refuses
-instances whose n * (t + 1) table would exceed an explicit cell budget, or
-whose two rows would exceed ``TABLE_BYTE_BUDGET``, instead of thrashing.
+t = half the total weight it touches about n * t / 3 cells.  One plan
+(``_plan``) gives each chunk its band; the fold runs those bands and the
+cell budget counts them.  Its cells take the width ``core.fold_cells``
+gives every table here, from its values' range [0, profit total] and its
+largest chunk profit.  It refuses instances whose bands would pass an
+explicit cell budget, or whose two rows would exceed ``TABLE_BYTE_BUDGET``,
+before allocating either row.
 ``reduced_capacity_dp`` is ``solve_fast``'s ``verify`` check: it runs
 that DP only on the items that an LP bound around ``core.LazyCore``'s
 greedy break, held against the answer under test, cannot fix (Dembo and
 Hammer 1980), or on all of them when its sign or W(G) <= t check fails.
 It returns the exact optimum at every magnitude, whatever the answer.
-Its cell budget and byte check apply to the table it runs.
+Its cell budget and byte check apply to the DP each pass runs.
 ``solve_exhaustive`` is exact for up to 40 items and can also report a
 witness subset, which the property tests use to validate solution
 structure, not just values.
@@ -32,6 +34,7 @@ from .core import (
     INT64_VALUE_CAP,
     Instance,
     LazyCore,
+    _binary_copies,
     _columns,
     _integer,
     fold_cells,
@@ -75,73 +78,81 @@ def _capacity_dp(weights: np.ndarray, profits: np.ndarray, t: int, cell_budget, 
     bounded item): every count 0..k is a sum of chunks and none past k is.
     A count m only uses chunks of at most m copies, so a chunk heavier than
     t is in no feasible count and is dropped; if the kept chunks all fit,
-    their profit is the answer.  The chunks are then ordered by weight with
-    the light ones at both ends: ascending ranks go alternately to the
-    front and the back.
+    their profit is the answer, with no row and no pass.  Otherwise
+    ``_plan`` orders them and gives each its band, the cells it updates.
 
-    Before chunk i, with W and P the weight and profit of the chunks before
-    it and R the weight of the chunks after it, dp[c] is exact for c in
-    [t - R - w_i, W]; above W every earlier chunk fits, so cells W + 1 to
-    min(t, W + w_i) are first set to P.  Chunk i then updates only
-    [max(w_i, t - R), min(t, W + w_i)]: a cell below t - R cannot reach
-    dp[t] through the remaining weight R, and a cell above W + w_i gains
-    nothing from chunk i.  The band is never empty, since the kept chunks
-    weigh more than t in total.  It is widest where W is near t, so the
-    heavy chunks go there, where few of them cover the weight: with
-    uniformly spread weights and t half the total weight the band covers
-    about n * t / 3 cells, against n * t / 2 in input order.  With
-    ``stats`` the chunk passes go to ``fold_passes``.
+    The cost of the DP is the cells of those bands, at most n t, since there
+    are at most n chunks and each band lies in [1, t].  They are checked
+    against ``cell_budget`` (None for no limit), then the rows' bytes against
+    ``TABLE_BYTE_BUDGET``, both after the O(n) chunk plan and before any row
+    is allocated.  With ``stats`` the chunk passes go to ``fold_passes`` and
+    the row, when one is built, to ``peak_table_cells``.
 
     The cells hold values in [0, profit total] and no bottom; one pass adds
     at most the largest kept chunk's profit, the ``drift`` the row layout is
     sized with (``core.fold_cells``), so each value v is stored as v plus
-    the layout's origin.  The n (t + 1) cells of this table are checked
-    against ``cell_budget`` (None for no limit) first, then the chunk list
-    is built (O(n), no table) and the rows' bytes are checked against
-    ``TABLE_BYTE_BUDGET``, both before any row is allocated.
+    the layout's origin.
     """
-    cells = len(weights) * (t + 1)
+    chunks = _chunks(weights, profits, t)
+    plan = _plan(chunks, t)
+    cells = sum(hi - lo + 1 for _, _, lo, hi in plan)
     if cell_budget is not None and cells > cell_budget:
         raise BudgetExceededError(
-            f"table needs {cells} cells, over the budget of {cell_budget}"
+            f"capacity DP needs {cells} band cells, over the budget of {cell_budget}"
         )
-    chunks = _chunks(weights, profits, t)
-    layout = fold_cells(0, int(profits.sum()), max((p for _, p in chunks), default=0), 0)
+    if not plan:
+        return sum(p for _, p in chunks)
+    layout = fold_cells(0, int(profits.sum()), max(p for _, p in chunks), 0)
     check_table_bytes("table rows need", 2 * (t + 1) * layout.dtype.itemsize)
     if stats is not None:
         stats.note_table(t + 1, layout.dtype.itemsize)
-        stats.fold_passes = len(chunks)
-    return _banded(chunks, t, layout)
+        stats.fold_passes = len(plan)
+    return _banded(plan, t, layout)
 
 
 def _chunks(weights: np.ndarray, profits: np.ndarray, t: int) -> list[tuple[int, int]]:
-    """The binary chunks of the items' runs that fit ``t``."""
+    """The (weight, profit) binary chunks of the items' runs that fit ``t``."""
     chunks = []
     for (w, p), k in Counter(zip(weights.tolist(), profits.tolist())).items():
-        c = 1
-        while k:
-            c = min(c, k)
-            if c * w <= t:
-                chunks.append((c * w, c * p))
-            k -= c
-            c *= 2
+        chunks += [(c * w, c * p) for c in _binary_copies(k) if c * w <= t]
     return chunks
 
 
-def _banded(chunks, t: int, layout) -> int:
-    """The best profit of chunks of total weight at most ``t``, by the banded fold."""
+def _plan(chunks, t: int) -> list[tuple[int, int, int, int]]:
+    """Each chunk's (weight, profit, lo, hi) in fold order, or [] when they all fit ``t``.
+
+    The chunks go by weight with the light ones at both ends: ascending
+    ranks go alternately to the front and the back.  Before chunk i, with W
+    and P the weight and profit of the chunks before it and R the weight of
+    the chunks after it, dp[c] is exact for c in [t - R - w_i, W]; above W
+    every earlier chunk fits, so cells W + 1 to min(t, W + w_i) are first
+    set to P.  Chunk i then updates only its band [lo, hi] = [max(w_i, t -
+    R), min(t, W + w_i)] (Toth 1980): a cell below t - R cannot reach dp[t]
+    through the remaining weight R, and a cell above W + w_i gains nothing
+    from chunk i.  The band is never empty, since the chunks weigh more than
+    t in total.  It is widest where W is near t, so the heavy chunks go
+    there, where few of them cover the weight: with uniformly spread weights
+    and t half the total weight the bands cover about n t / 3 cells, against
+    n t / 2 in input order.
+    """
     after = sum(w for w, _ in chunks)
     if after <= t:
-        return sum(p for _, p in chunks)
+        return []
     chunks = sorted(chunks)
-    chunks = chunks[::2] + chunks[1::2][::-1]
+    plan, below = [], 0
+    for w, p in chunks[::2] + chunks[1::2][::-1]:
+        after -= w
+        plan.append((w, p, max(w, t - after), min(t, below + w)))
+        below += w
+    return plan
+
+
+def _banded(plan, t: int, layout) -> int:
+    """dp[t] after folding each chunk of ``plan`` over its band."""
     dp = np.full(t + 1, layout.origin, dtype=layout.dtype)
     tmp = np.empty(t + 1, dtype=layout.dtype)
     below, gained = 0, 0
-    for w, p in chunks:
-        after -= w
-        lo = max(w, t - after)
-        hi = min(t, below + w)
+    for w, p, lo, hi in plan:
         dp[below + 1 : hi + 1] = gained + layout.origin
         # temp copy keeps this a 0-1 update: sources predate the writes
         span = hi - lo + 1
@@ -188,8 +199,9 @@ def reduced_capacity_dp(inst: Instance, bound: int, cell_budget=DEFAULT_CELL_BUD
     G and b come from ``core.LazyCore``; the bound needs only the sign
     check and W(G) <= t (so every pass's capacity is >= 0), and when either
     fails the DP runs on all the items.  Each pass checks ``cell_budget``
-    and the rows' bytes on the table it is about to run, the free items'
-    cells at the reduced capacity, after the O(n) reduction and before any row.
+    and the rows' bytes on the DP it is about to run, the free items' band
+    cells at the reduced capacity, after the O(n) reduction and chunk plan
+    and before any row.
     """
     if inst.all_fit:
         return inst.total_profit

@@ -126,6 +126,20 @@ def fold_cells(low: int, high: int, drift: int, step: int) -> FoldCells:
     return _UNSHIFTED[np.dtype(cell_dtype(max(high, -low)))]
 
 
+def _binary_copies(k: int):
+    """1, 2, 4, ... copies, then the remainder: the binary chunks of a run of ``k``.
+
+    Every count 0..k is a sum of distinct chunks and none past k is, so a
+    bounded item of k copies folds as ceil(log2(k + 1)) 0-1 items.
+    """
+    c = 1
+    while k:
+        c = min(c, k)
+        yield c
+        k -= c
+        c *= 2
+
+
 def _fitted(values: np.ndarray) -> np.ndarray:
     """``values`` as int64 if their total is at most INT64_VALUE_CAP, else as Python ints.
 

@@ -153,16 +153,18 @@ def test_solve_verify_flag(tmp_path, capsys):
 
 
 def test_solve_verify_at_w_1024(tmp_path, capsys):
-    # n = 4096 at w = 1024: verify answers on uniform items and refuses the
-    # table that hard-equal-weights leaves free at its answer
-    items, capacity = generate_instance(4096, 1024, 32, 0.5, 1, "uniform")
-    path = write(tmp_path, "uniform.txt", format_instance(items, capacity))
-    assert main(["solve", path, "--verify"]) == 0
-    assert capsys.readouterr().out.strip() == str(solve_fast(items, capacity))
-    items, capacity = generate_instance(4096, 1024, 32, 0.5, 1, "hard-equal-weights")
+    # n = 4096 at w = 1024: verify answers on uniform and hard-equal-weights
+    # items; at w = 4096 it refuses the band cells that hard-equal-weights
+    # leaves free at its answer
+    for family in ("uniform", "hard-equal-weights"):
+        items, capacity = generate_instance(4096, 1024, 32, 0.5, 1, family)
+        path = write(tmp_path, f"{family}.txt", format_instance(items, capacity))
+        assert main(["solve", path, "--verify"]) == 0
+        assert capsys.readouterr().out.strip() == str(solve_fast(items, capacity))
+    items, capacity = generate_instance(16384, 4096, 32, 0.5, 1, "hard-equal-weights")
     path = write(tmp_path, "equal.txt", format_instance(items, capacity))
     assert main(["solve", path, "--verify"]) == 3
-    assert "refused: table needs 3467335685 cells" in capsys.readouterr().err
+    assert "refused: capacity DP needs 23043325798 band cells" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

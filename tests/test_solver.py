@@ -3,12 +3,13 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knapsolve import (
@@ -230,8 +231,10 @@ def test_proximity_table_budget():
 
 
 def test_bellman_cell_budget():
-    with pytest.raises(BudgetExceededError):
-        solve_bellman([(2, 3), (3, 4)], 4, cell_budget=2)
+    # at t = 4 each item's band is one cell: (2, 3) at [2, 2], (3, 4) at [4, 4]
+    with pytest.raises(BudgetExceededError, match="needs 2 band cells, over the budget of 1$"):
+        solve_bellman([(2, 3), (3, 4)], 4, cell_budget=1)
+    assert solve_bellman([(2, 3), (3, 4)], 4, cell_budget=2) == 4
 
 
 def test_capacity_dp_row_byte_budget(monkeypatch):
@@ -278,11 +281,12 @@ def test_capacity_dp_paths_normalize_once(monkeypatch):
         calls.clear()
         got = solve_fast(items, capacity, SolverConfig(verify=True))
         assert got == solve_exhaustive(items, capacity) and len(calls) == 1
-    # the verify check's budget is on its reduced table: at the answer 14,
-    # (5, 9) is fixed in and the other three items are free at t = 4
-    with pytest.raises(BudgetExceededError, match="table needs 15 cells, over the budget of 14"):
-        solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=14))
-    assert solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=15)) == 14
+    # the verify check's budget is on its reduced DP: at the answer 14,
+    # (5, 9) is fixed in and the other three items are free at t = 4, where
+    # (2, 3) is banded on [2, 2], then (4, 5) and (3, 4) on [4, 4]
+    with pytest.raises(BudgetExceededError, match="needs 3 band cells, over the budget of 2"):
+        solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=2))
+    assert solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=3)) == 14
     with pytest.raises(BudgetExceededError, match="over the budget of"):
         solve_fast([(1 << 40, 7), ((1 << 40) + 1, 9)], 1 << 41)
 
@@ -1476,17 +1480,83 @@ def test_capacity_dp_drops_chunks_heavier_than_the_capacity():
     assert solve_bellman(items, 10, stats=stats) == 3 * 5
     assert stats.fold_passes == 4  # (3, 5) x 1, (6, 10), (2, 1), (4, 2)
     assert check_capacity_dp(items, 10) == 15
-    # the kept chunks all fit: the answer is their profit, with no band
-    for items, t, want, passes in (
-        ([(4, 9)] * 3, 5, 9, 1),  # chunks of 1 and 2 copies; 8 > 5 is dropped
-        ([(4, 9)] * 3 + [(1, 2)], 5, 11, 2),
-        ([(3, 5)] * 7, 10, 15, 2),  # 3 + 6 <= 10, the 12 is dropped
+    # the kept chunks all fit: the answer is their profit, with no row and
+    # no pass, under a budget of no cells
+    for items, t, want in (
+        ([(4, 9)] * 3, 5, 9),  # chunks of 1 and 2 copies; 8 > 5 is dropped
+        ([(4, 9)] * 3 + [(1, 2)], 5, 11),
+        ([(3, 5)] * 7, 10, 15),  # 3 + 6 <= 10, the 12 is dropped
     ):
         assert not normalize(items, t).all_fit
         stats = Stats()
-        assert solve_bellman(items, t, stats=stats) == want
-        assert stats.peak_table_cells == t + 1 and stats.fold_passes == passes
+        assert solve_bellman(items, t, cell_budget=0, stats=stats) == want
+        assert stats.peak_table_cells == 0 and stats.fold_passes == 0
         assert check_capacity_dp(items, t) == want
+
+
+def band_cells(items, t):
+    """The capacity DP's cells, written out from the band formula.
+
+    Binary chunks of each run of identical items, those heavier than t
+    dropped; none when the rest fit.  Otherwise ascending weight ranks go
+    alternately to the front and the back, and with W the weight before a
+    chunk of weight w and R the weight after it, the chunk's band is
+    [max(w, t - R), min(t, W + w)].
+    """
+    weights = []
+    for (w, _), k in Counter(items).items():
+        copies = 1
+        while k > 0:
+            take = min(copies, k)
+            if take * w <= t:
+                weights.append(take * w)
+            k -= take
+            copies *= 2
+    if sum(weights) <= t:
+        return 0
+    front, back = [], []
+    for rank, w in enumerate(sorted(weights)):
+        (back if rank % 2 else front).append(w)
+    order = front + back[::-1]
+    cells = 0
+    for i, w in enumerate(order):
+        before, after = sum(order[:i]), sum(order[i + 1 :])
+        cells += min(t, before + w) - max(w, t - after) + 1
+    return cells
+
+
+@st.composite
+def chunked_runs(draw):
+    """Runs of identical items and a capacity, often 0 or the total weight - 1."""
+    run = st.tuples(st.integers(1, 9), st.integers(1, 12), st.integers(1, 7))
+    items = [(w, p) for w, p, k in draw(st.lists(run, min_size=1, max_size=5)) for _ in range(k)]
+    total = sum(w for w, _ in items)
+    t = draw(st.one_of(st.sampled_from([0, total - 1, total // 2]), st.integers(0, total)))
+    return items, t
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(chunked_runs())
+@example(([(4, 9)] * 3, 5))  # the 8 is dropped and the kept chunks fit
+@example(([(3, 5)] * 7 + [(2, 1)] * 2, 10))
+@example(([(2, 3)], 0))
+def test_capacity_dp_charges_the_bands_it_folds(case):
+    # the charge is the band formula's cells, never past the n (t + 1)
+    # table; a budget of exactly the charge answers and one cell less
+    # refuses, naming the charge
+    from knapsolve.baselines import _capacity_dp, _chunks, _plan
+
+    items, t = case
+    weights = np.array([w for w, _ in items], dtype=np.int64)
+    profits = np.array([p for _, p in items], dtype=np.int64)
+    charge = sum(hi - lo + 1 for _, _, lo, hi in _plan(_chunks(weights, profits, t), t))
+    assert charge == band_cells(items, t)
+    assert charge <= len(items) * (t + 1)
+    assert _capacity_dp(weights, profits, t, charge) == solve_exhaustive(items, t)
+    if charge:
+        message = f"needs {charge} band cells, over the budget of {charge - 1}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            _capacity_dp(weights, profits, t, charge - 1)
 
 
 def test_capacity_dp_answer_ignores_item_order():
@@ -1606,17 +1676,17 @@ def test_reduced_capacity_dp_reruns_when_a_bound_above_the_optimum_misses_it(mon
 
 
 def test_reduced_capacity_dp_checks_each_pass_under_its_own_budget():
-    # the instance above: the first pass, bounded by 29, has one free item at
-    # t = 6 (7 cells); the second, bounded by 16, all three at t = 8 (27)
+    # the instance above: the first pass, bounded by 29, has one free item,
+    # (2, 16), which fits t = 6, so it folds no band; the second, bounded by
+    # 16, frees all three at t = 8, banded on [2, 2], [8, 8] and [8, 8]
     from knapsolve.baselines import reduced_capacity_dp
 
     inst = normalize([(8, 28), (6, 6), (2, 16)], 8)
-    for budget in range(27):
-        cells = 7 if budget < 7 else 27
-        message = f"table needs {cells} cells, over the budget of {budget}$"
+    for budget in range(3):
+        message = f"needs 3 band cells, over the budget of {budget}$"
         with pytest.raises(BudgetExceededError, match=message):
             reduced_capacity_dp(inst, 29, budget)
-    assert reduced_capacity_dp(inst, 29, 27) == 28
+    assert reduced_capacity_dp(inst, 29, 3) == 28
 
 
 @st.composite
@@ -1634,26 +1704,27 @@ def budgeted_reductions(draw):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(budgeted_reductions())
 def test_reduced_capacity_dp_answers_or_refuses_on_its_pass_tables(case):
-    # unbudgeted, the DP passes record the cells of their tables; budgeted,
-    # the check returns the optimum unless one of those tables exceeds it
+    # unbudgeted, the DP passes record the band cells of their plans;
+    # budgeted, the check returns the optimum unless one of those exceeds it
     import knapsolve.baselines
     from knapsolve.baselines import reduced_capacity_dp
 
     items, capacity, want, bound, budget = case
     inst = normalize(items, capacity)
-    capacity_dp = knapsolve.baselines._capacity_dp
-    tables = []
+    plan = knapsolve.baselines._plan
+    charges = []
 
-    def spy(weights, profits, t, cell_budget, stats=None):
-        tables.append(len(weights) * (t + 1))
-        return capacity_dp(weights, profits, t, cell_budget, stats)
+    def spy(chunks, t):
+        bands = plan(chunks, t)
+        charges.append(sum(hi - lo + 1 for _, _, lo, hi in bands))
+        return bands
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(knapsolve.baselines, "_capacity_dp", spy)
+        mp.setattr(knapsolve.baselines, "_plan", spy)
         assert reduced_capacity_dp(inst, bound, None) == want
-    over = [cells for cells in tables if cells > budget]
+    over = [cells for cells in charges if cells > budget]
     if over:
-        message = f"table needs {over[0]} cells, over the budget of {budget}$"
+        message = f"needs {over[0]} band cells, over the budget of {budget}$"
         with pytest.raises(BudgetExceededError, match=message):
             reduced_capacity_dp(inst, bound, budget)
     else:
@@ -1746,48 +1817,77 @@ def test_verify_reduction_free_items_on_the_benchmark(monkeypatch):
 
 @pytest.mark.parametrize(
     "family, p_max, shift",
-    [("uniform", 32, 0), ("clustered", 32, 0), ("uniform", 10**6, 0), ("uniform", 10**6, 62)],
-    ids=["uniform-32", "clustered-32", "uniform-1000000", "uniform-1000000-shift62"],
+    [
+        ("uniform", 32, 0),
+        ("clustered", 32, 0),
+        ("uniform", 10**6, 0),
+        ("uniform", 10**6, 62),
+        ("hard-equal-weights", 32, 0),
+    ],
+    ids=[
+        "uniform-32",
+        "clustered-32",
+        "uniform-1000000",
+        "uniform-1000000-shift62",
+        "hard-equal-weights-32",
+    ],
 )
-def test_verify_at_w_1024(family, p_max, shift):
-    # n = 4096 at w = 1024: the unreduced n (t + 1) table is past the
-    # default budget of 4e8 cells, the table the answer leaves free within
-    # it, also with every profit times 2^62 (object columns)
+def test_verify_at_w_1024(family, p_max, shift, monkeypatch):
+    # n = 4096 at w = 1024: the check runs one DP over the items the answer
+    # leaves free, also with every profit times 2^62 (object columns).
+    # hard-equal-weights frees 2,651 items in 162,117,802 band cells
+    import knapsolve.baselines
+
     items, capacity = generate_instance(4096, 1024, p_max, 0.5, 1, family)
-    assert 4096 * (capacity + 1) > SolverConfig().verify_cell_budget
     answer = solve_fast(items, capacity)
+    chunked = []
+    chunks = knapsolve.baselines._chunks
+
+    def spy(weights, profits, t):
+        chunked.append(weights.size)
+        return chunks(weights, profits, t)
+
+    monkeypatch.setattr(knapsolve.baselines, "_chunks", spy)
     scaled = [(w, p << shift) for w, p in items]
     assert solve_fast(scaled, capacity, SolverConfig(verify=True)) == answer << shift
+    assert len(chunked) == 1 and chunked[0] < 4096
 
 
 def test_verify_refuses_past_its_budget_before_allocating(monkeypatch):
-    # hard-equal-weights at w = 1024, n = 4096, p_max 32: at the answer the
-    # reduction leaves a table of 3,467,335,685 cells against the default
-    # 4e8, and the check refuses it before its chunk list or a row.  The
-    # reduction's O(n) arrays come first (about 170 KB); the refused rows
-    # would take gigabytes, so the traced peak is held under 1 MB
+    # hard-equal-weights at w = 4096, n = 16384, p_max 32: at the answer the
+    # reduction's free items need 23,043,325,798 band cells against the
+    # default 8e9, and the check refuses them after its chunk plan and before
+    # a row.  The reduction's arrays and the plan are O(n); the refused rows
+    # would take over 100 MB, and the traced peak is held under 1/32 of that
     import tracemalloc
 
     import knapsolve.baselines
     from knapsolve.baselines import reduced_capacity_dp
 
-    items, capacity = generate_instance(4096, 1024, 32, 0.5, 1, "hard-equal-weights")
+    items, capacity = generate_instance(16384, 4096, 32, 0.5, 1, "hard-equal-weights")
     answer = solve_fast(items, capacity)
+    plan, capacities = knapsolve.baselines._plan, []
 
     def untouched(*args):
         raise AssertionError("ran past the cell budget")
 
-    for name in ("_chunks", "_banded"):
-        monkeypatch.setattr(knapsolve.baselines, name, untouched)
-    message = "table needs 3467335685 cells, over the budget of 400000000"
+    def spy(chunks, t):
+        capacities.append(t)
+        return plan(chunks, t)
+
+    monkeypatch.setattr(knapsolve.baselines, "_banded", untouched)
+    monkeypatch.setattr(knapsolve.baselines, "_plan", spy)
+    message = "needs 23043325798 band cells, over the budget of 8000000000$"
     with pytest.raises(BudgetExceededError, match=message):
         solve_fast(items, capacity, SolverConfig(verify=True))
     inst = normalize(items, capacity)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match=message):
-            reduced_capacity_dp(inst, answer, 400_000_000)
+            reduced_capacity_dp(inst, answer, SolverConfig().verify_cell_budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    # two rows of the narrowest (int16) cells at the reduced capacity
+    rows = 2 * (capacities[-1] + 1) * 2
+    assert rows > 100 << 20 and peak < rows // 32
