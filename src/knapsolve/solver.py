@@ -79,12 +79,7 @@ from numbers import Integral
 import numpy as np
 
 from . import hinted
-from .baselines import (
-    DEFAULT_CELL_BUDGET,
-    _capacity_dp,
-    check_table_bytes,
-    reduced_capacity_dp,
-)
+from .baselines import check_table_bytes, reduced_capacity_dp
 from .core import (
     _UNSHIFTED,
     BOTTOM,
@@ -130,10 +125,10 @@ class Stats:
     cell_bytes: int = 0
     # item passes the dense path's core fold ran before it stopped, the
     # shift passes of solve_proximity_smawk's class fold, or the chunk passes
-    # of the capacity DP (solve_bellman and the fallback; verify passes none)
+    # of solve_bellman's capacity DP (verify passes none)
     fold_passes: int = 0
-    # the path that answered: "trivial", "bellman-fallback" (the capacity
-    # DP, when w_max > n^2), "dense", "hinted", "proximity" or "bellman"
+    # the path that answered: "trivial", "dense", "hinted", "proximity" or
+    # "bellman"
     engine: str = ""
     # the hinted engine's stage-one hint-extension work
     extend: ExtendStats = field(default_factory=ExtendStats)
@@ -723,11 +718,11 @@ def _core_fold(inst: Instance, core: LazyCore, stats: Stats | None = None) -> in
 def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: Stats | None = None) -> int:
     """Optimal total profit, parameterized by the largest item weight.
 
-    Falls back to the capacity DP when the largest weight exceeds n^2 (the
-    table there is smaller than any exchange structure would be); that DP
-    refuses with ``BudgetExceededError`` past its default cell budget.  With
-    ``config.verify`` the answer must equal the optimum that
-    ``baselines.reduced_capacity_dp`` computes with it as the bound.
+    Every instance not answered by taking all items runs the engine
+    ``config`` names, whatever n is; its tables are refused with
+    ``BudgetExceededError`` past ``baselines.TABLE_BYTE_BUDGET`` before they
+    are allocated.  With ``config.verify`` the answer must equal the optimum
+    that ``baselines.reduced_capacity_dp`` computes with it as the bound.
     """
     config = config or SolverConfig()
     inst = normalize(raw_items, capacity)
@@ -735,14 +730,7 @@ def solve_fast(raw_items, capacity, config: SolverConfig | None = None, stats: S
         if stats is not None:
             stats.engine = "trivial"
         return inst.total_profit
-    if inst.w_max > inst.n * inst.n:
-        if stats is not None:
-            stats.engine = "bellman-fallback"
-        answer = _capacity_dp(
-            inst.weights, inst.profits, inst.capacity, DEFAULT_CELL_BUDGET, stats
-        )
-    else:
-        answer = _solve_structured(inst, config, stats)
+    answer = _solve_structured(inst, config, stats)
     if config.verify:
         ref = reduced_capacity_dp(inst, answer, config.verify_cell_budget)
         if ref != answer:

@@ -265,7 +265,7 @@ def test_solve_refuses_options_the_solver_ignores(tmp_path, capsys):
 
 
 def test_capacity_dp_fallback_refuses_before_allocating(tmp_path, capsys):
-    # w_max > n^2 takes the capacity DP, whose table here would be 2e13 cells
+    # w_max > n^2: the core fold's first table here would be 2e13 + 1 cells
     big = 10**13
     path = write(tmp_path, "huge.txt", f"2 {big}\n{big} 5\n{big} 9\n")
     assert main(["solve", path]) == 3
@@ -278,9 +278,11 @@ def test_capacity_dp_row_budget_exit_code(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 283)
     path = write(tmp_path, "short.txt", "2 70\n50 7\n60 9\n")
-    for solver in ("fast", "bellman"):
-        assert main(["solve", path, "--solver", solver]) == 3
-        assert "refused:" in capsys.readouterr().err
+    assert main(["solve", path, "--solver", "bellman"]) == 3
+    assert "refused:" in capsys.readouterr().err
+    # the core fold's table of 121 int16 cells fits
+    assert main(["solve", path, "--solver", "fast"]) == 0
+    assert capsys.readouterr().out == "9\n"
 
 
 def test_fold_table_budget_exit_code(tmp_path, capsys, monkeypatch):

@@ -78,7 +78,7 @@ def counters(stats):
 def check_case(items, capacity):
     """The lazy core's sides and fold against both references; False if skipped."""
     inst = normalize(items, capacity)
-    if inst.all_fit or inst.w_max > inst.n * inst.n:
+    if inst.all_fit:
         return False
     # the candidates each side hands out, in walk order
     want = reference_split(list(inst.items), capacity, inst.w_max)
@@ -168,12 +168,21 @@ def object_key_items(rng, n):
     return items, rng.randint(1, sum(w for w, _ in items) - 1)
 
 
+def wide_weight_items(rng, n):
+    # w_max > n^2: a few items, each heavy next to their count
+    items = [(rng.randint(1, 4 * n * n), rng.randint(1, 40)) for _ in range(n)]
+    items[0] = (n * n + rng.randint(1, 3 * n * n), items[0][1])
+    total = sum(w for w, _ in items)
+    return items, rng.randint(max(w for w, _ in items), total - 1)
+
+
 SHAPES = {
     "big-groups": lambda rng: big_group_items(rng, rng.randint(100, 400)),
     "break-in-tie": lambda rng: break_in_tie_items(rng, rng.randint(60, 300)),
     "unit-weights": lambda rng: unit_items(rng, rng.randint(20, 300)),
     "total-minus-one": lambda rng: total_minus_one_items(rng, rng.randint(40, 300)),
     "object-keys": lambda rng: object_key_items(rng, rng.randint(20, 80)),
+    "wide-weights": lambda rng: wide_weight_items(rng, rng.randint(3, 12)),
 }
 
 

@@ -1,4 +1,4 @@
-"""End-to-end solver agreement, engines, fallbacks, stats, and the fold engine."""
+"""End-to-end solver agreement, engines, stats, and the fold engine."""
 
 import math
 import random
@@ -130,26 +130,41 @@ def test_bellman_reports_engine():
         assert stats.engine == engine
 
 
-def test_wide_weights_fall_back_to_capacity_dp():
+def test_wide_weights_run_the_dense_engine():
+    # w_max = 60 > n^2 = 4: the core fold's table starts at half-size
+    # w_max and never grows
     stats = Stats()
-    items = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
+    items = [(50, 7), (60, 9)]
     got = solve_fast(items, 70, stats=stats)
     assert got == solve_bellman(items, 70) == 9
-    assert stats.engine == "bellman-fallback"
+    assert (stats.engine, stats.peak_table_cells) == ("dense", 2 * 60 + 1)
 
 
 def test_forced_fallback_matches():
-    # instances whose largest weight exceeds n^2 take the capacity DP
+    # instances whose largest weight exceeds n^2 run the engine their config
+    # names, with and without the verify check
     rng = random.Random(99)
+    configs = (SolverConfig(), SolverConfig(engine="hinted"), SolverConfig(verify=True))
     for _ in range(40):
         n = rng.randint(2, 6)
         items = [(rng.randint(1, 3 * n * n), rng.randint(1, 30)) for _ in range(n)]
         items[0] = (n * n + rng.randint(1, n * n), items[0][1])
         total = sum(w for w, _ in items)
         capacity = rng.randint(max(w for w, _ in items), total - 1)
-        stats = Stats()
-        assert solve_fast(items, capacity, stats=stats) == solve_exhaustive(items, capacity)
-        assert stats.engine == "bellman-fallback"
+        want = solve_exhaustive(items, capacity)
+        for config in configs:
+            stats = Stats()
+            assert solve_fast(items, capacity, config, stats) == want
+            assert stats.engine == config.resolved_engine()
+
+
+def test_wide_weights_at_n_300():
+    # w_max = 900,001 > n^2 = 90,000: the core fold and the verify check
+    # answer together in under a second
+    items, capacity = generate_instance(300, 900_001, 32, 0.5, 1, "hard-equal-weights")
+    stats = Stats()
+    assert solve_fast(items, capacity, SolverConfig(verify=True), stats) == 4731
+    assert stats.engine == "dense"
 
 
 def test_all_solvers_agree_on_random_instances():
@@ -242,14 +257,15 @@ def test_capacity_dp_row_byte_budget(monkeypatch):
     # larger than memory; the capacity DP must refuse them before allocating.
     # Every table runs at capacity 70: two int16 rows of 71 cells, 284 bytes.
     # The structured items share one efficiency, so the verify check's
-    # reduction fixes none of them and its table is the unreduced one
+    # reduction fixes none of them and its table is the unreduced one.
+    # solve_fast answers both without a capacity DP: the wide items' core
+    # fold table is 121 int16 cells, 242 bytes
     import knapsolve.baselines
 
-    fallback = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
+    wide = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
     structured = [(5, 7)] * 19
     calls = (
-        lambda: solve_bellman(fallback, 70),
-        lambda: solve_fast(fallback, 70),
+        lambda: solve_bellman(wide, 70),
         lambda: solve_fast(structured, 70, SolverConfig(verify=True)),
     )
     monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 283)
@@ -257,13 +273,14 @@ def test_capacity_dp_row_byte_budget(monkeypatch):
         with pytest.raises(BudgetExceededError, match="284 bytes, over the budget of 283"):
             call()
     assert solve_fast(structured, 70) == solve_exhaustive(structured, 70)
+    assert solve_fast(wide, 70) == 9
     monkeypatch.setattr(knapsolve.baselines, "TABLE_BYTE_BUDGET", 284)
-    assert [call() for call in calls] == [9, 9, solve_exhaustive(structured, 70)]
+    assert [call() for call in calls] == [9, solve_exhaustive(structured, 70)]
 
 
 def test_capacity_dp_paths_normalize_once(monkeypatch):
-    # the fallback and the verify check run the capacity DP on the instance
-    # solve_fast already normalized, under the same budgets and messages
+    # the verify check runs the capacity DP on the instance solve_fast
+    # already normalized, wide weights (w_max > n^2) included
     import knapsolve.baselines
     import knapsolve.solver
 
@@ -275,9 +292,9 @@ def test_capacity_dp_paths_normalize_once(monkeypatch):
 
     monkeypatch.setattr(knapsolve.solver, "normalize", counting)
     monkeypatch.setattr(knapsolve.baselines, "normalize", counting)
-    fallback = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
+    wide = [(50, 7), (60, 9)]  # w_max = 60 > n^2 = 4
     structured = [(2, 3), (3, 4), (4, 5), (5, 9)]
-    for items, capacity in ((fallback, 70), (structured, 9)):
+    for items, capacity in ((wide, 70), (structured, 9)):
         calls.clear()
         got = solve_fast(items, capacity, SolverConfig(verify=True))
         assert got == solve_exhaustive(items, capacity) and len(calls) == 1
@@ -287,7 +304,8 @@ def test_capacity_dp_paths_normalize_once(monkeypatch):
     with pytest.raises(BudgetExceededError, match="needs 3 band cells, over the budget of 2"):
         solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=2))
     assert solve_fast(structured, 9, SolverConfig(verify=True, verify_cell_budget=3)) == 14
-    with pytest.raises(BudgetExceededError, match="over the budget of"):
+    # the core fold's first table, 2 * (2^40 + 1) + 1 int16 cells
+    with pytest.raises(BudgetExceededError, match="fold table needs 4398046511110 bytes"):
         solve_fast([(1 << 40, 7), ((1 << 40) + 1, 9)], 1 << 41)
 
 
@@ -476,7 +494,7 @@ def test_stats_populated_on_structured_path():
 def test_peak_table_cells_of_fallback_and_proximity():
     # the capacity DP's row of capacity + 1 cells
     stats = Stats()
-    assert solve_fast([(50, 7), (60, 9)], 70, stats=stats) == 9
+    assert solve_bellman([(50, 7), (60, 9)], 70, stats=stats) == 9
     assert stats.peak_table_cells == 71
     # proximity's one table of half-size 2 * w_max^2, w_max = 5
     stats = Stats()
@@ -1083,7 +1101,7 @@ def core_fold_reference(items, capacity):
     """The core fold on a {z: value} dict, with ``prune_reference`` as the cut.
 
     Returns (answer, fold_passes, peak_table_cells, best_index) for a
-    nontrivial instance with w_max <= n^2, as ``solve_fast`` reports them.
+    nontrivial instance, as ``solve_fast`` reports them.
     """
     inst = normalize(items, capacity)
     split = greedy_split(inst)
@@ -1147,7 +1165,7 @@ def test_core_fold_matches_reference():
         total = sum(w for w, _ in items)
         capacity = rng.choice((rng.randint(0, total), total // 2, total - 1))
         inst = normalize(items, capacity)
-        if inst.all_fit or inst.w_max > inst.n * inst.n:
+        if inst.all_fit:
             continue
         stats = Stats()
         got = solve_fast(items, capacity, stats=stats)
@@ -1573,11 +1591,11 @@ def test_capacity_dp_answer_ignores_item_order():
 
 
 def test_capacity_dp_passes_in_stats():
-    # solve_bellman and the w_max > n^2 fallback report their chunk passes;
-    # the verify check passes no Stats, so the dense counters stay put
+    # solve_bellman reports its chunk passes; the verify check passes no
+    # Stats, so the dense counters stay put
     stats = Stats()
-    assert solve_fast([(50, 7), (60, 9)], 70, stats=stats) == 9
-    assert (stats.engine, stats.fold_passes) == ("bellman-fallback", 2)
+    assert solve_bellman([(50, 7), (60, 9)], 70, stats=stats) == 9
+    assert (stats.engine, stats.fold_passes) == ("bellman", 2)
     items = [(3, 7), (4, 9), (5, 4), (2, 6), (3, 5), (4, 8)] + [(2, 6)] * 5
     plain, verified = Stats(), Stats()
     solve_fast(items, 14, stats=plain)
